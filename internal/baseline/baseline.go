@@ -25,13 +25,10 @@ import (
 
 	"xenic/internal/fault"
 	"xenic/internal/membership"
-	"xenic/internal/metrics"
 	"xenic/internal/model"
-	"xenic/internal/sim"
 	"xenic/internal/store/btree"
 	"xenic/internal/store/chained"
 	"xenic/internal/txnmodel"
-	"xenic/internal/wire"
 )
 
 // System selects which baseline to run.
@@ -106,33 +103,13 @@ func DefaultConfig(sys System) Config {
 	}
 }
 
+// validate checks what only the baselines configure; the chassis checks the
+// rest.
 func (c Config) validate() error {
-	if c.Nodes < 2 {
-		return fmt.Errorf("baseline: need >=2 nodes")
-	}
-	if c.Replication < 1 || c.Replication > c.Nodes {
-		return fmt.Errorf("baseline: bad replication %d", c.Replication)
-	}
-	if c.Threads < 1 || c.Outstanding < 1 {
-		return fmt.Errorf("baseline: bad thread/window config")
-	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(c.Nodes); err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		if len(c.Faults.Crashes) > 0 || len(c.Faults.CoreStalls) > 0 || len(c.Faults.DMAStalls) > 0 {
-			return fmt.Errorf("baseline: fault plan includes crash/stall faults; baselines support only network faults")
-		}
+	if f := c.Faults; f != nil && len(f.Crashes)+len(f.CoreStalls)+len(f.DMAStalls) > 0 {
+		return fmt.Errorf("baseline: fault plan includes crash/stall faults; baselines support only network faults")
 	}
 	return nil
-}
-
-func (c Config) backupsOf(s int) []int {
-	out := make([]int, 0, c.Replication-1)
-	for i := 1; i < c.Replication; i++ {
-		out = append(out, (s+i)%c.Nodes)
-	}
-	return out
 }
 
 // shardData is one replica of one shard in the baseline layout.
@@ -201,18 +178,6 @@ func (s *shardData) apply(key uint64, value []byte, version uint64) {
 	s.hash.Insert(key, value, version)
 }
 
-// Stats aggregates one node's outcomes (same shape as core's).
-type Stats struct {
-	Committed           int64
-	Measured            int64
-	Failed              int64
-	Aborts              int64
-	UpdateKeysCommitted int64
-	Latency             *metrics.Histogram
-	// AbortReasons breaks Aborts down by wire.Status.
-	AbortReasons [wire.NumStatuses]int64
-}
-
 // logRecord is a backup log entry.
 type logRecord struct {
 	txn    uint64
@@ -233,10 +198,3 @@ func recordBytes(writes []kvw) int {
 	}
 	return n
 }
-
-// Retry backoff: capped exponential, drawn from a window that doubles from
-// backoffBase up to backoffMax (see sim.Backoff).
-const (
-	backoffBase = 1 * sim.Microsecond
-	backoffMax  = 16 * sim.Microsecond
-)

@@ -93,7 +93,7 @@ func runSystem(t *testing.T, sys System, dur sim.Time) *Cluster {
 	cfg.Nodes = 4
 	cfg.Threads = 4
 	cfg.Outstanding = 4
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +112,8 @@ func runSystem(t *testing.T, sys System, dur sim.Time) *Cluster {
 	}
 	var committed int64
 	for _, n := range cl.nodes {
-		expected += uint64(n.stats.UpdateKeysCommitted)
-		committed += n.stats.Committed
+		expected += uint64(n.Stats().UpdateKeysCommitted)
+		committed += n.Stats().Committed
 	}
 	if sum != expected {
 		t.Fatalf("%v: counter sum %d != committed increments %d", sys, sum, expected)
@@ -148,7 +148,7 @@ func TestDeterminism(t *testing.T) {
 		cfg := DefaultConfig(DrTMH)
 		cfg.Nodes = 4
 		cfg.Threads = 4
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestDeterminism(t *testing.T) {
 		cl.Drain(100 * sim.Millisecond)
 		var committed int64
 		for _, n := range cl.nodes {
-			committed += n.stats.Committed
+			committed += n.Stats().Committed
 		}
 		return committed
 	}
@@ -171,7 +171,7 @@ func TestMeasureProducesResults(t *testing.T) {
 	cfg := DefaultConfig(FaSST)
 	cfg.Nodes = 4
 	cfg.Threads = 6
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestConfigValidation(t *testing.T) {
 	}
 	for i, cfg := range bad {
 		cfg.Params = DefaultConfig(DrTMH).Params
-		if _, err := New(cfg, g); err == nil {
+		if _, err := New(cfg, g, Observers{}); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

@@ -3,109 +3,91 @@ package baseline
 import (
 	"fmt"
 
-	"xenic/internal/check"
-	"xenic/internal/fault"
+	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
-	"xenic/internal/load"
-	"xenic/internal/membership"
 	"xenic/internal/metrics"
 	"xenic/internal/rdma"
 	"xenic/internal/sim"
-	"xenic/internal/simnet"
 	"xenic/internal/store/btree"
-	"xenic/internal/trace"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
 
-// Cluster is a simulated baseline deployment.
+// Cluster is a simulated baseline deployment: the shared chassis plus the
+// baseline's RDMA/RPC commit protocol. It runs the same lease-based cluster
+// manager as Xenic, so view epochs mean the same thing across systems, but
+// never acts on view changes (no promotion, no re-replication — validate
+// rejects crash faults).
 type Cluster struct {
-	cfg    Config
-	eng    *sim.Engine
-	nw     *simnet.Network
-	inj    *fault.Injector
-	nodes  []*Node
-	gen    txnmodel.Generator
-	place  txnmodel.Placement
-	reg    *txnmodel.Registry
-	tracer *trace.Tracer
-	hist   *check.History // nil unless SetHistory attached one
-	loadOn bool
-
-	loadSrc load.Source // nil: built-in closed loop drives the cluster
-	srcOn   bool        // the attached source has been started
-
-	// mgr is the same lease-based cluster manager Xenic runs; baselines
-	// renew leases and observe epoch-stamped views so harness comparisons
-	// share membership semantics, but they never act on view changes (no
-	// promotion, no re-replication — validate rejects crash faults).
-	mgr  *membership.Manager
-	view membership.View
+	*chassis.Chassis
+	cfg   Config
+	nodes []*Node
 }
 
-// SetTracer attaches tr to the cluster (nil disables tracing). Call after
-// New and before Start. The baseline data path is RDMA verbs, so the trace
-// carries process/thread metadata and fault-injection events rather than
-// per-phase spans; it exists mainly so any System can be traced uniformly.
-func (cl *Cluster) SetTracer(tr *trace.Tracer) {
-	cl.tracer = tr
-	if cl.inj != nil {
-		cl.inj.SetTracer(tr)
-	}
-	if !tr.Enabled() {
-		return
-	}
-	for _, n := range cl.nodes {
-		tr.MetaProcess(n.id, fmt.Sprintf("node%d", n.id))
-		for h := 0; h < cl.cfg.Threads; h++ {
-			tr.MetaThread(n.id, h, fmt.Sprintf("host-app%d", h))
-		}
-	}
-}
+// Observers gathers everything that watches or drives a cluster; see
+// chassis.Observers.
+type Observers = chassis.Observers
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (cl *Cluster) Tracer() *trace.Tracer { return cl.tracer }
+// Stats aggregates one node's outcomes.
+type Stats = chassis.Stats
 
-// New builds and populates a baseline cluster running workload gen.
-func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
+// Retry back-off bounds for baseline coordinator threads.
+const (
+	backoffBase = 1 * sim.Microsecond
+	backoffMax  = 16 * sim.Microsecond
+)
+
+// New builds and populates a baseline cluster running workload gen, with obs
+// attached before any traffic flows.
+func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cl := &Cluster{
-		cfg: cfg,
-		eng: sim.NewEngine(cfg.Seed),
-		gen: gen,
-		reg: txnmodel.NewRegistry(),
+	cl := &Cluster{cfg: cfg}
+	ch, err := chassis.New(chassis.Config{
+		Nodes:       cfg.Nodes,
+		Replication: cfg.Replication,
+		HostThreads: cfg.Threads,
+		AppThreads:  cfg.Threads,
+		Outstanding: cfg.Outstanding,
+		MaxRetries:  cfg.MaxRetries,
+		Params:      cfg.Params,
+		Seed:        cfg.Seed,
+		Faults:      cfg.Faults,
+		Membership:  cfg.Membership,
+	}, gen, chassis.Protocol{
+		Name:        "baseline",
+		BackoffBase: backoffBase,
+		BackoffMax:  backoffMax,
+		NewTxn:      newTxn,
+		Launch:      func(t *hostrt.Thread, node int, tx *chassis.Txn) { cl.nodes[node].launch(t, tx.Attempt.(*btxn)) },
+		Drained:     cl.drained,
+		Observe:     cl.observe,
+	})
+	if err != nil {
+		return nil, err
 	}
-	cl.nw = simnet.New(cl.eng, cfg.Params, cfg.Nodes)
-	if cfg.Faults != nil {
-		cl.inj = fault.NewInjector(cl.eng, cfg.Faults, cfg.Seed)
-		// Baselines never crash, so every endpoint is permanently live and
-		// the fabric's reliable transport retransmits through any fault.
-		cl.nw.SetFault(cl.inj.FrameFate, func(int) bool { return true })
-	}
-	cl.place = gen.Placement(cfg.Nodes, cfg.Replication)
-	gen.Register(cl.reg)
+	cl.Chassis = ch
 	spec := gen.Spec()
 
 	for id := 0; id < cfg.Nodes; id++ {
 		n := &Node{
 			cl:      cl,
 			id:      id,
-			primary: newShardData(spec, cl.place),
+			app:     ch.App(id),
+			host:    ch.App(id).Host(),
+			primary: newShardData(spec, cl.Placement()),
 			backups: map[int]*shardData{},
 			locks:   map[uint64]uint64{},
 		}
-		n.stats.Latency = metrics.NewHistogram()
 		for s := 0; s < cfg.Nodes; s++ {
-			for _, b := range cfg.backupsOf(s) {
+			for _, b := range cl.BackupsOf(s) {
 				if b == id {
-					n.backups[s] = newShardData(spec, cl.place)
+					n.backups[s] = newShardData(spec, cl.Placement())
 				}
 			}
 		}
-		n.host = hostrt.New(cl.eng, cfg.Params, id, cfg.Threads, cfg.Seed)
-		n.rnic = rdma.New(cl.eng, cfg.Params, cl.nw, id, n.host)
+		n.rnic = rdma.New(cl.Engine(), cfg.Params, cl.Network(), id, n.host)
 		if cfg.Faults != nil {
 			n.rnic.SetFaultTimeout(cfg.Faults.VerbTimeoutOrDefault())
 		}
@@ -118,22 +100,19 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 			case *wire.Execute, *wire.Validate, *wire.Log, *wire.Commit, *wire.Abort:
 				return int(m.(interface{ GetTxnID() uint64 }).GetTxnID() % uint64(cfg.Threads))
 			}
-			return txnThread(m.(interface{ GetTxnID() uint64 }).GetTxnID())
+			return chassis.TxnThread(m.(interface{ GetTxnID() uint64 }).GetTxnID())
 		})
 		n.host.OnTransmit(func(t *hostrt.Thread, ms []wire.Msg) {
 			panic("baseline: thread outbox unused; all sends go through the RDMA NIC")
 		})
-		for a := 0; a < cfg.Threads; a++ {
-			n.app = append(n.app, &appThread{id: a, inflight: map[uint64]*btxn{}})
-		}
 		cl.nodes = append(cl.nodes, n)
 	}
 
 	for s := 0; s < cfg.Nodes; s++ {
 		primary := cl.nodes[s]
-		backups := cfg.backupsOf(s)
-		cl.gen.Populate(s, cfg.Nodes, func(key uint64, value []byte) {
-			if got := cl.place.ShardOf(key); got != s {
+		backups := cl.BackupsOf(s)
+		gen.Populate(s, cfg.Nodes, func(key uint64, value []byte) {
+			if got := cl.Placement().ShardOf(key); got != s {
 				panic(fmt.Sprintf("baseline: populate: key %d in shard %d emitted for %d", key, got, s))
 			}
 			primary.primary.apply(key, value, 1)
@@ -143,141 +122,23 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 		})
 	}
 
-	// Membership: the same lease service Xenic runs, so view epochs mean
-	// the same thing across systems. A partitioned node cannot reach the
-	// manager and its lease lapses; otherwise the epoch never moves.
-	if cfg.Membership == (membership.Config{}) {
-		cfg.Membership = membership.DefaultConfig()
-		cl.cfg.Membership = cfg.Membership
+	cl.Boot()
+	if err := cl.Attach(obs); err != nil {
+		return nil, err
 	}
-	cl.mgr = membership.New(cl.eng, cfg.Nodes, cfg.Replication, cfg.Membership)
-	cl.view = cl.mgr.View()
-	cl.mgr.OnChange(func(v membership.View) { cl.view = v })
-	for id := 0; id < cfg.Nodes; id++ {
-		id := id
-		cl.eng.Ticker(cfg.Membership.RenewPeriod, func() bool {
-			if cl.inj == nil || !cl.inj.Isolated(id) {
-				cl.mgr.Renew(id)
-			}
-			return true
-		})
-	}
-	cl.mgr.Start()
 	return cl, nil
 }
-
-// Engine exposes the simulation engine.
-func (cl *Cluster) Engine() *sim.Engine { return cl.eng }
-
-// View returns the current membership view. Baselines share Xenic's lease
-// service and epoch numbering but never react to view changes.
-func (cl *Cluster) View() membership.View { return cl.view }
 
 // Node returns node i.
 func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 
 // Stats returns node i's counters.
-func (n *Node) Stats() *Stats { return &n.stats }
+func (n *Node) Stats() *Stats { return n.app.Stats() }
 
-// Start begins load generation: the attached LoadSource if one was set
-// (xenic.WithLoad), otherwise the built-in closed loop.
-func (cl *Cluster) Start() {
-	if cl.loadSrc != nil {
-		cl.srcOn = true
-		cl.loadSrc.Start()
-		return
-	}
-	cl.StartClosedLoop()
-}
-
-// StopLoad stops generating new transactions.
-func (cl *Cluster) StopLoad() {
-	if cl.loadSrc != nil {
-		cl.srcOn = false
-		cl.loadSrc.Stop()
-		return
-	}
-	cl.StopClosedLoop()
-}
-
-// SetLoad attaches a load source, replacing the built-in closed loop as
-// what Start/StopLoad control. Call before any load has been started.
-func (cl *Cluster) SetLoad(src load.Source) error {
-	if src == nil {
-		return fmt.Errorf("baseline: SetLoad: nil source")
-	}
-	if cl.loadSrc != nil {
-		return fmt.Errorf("baseline: SetLoad: a load source is already attached")
-	}
-	if err := src.Attach(cl); err != nil {
-		return err
-	}
-	cl.loadSrc = src
-	return nil
-}
-
-// OfferedLoad snapshots the attached load source's admission and session
-// counters; all-zero when the built-in closed loop is driving.
-func (cl *Cluster) OfferedLoad() load.Stats {
-	if cl.loadSrc == nil {
-		return load.Stats{}
-	}
-	return cl.loadSrc.Stats()
-}
-
-// loadRunning reports whether some load generator has been started and not
-// stopped since.
-func (cl *Cluster) loadRunning() bool {
-	if cl.loadSrc != nil {
-		return cl.srcOn
-	}
-	return cl.loadOn
-}
-
-// StartClosedLoop begins closed-loop generation on every thread (the
-// load.Driver surface; Start delegates here when no source is set).
-func (cl *Cluster) StartClosedLoop() {
-	cl.loadOn = true
+// drained reports whether the protocol holds no in-flight state: every
+// backup record applied and every lock released.
+func (cl *Cluster) drained() bool {
 	for _, n := range cl.nodes {
-		n.host.WakeAll()
-	}
-}
-
-// StopClosedLoop halts closed-loop generation.
-func (cl *Cluster) StopClosedLoop() { cl.loadOn = false }
-
-// Nodes returns the node count.
-func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
-
-// AppThreadsPerNode reports the coordinator threads per node (every
-// baseline host thread is a coordinator).
-func (cl *Cluster) AppThreadsPerNode() int { return cl.cfg.Threads }
-
-// Workload returns the generator this cluster was built with.
-func (cl *Cluster) Workload() txnmodel.Generator { return cl.gen }
-
-// InjectTxn submits one transaction on the given node's thread at the
-// current instant (the load.Driver surface). done, if non-nil, fires
-// exactly once at the transaction's final outcome. Baselines never crash,
-// so injections cannot be lost.
-func (cl *Cluster) InjectTxn(node, thread int, d *txnmodel.TxnDesc, done func(ok bool)) {
-	n := cl.nodes[node]
-	at := n.app[thread]
-	at.injectq = append(at.injectq, injected{desc: d, done: done})
-	n.host.Thread(thread).Wake()
-}
-
-// Run advances simulated time by d.
-func (cl *Cluster) Run(d sim.Time) { cl.eng.Run(cl.eng.Now() + d) }
-
-// Quiesced reports whether all transactions have drained.
-func (cl *Cluster) Quiesced() bool {
-	for _, n := range cl.nodes {
-		for _, at := range n.app {
-			if at.outstanding > 0 || len(at.retryq) > 0 || len(at.injectq) > 0 {
-				return false
-			}
-		}
 		if n.apHead < len(n.applyq) || len(n.locks) > 0 {
 			return false
 		}
@@ -285,70 +146,33 @@ func (cl *Cluster) Quiesced() bool {
 	return true
 }
 
-// Drain stops load and runs until quiesced or the deadline passes.
-func (cl *Cluster) Drain(deadline sim.Time) bool {
-	cl.StopLoad()
-	end := cl.eng.Now() + deadline
-	for cl.eng.Now() < end {
-		if cl.Quiesced() {
-			return true
-		}
-		cl.Run(100 * sim.Microsecond)
-	}
-	return cl.Quiesced()
-}
-
 // Result is the shared measurement summary in txnmodel; Xenic and baseline
 // windows report through the same type.
 type Result = txnmodel.Result
 
-// Measure runs warmup, resets statistics, runs the window, aggregates.
-func (cl *Cluster) Measure(warmup, window sim.Time) Result {
-	// Whatever generator is attached — closed loop or a LoadSource — is the
-	// one started here; Measure never falls back to the closed loop when an
-	// open-loop source is driving.
-	if !cl.loadRunning() {
-		cl.Start()
+// observe registers what only the baselines have with the attached
+// observers. The data path is RDMA verbs, so the trace carries
+// process/thread metadata and fault-injection events rather than per-phase
+// spans; it exists mainly so any System can be traced uniformly.
+func (cl *Cluster) observe(o Observers) {
+	if tr := o.Tracer; tr.Enabled() {
+		for _, n := range cl.nodes {
+			tr.MetaProcess(n.id, fmt.Sprintf("node%d", n.id))
+			for h := 0; h < cl.cfg.Threads; h++ {
+				tr.MetaThread(n.id, h, fmt.Sprintf("host-app%d", h))
+			}
+		}
 	}
-	cl.Run(warmup)
-	type snap struct {
-		committed, measured, aborts, failed int64
-		reasons                             [wire.NumStatuses]int64
+	cl.registerMetrics(o.Stats)
+	for _, n := range cl.nodes {
+		o.Telemetry.Sub(fmt.Sprintf("node%d", n.id)).
+			Gauge("lock.held", func() float64 { return float64(len(n.locks)) })
 	}
-	snaps := make([]snap, len(cl.nodes))
-	for i, n := range cl.nodes {
-		snaps[i] = snap{n.stats.Committed, n.stats.Measured, n.stats.Aborts,
-			n.stats.Failed, n.stats.AbortReasons}
-		n.stats.Latency.Reset()
-	}
-	cl.Run(window)
-	res := Result{Duration: window}
-	lat := metrics.NewHistogram()
-	for i, n := range cl.nodes {
-		res.Committed += n.stats.Committed - snaps[i].committed
-		res.Measured += n.stats.Measured - snaps[i].measured
-		res.Aborts += n.stats.Aborts - snaps[i].aborts
-		res.Failed += n.stats.Failed - snaps[i].failed
-		res.AbortLocked += n.stats.AbortReasons[wire.StatusAbortLocked] - snaps[i].reasons[wire.StatusAbortLocked]
-		res.AbortVersion += n.stats.AbortReasons[wire.StatusAbortVersion] - snaps[i].reasons[wire.StatusAbortVersion]
-		res.AbortMissing += n.stats.AbortReasons[wire.StatusAbortMissing] - snaps[i].reasons[wire.StatusAbortMissing]
-		res.AbortView += n.stats.AbortReasons[wire.StatusAbortView] - snaps[i].reasons[wire.StatusAbortView]
-		// Verb timeouts on fault runs must land in the breakdown too, so
-		// the per-reason fields always sum to Aborts.
-		res.AbortTimeout += n.stats.AbortReasons[wire.StatusAbortTimeout] - snaps[i].reasons[wire.StatusAbortTimeout]
-		lat.Merge(n.stats.Latency)
-	}
-	res.PerServerTput = float64(res.Measured) / window.Seconds() / float64(len(cl.nodes))
-	res.Median = lat.Median()
-	res.P99 = lat.Quantile(0.99)
-	res.Mean = lat.Mean()
-	return res
 }
 
-// RegisterMetrics registers the cluster's counters into reg: per-node
-// transaction outcomes, abort reasons, latency, and RDMA verb/byte
-// counters, plus cluster-wide aggregates under "cluster.".
-func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
+// registerMetrics adds the RDMA verb/byte counters and the membership view
+// to reg.
+func (cl *Cluster) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
@@ -368,16 +192,12 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 		return out
 	}
 	for _, n := range cl.nodes {
-		n := n
-		sub := reg.Sub(fmt.Sprintf("node%d", n.id))
-		sub.RegisterFunc("txn", func() any { return n.stats.txnSnapshot() })
-		sub.RegisterFunc("aborts_by_reason", func() any { return abortReasonMap(n.stats.AbortReasons) })
-		sub.RegisterHistogram("latency", n.stats.Latency)
-		sub.RegisterFunc("rdma", func() any { return rdmaSnap(n.rnic.Stats()) })
+		reg.Sub(fmt.Sprintf("node%d", n.id)).
+			RegisterFunc("rdma", func() any { return rdmaSnap(n.rnic.Stats()) })
 	}
 	agg := reg.Sub("cluster")
 	agg.RegisterFunc("membership", func() any {
-		v := cl.view
+		v := cl.View()
 		alive := 0
 		for _, a := range v.Alive {
 			if a {
@@ -385,25 +205,6 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 			}
 		}
 		return map[string]any{"epoch": v.Epoch, "alive": alive}
-	})
-	agg.RegisterFunc("txn", func() any {
-		var s Stats
-		for _, n := range cl.nodes {
-			s.Committed += n.stats.Committed
-			s.Measured += n.stats.Measured
-			s.Aborts += n.stats.Aborts
-			s.Failed += n.stats.Failed
-		}
-		return s.txnSnapshot()
-	})
-	agg.RegisterFunc("aborts_by_reason", func() any {
-		var reasons [wire.NumStatuses]int64
-		for _, n := range cl.nodes {
-			for i, v := range n.stats.AbortReasons {
-				reasons[i] += v
-			}
-		}
-		return abortReasonMap(reasons)
 	})
 	agg.RegisterFunc("rdma", func() any {
 		var s rdma.Stats
@@ -420,55 +221,18 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 		}
 		return rdmaSnap(s)
 	})
-	if cl.inj != nil {
-		f := reg.Sub("fault")
-		cl.inj.RegisterMetrics(f)
-		f.RegisterFunc("net", func() any {
-			retx, lost := cl.nw.FaultCounters()
-			return map[string]any{"retx": retx, "lost": lost}
-		})
-	}
-	agg.RegisterFunc("latency", func() any {
-		m := metrics.NewHistogram()
-		for _, n := range cl.nodes {
-			m.Merge(n.stats.Latency)
-		}
-		return m.Snapshot()
-	})
-}
-
-func (s *Stats) txnSnapshot() map[string]any {
-	return map[string]any{
-		"committed": s.Committed,
-		"measured":  s.Measured,
-		"aborts":    s.Aborts,
-		"failed":    s.Failed,
-	}
-}
-
-// abortReasonMap keys non-zero abort counts by status name, skipping the
-// StatusOK slot.
-func abortReasonMap(reasons [wire.NumStatuses]int64) map[string]int64 {
-	out := map[string]int64{}
-	for i, v := range reasons {
-		if wire.Status(i) == wire.StatusOK || v == 0 {
-			continue
-		}
-		out[wire.Status(i).String()] = v
-	}
-	return out
 }
 
 // ReadKey reads a key from its primary (for tests).
 func (cl *Cluster) ReadKey(key uint64) ([]byte, uint64, bool) {
-	return cl.nodes[cl.place.ShardOf(key)].primary.read(key)
+	return cl.nodes[cl.Placement().ShardOf(key)].primary.read(key)
 }
 
 // ReplicasConsistent verifies backup replicas converged to the primary.
 func (cl *Cluster) ReplicasConsistent() error {
 	for s := 0; s < cl.cfg.Nodes; s++ {
 		p := cl.nodes[s].primary
-		for _, b := range cl.cfg.backupsOf(s) {
+		for _, b := range cl.BackupsOf(s) {
 			bk := cl.nodes[b].backups[s]
 			if p.hash.Len() != bk.hash.Len() {
 				return fmt.Errorf("shard %d at node %d: hash size %d vs %d", s, b, p.hash.Len(), bk.hash.Len())

@@ -2,10 +2,10 @@ package baseline
 
 import (
 	"fmt"
+	"slices"
 
 	"xenic/internal/check"
 	"xenic/internal/hostrt"
-	"xenic/internal/store/btree"
 	"xenic/internal/wire"
 )
 
@@ -14,26 +14,18 @@ import (
 // Go-side bookkeeping at the protocol decision points and never perturbs
 // the simulation.
 
-// SetHistory attaches a transaction-history recorder (nil disables
-// recording). Call after New and before Start. Prefer xenic.WithHistory at
-// construction.
-func (cl *Cluster) SetHistory(h *check.History) { cl.hist = h }
-
-// History returns the attached recorder (nil when recording is off).
-func (cl *Cluster) History() *check.History { return cl.hist }
-
 // recordCommit appends tx's committed outcome at its commit point (log
 // completion, or validation for read-only transactions).
 func (n *Node) recordCommit(t *hostrt.Thread, tx *btxn) {
-	h := n.cl.hist
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
 	h.Add(check.TxnRecord{
-		ID:     tx.id,
+		ID:     tx.ID,
 		Node:   n.id,
 		Status: wire.StatusOK,
-		Start:  tx.start,
+		Start:  tx.Start,
 		End:    t.Now(),
 		Reads:  check.Reads(tx.reads),
 		Writes: check.Writes(tx.writes),
@@ -43,15 +35,15 @@ func (n *Node) recordCommit(t *hostrt.Thread, tx *btxn) {
 // recordAbort appends the aborted outcome of one attempt (retries record
 // again under their fresh id).
 func (n *Node) recordAbort(t *hostrt.Thread, tx *btxn, st wire.Status) {
-	h := n.cl.hist
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
 	h.Add(check.TxnRecord{
-		ID:     tx.id,
+		ID:     tx.ID,
 		Node:   n.id,
 		Status: st,
-		Start:  tx.start,
+		Start:  tx.Start,
 		End:    t.Now(),
 		Reads:  check.Reads(tx.reads),
 	})
@@ -62,7 +54,7 @@ func (n *Node) recordAbort(t *hostrt.Thread, tx *btxn, st wire.Status) {
 // the last committed writer. Call only after a successful Drain; returns
 // nil when no history is attached.
 func (cl *Cluster) AuditHistory() error {
-	h := cl.hist
+	h := cl.History()
 	if h == nil {
 		return nil
 	}
@@ -73,7 +65,7 @@ func (cl *Cluster) AuditHistory() error {
 			return fmt.Errorf("audit: node %d: %d orphan locks after drain (key %d held by txn %#x)",
 				n.id, len(n.locks), key, owner)
 		}
-		if err := auditShard(fmt.Sprintf("node %d primary", n.id), n.primary, last); err != nil {
+		if err := check.AuditReplica(fmt.Sprintf("node %d primary", n.id), last, n.primary.hash.ForEach, n.primary.btree); err != nil {
 			return err
 		}
 		var shards []int
@@ -82,7 +74,7 @@ func (cl *Cluster) AuditHistory() error {
 		}
 		sortInts(shards)
 		for _, s := range shards {
-			if err := auditShard(fmt.Sprintf("node %d backup of shard %d", n.id, s), n.backups[s], last); err != nil {
+			if err := check.AuditReplica(fmt.Sprintf("node %d backup of shard %d", n.id, s), last, n.backups[s].hash.ForEach, n.backups[s].btree); err != nil {
 				return err
 			}
 		}
@@ -92,9 +84,9 @@ func (cl *Cluster) AuditHistory() error {
 	for k := range last {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	slices.Sort(keys)
 	for _, key := range keys {
-		s := cl.place.ShardOf(key)
+		s := cl.Placement().ShardOf(key)
 		_, ver, ok := cl.nodes[s].primary.read(key)
 		if !ok || ver != last[key] {
 			return fmt.Errorf("audit: shard %d: committed key %d should be at version %d, store has %d (present=%v)",
@@ -102,34 +94,6 @@ func (cl *Cluster) AuditHistory() error {
 		}
 	}
 	return nil
-}
-
-// auditShard checks one replica's versions against the last committed
-// writer of each key (populate installs version 1).
-func auditShard(where string, d *shardData, last map[uint64]uint64) error {
-	var err error
-	bad := func(key, version uint64) error {
-		return fmt.Errorf("audit: %s: key %d at version %d, last committed writer installed %d",
-			where, key, version, last[key])
-	}
-	d.hash.ForEach(func(key uint64, version uint64, value []byte) bool {
-		if want, ok := last[key]; ok && version != want || !ok && version > 1 {
-			err = bad(key, version)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	d.btree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
-		if want, ok := last[it.Key]; ok && it.Version != want || !ok && it.Version > 1 {
-			err = bad(it.Key, it.Version)
-			return false
-		}
-		return true
-	})
-	return err
 }
 
 // lowestLock picks the deterministic representative of a lock map.
@@ -142,13 +106,4 @@ func lowestLock(locks map[uint64]uint64) (key, owner uint64) {
 		}
 	}
 	return key, owner
-}
-
-// sortKeys is insertion sort on uint64 keys (small audit sets).
-func sortKeys(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -3,10 +3,9 @@ package baseline
 import (
 	"fmt"
 
+	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
 	"xenic/internal/rdma"
-	"xenic/internal/sim"
-	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
 
@@ -24,31 +23,8 @@ type Node struct {
 	applyq []logRecord // backup records awaiting host application
 	apHead int
 
-	app   []*appThread
-	stats Stats
+	app *chassis.Node // coordinator threads: load, retries, outcome counters
 }
-
-type appThread struct {
-	id          int
-	seq         uint32
-	inflight    map[uint64]*btxn
-	outstanding int
-	retryq      []*btxn
-	injectq     []injected // open-loop arrivals awaiting launch
-}
-
-// injected is one open-loop arrival handed to InjectTxn, queued until the
-// owning thread's next idle pass launches it.
-type injected struct {
-	desc *txnmodel.TxnDesc
-	done func(ok bool)
-}
-
-func txnID(node, thread int, seq uint32) uint64 {
-	return uint64(node)<<40 | uint64(thread)<<32 | uint64(seq)
-}
-
-func txnThread(id uint64) int { return int(id>>32) & 0xff }
 
 // tryLock acquires key's host-memory lock word for owner.
 func (n *Node) tryLock(key, owner uint64) bool {
@@ -200,7 +176,7 @@ func (n *Node) rpcLog(t *hostrt.Thread, src int, m *wire.Log) {
 
 // appendBackupRecord queues a replicated write set for host application.
 func (n *Node) appendBackupRecord(txn uint64, writes []wire.KV) {
-	shard := n.cl.place.ShardOf(writes[0].Key)
+	shard := n.cl.Placement().ShardOf(writes[0].Key)
 	ws := make([]kvw, len(writes))
 	for i, kv := range writes {
 		ws[i] = kvw{key: kv.Key, version: kv.Version, value: kv.Value}
@@ -221,7 +197,7 @@ func (n *Node) rpcCommit(t *hostrt.Thread, src int, m *wire.Commit) {
 func (n *Node) applyCommit(t *hostrt.Thread, txn uint64, writes []wire.KV) {
 	p := n.cl.cfg.Params
 	for _, kv := range writes {
-		if n.cl.place.IsBTree(kv.Key) {
+		if n.cl.Placement().IsBTree(kv.Key) {
 			t.Charge(p.HostBTreeOp)
 		} else {
 			t.Charge(p.HostStoreOp)
@@ -238,78 +214,11 @@ func (n *Node) rpcAbort(t *hostrt.Thread, m *wire.Abort) {
 	}
 }
 
-// hostIdle submits load, retries, and applies pending backup records.
+// hostIdle applies pending backup records, then runs the thread's
+// coordinator pass (retries, injected arrivals, closed-loop top-up).
 func (n *Node) hostIdle(t *hostrt.Thread) bool {
 	did := n.applyBackupRecords(t)
-	at := n.app[t.ID()]
-	// Snapshot the queue first: launching can synchronously abort and
-	// re-append to at.retryq.
-	q := at.retryq
-	at.retryq = nil
-	for _, tx := range q {
-		if tx.notBefore <= t.Now() {
-			did = true
-			n.launch(t, at, tx)
-		} else {
-			at.retryq = append(at.retryq, tx)
-		}
-	}
-	if len(at.retryq) > 0 {
-		earliest := at.retryq[0].notBefore
-		for _, tx := range at.retryq[1:] {
-			if tx.notBefore < earliest {
-				earliest = tx.notBefore
-			}
-		}
-		t.At(earliest-t.Now(), t.Wake)
-	}
-	// Open-loop arrivals queued by InjectTxn. Snapshot first: launching can
-	// synchronously complete, and the completion callback can inject again.
-	if len(at.injectq) > 0 {
-		inj := at.injectq
-		at.injectq = nil
-		for _, in := range inj {
-			did = true
-			tx := &btxn{
-				id:    txnID(n.id, at.id, at.nextSeq()),
-				desc:  in.desc,
-				start: t.Now(),
-				node:  n,
-				done:  in.done,
-			}
-			at.inflight[tx.id] = tx
-			at.outstanding++
-			if in.desc.GenCost > 0 {
-				t.Charge(in.desc.GenCost)
-			}
-			n.launch(t, at, tx)
-		}
-	}
-	if !n.cl.loadOn {
-		return did
-	}
-	for at.outstanding < n.cl.cfg.Outstanding {
-		did = true
-		desc := n.cl.gen.Next(n.id, at.id, t.Rand())
-		tx := &btxn{
-			id:    txnID(n.id, at.id, at.nextSeq()),
-			desc:  desc,
-			start: t.Now(),
-			node:  n,
-		}
-		at.inflight[tx.id] = tx
-		at.outstanding++
-		if desc.GenCost > 0 {
-			t.Charge(desc.GenCost)
-		}
-		n.launch(t, at, tx)
-	}
-	return did
-}
-
-func (at *appThread) nextSeq() uint32 {
-	at.seq++
-	return at.seq
+	return n.app.Idle(t) || did
 }
 
 // applyBackupRecords drains a bounded batch of replicated write sets.
@@ -325,7 +234,7 @@ func (n *Node) applyBackupRecords(t *hostrt.Thread) bool {
 			panic(fmt.Sprintf("baseline: node %d applying record for shard %d", n.id, r.shard))
 		}
 		for _, w := range r.writes {
-			if n.cl.place.IsBTree(w.key) {
+			if n.cl.Placement().IsBTree(w.key) {
 				t.Charge(p.HostBTreeOp)
 			} else {
 				t.Charge(p.HostStoreOp)
@@ -336,63 +245,28 @@ func (n *Node) applyBackupRecords(t *hostrt.Thread) bool {
 	return did
 }
 
-// completeTxn finalizes an outcome.
-func (n *Node) completeTxn(t *hostrt.Thread, tx *btxn, st wire.Status) {
-	if st == wire.StatusOK {
-		// Retries-exhausted failures were already recorded by retryTxn.
-		n.recordCommit(t, tx)
-	}
-	at := n.app[txnThread(tx.id)]
-	delete(at.inflight, tx.id)
-	at.outstanding--
-	if st == wire.StatusOK {
-		n.stats.Committed++
-		n.stats.UpdateKeysCommitted += int64(len(tx.desc.UpdateKeys))
-		if n.cl.gen.Measure(tx.desc) {
-			n.stats.Measured++
-			n.stats.Latency.Record(t.Now() - tx.start)
-		}
-	} else {
-		n.stats.Failed++
-	}
-	if tx.done != nil {
-		tx.done(st == wire.StatusOK)
-	}
+// commitTxn records and finalizes tx's committed outcome.
+func (n *Node) commitTxn(t *hostrt.Thread, tx *btxn) {
+	n.recordCommit(t, tx)
+	n.app.Complete(t, &tx.Txn, wire.StatusOK)
 }
 
-// retryTxn re-queues with backoff.
+// retryTxn records the aborted attempt and re-queues tx with backoff (or
+// fails it once retries are exhausted).
 func (n *Node) retryTxn(t *hostrt.Thread, tx *btxn, st wire.Status) {
 	n.recordAbort(t, tx, st)
-	n.stats.Aborts++
-	if int(st) < len(n.stats.AbortReasons) {
-		n.stats.AbortReasons[st]++
-	}
-	tx.retries++
-	at := n.app[txnThread(tx.id)]
-	if tx.retries > n.cl.cfg.MaxRetries {
-		n.completeTxn(t, tx, st)
-		return
-	}
-	delete(at.inflight, tx.id)
 	tx.reset()
-	tx.id = txnID(n.id, at.id, at.nextSeq())
-	at.inflight[tx.id] = tx
-	backoff := sim.Backoff(t.Rand(), backoffBase, backoffMax, tx.retries-1)
-	tx.notBefore = t.Now() + backoff
-	at.retryq = append(at.retryq, tx)
-	t.At(backoff, t.Wake)
+	n.app.Retry(t, &tx.Txn, st)
 }
 
 // shardOf is shorthand for the cluster placement.
-func (n *Node) shardOf(key uint64) int { return n.cl.place.ShardOf(key) }
+func (n *Node) shardOf(key uint64) int { return n.cl.Placement().ShardOf(key) }
 
 // chargeLocal charges the host cost of touching a local key.
 func (n *Node) chargeLocal(t *hostrt.Thread, key uint64) {
-	if n.cl.place.IsBTree(key) {
+	if n.cl.Placement().IsBTree(key) {
 		t.Charge(n.cl.cfg.Params.HostBTreeOp)
 	} else {
 		t.Charge(n.cl.cfg.Params.HostStoreOp)
 	}
 }
-
-var _ = txnmodel.TxnDesc{}

@@ -3,21 +3,14 @@ package baseline
 import (
 	"fmt"
 
+	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
-	"xenic/internal/sim"
-	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
 
 // btxn is one in-flight transaction on a baseline coordinator thread.
 type btxn struct {
-	id        uint64
-	desc      *txnmodel.TxnDesc
-	node      *Node
-	start     sim.Time
-	retries   int
-	notBefore sim.Time
-	done      func(ok bool) // open-loop completion callback; nil when closed-loop
+	chassis.Txn // header the chassis drives: ID, Desc, Start
 
 	phase     bphase
 	reads     map[uint64]wire.KV
@@ -44,6 +37,13 @@ const (
 	bCommit
 )
 
+// newTxn allocates header and per-attempt state as one object.
+func newTxn() *chassis.Txn {
+	tx := &btxn{}
+	tx.Attempt = tx
+	return &tx.Txn
+}
+
 func (tx *btxn) reset() {
 	tx.phase = bExecute
 	tx.reads = nil
@@ -59,8 +59,8 @@ func (tx *btxn) reset() {
 }
 
 // launch starts (or restarts) a transaction attempt.
-func (n *Node) launch(t *hostrt.Thread, at *appThread, tx *btxn) {
-	d := tx.desc
+func (n *Node) launch(t *hostrt.Thread, tx *btxn) {
+	d := tx.Desc
 	tx.reads = map[uint64]wire.KV{}
 	tx.locked = map[int][]uint64{}
 	seen := map[uint64]bool{}
@@ -145,7 +145,7 @@ func (n *Node) execPhase(t *hostrt.Thread, tx *btxn, readKeys, lockKeys []uint64
 		switch sys {
 		case FaSST:
 			n.rnic.Send(t, s, &wire.Execute{
-				Header:   wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+				Header:   wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 				ReadKeys: p.reads, LockKeys: p.locks,
 			})
 		case DrTMH, DrTMHNC:
@@ -177,7 +177,7 @@ func (n *Node) localExec(t *hostrt.Thread, tx *btxn, readKeys, lockKeys []uint64
 	}
 	for _, k := range toLock {
 		n.chargeLocal(t, k)
-		if !n.tryLock(k, tx.id) {
+		if !n.tryLock(k, tx.ID) {
 			tx.failed = wire.StatusAbortLocked
 			n.execUnit(t, tx, 0, nil, nil)
 			return
@@ -187,7 +187,7 @@ func (n *Node) localExec(t *hostrt.Thread, tx *btxn, readKeys, lockKeys []uint64
 	var items []wire.KV
 	for _, k := range append(append([]uint64{}, readKeys...), lockKeys...) {
 		n.chargeLocal(t, k)
-		if !lockAll && n.isLocked(k, tx.id) {
+		if !lockAll && n.isLocked(k, tx.ID) {
 			tx.failed = wire.StatusAbortLocked
 			n.execUnit(t, tx, 0, nil, nil)
 			return
@@ -209,7 +209,7 @@ func (n *Node) oneSidedLookup(t *hostrt.Thread, tx *btxn, s int, key uint64) {
 		n.rnic.ReadDyn(t, s, func() int {
 			v, ver, _ := target.primary.read(key)
 			kv = wire.KV{Key: key, Version: ver, Value: v}
-			lockedByOther = target.isLocked(key, tx.id)
+			lockedByOther = target.isLocked(key, tx.ID)
 			return objHeader + len(v)
 		}, func() {
 			st := wire.StatusOK
@@ -231,7 +231,7 @@ func (n *Node) oneSidedLookup(t *hostrt.Thread, tx *btxn, s int, key uint64) {
 			if hops == 0 {
 				v, ver, _ := target.primary.read(key)
 				kv = wire.KV{Key: key, Version: ver, Value: v}
-				lockedByOther = target.isLocked(key, tx.id)
+				lockedByOther = target.isLocked(key, tx.ID)
 			}
 			return per
 		}, func() {
@@ -254,7 +254,7 @@ func (n *Node) oneSidedLookup(t *hostrt.Thread, tx *btxn, s int, key uint64) {
 func (n *Node) atomicLockRead(t *hostrt.Thread, tx *btxn, s int, key uint64) {
 	target := n.cl.nodes[s]
 	n.rnic.Atomic(t, s, func() bool {
-		return target.tryLock(key, tx.id)
+		return target.tryLock(key, tx.ID)
 	}, func(ok bool) {
 		if !ok {
 			n.execUnit(t, tx, wire.StatusAbortLocked, nil, nil)
@@ -281,12 +281,12 @@ func (n *Node) onExecuteResp(t *hostrt.Thread, m *wire.ExecuteResp) {
 }
 
 func (n *Node) findTxn(id uint64, ph bphase) *btxn {
-	at := n.app[txnThread(id)]
-	tx, ok := at.inflight[id]
-	if !ok || tx.phase != ph {
-		return nil
+	if h := n.app.Lookup(id); h != nil {
+		if tx := h.Attempt.(*btxn); tx.phase == ph {
+			return tx
+		}
 	}
-	return tx
+	return nil
 }
 
 // execUnit accumulates one execution-phase completion.
@@ -329,7 +329,7 @@ func (n *Node) execUnit(t *hostrt.Thread, tx *btxn, st wire.Status, locked []uin
 				vers[i] = wire.KeyVer{Key: k, Version: tx.reads[k].Version}
 			}
 			n.rnic.Send(t, s, &wire.Execute{
-				Header:   wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+				Header:   wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 				LockKeys: keys, LockOnly: true, LockVers: vers,
 			})
 		}
@@ -347,12 +347,12 @@ func (n *Node) afterExec(t *hostrt.Thread, tx *btxn) {
 		return
 	}
 	tx.rounds++
-	d := tx.desc
+	d := tx.Desc
 	if d.FnID == 0 {
 		n.prepareCommit(t, tx, nil)
 		return
 	}
-	fn, ok := n.cl.reg.Get(d.FnID)
+	fn, ok := n.cl.Registry().Get(d.FnID)
 	if !ok {
 		panic(fmt.Sprintf("baseline: unknown fn %d", d.FnID))
 	}
@@ -401,7 +401,7 @@ func (tx *btxn) addReadOrder(keys []uint64) {
 
 // prepareCommit assigns versions and locks execution-introduced writes.
 func (n *Node) prepareCommit(t *hostrt.Thread, tx *btxn, fnWrites []wire.KV) {
-	writes := append(fnWrites, tx.desc.BlindWrites...)
+	writes := append(fnWrites, tx.Desc.BlindWrites...)
 	var missing []uint64
 	seen := map[uint64]bool{}
 	for _, kv := range writes {
@@ -467,7 +467,7 @@ func (n *Node) validatePhase(t *hostrt.Thread, tx *btxn) {
 		byShard[s] = append(byShard[s], wire.KeyVer{Key: kv.Key, Version: kv.Version})
 		total++
 	}
-	if total == 0 || (tx.desc.ReadOnly() && total == 1 && len(tx.writes) == 0) {
+	if total == 0 || (tx.Desc.ReadOnly() && total == 1 && len(tx.writes) == 0) {
 		n.afterValidate(t, tx)
 		return
 	}
@@ -488,7 +488,7 @@ func (n *Node) validatePhase(t *hostrt.Thread, tx *btxn) {
 			st := wire.StatusOK
 			for _, it := range items {
 				n.chargeLocal(t, it.Key)
-				if n.isLocked(it.Key, tx.id) {
+				if n.isLocked(it.Key, tx.ID) {
 					st = wire.StatusAbortLocked
 					break
 				}
@@ -503,7 +503,7 @@ func (n *Node) validatePhase(t *hostrt.Thread, tx *btxn) {
 		}
 		if n.cl.cfg.System == FaSST {
 			n.rnic.Send(t, s, &wire.Validate{
-				Header: wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+				Header: wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 				Items:  items,
 			})
 			continue
@@ -515,7 +515,7 @@ func (n *Node) validatePhase(t *hostrt.Thread, tx *btxn) {
 			var ok bool
 			n.rnic.ReadDyn(t, s, func() int {
 				_, ver, _ := target.primary.read(it.Key)
-				ok = ver == it.Version && !target.isLocked(it.Key, tx.id)
+				ok = ver == it.Version && !target.isLocked(it.Key, tx.ID)
 				return objHeader
 			}, func() {
 				st := wire.StatusOK
@@ -558,7 +558,7 @@ func (n *Node) afterValidate(t *hostrt.Thread, tx *btxn) {
 		if n.cl.cfg.System == DrTMR {
 			n.releaseAllLocks(t, tx)
 		}
-		n.completeTxn(t, tx, wire.StatusOK)
+		n.commitTxn(t, tx)
 		return
 	}
 	n.logPhase(t, tx)
@@ -572,7 +572,7 @@ func (n *Node) releaseAllLocks(t *hostrt.Thread, tx *btxn) {
 		shards = append(shards, s)
 	}
 	sortInts(shards)
-	owner := tx.id
+	owner := tx.ID
 	for _, s := range shards {
 		keys := tx.locked[s]
 		if s == n.id {
@@ -599,26 +599,26 @@ func (n *Node) logPhase(t *hostrt.Thread, tx *btxn) {
 	groups := groupWrites(n, tx.writes)
 	tx.pending = 0
 	for _, g := range groups {
-		tx.pending += len(n.cl.cfg.backupsOf(g.shard))
+		tx.pending += len(n.cl.BackupsOf(g.shard))
 	}
 	if tx.pending == 0 {
 		n.committed(t, tx)
 		return
 	}
 	for _, g := range groups {
-		for _, b := range n.cl.cfg.backupsOf(g.shard) {
+		for _, b := range n.cl.BackupsOf(g.shard) {
 			if b == n.id {
 				// Coordinator is a backup: append directly.
 				for _, kv := range g.writes {
 					n.chargeLocal(t, kv.Key)
 				}
-				n.appendBackupRecord(tx.id, g.writes)
+				n.appendBackupRecord(tx.ID, g.writes)
 				n.logUnit(t, tx)
 				continue
 			}
 			if n.cl.cfg.System == FaSST {
 				n.rnic.Send(t, b, &wire.Log{
-					Header: wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+					Header: wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 					Writes: g.writes, RespondTo: uint8(n.id),
 				})
 				continue
@@ -630,7 +630,7 @@ func (n *Node) logPhase(t *hostrt.Thread, tx *btxn) {
 				ws = append(ws, kvw{key: kv.Key, version: kv.Version, value: kv.Value})
 			}
 			n.rnic.Write(t, b, recordBytes(ws), func() {
-				backup.appendBackupRecord(tx.id, g.writes)
+				backup.appendBackupRecord(tx.ID, g.writes)
 			}, func() {
 				n.logUnit(t, tx)
 			})
@@ -656,12 +656,12 @@ func (n *Node) logUnit(t *hostrt.Thread, tx *btxn) {
 
 // committed reports the outcome, then applies at primaries.
 func (n *Node) committed(t *hostrt.Thread, tx *btxn) {
-	n.completeTxn(t, tx, wire.StatusOK)
+	n.commitTxn(t, tx)
 	tx.phase = bCommit
 	groups := groupWrites(n, tx.writes)
 	for _, g := range groups {
 		if g.shard == n.id {
-			n.applyCommit(t, tx.id, g.writes)
+			n.applyCommit(t, tx.ID, g.writes)
 			// Release any extra local locks (DrTM+R locked reads too).
 			n.releaseExtraLocks(t, tx, n.id, g.writes)
 			continue
@@ -674,7 +674,7 @@ func (n *Node) committed(t *hostrt.Thread, tx *btxn) {
 				kv := kv
 				n.rnic.Write(t, g.shard, objHeader+len(kv.Value), func() {
 					target.primary.apply(kv.Key, kv.Value, kv.Version)
-					target.unlockIf(kv.Key, tx.id)
+					target.unlockIf(kv.Key, tx.ID)
 				}, func() {})
 			}
 			// Unlock read-only keys locked by lock-all.
@@ -682,7 +682,7 @@ func (n *Node) committed(t *hostrt.Thread, tx *btxn) {
 			continue
 		}
 		n.rnic.Send(t, g.shard, &wire.Commit{
-			Header: wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+			Header: wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 			Writes: g.writes,
 		})
 	}
@@ -719,7 +719,7 @@ func (n *Node) releaseExtraLocks(t *hostrt.Thread, tx *btxn, s int, writes []wir
 	for _, k := range tx.locked[s] {
 		if !written[k] {
 			n.chargeLocal(t, k)
-			n.unlock(k, tx.id)
+			n.unlock(k, tx.ID)
 		}
 	}
 }
@@ -732,7 +732,7 @@ func (n *Node) unlockReadLocks(t *hostrt.Thread, tx *btxn, s int) {
 		written[kv.Key] = true
 	}
 	target := n.cl.nodes[s]
-	owner := tx.id // capture: tx.id is reassigned if the txn is retried
+	owner := tx.ID // capture: tx.ID is reassigned if the txn is retried
 	for _, k := range tx.locked[s] {
 		if written[k] {
 			continue
@@ -764,13 +764,13 @@ func (n *Node) abortTxn(t *hostrt.Thread, tx *btxn) {
 		if s == n.id {
 			for _, k := range keys {
 				n.chargeLocal(t, k)
-				n.unlock(k, tx.id)
+				n.unlock(k, tx.ID)
 			}
 			continue
 		}
 		if n.cl.cfg.System == DrTMR {
 			target := n.cl.nodes[s]
-			owner := tx.id // capture: retryTxn reassigns tx.id immediately
+			owner := tx.ID // capture: retryTxn reassigns tx.ID immediately
 			for _, k := range keys {
 				k := k
 				n.rnic.Write(t, s, 8, func() {
@@ -780,7 +780,7 @@ func (n *Node) abortTxn(t *hostrt.Thread, tx *btxn) {
 			continue
 		}
 		n.rnic.Send(t, s, &wire.Abort{
-			Header:     wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+			Header:     wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 			LockedKeys: keys,
 		})
 	}

@@ -26,12 +26,11 @@ func TestTPCCBlindWriteSerializable(t *testing.T) {
 	cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 2, 4
 	cfg.Outstanding = 4
 	cfg.Seed = 1
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(3 * sim.Millisecond)
 	if !cl.Drain(100 * sim.Millisecond) {

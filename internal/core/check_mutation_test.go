@@ -48,12 +48,11 @@ func mutantRun(t *testing.T, seed int64) *check.Report {
 	g := &mutGen{kvGen{keys: 60, nicExec: true}}
 	cfg := testConfig(4, AllFeatures())
 	cfg.Seed = seed
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(4 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -180,12 +179,11 @@ func snapMutantRun(t *testing.T, seed int64) *check.Report {
 		})
 	}
 	cfg.Faults = &fault.Plan{CoreStalls: stalls}
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(10 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {

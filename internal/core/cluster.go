@@ -3,40 +3,30 @@ package core
 import (
 	"fmt"
 
-	"xenic/internal/check"
-	"xenic/internal/fault"
+	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
-	"xenic/internal/load"
 	"xenic/internal/membership"
 	"xenic/internal/metrics"
 	"xenic/internal/nicrt"
 	"xenic/internal/sim"
-	"xenic/internal/simnet"
 	"xenic/internal/store/btree"
 	"xenic/internal/store/nicindex"
-	"xenic/internal/trace"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
 
 // Cluster is a simulated Xenic deployment: Config.Nodes servers, each a
 // coordinator, the primary of one shard, and a backup for Replication-1
-// others (§4).
+// others (§4). Everything that is not the Xenic protocol — load generation,
+// retries, measurement, shared observers — is the embedded chassis.
 type Cluster struct {
-	cfg    Config
-	eng    *sim.Engine
-	nw     *simnet.Network
-	nodes  []*Node
-	gen    txnmodel.Generator
-	place  txnmodel.Placement
-	reg    *txnmodel.Registry
-	spec   txnmodel.StoreSpec
-	loadOn bool
+	*chassis.Chassis
+	cfg   Config
+	nodes []*Node
+	spec  txnmodel.StoreSpec
 
-	loadSrc load.Source // nil: built-in closed loop drives the cluster
-	srcOn   bool        // the attached source has been started
-
-	mgr  *membership.Manager
+	// view is the membership view the protocol acts on (the chassis's copy,
+	// cached for the hot path).
 	view membership.View
 
 	// fwdInFlight[n] counts state-transfer commit forwards sent to rejoiner
@@ -44,11 +34,12 @@ type Cluster struct {
 	// cluster's replicas are byte-comparable. Reset when n restarts.
 	fwdInFlight []int64
 
-	inj    *fault.Injector // nil unless Config.Faults is set
-	tracer *trace.Tracer   // nil unless SetTracer attached one
-	hist   *check.History  // nil unless SetHistory attached one
-	mv     *mvState        // MVCC timestamp machinery (disabled unless Config.MVCC)
+	mv *mvState // MVCC timestamp machinery (disabled unless Config.MVCC)
 }
+
+// Observers gathers everything that watches or drives a cluster; see
+// chassis.Observers.
+type Observers = chassis.Observers
 
 // primaryNode is the node currently serving shard s.
 func (cl *Cluster) primaryNode(s int) int { return cl.view.PrimaryOf[s] }
@@ -63,39 +54,60 @@ func (cl *Cluster) replicasOf(s int) []int {
 	return append(out, cl.view.BackupsOf[s]...)
 }
 
-// View returns the current membership view.
-func (cl *Cluster) View() membership.View { return cl.view }
+// Retry back-off bounds for Xenic application threads.
+const (
+	retryBackoffBase = 2 * sim.Microsecond
+	retryBackoffMax  = 64 * sim.Microsecond
+)
 
-// New builds and populates a cluster running workload gen.
-func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
+// New builds and populates a cluster running workload gen, with obs attached
+// before any traffic flows.
+func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cl := &Cluster{
-		cfg: cfg,
-		eng: sim.NewEngine(cfg.Seed),
-		gen: gen,
-		reg: txnmodel.NewRegistry(),
+	cl := &Cluster{cfg: cfg}
+	ch, err := chassis.New(chassis.Config{
+		Nodes:       cfg.Nodes,
+		Replication: cfg.Replication,
+		HostThreads: cfg.AppThreads + cfg.WorkerThreads,
+		AppThreads:  cfg.AppThreads,
+		Outstanding: cfg.Outstanding,
+		MaxRetries:  cfg.MaxRetries,
+		Params:      cfg.Params,
+		Seed:        cfg.Seed,
+		Faults:      cfg.Faults,
+		Membership:  cfg.Membership,
+	}, gen, chassis.Protocol{
+		Name:              "core",
+		BackoffBase:       retryBackoffBase,
+		BackoffMax:        retryBackoffMax,
+		DeferRetryLaunch:  true,
+		ReadOnlyBreakdown: cfg.MVCC,
+		NewTxn:            func() *chassis.Txn { return new(chassis.Txn) },
+		Launch:            func(t *hostrt.Thread, node int, tx *chassis.Txn) { cl.nodes[node].submit(t, tx) },
+		Alive:             func(node int) bool { return cl.nodes[node].alive },
+		Drained:           cl.drained,
+		Window:            cl.window,
+		OnView:            cl.onViewChange,
+		Observe:           cl.observe,
+	})
+	if err != nil {
+		return nil, err
 	}
-	cl.nw = simnet.New(cl.eng, cfg.Params, cfg.Nodes)
+	cl.Chassis = ch
 	cl.fwdInFlight = make([]int64, cfg.Nodes)
 	cl.mv = newMVState(cfg.MVCC, cfg.MVCCKeep)
-	if cfg.Faults != nil {
-		// The injector decides every frame's fate; the liveness oracle lets
-		// the reliable transport abandon frames to or from dead nodes.
-		cl.inj = fault.NewInjector(cl.eng, cfg.Faults, cfg.Seed)
-		cl.nw.SetFault(cl.inj.FrameFate, func(node int) bool { return cl.nodes[node].alive })
-	}
-	cl.place = gen.Placement(cfg.Nodes, cfg.Replication)
-	gen.Register(cl.reg)
 	spec := gen.Spec()
 	cl.spec = spec
 
 	for id := 0; id < cfg.Nodes; id++ {
-		own := newShardData(spec, cl.place)
+		own := newShardData(spec, cl.Placement())
 		n := &Node{
 			cl:            cl,
 			id:            id,
+			app:           ch.App(id),
+			host:          ch.App(id).Host(),
 			prims:         map[int]*primaryShard{},
 			backups:       map[int]*ShardData{},
 			log:           newHostLog(),
@@ -107,15 +119,14 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 			pendingDecide: map[txnShard][]uint64{},
 			alive:         true,
 		}
-		n.stats.Latency = metrics.NewHistogram()
-		n.stats.ROLatency = metrics.NewHistogram()
+		n.stats.Stats = n.app.Stats()
 		for i := range n.stats.PhaseLat {
 			n.stats.PhaseLat[i] = metrics.NewHistogram()
 		}
 		for s := 0; s < cfg.Nodes; s++ {
-			for _, b := range cfg.backupsOf(s) {
+			for _, b := range cl.BackupsOf(s) {
 				if b == id {
-					n.backups[s] = newShardData(spec, cl.place)
+					n.backups[s] = newShardData(spec, cl.Placement())
 				}
 			}
 		}
@@ -132,10 +143,9 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 			n.prims[id].index.SetChainDepth(cl.mv.keep)
 		}
 
-		n.host = hostrt.New(cl.eng, cfg.Params, id, cfg.AppThreads+cfg.WorkerThreads, cfg.Seed)
-		n.nic = nicrt.New(cl.eng, cfg.Params, cl.nw, id, cfg.NICCores, cfg.Seed, cfg.Features.runtime())
-		if cl.inj != nil {
-			n.nic.SetDMAFault(cl.inj.DMAErr)
+		n.nic = nicrt.New(cl.Engine(), cfg.Params, cl.Network(), id, cfg.NICCores, cfg.Seed, cfg.Features.runtime())
+		if cl.Injector() != nil {
+			n.nic.SetDMAFault(cl.Injector().DMAErr)
 		}
 
 		n.nic.OnMessage(n.nicHandler)
@@ -147,7 +157,7 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 			if cfg.SchedHotK > 0 {
 				sc.HotThreshold = cfg.SchedHotK
 			}
-			sched := nicrt.NewScheduler(cl.eng, sc)
+			sched := nicrt.NewScheduler(cl.Engine(), sc)
 			n.nic.SetScheduler(sched)
 			node, snic := n, n.nic
 			sched.OnShed(func(req *wire.TxnRequest) {
@@ -163,33 +173,16 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 		n.host.OnTransmit(func(t *hostrt.Thread, ms []wire.Msg) {
 			t.At(p.HostToNIC, func() { nic.FromHost(ms) })
 		})
-
-		for a := 0; a < cfg.AppThreads; a++ {
-			n.app = append(n.app, &appThread{node: n, id: a, inflight: map[uint64]*appTxn{}})
-		}
 		cl.nodes = append(cl.nodes, n)
 	}
 
 	cl.populate()
-
-	// Membership: leases renewed by live nodes, reconfiguration on expiry
-	// (§4.2.1). The manager runs off the critical path.
-	cl.mgr = membership.New(cl.eng, cfg.Nodes, cfg.Replication, cfg.Membership)
-	cl.view = cl.mgr.View()
-	cl.mgr.OnChange(cl.onViewChange)
-	for _, n := range cl.nodes {
-		n := n
-		cl.eng.Ticker(cfg.Membership.RenewPeriod, func() bool {
-			// A partitioned node cannot reach the manager: its lease lapses
-			// and it is evicted (then self-fences on the view change).
-			if n.alive && (cl.inj == nil || !cl.inj.Isolated(n.id)) {
-				cl.mgr.Renew(n.id)
-			}
-			return true
-		})
-	}
-	cl.mgr.Start()
+	cl.Boot()
+	cl.view = cl.View()
 	cl.scheduleFaults()
+	if err := cl.Attach(obs); err != nil {
+		return nil, err
+	}
 	return cl, nil
 }
 
@@ -197,32 +190,29 @@ func New(cfg Config, gen txnmodel.Generator) (*Cluster, error) {
 // and DMA engine stalls. Partitions and per-frame faults are decided inline
 // by the injector.
 func (cl *Cluster) scheduleFaults() {
-	if cl.inj == nil {
+	if cl.Injector() == nil {
 		return
 	}
-	plan := cl.inj.Plan()
+	plan := cl.Injector().Plan()
 	for _, c := range plan.Crashes {
 		c := c
-		cl.eng.At(c.At, func() { cl.Kill(c.Node) })
+		cl.Engine().At(c.At, func() { cl.Kill(c.Node) })
 	}
 	for _, s := range plan.CoreStalls {
 		s := s
-		cl.eng.At(s.At, func() {
+		cl.Engine().At(s.At, func() {
 			cl.nodes[s.Node].nic.StallCore(s.Core%cl.cfg.NICCores, s.Dur)
 		})
 	}
 	for _, s := range plan.DMAStalls {
 		s := s
-		cl.eng.At(s.At, func() { cl.nodes[s.Node].nic.StallDMA(s.Dur) })
+		cl.Engine().At(s.At, func() { cl.nodes[s.Node].nic.StallDMA(s.Dur) })
 	}
 	for _, r := range plan.Restarts {
 		r := r
-		cl.eng.At(r.At, func() { cl.Restart(r.Node) })
+		cl.Engine().At(r.At, func() { cl.Restart(r.Node) })
 	}
 }
-
-// Injector exposes the fault injector (nil on fault-free runs).
-func (cl *Cluster) Injector() *fault.Injector { return cl.inj }
 
 // cacheCap is the SmartNIC index cache capacity from the workload spec.
 func (cl *Cluster) cacheCap() int {
@@ -250,8 +240,8 @@ func (cl *Cluster) Restart(id int) {
 	if n.alive {
 		return
 	}
-	if cl.mgr.View().Alive[id] {
-		cl.eng.After(cl.cfg.Membership.CheckPeriod, func() { cl.Restart(id) })
+	if cl.Manager().View().Alive[id] {
+		cl.Engine().After(cl.Membership().CheckPeriod, func() { cl.Restart(id) })
 		return
 	}
 	// Wipe: host memory (replicas, log, coordinator and recovery state) and
@@ -269,18 +259,12 @@ func (cl *Cluster) Restart(id int) {
 	n.recov = map[txnShard]*recovering{}
 	n.pendingDecide = map[txnShard][]uint64{}
 	n.fwd = nil
-	for _, at := range n.app {
-		at.failInjected()
-		at.inflight = map[uint64]*appTxn{}
-		at.outstanding = 0
-		at.retryq = nil
-		at.injectq = nil
-	}
+	n.app.Reset()
 	n.nic.Reset()
 	cl.fwdInFlight[id] = 0
 	n.alive = true
 	n.rejoin = &rejoinState{shards: map[int]*pullState{}}
-	cl.mgr.Rejoin(id)
+	cl.Manager().Rejoin(id)
 }
 
 // populate loads initial records into every shard's primary and backups,
@@ -288,9 +272,9 @@ func (cl *Cluster) Restart(id int) {
 func (cl *Cluster) populate() {
 	for s := 0; s < cl.cfg.Nodes; s++ {
 		primary := cl.nodes[s]
-		backups := cl.cfg.backupsOf(s)
-		cl.gen.Populate(s, cl.cfg.Nodes, func(key uint64, value []byte) {
-			if got := cl.place.ShardOf(key); got != s {
+		backups := cl.BackupsOf(s)
+		cl.Workload().Populate(s, cl.cfg.Nodes, func(key uint64, value []byte) {
+			if got := cl.Placement().ShardOf(key); got != s {
 				panic(fmt.Sprintf("core: populate: key %d belongs to shard %d, emitted for %d", key, got, s))
 			}
 			kv := wire.KV{Key: key, Version: 1, Value: value}
@@ -307,178 +291,24 @@ func (cl *Cluster) populate() {
 	}
 }
 
-// Engine exposes the simulation engine.
-func (cl *Cluster) Engine() *sim.Engine { return cl.eng }
-
 // Node returns node i.
 func (cl *Cluster) Node(i int) *Node { return cl.nodes[i] }
 
-// Nodes returns the node count.
-func (cl *Cluster) Nodes() int { return cl.cfg.Nodes }
-
 // Config returns the cluster configuration.
 func (cl *Cluster) Config() Config { return cl.cfg }
-
-// Start begins load generation: the attached LoadSource if one was set
-// (xenic.WithLoad), otherwise the built-in closed loop on every application
-// thread.
-func (cl *Cluster) Start() {
-	if cl.loadSrc != nil {
-		cl.srcOn = true
-		cl.loadSrc.Start()
-		return
-	}
-	cl.StartClosedLoop()
-}
-
-// StopLoad stops generating new transactions; in-flight ones drain.
-func (cl *Cluster) StopLoad() {
-	if cl.loadSrc != nil {
-		cl.srcOn = false
-		cl.loadSrc.Stop()
-		return
-	}
-	cl.StopClosedLoop()
-}
-
-// SetLoad attaches a load source, replacing the built-in closed loop as
-// what Start/StopLoad control. Attach errors (bad source configuration)
-// surface here. Call before any load has been started.
-func (cl *Cluster) SetLoad(src load.Source) error {
-	if src == nil {
-		return fmt.Errorf("core: SetLoad: nil source")
-	}
-	if cl.loadSrc != nil {
-		return fmt.Errorf("core: SetLoad: a load source is already attached")
-	}
-	if err := src.Attach(cl); err != nil {
-		return err
-	}
-	cl.loadSrc = src
-	return nil
-}
-
-// OfferedLoad snapshots the attached load source's admission and session
-// counters; all-zero when the built-in closed loop is driving.
-func (cl *Cluster) OfferedLoad() load.Stats {
-	if cl.loadSrc == nil {
-		return load.Stats{}
-	}
-	return cl.loadSrc.Stats()
-}
-
-// loadRunning reports whether some load generator has been started and not
-// stopped since.
-func (cl *Cluster) loadRunning() bool {
-	if cl.loadSrc != nil {
-		return cl.srcOn
-	}
-	return cl.loadOn
-}
-
-// StartClosedLoop begins closed-loop generation on every application thread
-// (the load.Driver surface; Start delegates here when no source is set).
-func (cl *Cluster) StartClosedLoop() {
-	cl.loadOn = true
-	for _, n := range cl.nodes {
-		n.host.WakeAll()
-	}
-}
-
-// StopClosedLoop halts closed-loop generation.
-func (cl *Cluster) StopClosedLoop() { cl.loadOn = false }
-
-// AppThreadsPerNode reports the coordinator application threads per node
-// (the load.Driver injection grid).
-func (cl *Cluster) AppThreadsPerNode() int { return cl.cfg.AppThreads }
-
-// Workload returns the generator this cluster was built with.
-func (cl *Cluster) Workload() txnmodel.Generator { return cl.gen }
-
-// InjectTxn submits one transaction on the given node's application thread
-// at the current instant (the load.Driver surface). done, if non-nil, fires
-// exactly once at the transaction's final outcome. Injecting into a crashed
-// node fails immediately; a crash after injection fails the in-flight
-// transactions when the node restarts.
-func (cl *Cluster) InjectTxn(node, thread int, d *txnmodel.TxnDesc, done func(ok bool)) {
-	n := cl.nodes[node]
-	if !n.alive {
-		if done != nil {
-			done(false)
-		}
-		return
-	}
-	at := n.app[thread]
-	at.injectq = append(at.injectq, injected{desc: d, done: done})
-	n.host.Thread(thread).Wake()
-}
-
-// Run advances simulated time by d.
-func (cl *Cluster) Run(d sim.Time) { cl.eng.Run(cl.eng.Now() + d) }
 
 // Result summarizes a measurement window. It is the shared measurement type
 // in txnmodel, so Xenic and baseline results are directly comparable.
 type Result = txnmodel.Result
 
-// Measure runs warmup, resets statistics, runs the measurement window, and
-// aggregates cluster-wide results.
-func (cl *Cluster) Measure(warmup, window sim.Time) Result {
-	// Whatever generator is attached — closed loop or a LoadSource — is the
-	// one started here; Measure never falls back to the closed loop when an
-	// open-loop source is driving (pinned by TestMeasureStartsAttachedSource).
-	if !cl.loadRunning() {
-		cl.Start()
-	}
-	cl.Run(warmup)
-	type snap struct {
-		committed, measured, aborts, failed int64
-		roCommitted, roAborts, snapDone     int64
-		reasons                             [wire.NumStatuses]int64
-	}
-	snaps := make([]snap, len(cl.nodes))
-	for i, n := range cl.nodes {
-		snaps[i] = snap{n.stats.Committed, n.stats.Measured, n.stats.Aborts,
-			n.stats.Failed, n.stats.ROCommitted, n.stats.ROAborts,
-			n.stats.SnapCommitted, n.stats.AbortReasons}
-		n.stats.Latency.Reset()
-		n.stats.ROLatency.Reset()
+// window resets the per-phase latency histograms at the start of a
+// measurement window.
+func (cl *Cluster) window() {
+	for _, n := range cl.nodes {
 		for _, h := range n.stats.PhaseLat {
 			h.Reset()
 		}
 	}
-	cl.Run(window)
-	res := Result{Duration: window}
-	lat := metrics.NewHistogram()
-	roLat := metrics.NewHistogram()
-	for i, n := range cl.nodes {
-		res.Committed += n.stats.Committed - snaps[i].committed
-		res.Measured += n.stats.Measured - snaps[i].measured
-		res.Aborts += n.stats.Aborts - snaps[i].aborts
-		res.Failed += n.stats.Failed - snaps[i].failed
-		res.AbortLocked += n.stats.AbortReasons[wire.StatusAbortLocked] - snaps[i].reasons[wire.StatusAbortLocked]
-		res.AbortVersion += n.stats.AbortReasons[wire.StatusAbortVersion] - snaps[i].reasons[wire.StatusAbortVersion]
-		res.AbortMissing += n.stats.AbortReasons[wire.StatusAbortMissing] - snaps[i].reasons[wire.StatusAbortMissing]
-		res.AbortView += n.stats.AbortReasons[wire.StatusAbortView] - snaps[i].reasons[wire.StatusAbortView]
-		res.AbortTimeout += n.stats.AbortReasons[wire.StatusAbortTimeout] - snaps[i].reasons[wire.StatusAbortTimeout]
-		res.AbortSched += n.stats.AbortReasons[wire.StatusAbortSched] - snaps[i].reasons[wire.StatusAbortSched]
-		lat.Merge(n.stats.Latency)
-		if cl.mv.enabled {
-			res.ROCommitted += n.stats.ROCommitted - snaps[i].roCommitted
-			res.ROAborts += n.stats.ROAborts - snaps[i].roAborts
-			res.SnapCommitted += n.stats.SnapCommitted - snaps[i].snapDone
-			res.AbortSnapshot += n.stats.AbortReasons[wire.StatusAbortSnapshot] - snaps[i].reasons[wire.StatusAbortSnapshot]
-			roLat.Merge(n.stats.ROLatency)
-		}
-	}
-	res.PerServerTput = float64(res.Measured) / window.Seconds() / float64(len(cl.nodes))
-	res.Median = lat.Median()
-	res.P99 = lat.Quantile(0.99)
-	res.Mean = lat.Mean()
-	if cl.mv.enabled {
-		res.ROMedian = roLat.Median()
-		res.ROP99 = roLat.Quantile(0.99)
-	}
-	return res
 }
 
 // SchedStats is the conflict scheduler's counter block, re-exported so
@@ -505,18 +335,13 @@ func (cl *Cluster) SchedStats() nicrt.SchedStats {
 	return s
 }
 
-// Quiesced reports whether the cluster has fully drained: no in-flight
-// transactions, no coordinator state, decided log records applied, and no
-// recovery in progress. Crashed nodes are excluded.
-func (cl *Cluster) Quiesced() bool {
+// drained reports whether the protocol holds no in-flight state: no
+// coordinator state, decided log records applied, and no recovery in
+// progress. Crashed nodes are excluded.
+func (cl *Cluster) drained() bool {
 	for _, n := range cl.nodes {
 		if !n.alive {
 			continue
-		}
-		for _, at := range n.app {
-			if at.outstanding > 0 || len(at.retryq) > 0 || len(at.injectq) > 0 {
-				return false
-			}
 		}
 		if len(n.ctxns) > 0 || len(n.remoteLocks) > 0 || n.log.pending() > 0 ||
 			len(n.pins) > 0 || len(n.recov) > 0 || len(n.pendingDecide) > 0 {
@@ -537,20 +362,6 @@ func (cl *Cluster) Quiesced() bool {
 		}
 	}
 	return true
-}
-
-// Drain stops load and runs until quiesced (or the deadline elapses),
-// reporting success.
-func (cl *Cluster) Drain(deadline sim.Time) bool {
-	cl.StopLoad()
-	end := cl.eng.Now() + deadline
-	for cl.eng.Now() < end {
-		if cl.Quiesced() {
-			return true
-		}
-		cl.Run(100 * sim.Microsecond)
-	}
-	return cl.Quiesced()
 }
 
 // CheckInvariants validates every node's store and index structures plus

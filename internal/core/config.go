@@ -117,38 +117,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// validate checks what only Xenic configures; the chassis checks the rest.
 func (c Config) validate() error {
-	if c.Nodes < 2 {
-		return fmt.Errorf("core: need >=2 nodes, have %d", c.Nodes)
-	}
-	if c.Replication < 1 || c.Replication > c.Nodes {
-		return fmt.Errorf("core: replication %d outside 1..%d", c.Replication, c.Nodes)
-	}
-	if c.AppThreads < 1 || c.WorkerThreads < 1 || c.NICCores < 1 {
+	if c.WorkerThreads < 1 || c.NICCores < 1 {
 		return fmt.Errorf("core: thread counts must be positive")
-	}
-	if c.Outstanding < 1 {
-		return fmt.Errorf("core: outstanding window must be positive")
 	}
 	if c.MVCC && c.Nodes > 64 {
 		// The commit-timestamp oracle tracks each commit's pending write
 		// shards as a 64-bit set (one shard per node).
 		return fmt.Errorf("core: MVCC supports at most 64 nodes, have %d", c.Nodes)
 	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(c.Nodes); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-	}
 	return nil
-}
-
-// backupsOf lists the backup nodes of shard s: the next Replication-1
-// nodes in ring order.
-func (c Config) backupsOf(s int) []int {
-	out := make([]int, 0, c.Replication-1)
-	for i := 1; i < c.Replication; i++ {
-		out = append(out, (s+i)%c.Nodes)
-	}
-	return out
 }

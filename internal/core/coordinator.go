@@ -390,7 +390,7 @@ func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
 	}
 	t.rounds++
 	if t.nicExec {
-		fn, ok := n.cl.reg.Get(t.desc.FnID)
+		fn, ok := n.cl.Registry().Get(t.desc.FnID)
 		if !ok {
 			panic(fmt.Sprintf("core: unknown fn %d", t.desc.FnID))
 		}
@@ -840,7 +840,7 @@ func (n *Node) armWatchdog(t *ctxn) {
 	}
 	d := n.cl.cfg.Faults.TxnTimeoutOrDefault()
 	id, epoch := t.id, t.epoch
-	n.cl.eng.After(d, func() { n.checkWatchdog(id, epoch, d) })
+	n.cl.Engine().After(d, func() { n.checkWatchdog(id, epoch, d) })
 }
 
 // checkWatchdog fires d after the epoch it observed was current: if the
@@ -856,7 +856,7 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 	}
 	if t.epoch != epoch || (t.phase != phExecute && t.phase != phValidate) {
 		epoch := t.epoch
-		n.cl.eng.After(d, func() { n.checkWatchdog(id, epoch, d) })
+		n.cl.Engine().After(d, func() { n.checkWatchdog(id, epoch, d) })
 		return
 	}
 	n.nic.Inject(n.nic.CoreFor(id), func(c *nicrt.Core) {
@@ -870,12 +870,12 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 			// first). Progress must re-arm, not kill, the watchdog chain: a
 			// later execution round can park in EXECUTE/VALIDATE again.
 			epoch := t.epoch
-			n.cl.eng.After(d, func() { n.checkWatchdog(id, epoch, d) })
+			n.cl.Engine().After(d, func() { n.checkWatchdog(id, epoch, d) })
 			return
 		}
 		n.stats.Timeouts[t.phase]++
 		if tr := n.tr(); tr.Enabled() {
-			tr.Instant("fault", "txn-timeout", n.id, 0, n.cl.eng.Now(),
+			tr.Instant("fault", "txn-timeout", n.id, 0, n.cl.Engine().Now(),
 				trace.Args{"txn": t.id, "phase": t.phase.String()})
 		}
 		t.failed = wire.StatusAbortTimeout
@@ -1131,7 +1131,7 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	}
 	n.ctxns[t.id] = t
 	n.openTxn(t)
-	if n.cl.hist != nil {
+	if n.cl.History() != nil {
 		// The request carries the versions the host fast path observed; stash
 		// them as the transaction's read set so its history record is
 		// complete. Recording only — versionBasis is never consulted on this

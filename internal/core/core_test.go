@@ -131,7 +131,7 @@ func testConfig(nodes int, feat Features) Config {
 // commits), and replicas converge.
 func runCounters(t *testing.T, g *kvGen, cfg Config, dur sim.Time) *Cluster {
 	t.Helper()
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func runCounters(t *testing.T, g *kvGen, cfg Config, dur sim.Time) *Cluster {
 	// key count — lost updates or phantom commits break this equality.
 	var sum uint64
 	for k := 0; k < g.keys; k++ {
-		shard := cl.place.ShardOf(uint64(k))
+		shard := cl.Placement().ShardOf(uint64(k))
 		v, _, ok := cl.nodes[shard].Primary().Read(uint64(k))
 		if !ok {
 			t.Fatalf("key %d missing", k)
@@ -219,7 +219,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64) {
 		g := &kvGen{keys: 300, keysPer: 3, readFrac: 0.3, nicExec: true}
 		cfg := testConfig(4, AllFeatures())
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestDeterminism(t *testing.T) {
 		}
 		var sum uint64
 		for k := 0; k < g.keys; k++ {
-			v, _, _ := cl.nodes[cl.place.ShardOf(uint64(k))].Primary().Read(uint64(k))
+			v, _, _ := cl.nodes[cl.Placement().ShardOf(uint64(k))].Primary().Read(uint64(k))
 			sum += binary.LittleEndian.Uint64(v)
 		}
 		return committed, sum
@@ -248,7 +248,7 @@ func TestThroughputReasonable(t *testing.T) {
 	g := &kvGen{keys: 6000, keysPer: 3, readFrac: 0.5, nicExec: true}
 	cfg := testConfig(6, AllFeatures())
 	cfg.Outstanding = 8
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestVersionsMonotonic(t *testing.T) {
 	// (population wrote version 1; each increment bumps by exactly 1).
 	g := &kvGen{keys: 200, keysPer: 2, readFrac: 0, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestVersionsMonotonic(t *testing.T) {
 		t.Fatal("no quiesce")
 	}
 	for k := 0; k < g.keys; k++ {
-		v, ver, ok := cl.nodes[cl.place.ShardOf(uint64(k))].Primary().Read(uint64(k))
+		v, ver, ok := cl.nodes[cl.Placement().ShardOf(uint64(k))].Primary().Read(uint64(k))
 		if !ok {
 			t.Fatalf("key %d missing", k)
 		}

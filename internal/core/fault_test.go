@@ -19,12 +19,11 @@ func faultyRun(t *testing.T, plan *fault.Plan, seed int64, dur sim.Time) (*Clust
 	cfg := testConfig(4, AllFeatures())
 	cfg.Seed = seed
 	cfg.Faults = plan
-	cl, err := New(cfg, g)
+	tr := trace.New()
+	cl, err := New(cfg, g, Observers{Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New()
-	cl.SetTracer(tr)
 	cl.Start()
 	cl.Run(dur)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -81,7 +80,7 @@ func TestChaosPlansInvariants(t *testing.T) {
 			g := &kvGen{keys: 200}
 			var sum uint64
 			for k := 0; k < g.keys; k++ {
-				shard := cl.place.ShardOf(uint64(k))
+				shard := cl.Placement().ShardOf(uint64(k))
 				v, _, ok := cl.nodes[cl.primaryNode(shard)].prim(shard).data.Read(uint64(k))
 				if !ok {
 					t.Fatalf("plan %d: key %d missing", i, k)
@@ -173,7 +172,7 @@ func TestPartitionTimeoutAborts(t *testing.T) {
 func TestFaultFreePathUnchanged(t *testing.T) {
 	g := &kvGen{keys: 100, keysPer: 2, readFrac: 0.2, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

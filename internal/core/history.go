@@ -1,13 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
-	"fmt"
-
+	"xenic/internal/chassis"
 	"xenic/internal/check"
 	"xenic/internal/sim"
-	"xenic/internal/store/btree"
 	"xenic/internal/wire"
 )
 
@@ -19,19 +18,11 @@ import (
 // no messages, so a run with a History attached is byte-identical to one
 // without.
 
-// SetHistory attaches a transaction-history recorder (nil disables
-// recording). Call after New and before Start so every transaction outcome
-// is captured. Prefer xenic.WithHistory at construction.
-func (cl *Cluster) SetHistory(h *check.History) { cl.hist = h }
-
-// History returns the attached recorder (nil when recording is off).
-func (cl *Cluster) History() *check.History { return cl.hist }
-
 // recordCommit appends t's committed outcome: the observed read set and the
 // write set with the versions the commit installs. Called exactly once per
 // committed coordinated transaction, at its commit point.
 func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
-	h := n.cl.hist
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
@@ -40,7 +31,7 @@ func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
 		Node:       n.id,
 		Status:     wire.StatusOK,
 		Start:      t.openedAt,
-		End:        n.cl.eng.Now(),
+		End:        n.cl.Engine().Now(),
 		Reads:      check.Reads(t.reads),
 		Writes:     check.Writes(writes),
 		Shipped:    t.phase == phShipped,
@@ -53,8 +44,8 @@ func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
 
 // recordSnapLocal appends a snapshot read-only transaction decided entirely
 // at the host (snapLocal). Absent-at-S keys record version 0.
-func (n *Node) recordSnapLocal(tx *appTxn, S uint64, reads []wire.KV, now sim.Time) {
-	h := n.cl.hist
+func (n *Node) recordSnapLocal(tx *chassis.Txn, S uint64, reads []wire.KV, now sim.Time) {
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
@@ -63,10 +54,10 @@ func (n *Node) recordSnapLocal(tx *appTxn, S uint64, reads []wire.KV, now sim.Ti
 		kvs = append(kvs, wire.KeyVer{Key: kv.Key, Version: kv.Version})
 	}
 	h.Add(check.TxnRecord{
-		ID:         tx.id,
+		ID:         tx.ID,
 		Node:       n.id,
 		Status:     wire.StatusOK,
-		Start:      tx.start,
+		Start:      tx.Start,
 		End:        now,
 		Reads:      check.KeyVers(kvs),
 		Snapshot:   true,
@@ -76,7 +67,7 @@ func (n *Node) recordSnapLocal(tx *appTxn, S uint64, reads []wire.KV, now sim.Ti
 
 // recordAbort appends t's aborted outcome (reads kept for diagnostics).
 func (n *Node) recordAbort(t *ctxn, st wire.Status) {
-	h := n.cl.hist
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
@@ -85,23 +76,23 @@ func (n *Node) recordAbort(t *ctxn, st wire.Status) {
 		Node:   n.id,
 		Status: st,
 		Start:  t.openedAt,
-		End:    n.cl.eng.Now(),
+		End:    n.cl.Engine().Now(),
 		Reads:  check.Reads(t.reads),
 	})
 }
 
 // recordHostLocal appends an outcome decided entirely at the host (the
 // read-only fast path of §4.2.4, which never creates a ctxn).
-func (n *Node) recordHostLocal(tx *appTxn, st wire.Status, reads []wire.KeyVer, now sim.Time) {
-	h := n.cl.hist
+func (n *Node) recordHostLocal(tx *chassis.Txn, st wire.Status, reads []wire.KeyVer, now sim.Time) {
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
 	h.Add(check.TxnRecord{
-		ID:     tx.id,
+		ID:     tx.ID,
 		Node:   n.id,
 		Status: st,
-		Start:  tx.start,
+		Start:  tx.Start,
 		End:    now,
 		Reads:  check.KeyVers(reads),
 	})
@@ -111,7 +102,7 @@ func (n *Node) recordHostLocal(tx *appTxn, st wire.Status, reads []wire.KeyVer, 
 // a dead coordinator's transaction from its replicated log records; the
 // checker merges it with any other record of the same id.
 func (n *Node) recordRecovered(txn uint64, writes []wire.KV, cts uint64) {
-	h := n.cl.hist
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
@@ -119,7 +110,7 @@ func (n *Node) recordRecovered(txn uint64, writes []wire.KV, cts uint64) {
 		ID:        txn,
 		Node:      n.id,
 		Status:    wire.StatusOK,
-		End:       n.cl.eng.Now(),
+		End:       n.cl.Engine().Now(),
 		Recovered: true,
 		Writes:    check.Writes(writes),
 		CommitTS:  cts,
@@ -128,7 +119,7 @@ func (n *Node) recordRecovered(txn uint64, writes []wire.KV, cts uint64) {
 
 // recordShip appends the ship target's shadow of a shipped execution.
 func (n *Node) recordShip(txn uint64, coord int, writes []wire.KV) {
-	h := n.cl.hist
+	h := n.cl.History()
 	if h == nil {
 		return
 	}
@@ -146,7 +137,7 @@ func (n *Node) recordShip(txn uint64, coord int, writes []wire.KV) {
 // shipped results consistent between origin and ship target. Call only
 // after a successful Drain; returns nil when no history is attached.
 func (cl *Cluster) AuditHistory() error {
-	h := cl.hist
+	h := cl.History()
 	if h == nil {
 		return nil
 	}
@@ -176,7 +167,7 @@ func (cl *Cluster) AuditHistory() error {
 			if lockErr != nil {
 				return lockErr
 			}
-			if err := auditStore(fmt.Sprintf("node %d primary of shard %d", n.id, s), p.data, last); err != nil {
+			if err := check.AuditReplica(fmt.Sprintf("node %d primary of shard %d", n.id, s), last, p.data.Hash.ForEach, p.data.BTree); err != nil {
 				return err
 			}
 		}
@@ -191,7 +182,7 @@ func (cl *Cluster) AuditHistory() error {
 			if !cl.nodes[cl.primaryNode(s)].alive {
 				continue
 			}
-			if err := auditStore(fmt.Sprintf("node %d backup of shard %d", n.id, s), n.backups[s], last); err != nil {
+			if err := check.AuditReplica(fmt.Sprintf("node %d backup of shard %d", n.id, s), last, n.backups[s].Hash.ForEach, n.backups[s].BTree); err != nil {
 				return err
 			}
 		}
@@ -225,7 +216,7 @@ func (cl *Cluster) AuditHistory() error {
 	}
 	slices.Sort(keys)
 	for _, key := range keys {
-		s := cl.place.ShardOf(key)
+		s := cl.Placement().ShardOf(key)
 		pn := cl.nodes[cl.primaryNode(s)]
 		if !pn.alive {
 			continue // shard lost every replica
@@ -241,33 +232,4 @@ func (cl *Cluster) AuditHistory() error {
 		}
 	}
 	return nil
-}
-
-// auditStore checks one replica: every stored version either matches the
-// last committed writer of its key or predates any committed write (the
-// populate version is 1).
-func auditStore(where string, d *ShardData, last map[uint64]uint64) error {
-	var err error
-	bad := func(key, version uint64) error {
-		return fmt.Errorf("audit: %s: key %d at version %d, last committed writer installed %d",
-			where, key, version, last[key])
-	}
-	d.Hash.ForEach(func(key uint64, version uint64, value []byte) bool {
-		if want, ok := last[key]; ok && version != want || !ok && version > 1 {
-			err = bad(key, version)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	d.BTree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
-		if want, ok := last[it.Key]; ok && it.Version != want || !ok && it.Version > 1 {
-			err = bad(it.Key, it.Version)
-			return false
-		}
-		return true
-	})
-	return err
 }

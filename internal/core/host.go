@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
+	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
-	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
@@ -15,57 +14,6 @@ import (
 // rounds, and handle completions (including the local-transaction fast path
 // of §4.2.4), and Robinhood worker threads that apply logged write sets to
 // the primary and backup stores (§4.2 step 7).
-
-// appThread is the per-application-thread coordinator state.
-type appThread struct {
-	node        *Node
-	id          int
-	seq         uint32
-	inflight    map[uint64]*appTxn
-	outstanding int
-	retryq      []*appTxn
-	injectq     []injected // open-loop arrivals awaiting launch
-}
-
-// appTxn tracks one application transaction across retries.
-type appTxn struct {
-	id        uint64
-	desc      *txnmodel.TxnDesc
-	start     sim.Time
-	retries   int
-	notBefore sim.Time
-	done      func(ok bool) // open-loop completion callback; nil when closed-loop
-}
-
-// injected is one open-loop arrival handed to InjectTxn, queued until the
-// owning application thread's next idle pass launches it.
-type injected struct {
-	desc *txnmodel.TxnDesc
-	done func(ok bool)
-}
-
-// failInjected fires done(false) for every injected transaction this thread
-// still holds — in-flight first (in txn-id order, so the callback sequence
-// is deterministic despite map iteration), then the un-launched queue. Used
-// by Restart: a coordinator crash loses this state, and open-loop sources
-// must see the in-flight slots released.
-func (at *appThread) failInjected() {
-	ids := make([]uint64, 0, len(at.inflight))
-	for id, tx := range at.inflight {
-		if tx.done != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		at.inflight[id].done(false)
-	}
-	for _, in := range at.injectq {
-		if in.done != nil {
-			in.done(false)
-		}
-	}
-}
 
 // workerBatch bounds log records applied per worker iteration.
 const workerBatch = 16
@@ -87,7 +35,7 @@ func (n *Node) hostHandler(t *hostrt.Thread, src int, m wire.Msg) {
 
 // hostRouter steers NIC->host messages to the owning application thread.
 func (n *Node) hostRouter(m wire.Msg) int {
-	return txnThread(m.(interface{ GetTxnID() uint64 }).GetTxnID())
+	return chassis.TxnThread(m.(interface{ GetTxnID() uint64 }).GetTxnID())
 }
 
 // hostIdle is the per-iteration hook: application threads submit load and
@@ -100,106 +48,9 @@ func (n *Node) hostIdle(t *hostrt.Thread) bool {
 		return false // restarting: park until the join view arrives
 	}
 	if t.ID() < n.cl.cfg.AppThreads {
-		return n.appIdle(t, n.app[t.ID()])
+		return n.app.Idle(t)
 	}
 	return n.workerIdle(t)
-}
-
-// appIdle retries backed-off transactions and tops up the closed-loop
-// window.
-func (n *Node) appIdle(t *hostrt.Thread, at *appThread) bool {
-	did := false
-	// Retries whose backoff expired. Snapshot the queue first: submitting
-	// can synchronously abort and re-append to at.retryq.
-	q := at.retryq
-	at.retryq = nil
-	ready, keep := splitRetryQueue(q, t.Now())
-	at.retryq = keep
-	for _, tx := range ready {
-		did = true
-		n.submit(t, at, tx)
-	}
-	if earliest, ok := nextRetryWake(at.retryq); ok {
-		// Ensure a wake-up when the earliest backoff expires — computed over
-		// the post-submission queue so retries re-appended by synchronous
-		// aborts keep their wake-up too.
-		t.At(earliest-t.Now(), t.Wake)
-	}
-	// Open-loop arrivals queued by InjectTxn. Snapshot first: submitting can
-	// synchronously complete, and the completion callback can inject again.
-	if len(at.injectq) > 0 {
-		inj := at.injectq
-		at.injectq = nil
-		for _, in := range inj {
-			did = true
-			tx := &appTxn{
-				id:    txnID(n.id, at.id, at.nextSeq()),
-				desc:  in.desc,
-				start: t.Now(),
-				done:  in.done,
-			}
-			at.inflight[tx.id] = tx
-			at.outstanding++
-			if in.desc.GenCost > 0 {
-				t.Charge(in.desc.GenCost)
-			}
-			n.submit(t, at, tx)
-		}
-	}
-	if !n.cl.loadOn {
-		return did
-	}
-	for at.outstanding < n.cl.cfg.Outstanding {
-		did = true
-		desc := n.cl.gen.Next(n.id, at.id, t.Rand())
-		tx := &appTxn{
-			id:    txnID(n.id, at.id, at.nextSeq()),
-			desc:  desc,
-			start: t.Now(),
-		}
-		at.inflight[tx.id] = tx
-		at.outstanding++
-		if desc.GenCost > 0 {
-			t.Charge(desc.GenCost)
-		}
-		n.submit(t, at, tx)
-	}
-	return did
-}
-
-func (at *appThread) nextSeq() uint32 {
-	at.seq++
-	return at.seq
-}
-
-// splitRetryQueue partitions q into transactions whose backoff has expired
-// at now (ready to resubmit) and those that must keep waiting, preserving
-// queue order within each group.
-func splitRetryQueue(q []*appTxn, now sim.Time) (ready, keep []*appTxn) {
-	for _, tx := range q {
-		if tx.notBefore <= now {
-			ready = append(ready, tx)
-		} else {
-			keep = append(keep, tx)
-		}
-	}
-	return ready, keep
-}
-
-// nextRetryWake returns the earliest notBefore among q, and whether q holds
-// any entries at all. Scheduling exactly one wake-up at this instant is
-// sufficient: the drain pass recomputes the next one.
-func nextRetryWake(q []*appTxn) (sim.Time, bool) {
-	if len(q) == 0 {
-		return 0, false
-	}
-	earliest := q[0].notBefore
-	for _, tx := range q[1:] {
-		if tx.notBefore < earliest {
-			earliest = tx.notBefore
-		}
-	}
-	return earliest, true
 }
 
 // allLocal reports whether every key of d is served by this node in the
@@ -219,19 +70,19 @@ func (n *Node) allLocal(d *txnmodel.TxnDesc) bool {
 }
 
 // submit launches (or relaunches) a transaction.
-func (n *Node) submit(t *hostrt.Thread, at *appThread, tx *appTxn) {
-	if n.allLocal(tx.desc) {
-		n.submitLocal(t, at, tx)
+func (n *Node) submit(t *hostrt.Thread, tx *chassis.Txn) {
+	if n.allLocal(tx.Desc) {
+		n.submitLocal(t, tx)
 		return
 	}
 	n.submitRemote(t, tx)
 }
 
 // submitRemote hands the transaction to the coordinator NIC.
-func (n *Node) submitRemote(t *hostrt.Thread, tx *appTxn) {
-	d := tx.desc
+func (n *Node) submitRemote(t *hostrt.Thread, tx *chassis.Txn) {
+	d := tx.Desc
 	req := &wire.TxnRequest{
-		Header:    wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+		Header:    wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 		FnID:      d.FnID,
 		ReadKeys:  d.ReadKeys,
 		WriteKeys: d.UpdateKeys,
@@ -276,12 +127,12 @@ func (n *Node) observeBlind(t *hostrt.Thread, d *txnmodel.TxnDesc) []wire.KV {
 // host-side execution against the host store; read-only transactions
 // complete entirely at the host, write transactions send their validated
 // state to the NIC for replication.
-func (n *Node) submitLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
-	d := tx.desc
+func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
+	d := tx.Desc
 	if d.FnID == 0 && d.ReadOnly() && n.cl.snapReady() {
 		// MVCC read-only fast path (DESIGN.md §12): read the host version
 		// chains at one snapshot timestamp, no validation.
-		n.snapLocal(t, at, tx)
+		n.snapLocal(t, tx)
 		return
 	}
 	reads := make([]wire.KV, 0, len(d.ReadKeys)+len(d.UpdateKeys)+len(d.BlindWrites))
@@ -305,7 +156,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 
 	var writes []wire.KV
 	if d.FnID != 0 {
-		fn, ok := n.cl.reg.Get(d.FnID)
+		fn, ok := n.cl.Registry().Get(d.FnID)
 		if !ok {
 			panic(fmt.Sprintf("core: unknown fn %d", d.FnID))
 		}
@@ -314,7 +165,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 			res := fn.Run(d.State, reads)
 			if res.Abort {
 				n.recordHostLocal(tx, wire.StatusAbortMissing, nil, t.Now())
-				n.completeTxn(t, at, tx, wire.StatusAbortMissing, nil)
+				n.app.Complete(t, tx, wire.StatusAbortMissing)
 				return
 			}
 			if len(res.MoreReads) == 0 {
@@ -351,20 +202,20 @@ func (n *Node) submitLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 			// crash/restart state transfer congests log replication and
 			// stretches it past 50us, where the high-skew sweep caught
 			// read-only transactions committing non-serializable reads.
-			if p.index.IsLocked(rv.Key, tx.id) {
+			if p.index.IsLocked(rv.Key, tx.ID) {
 				n.recordHostLocal(tx, wire.StatusAbortLocked, readVers, t.Now())
-				n.retryTxn(t, at, tx, wire.StatusAbortLocked)
+				n.app.Retry(t, tx, wire.StatusAbortLocked)
 				return
 			}
 			_, ver, _ := p.data.Read(rv.Key)
 			if ver != rv.Version {
 				n.recordHostLocal(tx, wire.StatusAbortVersion, readVers, t.Now())
-				n.retryTxn(t, at, tx, wire.StatusAbortVersion)
+				n.app.Retry(t, tx, wire.StatusAbortVersion)
 				return
 			}
 		}
 		n.recordHostLocal(tx, wire.StatusOK, readVers, t.Now())
-		n.completeTxn(t, at, tx, wire.StatusOK, reads)
+		n.app.Complete(t, tx, wire.StatusOK)
 		return
 	}
 
@@ -381,7 +232,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 		out[i] = wire.KV{Key: kv.Key, Version: ver, Value: kv.Value}
 	}
 	t.Send(&wire.TxnRequest{
-		Header:        wire.Header{TxnID: tx.id, Src: uint8(n.id)},
+		Header:        wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 		Flags:         wire.FlagLocal,
 		WriteSet:      out,
 		LocalReadVers: readVers,
@@ -395,9 +246,9 @@ func (n *Node) submitLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 // simulated instant, so no commit can interleave — the reads are still
 // served at S rather than "latest" to keep the recorded history uniform
 // with the distributed snapshot path.
-func (n *Node) snapLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
+func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	S := n.cl.snapTS()
-	d := tx.desc
+	d := tx.Desc
 	reads := make([]wire.KV, 0, len(d.ReadKeys))
 	for _, k := range d.ReadKeys {
 		p := n.prim(n.place().ShardOf(k))
@@ -408,13 +259,13 @@ func (n *Node) snapLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 		}
 		if p.mvFloor > S {
 			// Shard promoted after S was picked; retry at a fresher S.
-			n.retryTxn(t, at, tx, wire.StatusAbortSnapshot)
+			n.app.Retry(t, tx, wire.StatusAbortSnapshot)
 			return
 		}
 		v, ver, exists, ok := p.data.ReadAt(k, S)
 		if !ok {
 			// Chain GC'd past S (long-lagging watermark); never contention.
-			n.retryTxn(t, at, tx, wire.StatusAbortSnapshot)
+			n.app.Retry(t, tx, wire.StatusAbortSnapshot)
 			return
 		}
 		kv := wire.KV{Key: k}
@@ -425,7 +276,7 @@ func (n *Node) snapLocal(t *hostrt.Thread, at *appThread, tx *appTxn) {
 	}
 	n.stats.SnapCommitted++
 	n.recordSnapLocal(tx, S, reads, t.Now())
-	n.completeTxn(t, at, tx, wire.StatusOK, reads)
+	n.app.Complete(t, tx, wire.StatusOK)
 }
 
 // readLocal reads a key from one of this node's primary replicas, charging
@@ -446,13 +297,12 @@ func (n *Node) readLocal(t *hostrt.Thread, key uint64) ([]byte, uint64, bool) {
 
 // hostExec runs one host-side execution round (§4.2 step 3).
 func (n *Node) hostExec(t *hostrt.Thread, m *wire.ReadReturn) {
-	at := n.app[txnThread(m.TxnID)]
-	tx, ok := at.inflight[m.TxnID]
-	if !ok {
+	tx := n.app.Lookup(m.TxnID)
+	if tx == nil {
 		return
 	}
-	d := tx.desc
-	fn, ok := n.cl.reg.Get(d.FnID)
+	d := tx.Desc
+	fn, ok := n.cl.Registry().Get(d.FnID)
 	if d.FnID == 0 || !ok {
 		// No function: blind writes only.
 		t.Send(&wire.WriteSet{Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)}})
@@ -470,77 +320,15 @@ func (n *Node) hostExec(t *hostrt.Thread, m *wire.ReadReturn) {
 
 // hostDone handles a transaction outcome.
 func (n *Node) hostDone(t *hostrt.Thread, m *wire.TxnDone) {
-	at := n.app[txnThread(m.TxnID)]
-	tx, ok := at.inflight[m.TxnID]
-	if !ok {
+	tx := n.app.Lookup(m.TxnID)
+	if tx == nil {
 		return
 	}
 	if m.Status == wire.StatusOK {
-		n.completeTxn(t, at, tx, wire.StatusOK, m.ReadSet)
+		n.app.Complete(t, tx, wire.StatusOK)
 		return
 	}
-	n.retryTxn(t, at, tx, m.Status)
-}
-
-// completeTxn records a final outcome and frees the window slot.
-func (n *Node) completeTxn(t *hostrt.Thread, at *appThread, tx *appTxn,
-	st wire.Status, reads []wire.KV) {
-
-	delete(at.inflight, tx.id)
-	at.outstanding--
-	if st == wire.StatusOK {
-		n.stats.Committed++
-		n.stats.UpdateKeysCommitted += int64(len(tx.desc.UpdateKeys))
-		if tx.desc.ReadOnly() {
-			n.stats.ROCommitted++
-		}
-		if n.cl.gen.Measure(tx.desc) {
-			n.stats.Measured++
-			n.stats.Latency.Record(t.Now() - tx.start)
-			if tx.desc.ReadOnly() {
-				n.stats.ROLatency.Record(t.Now() - tx.start)
-			}
-		}
-	} else {
-		n.stats.Failed++
-	}
-	_ = reads
-	if tx.done != nil {
-		tx.done(st == wire.StatusOK)
-	}
-}
-
-// Retry backoff bounds: the window starts at retryBackoffBase and doubles
-// per attempt up to retryBackoffMax, so repeated conflicts on a hot key
-// decay instead of re-colliding at a fixed cadence.
-const (
-	retryBackoffBase = 2 * sim.Microsecond
-	retryBackoffMax  = 64 * sim.Microsecond
-)
-
-// retryTxn re-queues an aborted transaction with capped-exponential
-// randomized backoff, up to the retry cap.
-func (n *Node) retryTxn(t *hostrt.Thread, at *appThread, tx *appTxn, st wire.Status) {
-	n.stats.Aborts++
-	if tx.desc.ReadOnly() {
-		n.stats.ROAborts++
-	}
-	if int(st) < len(n.stats.AbortReasons) {
-		n.stats.AbortReasons[st]++
-	}
-	tx.retries++
-	if tx.retries > n.cl.cfg.MaxRetries {
-		n.completeTxn(t, at, tx, st, nil)
-		return
-	}
-	delete(at.inflight, tx.id)
-	// A retry is a fresh transaction attempt with a new id.
-	tx.id = txnID(n.id, at.id, at.nextSeq())
-	at.inflight[tx.id] = tx
-	backoff := sim.Backoff(t.Rand(), retryBackoffBase, retryBackoffMax, tx.retries-1)
-	tx.notBefore = t.Now() + backoff
-	at.retryq = append(at.retryq, tx)
-	t.At(backoff, t.Wake)
+	n.app.Retry(t, tx, m.Status)
 }
 
 // workerIdle applies visible log records: backup records to backup

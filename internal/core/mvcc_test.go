@@ -20,12 +20,11 @@ func mvccConfig(nodes int) Config {
 // and returns the cluster and history for assertions.
 func runMVCC(t *testing.T, g *kvGen, cfg Config, dur sim.Time) (*Cluster, *check.History) {
 	t.Helper()
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(dur)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -58,7 +57,7 @@ func TestMVCCSnapshotReads(t *testing.T) {
 	var sum uint64
 	var updates int64
 	for k := 0; k < g.keys; k++ {
-		v, _, _ := cl.nodes[cl.place.ShardOf(uint64(k))].Primary().Read(uint64(k))
+		v, _, _ := cl.nodes[cl.Placement().ShardOf(uint64(k))].Primary().Read(uint64(k))
 		sum += binary.LittleEndian.Uint64(v)
 	}
 	for _, n := range cl.nodes {
@@ -137,7 +136,7 @@ func TestMVCCOffGolden(t *testing.T) {
 	if cfg.MVCC {
 		t.Fatal("test requires MVCC off")
 	}
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestMVCCOffGolden(t *testing.T) {
 	}
 	var sum uint64
 	for k := 0; k < g.keys; k++ {
-		v, _, _ := cl.nodes[cl.place.ShardOf(uint64(k))].Primary().Read(uint64(k))
+		v, _, _ := cl.nodes[cl.Placement().ShardOf(uint64(k))].Primary().Read(uint64(k))
 		sum += binary.LittleEndian.Uint64(v)
 	}
 	if snap != 0 {
@@ -185,7 +184,7 @@ func TestLongSnapshotRacingUpdaters(t *testing.T) {
 	// i.e. it read history, not the head.
 	final := map[uint64]uint64{}
 	for k := 0; k < g.keys; k++ {
-		_, ver, _ := cl.nodes[cl.place.ShardOf(uint64(k))].Primary().Read(uint64(k))
+		_, ver, _ := cl.nodes[cl.Placement().ShardOf(uint64(k))].Primary().Read(uint64(k))
 		final[uint64(k)] = ver
 	}
 	oldReads := 0
@@ -220,7 +219,7 @@ func TestMVCCChainsBounded(t *testing.T) {
 	for _, n := range cl.nodes {
 		for s, p := range n.prims {
 			for k := 0; k < g.keys; k++ {
-				if cl.place.ShardOf(uint64(k)) != s {
+				if cl.Placement().ShardOf(uint64(k)) != s {
 					continue
 				}
 				if l := p.data.ChainLen(uint64(k)); l > cfg.MVCCKeep {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
 	"xenic/internal/metrics"
 	"xenic/internal/nicrt"
@@ -12,28 +13,10 @@ import (
 	"xenic/internal/wire"
 )
 
-// txnID packs (node, thread, sequence) so ids are globally unique and the
-// host router can find the owning application thread.
-func txnID(node, thread int, seq uint32) uint64 {
-	return uint64(node)<<40 | uint64(thread)<<32 | uint64(seq)
-}
-
-func txnThread(id uint64) int { return int(id>>32) & 0xff }
-func txnNode(id uint64) int   { return int(id >> 40) }
-
-// Stats aggregates one node's transaction outcomes.
+// Stats aggregates one node's transaction outcomes: the counters every
+// system keeps, plus Xenic's own.
 type Stats struct {
-	Committed int64 // committed transactions
-	Measured  int64 // committed transactions the workload counts (e.g. new orders)
-	Failed    int64 // transactions abandoned after MaxRetries
-	Aborts    int64 // abort events (each triggers a retry until the cap)
-	// UpdateKeysCommitted counts update keys across committed transactions;
-	// correctness tests compare it against observable state (e.g. counter
-	// sums) to detect lost or duplicated updates.
-	UpdateKeysCommitted int64
-	Latency             *metrics.Histogram
-	// AbortReasons breaks Aborts down by wire.Status.
-	AbortReasons [wire.NumStatuses]int64
+	*chassis.Stats
 	// PhaseLat records simulated time spent in each coordinator phase.
 	PhaseLat [numPhases]*metrics.Histogram
 	// Timeouts counts coordinator watchdog expirations by phase (fault runs).
@@ -45,17 +28,6 @@ type Stats struct {
 	// RecoveryRefreshes counts in-flight recovery votes restarted because a
 	// view change shrank or reshaped the surviving replica set.
 	RecoveryRefreshes int64
-
-	// Read-only transaction breakdown (populated whether or not MVCC is on,
-	// but only aggregated into results when non-zero so MVCC-off output is
-	// unchanged).
-	ROCommitted int64 // committed read-only transactions
-	ROAborts    int64 // abort events of read-only transactions
-	ROLatency   *metrics.Histogram
-	// Snapshot-path counters (MVCC, DESIGN.md §12).
-	SnapCommitted int64 // read-only commits served by the lock-free snapshot path
-	SnapInline    int64 // snapshot keys resolved from the NIC version cache
-	SnapWalks     int64 // snapshot keys resolved by a DMA chain walk
 }
 
 // primaryShard is one shard this node currently serves as primary: its data
@@ -89,7 +61,7 @@ type Node struct {
 
 	ctxns       map[uint64]*ctxn    // coordinator-side NIC transaction state
 	remoteLocks map[uint64][]uint64 // shipped txns' lock sets held here as remote primary
-	app         []*appThread
+	app         *chassis.Node       // application threads: load, retries, outcome counters
 
 	recov map[txnShard]*recovering // in-flight recovery decisions
 	// pendingDecide holds promoted-shard records whose (alive) coordinator
@@ -159,7 +131,7 @@ func (n *Node) Backup(s int) *ShardData { return n.backups[s] }
 func (n *Node) prim(s int) *primaryShard { return n.prims[s] }
 
 // place is the cluster key placement.
-func (n *Node) place() txnmodel.Placement { return n.cl.place }
+func (n *Node) place() txnmodel.Placement { return n.cl.Placement() }
 
 // nicHandler dispatches protocol messages arriving at NIC cores.
 func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
@@ -273,7 +245,7 @@ func (n *Node) dbgMsg(src int, m wire.Msg, what string) {
 	} else if what == "recv" {
 		return // trace-all mode: drops only
 	}
-	fmt.Printf("DBG t=%v node=%d src=%d msg=%v %s\n", n.cl.eng.Now(), n.id, src, m.Type(), what)
+	fmt.Printf("DBG t=%v node=%d src=%d msg=%v %s\n", n.cl.Engine().Now(), n.id, src, m.Type(), what)
 }
 
 // dbgEvt traces a lifecycle event (phase change, abort, pending decision) of
@@ -282,7 +254,7 @@ func (n *Node) dbgEvt(txn uint64, format string, args ...any) {
 	if debugTxn == 0 || txn != debugTxn {
 		return
 	}
-	fmt.Printf("DBG t=%v node=%d %s\n", n.cl.eng.Now(), n.id, fmt.Sprintf(format, args...))
+	fmt.Printf("DBG t=%v node=%d %s\n", n.cl.Engine().Now(), n.id, fmt.Sprintf(format, args...))
 }
 
 // sendOrLoop sends m to node dst, or re-dispatches locally when dst is this

@@ -33,14 +33,21 @@ func (p phase) String() string {
 	return fmt.Sprintf("phase(%d)", uint8(p))
 }
 
-// SetTracer attaches tr to the cluster (nil disables tracing). Call after
-// New and before Start, so instrumentation sees all traffic. Host threads
-// appear as trace tids hostTidBase+i, NIC cores as tids 0..NICCores-1.
-func (cl *Cluster) SetTracer(tr *trace.Tracer) {
-	cl.tracer = tr
-	if cl.inj != nil {
-		cl.inj.SetTracer(tr)
+// observe registers what only Xenic has with the attached observers: trace
+// hooks and thread names, phase/NIC/index stats, and the NIC-side telemetry
+// series. It runs once, at construction, before any traffic flows.
+func (cl *Cluster) observe(o Observers) {
+	if o.Tracer != nil {
+		cl.trace(o.Tracer)
 	}
+	cl.registerMetrics(o.Stats)
+	cl.registerTelemetry(o.Telemetry)
+}
+
+// trace hooks tr into the NICs and lock tables and names the trace's
+// processes and threads: host threads appear as tids hostTidBase+i, NIC
+// cores as tids 0..NICCores-1.
+func (cl *Cluster) trace(tr *trace.Tracer) {
 	for _, n := range cl.nodes {
 		n.nic.SetTracer(tr)
 		n.installLockTrace()
@@ -66,11 +73,8 @@ func (cl *Cluster) SetTracer(tr *trace.Tracer) {
 // hostTidBase offsets host-thread trace tids past the NIC-core tids.
 const hostTidBase = 64
 
-// Tracer returns the attached tracer (nil when tracing is off).
-func (cl *Cluster) Tracer() *trace.Tracer { return cl.tracer }
-
 // tr returns the cluster tracer for node-side instrumentation.
-func (n *Node) tr() *trace.Tracer { return n.cl.tracer }
+func (n *Node) tr() *trace.Tracer { return n.cl.Tracer() }
 
 // installLockTrace hooks every primary index this node serves so lock
 // transitions land in the trace. Installed only when tracing: the hook
@@ -89,7 +93,7 @@ func (n *Node) hookIndex(shard int, idx *nicindex.Index) {
 		idx.SetLockTrace(nil)
 		return
 	}
-	eng := n.cl.eng
+	eng := n.cl.Engine()
 	idx.SetLockTrace(func(op string, key, owner uint64, ok bool) {
 		name := op
 		if !ok {
@@ -103,7 +107,7 @@ func (n *Node) hookIndex(shard int, idx *nicindex.Index) {
 // openTxn starts phase accounting and the transaction's trace span. The
 // span opens at the coordinator NIC (coordStart), where the ctxn is born.
 func (n *Node) openTxn(t *ctxn) {
-	now := n.cl.eng.Now()
+	now := n.cl.Engine().Now()
 	t.phaseAt = now
 	t.openedAt = now
 	if tr := n.tr(); tr.Enabled() {
@@ -115,7 +119,7 @@ func (n *Node) openTxn(t *ctxn) {
 
 // setPhase moves t to ph, recording the closing phase's simulated duration.
 func (n *Node) setPhase(t *ctxn, ph phase) {
-	now := n.cl.eng.Now()
+	now := n.cl.Engine().Now()
 	if h := n.stats.PhaseLat[t.phase]; h != nil {
 		h.Record(now - t.phaseAt)
 	}
@@ -138,7 +142,7 @@ func (n *Node) closeTxn(t *ctxn, st wire.Status) {
 	// every coordinated transaction passes through exactly once (commit,
 	// abort, recovery sweep, snapshot), so claims cannot leak.
 	n.nic.SchedDone(t.id)
-	now := n.cl.eng.Now()
+	now := n.cl.Engine().Now()
 	if h := n.stats.PhaseLat[t.phase]; h != nil {
 		h.Record(now - t.phaseAt)
 	}
@@ -151,25 +155,20 @@ func (n *Node) closeTxn(t *ctxn, st wire.Status) {
 // traceAbort emits the abort instant with its reason.
 func (n *Node) traceAbort(t *ctxn) {
 	if tr := n.tr(); tr.Enabled() {
-		tr.Instant("txn", "abort", n.id, 0, n.cl.eng.Now(),
+		tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
 			trace.Args{"reason": t.failed.String(), "txn": t.id})
 	}
 }
 
-// RegisterMetrics registers the cluster's counters into reg: per-node
-// transaction outcomes, abort reasons, phase and end-to-end latency
-// histograms, NIC index counters, and the NIC runtime's batching and PCIe
-// counters — plus cluster-wide aggregates under "cluster.".
-func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
+// registerMetrics adds Xenic's own counters to reg: phase latency histograms,
+// NIC index counters, the NIC runtime's batching and PCIe counters, and
+// fault-run watchdog and fence counters.
+func (cl *Cluster) registerMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	for _, n := range cl.nodes {
-		n := n
 		sub := reg.Sub(fmt.Sprintf("node%d", n.id))
-		sub.RegisterFunc("txn", func() any { return n.stats.txnSnapshot() })
-		sub.RegisterFunc("aborts_by_reason", func() any { return abortReasonMap(n.stats.AbortReasons) })
-		sub.RegisterHistogram("latency", n.stats.Latency)
 		for ph := 0; ph < numPhases; ph++ {
 			sub.RegisterHistogram("phase."+phase(ph).String(), n.stats.PhaseLat[ph])
 		}
@@ -186,39 +185,8 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 			sub.RegisterFunc("stale_drops", func() any { return n.stats.StaleDrops })
 		}
 	}
-	if cl.inj != nil {
-		f := reg.Sub("fault")
-		cl.inj.RegisterMetrics(f)
-		f.RegisterFunc("net", func() any {
-			retx, lost := cl.nw.FaultCounters()
-			return map[string]any{"retx": retx, "lost": lost}
-		})
-	}
 	agg := reg.Sub("cluster")
-	agg.RegisterFunc("txn", func() any {
-		var s Stats
-		for _, n := range cl.nodes {
-			s.Committed += n.stats.Committed
-			s.Measured += n.stats.Measured
-			s.Aborts += n.stats.Aborts
-			s.Failed += n.stats.Failed
-			s.SnapCommitted += n.stats.SnapCommitted
-			s.SnapInline += n.stats.SnapInline
-			s.SnapWalks += n.stats.SnapWalks
-		}
-		return s.txnSnapshot()
-	})
-	agg.RegisterFunc("aborts_by_reason", func() any {
-		var reasons [wire.NumStatuses]int64
-		for _, n := range cl.nodes {
-			for i, v := range n.stats.AbortReasons {
-				reasons[i] += v
-			}
-		}
-		return abortReasonMap(reasons)
-	})
 	for ph := 0; ph < numPhases; ph++ {
-		ph := ph
 		agg.RegisterFunc("phase."+phase(ph).String(), func() any {
 			m := metrics.NewHistogram()
 			for _, n := range cl.nodes {
@@ -227,30 +195,6 @@ func (cl *Cluster) RegisterMetrics(reg *metrics.Registry) {
 			return m.Snapshot()
 		})
 	}
-	agg.RegisterFunc("latency", func() any {
-		m := metrics.NewHistogram()
-		for _, n := range cl.nodes {
-			m.Merge(n.stats.Latency)
-		}
-		return m.Snapshot()
-	})
-}
-
-func (s *Stats) txnSnapshot() map[string]any {
-	out := map[string]any{
-		"committed": s.Committed,
-		"measured":  s.Measured,
-		"aborts":    s.Aborts,
-		"failed":    s.Failed,
-	}
-	// Snapshot-path counters appear only once the MVCC path has served
-	// work, keeping MVCC-off stats byte-identical to the pre-MVCC seed.
-	if s.SnapCommitted|s.SnapInline|s.SnapWalks != 0 {
-		out["snap_committed"] = s.SnapCommitted
-		out["snap_inline"] = s.SnapInline
-		out["snap_walks"] = s.SnapWalks
-	}
-	return out
 }
 
 // timeoutMap keys non-zero watchdog expirations by phase name.
@@ -261,19 +205,6 @@ func timeoutMap(timeouts [numPhases]int64) map[string]int64 {
 			continue
 		}
 		out[phase(i).String()] = v
-	}
-	return out
-}
-
-// abortReasonMap keys non-zero abort counts by status name, skipping the
-// StatusOK slot.
-func abortReasonMap(reasons [wire.NumStatuses]int64) map[string]int64 {
-	out := map[string]int64{}
-	for i, v := range reasons {
-		if wire.Status(i) == wire.StatusOK || v == 0 {
-			continue
-		}
-		out[wire.Status(i).String()] = v
 	}
 	return out
 }

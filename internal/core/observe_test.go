@@ -16,14 +16,12 @@ import (
 func tracedRun(t *testing.T) ([]byte, map[string]any) {
 	t.Helper()
 	g := &kvGen{keys: 12, keysPer: 2, readFrac: 0, nicExec: true}
-	cl, err := New(testConfig(4, AllFeatures()), g)
+	tr := trace.New()
+	reg := metrics.NewRegistry()
+	cl, err := New(testConfig(4, AllFeatures()), g, Observers{Tracer: tr, Stats: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := trace.New()
-	cl.SetTracer(tr)
-	reg := metrics.NewRegistry()
-	cl.RegisterMetrics(reg)
 	cl.Start()
 	cl.Run(3 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {

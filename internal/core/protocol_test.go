@@ -93,7 +93,7 @@ func TestApplicationAborts(t *testing.T) {
 	g := &condGen{keys: 300, mode: 0}
 	cfg := testConfig(4, AllFeatures())
 	cfg.MaxRetries = 2 // guard aborts are deterministic: don't spin
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestApplicationAborts(t *testing.T) {
 	}
 	// Odd counters must never have been written (their value stays 1).
 	for k := 0; k < g.keys; k += 3 {
-		v, _, _ := cl.nodes[cl.place.ShardOf(uint64(k))].Primary().Read(uint64(k))
+		v, _, _ := cl.nodes[cl.Placement().ShardOf(uint64(k))].Primary().Read(uint64(k))
 		if binary.LittleEndian.Uint64(v)%2 != 1 {
 			t.Fatalf("aborting transaction wrote key %d", k)
 		}
@@ -128,7 +128,7 @@ func TestApplicationAborts(t *testing.T) {
 func TestMultiRoundExecution(t *testing.T) {
 	g := &condGen{keys: 300, mode: 1}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRejectsBadConfig(t *testing.T) {
 		func() Config { c := DefaultConfig(); c.Outstanding = 0; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg, g); err == nil {
+		if _, err := New(cfg, g, Observers{}); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"xenic/internal/chassis"
 	"xenic/internal/membership"
 	"xenic/internal/nicrt"
 	"xenic/internal/store/nicindex"
@@ -106,7 +107,7 @@ func (n *Node) convertPendingDecides(c *nicrt.Core, v membership.View) {
 		return a.shard - b.shard
 	})
 	for _, ts := range pending {
-		if v.Alive[txnNode(ts.txn)] {
+		if v.Alive[chassis.TxnNode(ts.txn)] {
 			continue
 		}
 		keys := n.pendingDecide[ts]
@@ -265,7 +266,7 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 	// release remoteLocks owned by dead nodes.
 	var orphaned []uint64
 	for txn := range n.remoteLocks {
-		if !v.Alive[txnNode(txn)] {
+		if !v.Alive[chassis.TxnNode(txn)] {
 			orphaned = append(orphaned, txn)
 		}
 	}
@@ -328,7 +329,7 @@ func (n *Node) adoptShards(c *nicrt.Core, v membership.View) {
 		started := false
 		for _, ts := range n.log.undecided(s) {
 			writes, _ := n.log.has(ts.txn, s)
-			if !v.Alive[txnNode(ts.txn)] {
+			if !v.Alive[chassis.TxnNode(ts.txn)] {
 				started = true
 				n.startRecovery(c, &recovering{
 					txn: ts.txn, shard: s, writes: writes, promotion: true,
@@ -409,7 +410,7 @@ func (n *Node) sweepOrphanLocks(c *nicrt.Core, v membership.View) {
 		orphans := map[uint64][]uint64{} // txn -> locked keys
 		var order []uint64
 		p.index.ForEachLocked(func(key, owner uint64) {
-			if v.Alive[txnNode(owner)] {
+			if v.Alive[chassis.TxnNode(owner)] {
 				return
 			}
 			if _, seen := orphans[owner]; !seen {

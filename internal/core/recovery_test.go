@@ -13,7 +13,7 @@ func recoverySetup(t *testing.T, victim int, runBefore, runAfter sim.Time) (*Clu
 	t.Helper()
 	g := &kvGen{keys: 600, keysPer: 3, readFrac: 0.3, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func aliveSum(t *testing.T, cl *Cluster, g *kvGen) uint64 {
 	t.Helper()
 	var sum uint64
 	for k := 0; k < g.keys; k++ {
-		shard := cl.place.ShardOf(uint64(k))
+		shard := cl.Placement().ShardOf(uint64(k))
 		pn := cl.nodes[cl.primaryNode(shard)]
 		if !pn.alive {
 			t.Fatalf("shard %d has no live primary", shard)
@@ -171,7 +171,7 @@ func TestDoubleFailure(t *testing.T) {
 	// Kill two of four nodes (RF=3 leaves one survivor per shard).
 	g := &kvGen{keys: 400, keysPer: 2, readFrac: 0.3, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestDoubleFailure(t *testing.T) {
 func TestRepeatedCrashSameShard(t *testing.T) {
 	g := &kvGen{keys: 400, keysPer: 2, readFrac: 0.3, nicExec: true}
 	cfg := testConfig(4, AllFeatures())
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestDeterministicRecovery(t *testing.T) {
 	run := func() uint64 {
 		g := &kvGen{keys: 300, keysPer: 2, readFrac: 0.3, nicExec: true}
 		cfg := testConfig(4, AllFeatures())
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

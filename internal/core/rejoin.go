@@ -77,7 +77,7 @@ func (n *Node) replicaOfOrig(s int) bool {
 	if s == n.id {
 		return true
 	}
-	for _, b := range n.cl.cfg.backupsOf(s) {
+	for _, b := range n.cl.BackupsOf(s) {
 		if b == n.id {
 			return true
 		}
@@ -99,7 +99,7 @@ func (n *Node) rejoinOnView(c *nicrt.Core, v membership.View) {
 			if !n.replicaOfOrig(s) {
 				continue
 			}
-			n.backups[s] = newShardData(n.cl.spec, n.cl.place)
+			n.backups[s] = newShardData(n.cl.spec, n.cl.Placement())
 			ps := &pullState{primary: v.PrimaryOf[s]}
 			rj.shards[s] = ps
 			if !v.Alive[ps.primary] || ps.primary == n.id {
@@ -149,7 +149,7 @@ func (n *Node) sendPull(c *nicrt.Core, shard int, ps *pullState) {
 		Header: wire.Header{TxnID: 0, Src: uint8(n.id)},
 		Shard:  uint8(shard), Index: idx,
 	})
-	n.cl.eng.After(pullRetry, func() {
+	n.cl.Engine().After(pullRetry, func() {
 		if !n.alive || n.rejoin == nil || n.rejoin.shards[shard] != ps ||
 			ps.done || ps.index != idx {
 			return
@@ -177,7 +177,7 @@ func (n *Node) maybeAdmit() {
 		}
 	}
 	rj.admitted = true
-	n.cl.mgr.Admit(n.id)
+	n.cl.Manager().Admit(n.id)
 }
 
 // snapshotKeys collects a shard replica's full key set in sorted order.
@@ -207,7 +207,7 @@ func (n *Node) handleStatePull(c *nicrt.Core, src int, m *wire.StatePull) {
 	}
 	if !p.ready {
 		// Promotion scan still deciding: serve the pull once the shard opens.
-		n.cl.eng.After(50*sim.Microsecond, func() {
+		n.cl.Engine().After(50*sim.Microsecond, func() {
 			n.nic.Inject(n.nic.LiveCore(), func(c *nicrt.Core) {
 				if n.alive && n.cl.view.Alive[src] {
 					n.handleStatePull(c, src, m)
@@ -345,7 +345,7 @@ func (n *Node) updateForwards(v membership.View) {
 		}
 		sess.fence = v.Epoch
 		s, sess := s, sess
-		n.cl.eng.After(fwdLinger, func() {
+		n.cl.Engine().After(fwdLinger, func() {
 			if n.fwd[s] == sess {
 				delete(n.fwd, s)
 			}

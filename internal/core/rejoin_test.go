@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"xenic/internal/chassis"
 	"xenic/internal/check"
 	"xenic/internal/fault"
 	"xenic/internal/sim"
@@ -30,7 +31,7 @@ func rejoinConfig(t *testing.T, nodes int, plan string) Config {
 func TestRestartRejoin(t *testing.T) {
 	g := &kvGen{keys: 600, keysPer: 3, readFrac: 0.3, nicExec: true}
 	cfg := rejoinConfig(t, 4, "crash=2@5ms,restart=2@12ms")
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +95,11 @@ func TestViewChangeReleasesInFlightLocalExecLocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Faults = plan
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(6 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -128,7 +128,7 @@ func TestRestartDeterminism(t *testing.T) {
 	run := func() (int64, int64, sim.Time) {
 		g := &kvGen{keys: 400, keysPer: 3, readFrac: 0.3, nicExec: true}
 		cfg := rejoinConfig(t, 4, "crash=1@4ms,restart=1@11ms,drop=0.01")
-		cl, err := New(cfg, g)
+		cl, err := New(cfg, g, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestRestartDeterminism(t *testing.T) {
 			committed += n.stats.Committed
 			aborts += n.stats.Aborts
 		}
-		return committed, aborts, cl.eng.Now()
+		return committed, aborts, cl.Engine().Now()
 	}
 	c1, a1, t1 := run()
 	c2, a2, t2 := run()
@@ -159,7 +159,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 	// Partition node 1 long enough for its lease to lapse (it is evicted and
 	// self-fences); the partition heals, then the node restarts and rejoins.
 	cfg := rejoinConfig(t, 4, "part=1@3ms+4ms,restart=1@9ms")
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +182,13 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 	// an epoch before node 1's rejoin, carrying a lock-acquiring verb. The
 	// fence must drop it without touching the index.
 	key := uint64(7)
-	tshard := cl.place.ShardOf(key)
+	tshard := cl.Placement().ShardOf(key)
 	target := cl.nodes[cl.primaryNode(tshard)]
 	staleEpoch := n.joined[1] - 1
 	drops := target.stats.StaleDrops
 	locked := countLocked(target, tshard)
 	target.nic.InjectRx(staleEpoch, 1, &wire.Execute{
-		Header:   wire.Header{TxnID: txnID(1, 0, 0xfffe), Src: 1},
+		Header:   wire.Header{TxnID: chassis.TxnID(1, 0, 0xfffe), Src: 1},
 		LockKeys: []uint64{key},
 	})
 	cl.Run(1 * sim.Millisecond)
@@ -203,7 +203,7 @@ func TestEpochFencingDropsStaleFrames(t *testing.T) {
 	// incarnation (stamped before its own join).
 	drops1 := n.stats.StaleDrops
 	n.nic.InjectRx(staleEpoch, 0, &wire.RecoveryDecide{
-		Header: wire.Header{TxnID: txnID(0, 0, 0xfffd), Src: 0},
+		Header: wire.Header{TxnID: chassis.TxnID(0, 0, 0xfffd), Src: 0},
 		Shard:  uint8(1), Commit: true,
 	})
 	cl.Run(1 * sim.Millisecond)
@@ -240,7 +240,7 @@ func TestRecoveryRevoteOnSecondViewChange(t *testing.T) {
 	// stalled until node 0 is itself evicted — a second view change while
 	// recoveries are in flight.
 	cfg := rejoinConfig(t, 4, "crash=2@5ms,part=0@6900us+4ms")
-	cl, err := New(cfg, g)
+	cl, err := New(cfg, g, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

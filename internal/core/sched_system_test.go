@@ -29,7 +29,7 @@ func TestSchedOnDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		var results []string
 		for rep := 0; rep < 2; rep++ {
-			cl, err := New(schedConfig(seed), hotGen())
+			cl, err := New(schedConfig(seed), hotGen(), Observers{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -46,7 +46,7 @@ func TestSchedOnDeterminism(t *testing.T) {
 // hot-key workload — transactions flow through it, some are serialized — and
 // the cluster still drains to quiescence (no parked transaction is leaked).
 func TestSchedEngagesUnderContention(t *testing.T) {
-	cl, err := New(schedConfig(7), hotGen())
+	cl, err := New(schedConfig(7), hotGen(), Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func abortSum(res Result) int64 {
 // test for the Measure aggregation bug where AbortTimeout (and then
 // AbortSched) were counted in Aborts but missing from the breakdown.
 func TestSchedAbortAccountingCrossCheck(t *testing.T) {
-	cl, err := New(schedConfig(11), hotGen())
+	cl, err := New(schedConfig(11), hotGen(), Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAbortAccountingCrossCheckFaulty(t *testing.T) {
 		cfg.Seed = 5
 		cfg.Sched = sched
 		cfg.Faults = plan
-		cl, err := New(cfg, hotGen())
+		cl, err := New(cfg, hotGen(), Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -364,7 +364,7 @@ func (n *Node) handleAbort(c *nicrt.Core, m *wire.Abort) {
 // shards with acks directed at the coordinator, and return the result.
 func (n *Node) handleShipExec(c *nicrt.Core, src int, m *wire.ShipExec) {
 	coord := int(m.Coord)
-	fn, ok := n.cl.reg.Get(m.FnID)
+	fn, ok := n.cl.Registry().Get(m.FnID)
 	if !ok {
 		panic(fmt.Sprintf("core: node %d: shipped unknown fn %d", n.id, m.FnID))
 	}

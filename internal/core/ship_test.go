@@ -82,12 +82,11 @@ func TestShippedCommitReleasesAdoptedShardReadLocks(t *testing.T) {
 	cfg.Seed = 7
 	crashAt := 500 * sim.Microsecond
 	cfg.Faults = &fault.Plan{Crashes: []fault.Crash{{Node: 2, At: crashAt}}}
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(3 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {
@@ -144,12 +143,11 @@ func TestDelayedShipDoesNotTimeoutAbort(t *testing.T) {
 		})
 	}
 	cfg.Faults = plan
-	cl, err := New(cfg, g)
+	h := check.NewHistory()
+	cl, err := New(cfg, g, Observers{History: h})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := check.NewHistory()
-	cl.SetHistory(h)
 	cl.Start()
 	cl.Run(3 * sim.Millisecond)
 	if !cl.Drain(500 * sim.Millisecond) {

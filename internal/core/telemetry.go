@@ -8,41 +8,19 @@ import (
 	"xenic/internal/wire"
 )
 
-// SetTelemetry registers the cluster's time-series probes on s and starts
-// its sampling ticker. Call after New and before Start so the first window
-// covers the whole run. Probes are read-only views over counters the
-// cluster maintains anyway, so an attached sampler never perturbs the
-// simulation: the transaction schedule is identical with or without it.
-//
-// Per-node scope "node<i>" registers transaction rates and outcomes
-// (commit/abort rates, lock-conflict fraction, in-flight count), windowed
-// latency quantiles and per-phase latency lanes, and the resource gauges
-// the bottleneck analyzer ranks: NIC-core / host-thread / DMA-engine / NIC
-// egress-link occupancy, queue depths and backlogs, lock-table size, and
-// NIC-index cache hit rate. Cluster scope adds the aggregate commit rate
-// and the membership epoch / alive count (so availability arcs are visible
-// in the series).
-func (cl *Cluster) SetTelemetry(s *telemetry.Sampler) {
+// registerTelemetry adds the series only Xenic has to s: per node, per-phase
+// latency lanes and the NIC-side resource gauges the bottleneck analyzer
+// ranks — NIC-core and DMA-engine occupancy, queue depths and backlogs,
+// conflict-scheduler state, lock-table size, NIC-index cache hit rate — and
+// at cluster scope the membership epoch and alive count (so availability
+// arcs are visible in the series).
+func (cl *Cluster) registerTelemetry(s *telemetry.Sampler) {
 	if s == nil {
 		return
 	}
 	for _, n := range cl.nodes {
-		n := n
 		sub := s.Sub(fmt.Sprintf("node%d", n.id))
 		st := &n.stats
-		sub.Rate("txn.commit_rate", func() int64 { return st.Committed })
-		sub.Rate("txn.abort_rate", func() int64 { return st.Aborts })
-		sub.Ratio("txn.lock_conflict_frac",
-			func() int64 { return st.AbortReasons[wire.StatusAbortLocked] },
-			func() int64 { return st.Committed + st.Aborts })
-		sub.Gauge("txn.inflight", func() float64 {
-			v := 0
-			for _, at := range n.app {
-				v += at.outstanding
-			}
-			return float64(v)
-		})
-		sub.Quantiles("latency", st.Latency)
 		for ph := 0; ph < numPhases; ph++ {
 			sub.Window("phase."+phase(ph).String(), st.PhaseLat[ph])
 		}
@@ -72,14 +50,9 @@ func (cl *Cluster) SetTelemetry(s *telemetry.Sampler) {
 					func() int64 { return st.AbortReasons[rs] })
 			}
 		}
-		host := n.host
-		sub.Occupancy("host.occupancy", func() sim.Time { return host.Utilization().TotalBusy() }, host.Threads())
-		sub.Gauge("host.queue_depth", func() float64 { return float64(host.QueueDepth()) })
 		dma := nic.DMA()
 		sub.Occupancy("dma.occupancy", dma.Busy, 1)
-		sub.Gauge("dma.backlog_us", func() float64 { return dma.Backlog(cl.eng.Now()).Micros() })
-		sub.Occupancy("net.tx_occupancy", func() sim.Time { return cl.nw.TxBusy(n.id) }, cl.nw.Lanes())
-		sub.Gauge("net.egress_backlog_us", func() float64 { return cl.nw.EgressBacklog(n.id).Micros() })
+		sub.Gauge("dma.backlog_us", func() float64 { return dma.Backlog(cl.Engine().Now()).Micros() })
 
 		sub.Gauge("lock.held", func() float64 {
 			v := 0
@@ -105,30 +78,7 @@ func (cl *Cluster) SetTelemetry(s *telemetry.Sampler) {
 			})
 	}
 
-	// Open-loop front-end series, only when a source is attached: the scope
-	// is absent on closed-loop runs, keeping their telemetry exports
-	// byte-identical to pre-LoadSource output.
-	if cl.loadSrc != nil {
-		src := cl.loadSrc
-		ls := s.Sub("load")
-		ls.Rate("offered_rate", func() int64 { return src.Stats().Offered })
-		ls.Rate("admitted_rate", func() int64 { return src.Stats().Admitted })
-		ls.Rate("completed_rate", func() int64 { return src.Stats().Completed })
-		ls.Rate("rejected_rate", func() int64 { return src.Stats().Rejected })
-		ls.Gauge("sessions", func() float64 { return float64(src.Stats().ActiveSessions) })
-		ls.Gauge("inflight", func() float64 { return float64(src.Stats().InFlight) })
-		ls.Gauge("queue_len", func() float64 { return float64(src.Stats().QueueLen) })
-		ls.Gauge("queue_delay_p99_us", func() float64 { return src.Stats().QueueDelayP99.Micros() })
-	}
-
 	cs := s.Sub("cluster")
-	cs.Rate("commit_rate", func() int64 {
-		var v int64
-		for _, n := range cl.nodes {
-			v += n.stats.Committed
-		}
-		return v
-	})
 	cs.Gauge("epoch", func() float64 { return float64(cl.view.Epoch) })
 	cs.Gauge("alive", func() float64 {
 		v := 0
@@ -139,5 +89,4 @@ func (cl *Cluster) SetTelemetry(s *telemetry.Sampler) {
 		}
 		return float64(v)
 	})
-	s.Attach(cl.eng)
 }

@@ -68,12 +68,13 @@ func runAblateCache(opt Options) *Report {
 		cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 3, 16
 		cfg.Outstanding = 32
 		cfg.Seed = o.Seed
-		cl, err := core.New(cfg, g)
+		reg := o.Stats.Registry()
+		cl, err := core.New(cfg, g, core.Observers{Stats: reg})
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
-		o.Stats.Snap(fmt.Sprintf("ablate-cache/%.3f", f), cl.RegisterMetrics)
+		o.Stats.Done(fmt.Sprintf("ablate-cache/%.3f", f), reg)
 		var hits, lookups int64
 		for i := 0; i < cl.Nodes(); i++ {
 			s := cl.Node(i).Index().Stats()

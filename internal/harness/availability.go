@@ -93,8 +93,8 @@ func availabilityCell(opt Options, seed int64) availOutcome {
 	cfg.Faults = plan
 	// The sampler sees the whole crash→restore arc; it is stopped before the
 	// drain so the series end with the measured timeline.
-	tel := opt.Telemetry.Sampler()
-	cl, err := xenic.NewCluster(cfg, g, xenic.WithTelemetry(tel))
+	tel, reg := opt.Telemetry.Sampler(), opt.Stats.Registry()
+	cl, err := xenic.NewCluster(cfg, g, xenic.WithTelemetry(tel), xenic.WithStats(reg))
 	if err != nil {
 		out.err = err
 		return out
@@ -193,7 +193,7 @@ func availabilityCell(opt Options, seed int64) availOutcome {
 		out.err = err
 		return out
 	}
-	opt.Stats.Snap("availability", cl.RegisterMetrics)
+	opt.Stats.Done("availability", reg)
 	return out
 }
 

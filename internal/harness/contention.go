@@ -95,8 +95,8 @@ func runContentionSweep(opt Options) *Report {
 			cfg.SchedBatchUs = o.Sched.BatchUs
 			cfg.SchedHotK = o.Sched.HotK
 		}
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel))
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		if err != nil {
 			panic(err)
 		}
@@ -106,7 +106,7 @@ func runContentionSweep(opt Options) *Report {
 		}
 		res := cl.Measure(cw, cv)
 		label := fmt.Sprintf("contention/%s-%s-%s", d.workload, d.skew, onOff(cfg.Sched))
-		o.Stats.Snap(label, cl.RegisterMetrics)
+		o.Stats.Done(label, reg)
 		o.Telemetry.Done(label, tel)
 		return cellRes{res: res, sched: cl.SchedStats()}
 	})

@@ -61,13 +61,13 @@ func runCurve(opt Options, windows []int, warm, win sim.Time,
 	label func(w int) string, build builder) []point {
 	return runCells(opt, len(windows), func(i int, o Options) point {
 		w := windows[i]
-		tel := o.Telemetry.Sampler()
-		sys, err := build(w, xenic.WithTelemetry(tel))
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+		sys, err := build(w, xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		if err != nil {
 			panic(err)
 		}
 		res := sys.Measure(warm, win)
-		o.Stats.Snap(label(w), sys.RegisterMetrics)
+		o.Stats.Done(label(w), reg)
 		o.Telemetry.Done(label(w), tel)
 		return point{window: w, tput: res.PerServerTput, median: res.Median}
 	})
@@ -105,14 +105,14 @@ func runCurves(s workloadSetup, opt Options, specs []curveSpec, windows []int, w
 	flat := runCells(opt, len(ids), func(i int, o Options) point {
 		id := ids[i]
 		w := windows[id.win]
-		tel := o.Telemetry.Sampler()
-		sys, err := specs[id.spec].build(w, xenic.WithTelemetry(tel))
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+		sys, err := specs[id.spec].build(w, xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		if err != nil {
 			panic(err)
 		}
 		res := sys.Measure(warm, win)
 		label := fmt.Sprintf("%s/%s/w%d", s.name, specs[id.spec].stats, w)
-		o.Stats.Snap(label, sys.RegisterMetrics)
+		o.Stats.Done(label, reg)
 		o.Telemetry.Done(label, tel)
 		return point{window: w, tput: res.PerServerTput, median: res.Median}
 	})

@@ -59,13 +59,13 @@ func runFig9a(opt Options) *Report {
 			dcfg.Threads = s.threads
 			dcfg.Outstanding = window
 			dcfg.Seed = o.Seed
-			tel := o.Telemetry.Sampler()
-			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+			tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 			if err != nil {
 				panic(err)
 			}
 			res := dcl.Measure(warm, win)
-			o.Stats.Snap("fig9a/DrTM+H", dcl.RegisterMetrics)
+			o.Stats.Done("fig9a/DrTM+H", reg)
 			o.Telemetry.Done("fig9a/DrTM+H", tel)
 			return res
 		}
@@ -75,13 +75,13 @@ func runFig9a(opt Options) *Report {
 		cfg.Outstanding = window
 		cfg.Features = st.feat
 		cfg.Seed = o.Seed
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
-		o.Stats.Snap("fig9a/"+st.name, cl.RegisterMetrics)
+		o.Stats.Done("fig9a/"+st.name, reg)
 		o.Telemetry.Done("fig9a/"+st.name, tel)
 		return res
 	})
@@ -138,13 +138,13 @@ func runFig9b(opt Options) *Report {
 			dcfg.Threads = s.threads
 			dcfg.Outstanding = 1 // low load
 			dcfg.Seed = o.Seed
-			tel := o.Telemetry.Sampler()
-			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+			tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 			if err != nil {
 				panic(err)
 			}
 			res := dcl.Measure(warm, win)
-			o.Stats.Snap("fig9b/DrTM+H", dcl.RegisterMetrics)
+			o.Stats.Done("fig9b/DrTM+H", reg)
 			o.Telemetry.Done("fig9b/DrTM+H", tel)
 			return res
 		}
@@ -154,13 +154,13 @@ func runFig9b(opt Options) *Report {
 		cfg.Outstanding = 1
 		cfg.Features = st.feat
 		cfg.Seed = o.Seed
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel))
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
-		o.Stats.Snap("fig9b/"+st.name, cl.RegisterMetrics)
+		o.Stats.Done("fig9b/"+st.name, reg)
 		o.Telemetry.Done("fig9b/"+st.name, tel)
 		return res
 	})

@@ -82,16 +82,24 @@ func (c *StatsCollector) add(label string, snap any) {
 	c.keys = append(c.keys, key)
 }
 
-// Snap builds a fresh registry for a just-measured cluster via register and
-// stores its snapshot under label. A nil collector ignores the call, so
-// runners invoke it unconditionally after each Measure; registration is
-// lazy, so attaching after the run costs nothing during it.
-func (c *StatsCollector) Snap(label string, register func(*metrics.Registry)) {
+// Registry returns a fresh registry for one cell, to be attached at
+// construction time via xenic.WithStats and snapshotted with the matching
+// Done call. A nil collector returns a nil registry; WithStats(nil) and
+// Done(label, nil) are both no-ops, so runners call the pair
+// unconditionally. Registered entries are sampled lazily, so attaching costs
+// nothing during the run.
+func (c *StatsCollector) Registry() *metrics.Registry {
 	if c == nil {
+		return nil
+	}
+	return metrics.NewRegistry()
+}
+
+// Done stores reg's snapshot of a just-measured cluster under label.
+func (c *StatsCollector) Done(label string, reg *metrics.Registry) {
+	if c == nil || reg == nil {
 		return
 	}
-	reg := metrics.NewRegistry()
-	register(reg)
 	c.add(label, reg.Snapshot())
 }
 

@@ -74,14 +74,14 @@ func runMVCCSweep(opt Options) *Report {
 		cfg.Outstanding = 16
 		cfg.Seed = o.Seed
 		cfg.MVCC = i%2 == 1
-		tel := o.Telemetry.Sampler()
-		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel))
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		if err != nil {
 			panic(err)
 		}
 		res := cl.Measure(warm, win)
 		label := fmt.Sprintf("mvcc/%s-ro%.0f-%s", d.workload, 100*d.roFrac, onOff(cfg.MVCC))
-		o.Stats.Snap(label, cl.RegisterMetrics)
+		o.Stats.Done(label, reg)
 		o.Telemetry.Done(label, tel)
 		return res
 	})

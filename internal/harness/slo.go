@@ -104,24 +104,24 @@ func runSLO(opt Options) *Report {
 	// same thing run to run and system to system.
 	const calWindow = 64 // outstanding txns per node
 	capacity := runCells(opt, len(systems), func(i int, o Options) float64 {
-		tel := o.Telemetry.Sampler()
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
 		var sys xenic.System
 		var err error
 		if i == 0 {
 			cfg := xenicCfg(o.Seed)
 			cfg.Outstanding = perThread(calWindow, cfg.AppThreads)
-			sys, err = xenic.NewCluster(cfg, gen(), xenic.WithTelemetry(tel))
+			sys, err = xenic.NewCluster(cfg, gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		} else {
 			cfg := drtmhCfg(o.Seed)
 			cfg.Outstanding = perThread(calWindow, cfg.Threads)
-			sys, err = xenic.NewBaseline(cfg, gen(), xenic.WithTelemetry(tel))
+			sys, err = xenic.NewBaseline(cfg, gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		}
 		if err != nil {
 			panic(err)
 		}
 		res := sys.Measure(warm, win)
 		label := "slo/calibrate/" + systems[i]
-		o.Stats.Snap(label, sys.RegisterMetrics)
+		o.Stats.Done(label, reg)
 		o.Telemetry.Done(label, tel)
 		return res.PerServerTput * nodes
 	})
@@ -163,14 +163,14 @@ func runSLO(opt Options) *Report {
 			Admit:    adm,
 			Seed:     o.Seed,
 		}
-		tel := o.Telemetry.Sampler()
+		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
 		var sys xenic.System
 		if c.si == 0 {
 			cfg := xenicCfg(o.Seed)
-			sys, err = xenic.NewCluster(cfg, gen(), xenic.WithOpenLoop(olc), xenic.WithTelemetry(tel))
+			sys, err = xenic.NewCluster(cfg, gen(), xenic.WithOpenLoop(olc), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		} else {
 			cfg := drtmhCfg(o.Seed)
-			sys, err = xenic.NewBaseline(cfg, gen(), xenic.WithOpenLoop(olc), xenic.WithTelemetry(tel))
+			sys, err = xenic.NewBaseline(cfg, gen(), xenic.WithOpenLoop(olc), xenic.WithTelemetry(tel), xenic.WithStats(reg))
 		}
 		if err != nil {
 			panic(err)
@@ -183,7 +183,7 @@ func runSLO(opt Options) *Report {
 		sys.Measure(0, win)
 		s := sys.OfferedLoad()
 		label := fmt.Sprintf("slo/%s/%.1fx-%s", systems[c.si], c.frac, c.admit)
-		o.Stats.Snap(label, sys.RegisterMetrics)
+		o.Stats.Done(label, reg)
 		o.Telemetry.Done(label, tel)
 		sec := win.Seconds()
 		return openPoint{

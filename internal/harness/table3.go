@@ -65,12 +65,13 @@ func runTable3(opt Options) *Report {
 				cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = app, workers, nic
 				cfg.Outstanding = perThread(nodeWindow, app)
 				cfg.Seed = o.Seed
-				cl, err := core.New(cfg, s.gen(o.Quick))
+				reg := o.Stats.Registry()
+				cl, err := core.New(cfg, s.gen(o.Quick), core.Observers{Stats: reg})
 				if err != nil {
 					panic(err)
 				}
 				res := cl.Measure(warm, win)
-				o.Stats.Snap(fmt.Sprintf("table3/%s/xenic/h%d-n%d", names[id], host, nic), cl.RegisterMetrics)
+				o.Stats.Done(fmt.Sprintf("table3/%s/xenic/h%d-n%d", names[id], host, nic), reg)
 				return res.PerServerTput
 			}
 			maxHost, maxNIC := 24, 24
@@ -93,12 +94,13 @@ func runTable3(opt Options) *Report {
 			cfg.Threads = th
 			cfg.Outstanding = perThread(nodeWindow, th)
 			cfg.Seed = o.Seed
-			cl, err := baseline.New(cfg, s.gen(o.Quick))
+			reg := o.Stats.Registry()
+			cl, err := baseline.New(cfg, s.gen(o.Quick), baseline.Observers{Stats: reg})
 			if err != nil {
 				panic(err)
 			}
 			res := cl.Measure(warm, win)
-			o.Stats.Snap(fmt.Sprintf("table3/%s/%s/t%d", names[id], sys, th), cl.RegisterMetrics)
+			o.Stats.Done(fmt.Sprintf("table3/%s/%s/t%d", names[id], sys, th), reg)
 			return res.PerServerTput
 		}
 		maxTh := 32

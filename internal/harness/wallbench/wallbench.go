@@ -144,7 +144,7 @@ func mvccAB(seed int64) MVCCBench {
 		cfg.Outstanding = 8
 		cfg.Seed = seed
 		cfg.MVCC = mvcc
-		cl, err := core.New(cfg, g)
+		cl, err := core.New(cfg, g, core.Observers{})
 		if err != nil {
 			panic(fmt.Sprintf("wallbench: mvcc A/B cell: %v", err))
 		}

@@ -49,7 +49,7 @@ func runXenic(t *testing.T, gen txnmodel.Generator, dur sim.Time) *core.Cluster 
 	cfg.WorkerThreads = 2
 	cfg.NICCores = 6
 	cfg.Outstanding = 4
-	cl, err := core.New(cfg, gen)
+	cl, err := core.New(cfg, gen, core.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func runBaseline(t *testing.T, sys baseline.System, gen txnmodel.Generator, dur 
 	cfg.Nodes = 4
 	cfg.Threads = 4
 	cfg.Outstanding = 4
-	cl, err := baseline.New(cfg, gen)
+	cl, err := baseline.New(cfg, gen, baseline.Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,13 +19,14 @@ package xenic
 
 import (
 	"xenic/internal/baseline"
+	"xenic/internal/chassis"
 	"xenic/internal/check"
 	"xenic/internal/core"
 	"xenic/internal/fault"
 	"xenic/internal/load"
 	"xenic/internal/metrics"
-	"xenic/internal/openloop"
 	"xenic/internal/model"
+	"xenic/internal/openloop"
 	"xenic/internal/sim"
 	"xenic/internal/telemetry"
 	"xenic/internal/trace"
@@ -159,27 +160,10 @@ type System interface {
 	Drain(deadline Time) bool
 	// Quiesced reports whether the system has fully drained.
 	Quiesced() bool
-	// SetLoad attaches a load source, replacing the built-in closed loop as
-	// what Start/StopLoad control. Call before any load has started. Prefer
-	// WithLoad at construction.
-	SetLoad(src LoadSource) error
 	// OfferedLoad snapshots the attached LoadSource's counters (offered,
 	// admitted, rejected, completed, sessions, queue delay). All-zero under
 	// the built-in closed loop.
 	OfferedLoad() LoadStats
-	// SetTracer attaches a tracer (nil disables tracing). Call before Start.
-	// Prefer WithTracer at construction.
-	SetTracer(tr *Tracer)
-	// RegisterMetrics registers the system's counters under reg. Prefer
-	// WithStats at construction.
-	RegisterMetrics(reg *StatsRegistry)
-	// SetHistory attaches a transaction-history recorder (nil disables
-	// recording). Call before Start. Prefer WithHistory at construction.
-	SetHistory(h *History)
-	// SetTelemetry registers time-series probes on the sampler and starts
-	// its sampling ticker (nil disables telemetry). Call before Start.
-	// Prefer WithTelemetry at construction.
-	SetTelemetry(s *Telemetry)
 	// AuditHistory cross-checks the drained system's final state against the
 	// recorded history (orphan locks, store-vs-commit versions, log
 	// consistency). Call after a successful Drain; nil without a recorder.
@@ -192,46 +176,37 @@ var (
 	_ System = (*BaselineCluster)(nil)
 )
 
-// Option configures observability and fault injection at construction time,
-// uniformly for NewCluster and NewBaseline. Options subsume the older
-// attach-point trio — Config.Faults, SetTracer, RegisterMetrics — which
-// remain supported but are better expressed in one place:
+// Option configures observability, load and fault injection at construction
+// time, uniformly for NewCluster and NewBaseline — the only attach point:
 //
 //	cl, err := xenic.NewCluster(cfg, w,
 //	    xenic.WithTracer(tr), xenic.WithStats(reg), xenic.WithFaults(plan))
 type Option func(*options)
 
 type options struct {
-	tracer    *Tracer
-	stats     *StatsRegistry
-	hist      *History
-	tel       *Telemetry
+	obs       chassis.Observers
 	faults    *FaultPlan
 	setFaults bool
-	loadSrc   LoadSource
 }
 
-// WithTracer attaches tr before any traffic flows (equivalent to calling
-// SetTracer immediately after construction).
-func WithTracer(tr *Tracer) Option { return func(o *options) { o.tracer = tr } }
+// WithTracer attaches tr before any traffic flows.
+func WithTracer(tr *Tracer) Option { return func(o *options) { o.obs.Tracer = tr } }
 
-// WithStats registers the system's metrics under reg (equivalent to calling
-// RegisterMetrics immediately after construction).
-func WithStats(reg *StatsRegistry) Option { return func(o *options) { o.stats = reg } }
+// WithStats registers the system's metrics under reg. Entries are sampled
+// lazily at snapshot time, so registering costs nothing during the run.
+func WithStats(reg *StatsRegistry) Option { return func(o *options) { o.obs.Stats = reg } }
 
-// WithHistory attaches a transaction-history recorder (equivalent to calling
-// SetHistory immediately after construction). After Drain, check the history
-// for serializability with h.Check() and cross-check final state with
-// AuditHistory. Recording never perturbs the simulation: a run with a
+// WithHistory attaches a transaction-history recorder. After Drain, check
+// the history for serializability with h.Check() and cross-check final state
+// with AuditHistory. Recording never perturbs the simulation: a run with a
 // recorder attached is byte-identical to one without.
-func WithHistory(h *History) Option { return func(o *options) { o.hist = h } }
+func WithHistory(h *History) Option { return func(o *options) { o.obs.History = h } }
 
-// WithTelemetry attaches a telemetry sampler (equivalent to calling
-// SetTelemetry immediately after construction): the system's counters are
+// WithTelemetry attaches a telemetry sampler: the system's counters are
 // sampled on the sampler's simulated-time cadence into per-node time
 // series. Sampling never perturbs the simulation — a run with telemetry
 // attached executes the same transaction schedule as one without.
-func WithTelemetry(s *Telemetry) Option { return func(o *options) { o.tel = s } }
+func WithTelemetry(s *Telemetry) Option { return func(o *options) { o.obs.Telemetry = s } }
 
 // WithFaults installs the fault-injection plan (equivalent to setting
 // Config.Faults / BaselineConfig.Faults before construction). Passing nil
@@ -244,12 +219,13 @@ func WithFaults(p *FaultPlan) Option {
 // control the source instead of the built-in closed loop. Source attach
 // errors (e.g. a misconfigured offered rate) surface from
 // NewCluster/NewBaseline.
-func WithLoad(src LoadSource) Option { return func(o *options) { o.loadSrc = src } }
+func WithLoad(src LoadSource) Option { return func(o *options) { o.obs.Load = src } }
 
 // WithOpenLoop attaches the open-loop traffic front-end with the given
 // configuration — shorthand for WithLoad(NewOpenLoop(cfg)).
 func WithOpenLoop(cfg OpenLoopConfig) Option {
-	return func(o *options) { o.loadSrc = openloop.New(cfg) }
+	// A fresh source per application: one option list may build many systems.
+	return func(o *options) { o.obs.Load = openloop.New(cfg) }
 }
 
 // NewOpenLoop returns an open-loop LoadSource for cfg (attach it with
@@ -265,30 +241,6 @@ func gather(opts []Option) options {
 	return o
 }
 
-// apply wires the gathered load source and observers into a constructed
-// system. The source attaches first so observers registered afterwards
-// (telemetry in particular) see it and expose its series.
-func (o options) apply(s System) error {
-	if o.loadSrc != nil {
-		if err := s.SetLoad(o.loadSrc); err != nil {
-			return err
-		}
-	}
-	if o.tracer != nil {
-		s.SetTracer(o.tracer)
-	}
-	if o.stats != nil {
-		s.RegisterMetrics(o.stats)
-	}
-	if o.hist != nil {
-		s.SetHistory(o.hist)
-	}
-	if o.tel != nil {
-		s.SetTelemetry(o.tel)
-	}
-	return nil
-}
-
 // DefaultConfig mirrors the paper's testbed: 6 servers, 3-way replication,
 // 100Gbps fabric, calibrated LiquidIO 3 SmartNICs.
 func DefaultConfig() Config { return core.DefaultConfig() }
@@ -299,21 +251,14 @@ func AllFeatures() Features { return core.AllFeatures() }
 // DefaultParams returns the calibrated device model (§3).
 func DefaultParams() model.Params { return model.Default() }
 
-// NewCluster builds and populates a Xenic cluster running w, then applies
-// any options (tracer, stats registry, fault plan).
+// NewCluster builds and populates a Xenic cluster running w with the given
+// options (observers, load source, fault plan) attached.
 func NewCluster(cfg Config, w Workload, opts ...Option) (*Cluster, error) {
 	o := gather(opts)
 	if o.setFaults {
 		cfg.Faults = o.faults
 	}
-	cl, err := core.New(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := o.apply(cl); err != nil {
-		return nil, err
-	}
-	return cl, nil
+	return core.New(cfg, w, o.obs)
 }
 
 // Baseline selects one of the comparison systems (§5.1).
@@ -336,21 +281,14 @@ type BaselineCluster = baseline.Cluster
 // DefaultBaselineConfig mirrors the testbed for the given system.
 func DefaultBaselineConfig(sys Baseline) BaselineConfig { return baseline.DefaultConfig(sys) }
 
-// NewBaseline builds a baseline cluster running w, then applies any options
-// (tracer, stats registry, fault plan).
+// NewBaseline builds a baseline cluster running w with the given options
+// (observers, load source, fault plan) attached.
 func NewBaseline(cfg BaselineConfig, w Workload, opts ...Option) (*BaselineCluster, error) {
 	o := gather(opts)
 	if o.setFaults {
 		cfg.Faults = o.faults
 	}
-	cl, err := baseline.New(cfg, w)
-	if err != nil {
-		return nil, err
-	}
-	if err := o.apply(cl); err != nil {
-		return nil, err
-	}
-	return cl, nil
+	return baseline.New(cfg, w, o.obs)
 }
 
 // TPCC returns the full TPC-C workload (§5.3).
@@ -374,8 +312,7 @@ func NewRegistry() *Registry { return txnmodel.NewRegistry() }
 // *Tracer is a valid disabled tracer.
 type Tracer = trace.Tracer
 
-// NewTracer returns an enabled tracer; attach it with Cluster.SetTracer
-// before Start/Measure.
+// NewTracer returns an enabled tracer; attach it with WithTracer.
 func NewTracer() *Tracer { return trace.New() }
 
 // StatsRegistry collects named counters, gauges, and histograms from
@@ -384,7 +321,7 @@ func NewTracer() *Tracer { return trace.New() }
 type StatsRegistry = metrics.Registry
 
 // NewStatsRegistry returns an empty stats registry; populate it with
-// Cluster.RegisterMetrics or BaselineCluster.RegisterMetrics.
+// WithStats.
 func NewStatsRegistry() *StatsRegistry { return metrics.NewRegistry() }
 
 // History records every transaction outcome — read sets with observed
