@@ -64,13 +64,13 @@ func (n *Node) launch(t *hostrt.Thread, tx *btxn) {
 	tx.reads = map[uint64]wire.KV{}
 	tx.locked = map[int][]uint64{}
 	seen := map[uint64]bool{}
-	for _, k := range append(append([]uint64{}, d.ReadKeys...), d.WriteKeys()...) {
-		if !seen[k] {
+	for i := 0; i < d.NumKeys(); i++ {
+		if k := d.Key(i); !seen[k] {
 			seen[k] = true
 			tx.readOrder = append(tx.readOrder, k)
 		}
 	}
-	n.execPhase(t, tx, d.ReadKeys, d.WriteKeys())
+	n.execPhase(t, tx, d.ReadKeys, d.AppendWriteKeys(make([]uint64, 0, d.NumWriteKeys())))
 }
 
 // execPhase performs the execution-phase remote operations for the given

@@ -35,6 +35,9 @@ type Cluster struct {
 	fwdInFlight []int64
 
 	mv *mvState // MVCC timestamp machinery (disabled unless Config.MVCC)
+
+	// txFree recycles application-transaction headers (see Node.complete).
+	txFree freelist[chassis.Txn]
 }
 
 // Observers gathers everything that watches or drives a cluster; see
@@ -84,7 +87,7 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		BackoffMax:        retryBackoffMax,
 		DeferRetryLaunch:  true,
 		ReadOnlyBreakdown: cfg.MVCC,
-		NewTxn:            func() *chassis.Txn { return new(chassis.Txn) },
+		NewTxn:            cl.txFree.get,
 		Launch:            func(t *hostrt.Thread, node int, tx *chassis.Txn) { cl.nodes[node].submit(t, tx) },
 		Alive:             func(node int) bool { return cl.nodes[node].alive },
 		Drained:           cl.drained,
@@ -166,6 +169,7 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		}
 		nic, host := n.nic, n.host
 		n.nic.OnHostDeliver(func(ms []wire.Msg) { host.Deliver(id, ms) })
+		n.nic.OnHostPacketDone(host.Recycle)
 		n.host.OnMessage(n.hostHandler)
 		n.host.OnIdle(n.hostIdle)
 		n.host.SetRouter(n.hostRouter)

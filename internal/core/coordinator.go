@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"xenic/internal/nicrt"
 	"xenic/internal/sim"
@@ -31,25 +32,41 @@ const (
 	numPhases = int(phShipped) + 1
 )
 
+// lockSet is the keys a transaction holds locked on one shard.
+type lockSet struct {
+	shard int
+	keys  []uint64
+}
+
 // ctxn is one in-flight transaction's coordinator state, resident in
-// SmartNIC memory.
+// SmartNIC memory. Records are recycled through the node's freelist (see
+// dropCtxn), so nothing outside n.ctxns may hold one past its transaction's
+// last continuation.
 type ctxn struct {
 	id       uint64
-	desc     *txnmodel.TxnDesc
+	desc     txnmodel.TxnDesc
 	phase    phase
 	phaseAt  sim.Time // when the current phase began (latency accounting)
 	openedAt sim.Time // when the transaction opened (history recording)
 	epoch    int      // bumped on every phase change; watchdog progress marker
 	failed   wire.Status
-	dead     bool // view change aborted this transaction; drop stragglers
+	// checkFailed holds the first validation failure of a local commit until
+	// its last check is in; a view change in between still reports as one.
+	checkFailed wire.Status
+	dead        bool // view change aborted this transaction; drop stragglers
 
-	reads     map[uint64]wire.KV // accumulated read values (all shards)
-	readOrder []uint64           // fn-input key order across execution rounds
-	writes    []wire.KV          // final write set with new versions
-	locked    map[int][]uint64   // locked keys per shard
-	pending   int
-	rounds    int
-	nicExec   bool
+	// reads accumulates read values from all shards, one entry per key.
+	// Read sets are a few to a few dozen keys, so lookups scan.
+	reads     []wire.KV
+	readOrder []uint64      // fn-input key order across execution rounds
+	writes    []wire.KV     // final write set with new versions
+	byShard   []shardWrites // writes grouped by shard (log phase onward)
+	locked    []lockSet     // locked keys per shard, ascending by shard
+	// pending counts the outstanding units of the current fan-out (blind
+	// B+tree verifies, EXECUTE/VALIDATE/LOG/COMMIT parts, local lookups).
+	pending int
+	rounds  int
+	nicExec bool
 	// cts is the MVCC commit timestamp assigned at the commit point
 	// (0 = MVCC off or not yet committed).
 	cts uint64
@@ -72,8 +89,83 @@ type ctxn struct {
 	localLocks []uint64
 }
 
+// read returns the accumulated read of key.
+func (t *ctxn) read(key uint64) (wire.KV, bool) { return lastKV(t.reads, key) }
+
+// setRead records kv as the read of its key, replacing an earlier one.
+func (t *ctxn) setRead(kv wire.KV) {
+	for i := range t.reads {
+		if t.reads[i].Key == kv.Key {
+			t.reads[i] = kv
+			return
+		}
+	}
+	t.reads = append(t.reads, kv)
+}
+
+// lockedOn returns the keys t holds locked on shard.
+func (t *ctxn) lockedOn(shard int) []uint64 {
+	for i := range t.locked {
+		if t.locked[i].shard == shard {
+			return t.locked[i].keys
+		}
+	}
+	return nil
+}
+
+// addLocks records keys as locked on shard, keeping t.locked in ascending
+// shard order (the order every release path walks it in).
+func (t *ctxn) addLocks(shard int, keys ...uint64) {
+	i := 0
+	for i < len(t.locked) && t.locked[i].shard < shard {
+		i++
+	}
+	if i == len(t.locked) || t.locked[i].shard != shard {
+		t.locked = append(t.locked, lockSet{})
+		copy(t.locked[i+1:], t.locked[i:])
+		t.locked[i] = lockSet{shard: shard}
+	}
+	t.locked[i].keys = append(t.locked[i].keys, keys...)
+}
+
+// grabCtxn returns coordinator state for transaction id: a recycled record
+// when the node's freelist has one, else a new one. A recycled record keeps
+// the backing arrays it owns outright (reads, readOrder, the outer locked
+// array, localLocks); every slice that was handed to a message or a
+// continuation is dropped.
+func (n *Node) grabCtxn(id uint64) *ctxn {
+	t := n.ctxnFree.get()
+	clear(t.reads)
+	clear(t.locked)
+	*t = ctxn{
+		id:         id,
+		reads:      t.reads[:0],
+		readOrder:  t.readOrder[:0],
+		locked:     t.locked[:0],
+		localLocks: t.localLocks[:0],
+	}
+	return t
+}
+
+// dropCtxn removes t from the coordinator table — the single point a ctxn
+// leaves it — and recycles the record. A transaction that ends normally has
+// no continuation outstanding: every fan-out counts its units in t.pending
+// and moves on only at zero. One killed mid-flight (t.dead: view change or
+// watchdog) may still have local DMA or lookup continuations holding t, so
+// its record is left to the garbage collector instead.
+func (n *Node) dropCtxn(t *ctxn) {
+	if n.ctxns[t.id] != t {
+		panic(fmt.Sprintf("core: node %d: txn %#x dropped twice", n.id, t.id))
+	}
+	delete(n.ctxns, t.id)
+	if !t.dead {
+		n.ctxnFree.put(t)
+	}
+}
+
 func (n *Node) newCtxn(m *wire.TxnRequest) *ctxn {
-	d := &txnmodel.TxnDesc{
+	t := n.grabCtxn(m.TxnID)
+	t.desc = txnmodel.TxnDesc{
 		ReadKeys:    m.ReadKeys,
 		UpdateKeys:  m.WriteKeys,
 		BlindWrites: m.WriteSet,
@@ -81,16 +173,8 @@ func (n *Node) newCtxn(m *wire.TxnRequest) *ctxn {
 		State:       m.ExecState,
 		NICExec:     m.Flags&wire.FlagNICExec != 0,
 	}
-	t := &ctxn{
-		id:     m.TxnID,
-		desc:   d,
-		reads:  map[uint64]wire.KV{},
-		locked: map[int][]uint64{},
-	}
-	seen := map[uint64]bool{}
-	for _, k := range append(append([]uint64{}, d.ReadKeys...), d.WriteKeys()...) {
-		if !seen[k] {
-			seen[k] = true
+	for i := 0; i < t.desc.NumKeys(); i++ {
+		if k := t.desc.Key(i); !slices.Contains(t.readOrder, k) {
 			t.readOrder = append(t.readOrder, k)
 		}
 	}
@@ -124,19 +208,23 @@ func (n *Node) coordStart(c *nicrt.Core, m *wire.TxnRequest) {
 	// Coordinator-local B+tree blind writes (TPC-C order/order-line
 	// inserts, district updates) are locked and version-checked in the NIC
 	// index here; their values never need a NIC lookup.
-	n.lockBlindBTree(c, t, func() {
-		if t.failed != wire.StatusOK {
-			n.abortTxn(c, t)
+	n.lockBlindBTree(c, t)
+}
+
+// afterBlindLocks starts execution once every coordinator-local B+tree
+// blind write is locked and verified (t.failed holds the first failure).
+func (n *Node) afterBlindLocks(c *nicrt.Core, t *ctxn) {
+	if t.failed != wire.StatusOK {
+		n.abortTxn(c, t)
+		return
+	}
+	if n.cl.cfg.Features.MultiHopOCC && t.desc.NICExec && t.desc.FnID != 0 {
+		if dst, ok := n.shipTarget(&t.desc); ok {
+			n.shipTxn(c, t, dst)
 			return
 		}
-		if n.cl.cfg.Features.MultiHopOCC && t.desc.NICExec && t.desc.FnID != 0 {
-			if dst, ok := n.shipTarget(t.desc); ok {
-				n.shipTxn(c, t, dst)
-				return
-			}
-		}
-		n.execRound(c, t, t.desc.ReadKeys, n.execLockKeys(t.desc))
-	})
+	}
+	n.execRound(c, t, t.desc.ReadKeys, n.execLockKeys(&t.desc))
 }
 
 // btreeVerifyBytes is the DMA payload for re-reading a B+tree row header
@@ -151,16 +239,10 @@ const btreeVerifyBytes = 32
 // dropped, so for untracked keys the NIC must DMA-read the row header from
 // the host B+tree. Trusting the generation-time observation there loses
 // updates: a concurrent writer may have committed and been applied since
-// the host read the row. Calls then once every key is locked and verified
-// (t.failed holds the first failure).
-func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn, then func()) {
-	pending := 1
-	finish := func() {
-		pending--
-		if pending == 0 && !t.dead {
-			then()
-		}
-	}
+// the host read the row. Continues in afterBlindLocks once every key is
+// locked and verified.
+func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
+	t.pending = 1
 	for _, kv := range t.desc.BlindWrites {
 		if !n.place().IsBTree(kv.Key) {
 			continue
@@ -177,9 +259,9 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn, then func()) {
 		if !p.index.TryLock(kv.Key, t.id) {
 			t.failed = wire.StatusAbortLocked
 		} else {
-			t.locked[shard] = append(t.locked[shard], kv.Key)
+			t.addLocks(shard, kv.Key)
 		}
-		t.reads[kv.Key] = wire.KV{Key: kv.Key, Version: kv.Version}
+		t.setRead(wire.KV{Key: kv.Key, Version: kv.Version})
 		if t.failed != wire.StatusOK {
 			continue
 		}
@@ -190,8 +272,8 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn, then func()) {
 			continue
 		}
 		kv := kv
-		pending++
-		c.DMARead([]int{btreeVerifyBytes}, func() {
+		t.pending++
+		c.DMARead(btreeVerifyBytes, func() {
 			if t.dead {
 				return
 			}
@@ -200,10 +282,18 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn, then func()) {
 				t.failed == wire.StatusOK {
 				t.failed = wire.StatusAbortVersion
 			}
-			finish()
+			n.blindVerified(c, t)
 		})
 	}
-	finish()
+	n.blindVerified(c, t)
+}
+
+// blindVerified retires one unit of lockBlindBTree's fan-out.
+func (n *Node) blindVerified(c *nicrt.Core, t *ctxn) {
+	t.pending--
+	if t.pending == 0 && !t.dead {
+		n.afterBlindLocks(c, t)
+	}
 }
 
 // execLockKeys lists the write keys locked through EXECUTE rounds: all
@@ -214,8 +304,12 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn, then func()) {
 // still locked directly in lockBlindBTree.)
 func (n *Node) execLockKeys(d *txnmodel.TxnDesc) []uint64 {
 	var out []uint64
-	for _, k := range d.WriteKeys() {
+	for i := 0; i < d.NumWriteKeys(); i++ {
+		k := d.WriteKey(i)
 		if !n.place().IsBTree(k) || n.primaryNode(n.place().ShardOf(k)) != n.id {
+			if out == nil {
+				out = make([]uint64, 0, d.NumWriteKeys()-i)
+			}
 			out = append(out, k)
 		}
 	}
@@ -227,8 +321,8 @@ func (n *Node) execLockKeys(d *txnmodel.TxnDesc) []uint64 {
 // (§4.2.3).
 func (n *Node) shipTarget(d *txnmodel.TxnDesc) (int, bool) {
 	remote := -1
-	for _, k := range append(append([]uint64{}, d.ReadKeys...), d.WriteKeys()...) {
-		dst := n.primaryNode(n.place().ShardOf(k))
+	for i := 0; i < d.NumKeys(); i++ {
+		dst := n.primaryNode(n.place().ShardOf(d.Key(i)))
 		if dst == n.id {
 			continue
 		}
@@ -244,77 +338,88 @@ func (n *Node) shipTarget(d *txnmodel.TxnDesc) (int, bool) {
 	return remote, true
 }
 
+// execPart is one shard's slice of an EXECUTE round.
+type execPart struct {
+	shard        int
+	reads, locks []uint64
+}
+
+// partFor returns shard's entry in parts, inserting it in ascending shard
+// order (deterministic fan-out order keeps runs reproducible).
+func partFor(parts *[]execPart, shard int) *execPart {
+	ps := *parts
+	i := 0
+	for i < len(ps) && ps[i].shard < shard {
+		i++
+	}
+	if i == len(ps) || ps[i].shard != shard {
+		ps = append(ps, execPart{})
+		copy(ps[i+1:], ps[i:])
+		ps[i] = execPart{shard: shard}
+		*parts = ps
+	}
+	return &ps[i]
+}
+
 // execRound fans out combined read+lock EXECUTE operations for the given
 // keys, one per shard — or per key when SmartRemoteOps is disabled,
 // mirroring one-sided RDMA's separate read/lock operations (§5.7).
 func (n *Node) execRound(c *nicrt.Core, t *ctxn, readKeys, lockKeys []uint64) {
 	n.setPhase(t, phExecute)
-	type part struct{ reads, locks []uint64 }
-	parts := map[int]*part{}
-	shardPart := func(s int) *part {
-		p, ok := parts[s]
-		if !ok {
-			p = &part{}
-			parts[s] = p
-		}
-		return p
-	}
+	var buf [8]execPart
+	parts := buf[:0]
 	for _, k := range readKeys {
-		p := shardPart(n.place().ShardOf(k))
+		p := partFor(&parts, n.place().ShardOf(k))
 		p.reads = append(p.reads, k)
 	}
 	for _, k := range lockKeys {
-		p := shardPart(n.place().ShardOf(k))
+		p := partFor(&parts, n.place().ShardOf(k))
 		p.locks = append(p.locks, k)
 	}
 
+	// Count every operation before issuing the first, so a local one that
+	// completes inline cannot finish the round early.
 	smart := n.cl.cfg.Features.SmartRemoteOps
-	var shards []int
-	for s := range parts {
-		shards = append(shards, s)
+	t.pending = len(parts)
+	if !smart {
+		t.pending = len(readKeys) + len(lockKeys)
 	}
-	sortInts(shards)
-	type op struct {
-		shard        int
-		reads, locks []uint64
-	}
-	var ops []op
-	for _, s := range shards {
-		p := parts[s]
-		if smart {
-			ops = append(ops, op{s, p.reads, p.locks})
-			continue
-		}
-		for _, k := range p.reads {
-			ops = append(ops, op{s, []uint64{k}, nil})
-		}
-		for _, k := range p.locks {
-			ops = append(ops, op{s, nil, []uint64{k}})
-		}
-	}
-	t.pending = len(ops)
 	if t.pending == 0 {
 		n.afterExec(c, t)
 		return
 	}
-	for _, o := range ops {
-		o := o
-		dst := n.primaryNode(o.shard)
-		if dst == n.id {
-			n.serverExecute(c, o.shard, t.id, o.reads, o.locks, func(st wire.Status, items []wire.KV) {
-				var locks []uint64
-				if st == wire.StatusOK {
-					locks = o.locks
-				}
-				n.coordExecPart(c, t, o.shard, locks, st, items)
-			})
+	for _, p := range parts {
+		if smart {
+			n.execOp(c, t, p.shard, p.reads, p.locks)
 			continue
 		}
-		c.Send(dst, &wire.Execute{
-			Header:   wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			ReadKeys: o.reads, LockKeys: o.locks,
-		})
+		for _, k := range p.reads {
+			n.execOp(c, t, p.shard, []uint64{k}, nil)
+		}
+		for _, k := range p.locks {
+			n.execOp(c, t, p.shard, nil, []uint64{k})
+		}
 	}
+}
+
+// execOp issues one EXECUTE operation of t's current round to shard's
+// primary: directly when that is this node, else over the fabric.
+func (n *Node) execOp(c *nicrt.Core, t *ctxn, shard int, reads, locks []uint64) {
+	dst := n.primaryNode(shard)
+	if dst == n.id {
+		n.serverExecute(c, shard, t.id, reads, locks, func(st wire.Status, items []wire.KV) {
+			held := locks
+			if st != wire.StatusOK {
+				held = nil
+			}
+			n.coordExecPart(c, t, shard, held, st, items)
+		})
+		return
+	}
+	c.Send(dst, &wire.Execute{
+		Header:   wire.Header{TxnID: t.id, Src: uint8(n.id)},
+		ReadKeys: reads, LockKeys: locks,
+	})
 }
 
 // coordExecuteResp routes a remote EXECUTE response into the state machine.
@@ -359,10 +464,10 @@ func (n *Node) coordExecPart(c *nicrt.Core, t *ctxn, shard int, locks []uint64,
 	}
 	if st == wire.StatusOK {
 		if len(locks) > 0 {
-			t.locked[shard] = append(t.locked[shard], locks...)
+			t.addLocks(shard, locks...)
 		}
 		for _, kv := range items {
-			t.reads[kv.Key] = kv
+			t.setRead(kv)
 		}
 	} else if t.failed == wire.StatusOK {
 		t.failed = st
@@ -422,7 +527,7 @@ func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
 func (n *Node) readsInOrder(t *ctxn) []wire.KV {
 	out := make([]wire.KV, len(t.readOrder))
 	for i, k := range t.readOrder {
-		if kv, ok := t.reads[k]; ok {
+		if kv, ok := t.read(k); ok {
 			out[i] = kv
 		} else {
 			out[i] = wire.KV{Key: k}
@@ -433,13 +538,8 @@ func (n *Node) readsInOrder(t *ctxn) []wire.KV {
 
 // addReadOrder appends newly requested read keys for later rounds.
 func (t *ctxn) addReadOrder(keys []uint64) {
-	have := map[uint64]bool{}
-	for _, k := range t.readOrder {
-		have[k] = true
-	}
 	for _, k := range keys {
-		if !have[k] {
-			have[k] = true
+		if !slices.Contains(t.readOrder, k) {
 			t.readOrder = append(t.readOrder, k)
 		}
 	}
@@ -471,13 +571,8 @@ func (n *Node) prepareCommit(c *nicrt.Core, t *ctxn, fnWrites []wire.KV) {
 	writes := append(fnWrites, t.desc.BlindWrites...)
 	// Lock any write keys not yet locked (execution-introduced writes).
 	var missing []uint64
-	seen := map[uint64]bool{}
 	for _, kv := range writes {
-		if seen[kv.Key] {
-			continue
-		}
-		seen[kv.Key] = true
-		if !n.keyLocked(t, kv.Key) {
+		if !n.keyLocked(t, kv.Key) && !slices.Contains(missing, kv.Key) {
 			missing = append(missing, kv.Key)
 		}
 	}
@@ -491,29 +586,15 @@ func (n *Node) prepareCommit(c *nicrt.Core, t *ctxn, fnWrites []wire.KV) {
 		n.execRound(c, t, nil, missing)
 		return
 	}
-	versionWrites(writes, versionBasis(t))
+	// Everything the transaction read or locked is the basis for successor
+	// version assignment.
+	versionWrites(writes, t.reads)
 	t.writes = writes
 	n.validate(c, t)
 }
 
-// versionBasis lists every (key, observed version) the transaction read or
-// locked, as the basis for successor version assignment.
-func versionBasis(t *ctxn) []wire.KV {
-	out := make([]wire.KV, 0, len(t.reads))
-	for _, kv := range t.reads {
-		out = append(out, kv)
-	}
-	return out
-}
-
 func (n *Node) keyLocked(t *ctxn, key uint64) bool {
-	s := n.place().ShardOf(key)
-	for _, k := range t.locked[s] {
-		if k == key {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(t.lockedOn(n.place().ShardOf(key)), key)
 }
 
 // validate issues VALIDATE operations for read-set keys not covered by
@@ -525,59 +606,71 @@ func (n *Node) validate(c *nicrt.Core, t *ctxn) {
 		n.afterValidate(c, t)
 		return
 	}
-	writeKeys := map[uint64]bool{}
-	for _, kv := range t.writes {
-		writeKeys[kv.Key] = true
+	// Group the read-set keys no write lock covers by shard, ascending.
+	type valPart struct {
+		shard int
+		items []wire.KeyVer
 	}
-	byShard := map[int][]wire.KeyVer{}
-	var shards []int
+	var buf [8]valPart
+	parts := buf[:0]
 	total := 0
-	for _, kv := range n.readsInOrder(t) { // deterministic order
-		if writeKeys[kv.Key] {
+	for _, k := range t.readOrder { // deterministic order
+		if hasKey(t.writes, k) {
 			continue
 		}
-		s := n.place().ShardOf(kv.Key)
-		if _, ok := byShard[s]; !ok {
-			shards = append(shards, s)
+		kv, _ := t.read(k) // never read: validates at version 0
+		s := n.place().ShardOf(k)
+		i := 0
+		for i < len(parts) && parts[i].shard < s {
+			i++
 		}
-		byShard[s] = append(byShard[s], wire.KeyVer{Key: kv.Key, Version: kv.Version})
+		if i == len(parts) || parts[i].shard != s {
+			parts = append(parts, valPart{})
+			copy(parts[i+1:], parts[i:])
+			parts[i] = valPart{shard: s}
+		}
+		parts[i].items = append(parts[i].items, wire.KeyVer{Key: k, Version: kv.Version})
 		total++
 	}
 	if total == 0 || (t.desc.ReadOnly() && total == 1 && len(t.writes) == 0) {
 		n.afterValidate(c, t)
 		return
 	}
-	sortInts(shards)
 	smart := n.cl.cfg.Features.SmartRemoteOps
-	type vop struct {
-		shard int
-		items []wire.KeyVer
+	t.pending = len(parts)
+	if !smart {
+		t.pending = total
 	}
-	var ops []vop
-	for _, s := range shards {
-		items := byShard[s]
+	for _, p := range parts {
 		if smart {
-			ops = append(ops, vop{s, items})
+			n.validateOp(c, t, p.shard, p.items)
 			continue
 		}
-		for _, it := range items {
-			ops = append(ops, vop{s, []wire.KeyVer{it}})
+		for i := range p.items {
+			n.validateOp(c, t, p.shard, p.items[i:i+1:i+1])
 		}
 	}
-	t.pending = len(ops)
-	for _, o := range ops {
-		dst := n.primaryNode(o.shard)
-		if dst == n.id {
-			n.serverValidate(c, o.shard, t.id, o.items, func(st wire.Status) {
-				n.coordValidatePart(c, t, st)
-			})
-			continue
-		}
-		c.Send(dst, &wire.Validate{
-			Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			Items:  o.items,
+}
+
+// validateOp issues one VALIDATE operation to shard's primary.
+func (n *Node) validateOp(c *nicrt.Core, t *ctxn, shard int, items []wire.KeyVer) {
+	dst := n.primaryNode(shard)
+	if dst == n.id {
+		n.serverValidate(c, shard, t.id, items, func(st wire.Status) {
+			n.coordValidatePart(c, t, st)
 		})
+		return
 	}
+	c.Send(dst, &wire.Validate{
+		Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
+		Items:  items,
+	})
+}
+
+// hasKey reports whether kvs holds an entry for key.
+func hasKey(kvs []wire.KV, key uint64) bool {
+	_, ok := lastKV(kvs, key)
+	return ok
 }
 
 func (n *Node) coordValidateResp(c *nicrt.Core, m *wire.ValidateResp) {
@@ -612,7 +705,7 @@ func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
 		n.recordCommit(t, nil)
 		n.finishTxn(c, t, wire.StatusOK)
 		n.closeTxn(t, wire.StatusOK)
-		delete(n.ctxns, t.id)
+		n.dropCtxn(t)
 		return
 	}
 	n.logPhase(c, t)
@@ -633,7 +726,10 @@ func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 	if mutUnlockBeforeLog {
 		n.mutReleaseLocks(c, t)
 	}
-	byShard := groupByShard(n.place(), t.writes)
+	// Grouped once for both fan-outs: committed() sends the same per-shard
+	// slices to the primaries that go to the backups here.
+	t.byShard = groupByShard(n.place(), t.writes)
+	byShard := t.byShard
 	t.pending = 0
 	for _, sw := range byShard {
 		t.pending += len(n.cl.viewBackups(sw.shard))
@@ -646,8 +742,7 @@ func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 	for _, sw := range byShard {
 		for _, b := range n.cl.viewBackups(sw.shard) {
 			if b == n.id {
-				sw := sw
-				n.appendLog(c, recBackup, t.id, sw.shard, sw.writes, func(uint64) {
+				n.appendLogTS(c, recBackup, t.id, sw.shard, sw.writes, 0, nil, func(uint64) {
 					n.coordLogPart(c, t)
 				})
 				continue
@@ -692,16 +787,35 @@ func (n *Node) coordLogPart(c *nicrt.Core, t *ctxn) {
 // records that the commit point was reached, so they apply the records
 // (and recovery can tell decided records from undecided ones).
 func (n *Node) notifyLogCommits(c *nicrt.Core, txn uint64, writes []wire.KV, cts uint64) {
-	for _, sw := range groupByShard(n.place(), writes) {
-		for _, b := range n.cl.viewBackups(sw.shard) {
+	var buf [8]int
+	for _, shard := range writeShards(n.place(), writes, buf[:0]) {
+		for _, b := range n.cl.viewBackups(shard) {
 			if b == n.id {
-				n.log.markCommitted(txn, sw.shard, cts)
+				n.log.markCommitted(txn, shard, cts)
 				n.wakeWorkers()
 				continue
 			}
 			c.Send(b, &wire.LogCommit{
 				Header: wire.Header{TxnID: txn, Src: uint8(n.id)},
-				Shard:  uint8(sw.shard), CTS: cts,
+				Shard:  uint8(shard), CTS: cts,
+			})
+		}
+	}
+}
+
+// announceAbort tells every replica that may hold undecided log records of
+// txn's writes to drop them: the transaction never reached its commit point.
+func (n *Node) announceAbort(c *nicrt.Core, txn uint64, writes []wire.KV) {
+	var buf [8]int
+	for _, shard := range writeShards(n.place(), writes, buf[:0]) {
+		for _, b := range n.cl.replicasOf(shard) {
+			if b == n.id {
+				n.log.drop(txn, shard)
+				continue
+			}
+			c.Send(b, &wire.RecoveryDecide{
+				Header: wire.Header{TxnID: txn, Src: uint8(n.id)},
+				Shard:  uint8(shard), Commit: false,
 			})
 		}
 	}
@@ -730,13 +844,12 @@ func (n *Node) committed(c *nicrt.Core, t *ctxn) {
 	n.finishTxn(c, t, wire.StatusOK)
 	n.notifyLogCommits(c, t.id, t.writes, t.cts)
 	n.setPhase(t, phCommit)
-	byShard := groupByShard(n.place(), t.writes)
+	byShard := t.byShard // grouped in logPhase
 	t.pending = len(byShard)
 	for _, sw := range byShard {
 		dst := n.primaryNode(sw.shard)
 		if dst == n.id {
-			unlock := t.locked[sw.shard]
-			n.commitShard(c, sw.shard, t.id, sw.writes, unlock, t.cts, func() {
+			n.commitShard(c, sw.shard, t.id, sw.writes, t.lockedOn(sw.shard), t.cts, func() {
 				n.coordCommitPart(c, t)
 			})
 			continue
@@ -765,34 +878,25 @@ func (n *Node) coordCommitPart(c *nicrt.Core, t *ctxn) {
 		return
 	}
 	n.closeTxn(t, wire.StatusOK)
-	delete(n.ctxns, t.id)
+	n.dropCtxn(t)
 }
 
 // abortTxn releases all locks and reports the abort to the host.
 func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 	n.snapClose(t) // snapshot reads hold no locks, only the GC refcount
-	var shards []int
-	for s := range t.locked {
-		shards = append(shards, s)
-	}
-	sortInts(shards)
-	for _, s := range shards {
-		keys := t.locked[s]
-		if len(keys) == 0 {
-			continue
-		}
-		dst := n.primaryNode(s)
+	for _, ls := range t.locked {
+		dst := n.primaryNode(ls.shard)
 		if dst == n.id {
-			n.chargeIndexOps(c, len(keys))
-			idx := n.prim(s).index
-			for _, k := range keys {
+			n.chargeIndexOps(c, len(ls.keys))
+			idx := n.prim(ls.shard).index
+			for _, k := range ls.keys {
 				idx.Unlock(k, t.id)
 			}
 			continue
 		}
 		c.Send(dst, &wire.Abort{
 			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			LockedKeys: keys,
+			LockedKeys: ls.keys,
 		})
 	}
 	if t.phase == phLog {
@@ -801,24 +905,13 @@ func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 		// like notifyLogCommits announces commits: without it a backup
 		// promoted to primary parks the record in pendingDecide and keeps
 		// the write set locked waiting for a decision that never comes.
-		for _, sw := range groupByShard(n.place(), t.writes) {
-			for _, b := range n.cl.replicasOf(sw.shard) {
-				if b == n.id {
-					n.log.drop(t.id, sw.shard)
-					continue
-				}
-				c.Send(b, &wire.RecoveryDecide{
-					Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-					Shard:  uint8(sw.shard), Commit: false,
-				})
-			}
-		}
+		n.announceAbort(c, t.id, t.writes)
 	}
 	n.recordAbort(t, t.failed)
 	n.traceAbort(t)
 	n.finishTxn(c, t, t.failed)
 	n.closeTxn(t, t.failed)
-	delete(n.ctxns, t.id)
+	n.dropCtxn(t)
 }
 
 // --- coordinator watchdog (fault runs) ---
@@ -920,24 +1013,17 @@ func (n *Node) shipTxn(c *nicrt.Core, t *ctxn, dst int) {
 
 	// Lock-all on local keys (reads too: the shipped path skips
 	// validation). B+tree blind keys were already locked in coordStart.
-	already := map[uint64]bool{}
-	for _, ks := range t.locked {
-		for _, k := range ks {
-			already[k] = true
-		}
-	}
-	var localKeys []uint64
-	seen := map[uint64]bool{}
-	for _, k := range append(append([]uint64{}, t.desc.ReadKeys...), t.desc.WriteKeys()...) {
-		s := n.place().ShardOf(k)
-		if n.primaryNode(s) == n.id && !seen[k] {
-			seen[k] = true
+	localKeys := t.localLocks[:0]
+	for i := 0; i < t.desc.NumKeys(); i++ {
+		k := t.desc.Key(i)
+		if n.primaryNode(n.place().ShardOf(k)) == n.id && !slices.Contains(localKeys, k) {
 			localKeys = append(localKeys, k)
 		}
 	}
+	t.localLocks = localKeys
 	n.chargeIndexOps(c, len(localKeys))
 	for _, k := range localKeys {
-		if already[k] {
+		if n.keyLocked(t, k) {
 			continue
 		}
 		s := n.place().ShardOf(k)
@@ -951,51 +1037,64 @@ func (n *Node) shipTxn(c *nicrt.Core, t *ctxn, dst int) {
 			n.abortTxn(c, t)
 			return
 		}
-		t.locked[s] = append(t.locked[s], k)
+		t.addLocks(s, k)
 	}
-	t.localLocks = localKeys
 
 	// Read local values, then ship. B+tree keys' versions are already in
 	// t.reads (observed at the host); hash keys resolve via the index.
 	localReads := make([]wire.KV, len(localKeys))
-	pending := 0
-	send := func() {
-		c.Send(dst, &wire.ShipExec{
-			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			FnID:       t.desc.FnID,
-			Coord:      uint8(n.id),
-			ReadKeys:   t.desc.ReadKeys,
-			WriteKeys:  t.desc.WriteKeys(),
-			WriteSet:   t.desc.BlindWrites,
-			ExecState:  t.desc.State,
-			LocalReads: localReads,
-		})
-	}
-	var hashIdx []int
+	t.pending = 0
 	for i, k := range localKeys {
 		if n.place().IsBTree(k) {
-			localReads[i] = t.reads[k]
+			localReads[i], _ = t.read(k)
 		} else {
-			hashIdx = append(hashIdx, i)
+			t.pending++
 		}
 	}
-	pending = len(hashIdx)
-	if pending == 0 {
-		send()
+	if t.pending == 0 {
+		n.sendShip(c, t, localReads)
 		return
 	}
-	for _, i := range hashIdx {
-		i, k := i, localKeys[i]
+	for i, k := range localKeys {
+		if n.place().IsBTree(k) {
+			continue
+		}
 		s := n.place().ShardOf(k)
-		n.lookupAsync(c, s, k, func(res nicindex.Result) {
-			localReads[i] = wire.KV{Key: k, Version: res.Version, Value: res.Value}
-			t.reads[k] = localReads[i]
-			pending--
-			if pending == 0 && !t.dead {
-				send()
-			}
+		res, hit := n.lookupStart(c, s, k)
+		if hit {
+			n.shipLocalRead(c, t, localReads, i, res)
+			continue
+		}
+		n.lookupFinish(c, s, k, res, func(res nicindex.Result) {
+			n.shipLocalRead(c, t, localReads, i, res)
 		})
 	}
+}
+
+// shipLocalRead lands one local hash key's value for a shipped transaction
+// and ships once the last is in.
+func (n *Node) shipLocalRead(c *nicrt.Core, t *ctxn, localReads []wire.KV, i int, res nicindex.Result) {
+	kv := wire.KV{Key: t.localLocks[i], Version: res.Version, Value: res.Value}
+	localReads[i] = kv
+	t.setRead(kv)
+	t.pending--
+	if t.pending == 0 && !t.dead {
+		n.sendShip(c, t, localReads)
+	}
+}
+
+// sendShip ships t's execution to the remote primary it targets.
+func (n *Node) sendShip(c *nicrt.Core, t *ctxn, localReads []wire.KV) {
+	c.Send(t.shipTo, &wire.ShipExec{
+		Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
+		FnID:       t.desc.FnID,
+		Coord:      uint8(n.id),
+		ReadKeys:   t.desc.ReadKeys,
+		WriteKeys:  t.desc.AppendWriteKeys(make([]uint64, 0, t.desc.NumWriteKeys())),
+		WriteSet:   t.desc.BlindWrites,
+		ExecState:  t.desc.State,
+		LocalReads: localReads,
+	})
 }
 
 func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
@@ -1008,18 +1107,7 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 		// the shipped execution was in flight. Release the remote lock-all
 		// state and drop the backup records it fanned out.
 		c.Send(int(m.Src), &wire.Abort{Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)}})
-		for _, sw := range groupByShard(n.place(), m.Writes) {
-			for _, b := range n.cl.replicasOf(sw.shard) {
-				if b == n.id {
-					n.log.drop(m.TxnID, sw.shard)
-					continue
-				}
-				c.Send(b, &wire.RecoveryDecide{
-					Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-					Shard:  uint8(sw.shard), Commit: false,
-				})
-			}
-		}
+		n.announceAbort(c, m.TxnID, m.Writes)
 		return
 	}
 	if m.Status != wire.StatusOK {
@@ -1029,7 +1117,7 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 		n.traceAbort(t)
 		n.finishTxn(c, t, m.Status)
 		n.closeTxn(t, m.Status)
-		delete(n.ctxns, t.id)
+		n.dropCtxn(t)
 		return
 	}
 	t.gotResult = true
@@ -1040,19 +1128,14 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 
 // unlockLocalSet releases every locally-held lock of t, except on shards in
 // skip (whose locks a pending commitShard releases after durability).
-func (n *Node) unlockLocalSet(c *nicrt.Core, t *ctxn, skip map[int]bool) {
-	var shards []int
-	for s := range t.locked {
-		shards = append(shards, s)
-	}
-	sortInts(shards)
-	for _, s := range shards {
-		if skip[s] || n.primaryNode(s) != n.id {
+func (n *Node) unlockLocalSet(c *nicrt.Core, t *ctxn, skip []int) {
+	for _, ls := range t.locked {
+		if slices.Contains(skip, ls.shard) || n.primaryNode(ls.shard) != n.id {
 			continue
 		}
-		idx := n.prim(s).index
-		n.chargeIndexOps(c, len(t.locked[s]))
-		for _, k := range t.locked[s] {
+		idx := n.prim(ls.shard).index
+		n.chargeIndexOps(c, len(ls.keys))
+		for _, k := range ls.keys {
 			idx.Unlock(k, t.id)
 		}
 	}
@@ -1066,7 +1149,7 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 		return
 	}
 	for _, kv := range t.shipped.ReadSet {
-		t.reads[kv.Key] = kv
+		t.setRead(kv)
 	}
 	t.nicExec = true // results return with TxnDone
 	t.cts = n.assignCTS(t.id, t.shipped.Writes)
@@ -1076,15 +1159,17 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 
 	byShard := groupByShard(n.place(), t.shipped.Writes)
 	n.setPhase(t, phCommit)
-	t.pending = 0
-	localWriteShards := map[int]bool{}
+	// Counted before the first commit is issued, so a local one that
+	// completes inline (blocking DMA) cannot close t while the loop runs.
+	t.pending = len(byShard)
+	var buf [8]int
+	localWriteShards := buf[:0]
 	remoteCovered := false
 	for _, sw := range byShard {
 		dst := n.primaryNode(sw.shard)
-		t.pending++
 		if dst == n.id {
-			localWriteShards[sw.shard] = true
-			n.commitShard(c, sw.shard, t.id, sw.writes, t.locked[sw.shard], t.cts, func() {
+			localWriteShards = append(localWriteShards, sw.shard)
+			n.commitShard(c, sw.shard, t.id, sw.writes, t.lockedOn(sw.shard), t.cts, func() {
 				n.coordCommitPart(c, t)
 			})
 			continue
@@ -1111,9 +1196,9 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 		// release them explicitly.
 		c.Send(t.shipTo, &wire.Abort{Header: wire.Header{TxnID: t.id, Src: uint8(n.id)}})
 	}
-	if t.pending == 0 {
+	if len(byShard) == 0 {
 		n.closeTxn(t, wire.StatusOK)
-		delete(n.ctxns, t.id)
+		n.dropCtxn(t)
 	}
 }
 
@@ -1123,45 +1208,32 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 // write set in the NIC index, validate the host-observed versions, then
 // replicate and commit without any further host round trips.
 func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
-	t := &ctxn{
-		id:     m.TxnID,
-		desc:   &txnmodel.TxnDesc{},
-		reads:  map[uint64]wire.KV{},
-		locked: map[int][]uint64{},
-	}
+	t := n.grabCtxn(m.TxnID)
 	n.ctxns[t.id] = t
 	n.openTxn(t)
 	if n.cl.History() != nil {
 		// The request carries the versions the host fast path observed; stash
 		// them as the transaction's read set so its history record is
-		// complete. Recording only — versionBasis is never consulted on this
-		// path, so behavior is unchanged.
+		// complete. Recording only — the version basis is never consulted on
+		// this path, so behavior is unchanged.
 		for _, rv := range m.LocalReadVers {
-			t.reads[rv.Key] = wire.KV{Key: rv.Key, Version: rv.Version}
+			t.setRead(wire.KV{Key: rv.Key, Version: rv.Version})
 		}
 		for _, kv := range m.WriteSet {
-			t.reads[kv.Key] = wire.KV{Key: kv.Key, Version: kv.Version}
+			t.setRead(wire.KV{Key: kv.Key, Version: kv.Version})
 		}
-	}
-
-	abort := func(st wire.Status) {
-		t.failed = st
-		n.abortTxn(c, t)
 	}
 
 	// Lock write keys.
 	n.chargeIndexOps(c, len(m.WriteSet))
 	for _, kv := range m.WriteSet {
 		s := n.place().ShardOf(kv.Key)
-		if !n.serving(s) {
-			abort(wire.StatusAbortLocked)
+		if !n.serving(s) || !n.prim(s).index.TryLock(kv.Key, t.id) {
+			t.failed = wire.StatusAbortLocked
+			n.abortTxn(c, t)
 			return
 		}
-		if !n.prim(s).index.TryLock(kv.Key, t.id) {
-			abort(wire.StatusAbortLocked)
-			return
-		}
-		t.locked[s] = append(t.locked[s], kv.Key)
+		t.addLocks(s, kv.Key)
 	}
 
 	// Validate: the NIC index is authoritative for versions it knows
@@ -1169,72 +1241,88 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	// tracks are re-read from the authoritative host store. The versions
 	// the host observed are from submit time and may predate a commit that
 	// has been applied since — trusting them unchecked loses updates.
-	failed := wire.StatusOK
-	fail := func(st wire.Status) {
-		if failed == wire.StatusOK {
-			failed = st
-		}
+	// t.checkFailed keeps the first failure; t.pending counts the re-reads.
+	t.pending = 1
+	n.chargeIndexOps(c, len(m.LocalReadVers)+len(m.WriteSet))
+	for _, rv := range m.LocalReadVers {
+		n.localCheck(c, t, m, rv.Key, rv.Version)
 	}
-	pending := 1
-	finish := func() {
-		pending--
-		if pending != 0 || t.dead {
-			return
-		}
-		if failed != wire.StatusOK {
-			abort(failed)
-			return
-		}
-		writes := make([]wire.KV, len(m.WriteSet))
-		for i, kv := range m.WriteSet {
-			writes[i] = wire.KV{Key: kv.Key, Version: kv.Version + 1, Value: kv.Value}
-		}
-		t.writes = writes
-		n.logPhase(c, t)
+	for _, kv := range m.WriteSet {
+		n.localCheck(c, t, m, kv.Key, kv.Version)
 	}
-	check := func(key uint64, ver uint64) {
-		s := n.place().ShardOf(key)
-		idx := n.prim(s).index
-		if idx.IsLocked(key, t.id) {
-			fail(wire.StatusAbortVersion)
-			return
+	n.localChecked(c, t, m)
+}
+
+// localFail records the first validation failure of a local commit.
+func localFail(t *ctxn, st wire.Status) {
+	if t.checkFailed == wire.StatusOK {
+		t.checkFailed = st
+	}
+}
+
+// localCheck validates one host-observed (key, version) of a local commit.
+func (n *Node) localCheck(c *nicrt.Core, t *ctxn, m *wire.TxnRequest, key, ver uint64) {
+	s := n.place().ShardOf(key)
+	idx := n.prim(s).index
+	if idx.IsLocked(key, t.id) {
+		localFail(t, wire.StatusAbortVersion)
+		return
+	}
+	if v, known := idx.VersionOf(key); known {
+		if v != ver {
+			localFail(t, wire.StatusAbortVersion)
 		}
-		if v, known := idx.VersionOf(key); known {
-			if v != ver {
-				fail(wire.StatusAbortVersion)
-			}
-			return
-		}
-		pending++
-		if n.place().IsBTree(key) {
-			c.DMARead([]int{btreeVerifyBytes}, func() {
-				if t.dead {
-					return
-				}
-				_, v, ok := n.prim(s).data.Read(key)
-				if ok && v != ver || !ok && ver != 0 {
-					fail(wire.StatusAbortVersion)
-				}
-				finish()
-			})
-			return
-		}
-		n.lookupAsync(c, s, key, func(res nicindex.Result) {
+		return
+	}
+	t.pending++
+	if n.place().IsBTree(key) {
+		c.DMARead(btreeVerifyBytes, func() {
 			if t.dead {
 				return
 			}
-			if res.Version != ver {
-				fail(wire.StatusAbortVersion)
+			_, v, ok := n.prim(s).data.Read(key)
+			if ok && v != ver || !ok && ver != 0 {
+				localFail(t, wire.StatusAbortVersion)
 			}
-			finish()
+			n.localChecked(c, t, m)
 		})
+		return
 	}
-	n.chargeIndexOps(c, len(m.LocalReadVers)+len(m.WriteSet))
-	for _, rv := range m.LocalReadVers {
-		check(rv.Key, rv.Version)
+	res, hit := n.lookupStart(c, s, key)
+	if hit {
+		if res.Version != ver {
+			localFail(t, wire.StatusAbortVersion)
+		}
+		n.localChecked(c, t, m)
+		return
 	}
-	for _, kv := range m.WriteSet {
-		check(kv.Key, kv.Version)
+	n.lookupFinish(c, s, key, res, func(res nicindex.Result) {
+		if t.dead {
+			return
+		}
+		if res.Version != ver {
+			localFail(t, wire.StatusAbortVersion)
+		}
+		n.localChecked(c, t, m)
+	})
+}
+
+// localChecked retires one unit of a local commit's validation; after the
+// last it aborts, or versions the write set and replicates it.
+func (n *Node) localChecked(c *nicrt.Core, t *ctxn, m *wire.TxnRequest) {
+	t.pending--
+	if t.pending != 0 || t.dead {
+		return
 	}
-	finish()
+	if t.checkFailed != wire.StatusOK {
+		t.failed = t.checkFailed
+		n.abortTxn(c, t)
+		return
+	}
+	writes := make([]wire.KV, len(m.WriteSet))
+	for i, kv := range m.WriteSet {
+		writes[i] = wire.KV{Key: kv.Key, Version: kv.Version + 1, Value: kv.Value}
+	}
+	t.writes = writes
+	n.logPhase(c, t)
 }

@@ -32,7 +32,7 @@ func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
 		Status:     wire.StatusOK,
 		Start:      t.openedAt,
 		End:        n.cl.Engine().Now(),
-		Reads:      check.Reads(t.reads),
+		Reads:      readVers(t),
 		Writes:     check.Writes(writes),
 		Shipped:    t.phase == phShipped,
 		ShipTo:     t.shipTo,
@@ -40,6 +40,15 @@ func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
 		SnapshotTS: t.snapTS,
 		CommitTS:   t.cts,
 	})
+}
+
+// readVers canonicalizes t's accumulated reads for a history record.
+func readVers(t *ctxn) []wire.KeyVer {
+	kvs := make([]wire.KeyVer, len(t.reads))
+	for i, kv := range t.reads {
+		kvs[i] = wire.KeyVer{Key: kv.Key, Version: kv.Version}
+	}
+	return check.KeyVers(kvs)
 }
 
 // recordSnapLocal appends a snapshot read-only transaction decided entirely
@@ -77,7 +86,7 @@ func (n *Node) recordAbort(t *ctxn, st wire.Status) {
 		Status: st,
 		Start:  t.openedAt,
 		End:    n.cl.Engine().Now(),
-		Reads:  check.Reads(t.reads),
+		Reads:  readVers(t),
 	})
 }
 

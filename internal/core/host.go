@@ -61,8 +61,8 @@ func (n *Node) allLocal(d *txnmodel.TxnDesc) bool {
 			return false
 		}
 	}
-	for _, k := range d.WriteKeys() {
-		if n.primaryNode(n.place().ShardOf(k)) != n.id {
+	for i := 0; i < d.NumWriteKeys(); i++ {
+		if n.primaryNode(n.place().ShardOf(d.WriteKey(i))) != n.id {
 			return false
 		}
 	}
@@ -165,7 +165,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			res := fn.Run(d.State, reads)
 			if res.Abort {
 				n.recordHostLocal(tx, wire.StatusAbortMissing, nil, t.Now())
-				n.app.Complete(t, tx, wire.StatusAbortMissing)
+				n.complete(t, tx, wire.StatusAbortMissing)
 				return
 			}
 			if len(res.MoreReads) == 0 {
@@ -215,7 +215,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			}
 		}
 		n.recordHostLocal(tx, wire.StatusOK, readVers, t.Now())
-		n.app.Complete(t, tx, wire.StatusOK)
+		n.complete(t, tx, wire.StatusOK)
 		return
 	}
 
@@ -276,7 +276,7 @@ func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	}
 	n.stats.SnapCommitted++
 	n.recordSnapLocal(tx, S, reads, t.Now())
-	n.app.Complete(t, tx, wire.StatusOK)
+	n.complete(t, tx, wire.StatusOK)
 }
 
 // readLocal reads a key from one of this node's primary replicas, charging
@@ -318,6 +318,16 @@ func (n *Node) hostExec(t *hostrt.Thread, m *wire.ReadReturn) {
 	})
 }
 
+// complete reports tx's final outcome to the application side and recycles
+// its header: past Complete nothing holds tx — the host paths keep no
+// per-transaction closures and find transactions by id — so the next
+// transaction any application thread begins may reuse it.
+func (n *Node) complete(t *hostrt.Thread, tx *chassis.Txn, st wire.Status) {
+	n.app.Complete(t, tx, st)
+	*tx = chassis.Txn{}
+	n.cl.txFree.put(tx)
+}
+
 // hostDone handles a transaction outcome.
 func (n *Node) hostDone(t *hostrt.Thread, m *wire.TxnDone) {
 	tx := n.app.Lookup(m.TxnID)
@@ -325,7 +335,7 @@ func (n *Node) hostDone(t *hostrt.Thread, m *wire.TxnDone) {
 		return
 	}
 	if m.Status == wire.StatusOK {
-		n.app.Complete(t, tx, wire.StatusOK)
+		n.complete(t, tx, wire.StatusOK)
 		return
 	}
 	n.app.Retry(t, tx, m.Status)

@@ -42,28 +42,19 @@ var (
 // (whose handler uses the tolerant UnlockIf, as does the later COMMIT).
 // t.locked is cleared so the commit fan-out does not unlock again.
 func (n *Node) mutReleaseLocks(c *nicrt.Core, t *ctxn) {
-	var shards []int
-	for s := range t.locked {
-		shards = append(shards, s)
-	}
-	sortInts(shards)
-	for _, s := range shards {
-		keys := t.locked[s]
-		if len(keys) == 0 {
-			continue
-		}
-		dst := n.primaryNode(s)
+	for _, ls := range t.locked {
+		dst := n.primaryNode(ls.shard)
 		if dst == n.id {
-			idx := n.prim(s).index
-			for _, k := range keys {
+			idx := n.prim(ls.shard).index
+			for _, k := range ls.keys {
 				idx.Unlock(k, t.id)
 			}
 			continue
 		}
 		c.Send(dst, &wire.Abort{
 			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			LockedKeys: keys,
+			LockedKeys: ls.keys,
 		})
 	}
-	t.locked = map[int][]uint64{}
+	t.locked = nil
 }

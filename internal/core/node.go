@@ -59,7 +59,15 @@ type Node struct {
 	pins    map[uint64][]uint64 // commit-record seq -> (shard, pinned keys)
 	pinIdx  map[uint64]*nicindex.Index
 
-	ctxns       map[uint64]*ctxn    // coordinator-side NIC transaction state
+	ctxns map[uint64]*ctxn // coordinator-side NIC transaction state
+	// Freelists of the per-transaction and per-operation records the NIC
+	// handlers cycle through (DESIGN.md "Hot-path memory discipline"); each
+	// has a single release point, named on its type.
+	ctxnFree    freelist[ctxn]
+	execFans    freelist[execFan]
+	valFans     freelist[valFan]
+	shipFans    freelist[shipFan]
+	logAppends  freelist[logAppend]
 	remoteLocks map[uint64][]uint64 // shipped txns' lock sets held here as remote primary
 	app         *chassis.Node       // application threads: load, retries, outcome counters
 
@@ -86,6 +94,28 @@ type Node struct {
 	fwd   map[int]*xferSession
 	stats Stats
 }
+
+// freelist is a LIFO of recycled records owned by one node or its cluster.
+// A cluster runs on one goroutine and clusters share nothing, so it needs no
+// lock; unlike sync.Pool the collector never empties it, which keeps
+// allocation counts — like everything else in a run — a function of the seed
+// alone.
+type freelist[T any] struct{ free []*T }
+
+// get pops a recycled record, or allocates a zero one.
+func (l *freelist[T]) get() *T {
+	k := len(l.free)
+	if k == 0 {
+		return new(T)
+	}
+	x := l.free[k-1]
+	l.free[k-1] = nil
+	l.free = l.free[:k-1]
+	return x
+}
+
+// put makes x available to the next get.
+func (l *freelist[T]) put(x *T) { l.free = append(l.free, x) }
 
 // faulty reports whether this cluster runs with fault injection; hardening
 // paths (watchdogs, duplicate suppression, dead-peer gating) gate on it so

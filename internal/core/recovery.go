@@ -183,7 +183,7 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// state); commits destined for the dead node are recovered
 			// from the backups' logs. Just drop the state.
 			n.closeTxn(t, wire.StatusOK)
-			delete(n.ctxns, t.id)
+			n.dropCtxn(t)
 			continue
 		}
 		if t.failed == wire.StatusOK {
@@ -193,20 +193,11 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// Release any lock-all state at the remote primary.
 			c.Send(t.shipTo, &wire.Abort{Header: wire.Header{TxnID: t.id, Src: uint8(n.id)}})
 		}
-		var shards []int
-		for s := range t.locked {
-			shards = append(shards, s)
-		}
-		sortInts(shards)
-		for _, s := range shards {
-			keys := t.locked[s]
-			if len(keys) == 0 {
-				continue
-			}
-			dst := n.primaryNode(s)
+		for _, ls := range t.locked {
+			dst := n.primaryNode(ls.shard)
 			if dst == n.id {
-				if p := n.prim(s); p != nil {
-					for _, k := range keys {
+				if p := n.prim(ls.shard); p != nil {
+					for _, k := range ls.keys {
 						p.index.UnlockIf(k, t.id)
 					}
 				}
@@ -215,7 +206,7 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			if v.Alive[dst] {
 				c.Send(dst, &wire.Abort{
 					Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-					LockedKeys: keys,
+					LockedKeys: ls.keys,
 				})
 			}
 		}
@@ -233,8 +224,8 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// shipTo — so drop from it. The transaction cannot have reached
 			// its commit point: only this coordinator commits it, and it is
 			// aborting instead.
-			for _, k := range t.desc.WriteKeys() {
-				dropWrites = append(dropWrites, wire.KV{Key: k})
+			for i := 0; i < t.desc.NumWriteKeys(); i++ {
+				dropWrites = append(dropWrites, wire.KV{Key: t.desc.WriteKey(i)})
 			}
 		}
 		if t.phase == phLog || (t.phase == phShipped && len(dropWrites) > 0) {
@@ -242,24 +233,13 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// tell every surviving replica — including a freshly promoted
 			// primary that held them as a backup — to drop (the
 			// transaction never reached its commit point).
-			for _, sw := range groupByShard(n.place(), dropWrites) {
-				for _, b := range n.cl.replicasOf(sw.shard) {
-					if b == n.id {
-						n.log.drop(t.id, sw.shard)
-						continue
-					}
-					c.Send(b, &wire.RecoveryDecide{
-						Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-						Shard:  uint8(sw.shard), Commit: false,
-					})
-				}
-			}
+			n.announceAbort(c, t.id, dropWrites)
 		}
 		n.recordAbort(t, t.failed)
 		n.traceAbort(t)
 		n.finishTxn(c, t, t.failed)
 		n.closeTxn(t, t.failed)
-		delete(n.ctxns, t.id)
+		n.dropCtxn(t)
 	}
 	// Shipped transactions from dead coordinators may hold lock-all state
 	// here; their owners are swept below via the orphan-lock path, so also

@@ -260,7 +260,7 @@ func (n *Node) handleStatePull(c *nicrt.Core, src int, m *wire.StatePull) {
 	}
 	// One gathered DMA read pulls the chunk's rows from host memory before
 	// the NIC ships them.
-	c.DMARead([]int{bytes}, func() { c.Send(src, resp) })
+	c.DMARead(bytes, func() { c.Send(src, resp) })
 }
 
 // handleStateChunk applies one snapshot chunk at the rejoiner and pulls the

@@ -18,12 +18,25 @@ import (
 // promotions, and a freshly adopted shard rejects work until its log scan
 // completes (§4.2.1).
 
-// lookupAsync resolves key through shard's NIC index; cache hits complete
-// inline, misses chain the lookup's (dependent) DMA reads and call done
-// from a later polling-loop iteration.
-func (n *Node) lookupAsync(c *nicrt.Core, shard int, key uint64, done func(res nicindex.Result)) {
-	p := n.prim(shard)
+// lookupStart resolves key through shard's NIC index: it charges the index
+// operation and consults the NIC cache. hit reports that res is final;
+// otherwise the caller hands res to lookupFinish with its continuation, which
+// chains the lookup's (dependent) DMA reads. Two halves so that a caller's
+// cache-hit path needs no continuation closure at all.
+func (n *Node) lookupStart(c *nicrt.Core, shard int, key uint64) (res nicindex.Result, hit bool) {
 	n.chargeIndexOps(c, 1)
+	if n.place().IsBTree(key) {
+		return res, false
+	}
+	res = n.prim(shard).index.Lookup(key)
+	return res, len(res.Reads) == 0
+}
+
+// lookupFinish resolves a lookupStart miss by DMA and calls done from a
+// later polling-loop iteration.
+func (n *Node) lookupFinish(c *nicrt.Core, shard int, key uint64, res nicindex.Result,
+	done func(res nicindex.Result)) {
+
 	if n.place().IsBTree(key) {
 		// B+tree keys are normally resolved at their coordinator's host, but
 		// after a rejoin the stable-primary rule leaves the restarted node
@@ -33,7 +46,8 @@ func (n *Node) lookupAsync(c *nicrt.Core, shard int, key uint64, done func(res n
 		// a newer committed version than the host has applied (the commit
 		// record is still pinned), no consistent pair exists: report a
 		// conflict so the caller aborts and the coordinator retries.
-		c.DMARead([]int{btreeVerifyBytes}, func() {
+		p := n.prim(shard)
+		c.DMARead(btreeVerifyBytes, func() {
 			v, ver, ok := p.data.Read(key)
 			if iv, known := p.index.VersionOf(key); known && iv != ver {
 				done(nicindex.Result{Conflict: true})
@@ -41,11 +55,6 @@ func (n *Node) lookupAsync(c *nicrt.Core, shard int, key uint64, done func(res n
 			}
 			done(nicindex.Result{Found: ok, Version: ver, Value: v})
 		})
-		return
-	}
-	res := p.index.Lookup(key)
-	if len(res.Reads) == 0 {
-		done(res)
 		return
 	}
 	i := 0
@@ -57,7 +66,7 @@ func (n *Node) lookupAsync(c *nicrt.Core, shard int, key uint64, done func(res n
 		}
 		op := res.Reads[i]
 		i++
-		c.DMARead([]int{op.Bytes}, step)
+		c.DMARead(op.Bytes, step)
 	}
 	step()
 }
@@ -66,6 +75,54 @@ func (n *Node) lookupAsync(c *nicrt.Core, shard int, key uint64, done func(res n
 func (n *Node) serving(shard int) bool {
 	p := n.prim(shard)
 	return p != nil && p.ready
+}
+
+// execFan gathers the lookups of one EXECUTE operation. Records are pooled
+// per node: serverExecute takes one, and land returns it when the last
+// lookup is in — by then every continuation that held it has run.
+type execFan struct {
+	n        *Node
+	idx      *nicindex.Index
+	txn      uint64
+	locked   []uint64 // keys this request locked, released on failure
+	items    []wire.KV
+	pending  int
+	conflict bool
+	done     func(st wire.Status, items []wire.KV)
+}
+
+// land records the lookup result of key into slot i and, after the last,
+// reports the operation's outcome.
+func (f *execFan) land(i int, key uint64, res nicindex.Result) {
+	if res.Conflict {
+		f.conflict = true
+	}
+	f.items[i] = wire.KV{Key: key, Version: res.Version, Value: res.Value}
+	f.pending--
+	if f.pending > 0 {
+		return
+	}
+	idx, txn, locked, items, conflict, done := f.idx, f.txn, f.locked, f.items, f.conflict, f.done
+	n := f.n
+	*f = execFan{}
+	n.execFans.put(f)
+	if conflict {
+		execFail(idx, txn, locked, wire.StatusAbortLocked, done)
+		return
+	}
+	done(wire.StatusOK, items)
+}
+
+// execFail releases the locks a failing EXECUTE request took itself and
+// reports st (§4.2: reading a locked key or failing to lock aborts
+// immediately).
+func execFail(idx *nicindex.Index, txn uint64, locked []uint64, st wire.Status,
+	done func(st wire.Status, items []wire.KV)) {
+
+	for _, k := range locked {
+		idx.Unlock(k, txn)
+	}
+	done(st, nil)
 }
 
 // serverExecute performs the combined read+lock operation (§4.2 step 2) on
@@ -80,60 +137,49 @@ func (n *Node) serverExecute(c *nicrt.Core, shard int, txn uint64, readKeys, loc
 		return
 	}
 	idx := n.prim(shard).index
-	// Reading a locked key or failing to lock aborts immediately (§4.2):
-	// release this request's own locks on failure.
-	locked := make([]uint64, 0, len(lockKeys))
-	fail := func(st wire.Status) {
-		for _, k := range locked {
-			idx.Unlock(k, txn)
-		}
-		done(st, nil)
-	}
 	n.chargeIndexOps(c, len(lockKeys))
-	for _, k := range lockKeys {
+	for i, k := range lockKeys {
 		if !idx.TryLock(k, txn) {
-			fail(wire.StatusAbortLocked)
+			execFail(idx, txn, lockKeys[:i], wire.StatusAbortLocked, done)
 			return
 		}
-		locked = append(locked, k)
 	}
 	n.chargeIndexOps(c, len(readKeys))
 	for _, k := range readKeys {
 		if idx.IsLocked(k, txn) {
-			fail(wire.StatusAbortLocked)
+			execFail(idx, txn, lockKeys, wire.StatusAbortLocked, done)
 			return
 		}
 	}
 
-	// Resolve values and versions for every key (locked keys too: their
-	// current values feed read-modify-write execution).
-	all := make([]uint64, 0, len(readKeys)+len(lockKeys))
-	all = append(all, readKeys...)
-	all = append(all, lockKeys...)
-	items := make([]wire.KV, len(all))
-	pending := len(all)
-	if pending == 0 {
+	// Resolve values and versions for every key, reads then locks (locked
+	// keys too: their current values feed read-modify-write execution).
+	nkeys := len(readKeys) + len(lockKeys)
+	if nkeys == 0 {
 		done(wire.StatusOK, nil)
 		return
 	}
-	conflict := false
-	for i, k := range all {
-		i, k := i, k
-		n.lookupAsync(c, shard, k, func(res nicindex.Result) {
-			if res.Conflict {
-				conflict = true
-			}
-			items[i] = wire.KV{Key: k, Version: res.Version, Value: res.Value}
-			pending--
-			if pending == 0 {
-				if conflict {
-					fail(wire.StatusAbortLocked)
-					return
-				}
-				done(wire.StatusOK, items)
-			}
-		})
+	f := n.execFans.get()
+	f.n, f.idx, f.txn, f.locked, f.done = n, idx, txn, lockKeys, done
+	f.items = make([]wire.KV, nkeys)
+	f.pending = nkeys
+	for i := range f.items {
+		k := keyAt(readKeys, lockKeys, i)
+		res, hit := n.lookupStart(c, shard, k)
+		if hit {
+			f.land(i, k, res)
+			continue
+		}
+		n.lookupFinish(c, shard, k, res, func(res nicindex.Result) { f.land(i, k, res) })
 	}
+}
+
+// keyAt indexes the concatenation a ++ b.
+func keyAt(a, b []uint64, i int) uint64 {
+	if i < len(a) {
+		return a[i]
+	}
+	return b[i-len(a)]
 }
 
 // handleExecute serves a remote EXECUTE. All keys of one request belong to
@@ -161,6 +207,30 @@ func (n *Node) shardOfOp(keyLists ...[]uint64) int {
 	panic("core: operation with no keys")
 }
 
+// valFan gathers the checks of one VALIDATE operation; pooled like execFan.
+type valFan struct {
+	n       *Node
+	pending int
+	failed  wire.Status
+	done    func(st wire.Status)
+}
+
+// land retires one key's check with status st and, after the last, reports
+// the operation's outcome.
+func (f *valFan) land(st wire.Status) {
+	if st != wire.StatusOK {
+		f.failed = st
+	}
+	f.pending--
+	if f.pending > 0 {
+		return
+	}
+	n, failed, done := f.n, f.failed, f.done
+	*f = valFan{}
+	n.valFans.put(f)
+	done(failed)
+}
+
 // serverValidate checks that each key is unlocked (by others) and at its
 // expected version (§4.2 step 4).
 func (n *Node) serverValidate(c *nicrt.Core, shard int, txn uint64, items []wire.KeyVer,
@@ -172,39 +242,38 @@ func (n *Node) serverValidate(c *nicrt.Core, shard int, txn uint64, items []wire
 	}
 	idx := n.prim(shard).index
 	n.chargeIndexOps(c, len(items))
-	pending := len(items)
-	if pending == 0 {
+	if len(items) == 0 {
 		done(wire.StatusOK)
 		return
 	}
-	failed := wire.StatusOK
-	finish := func() {
-		pending--
-		if pending == 0 {
-			done(failed)
-		}
-	}
+	f := n.valFans.get()
+	f.n, f.pending, f.done = n, len(items), done
 	for _, it := range items {
-		it := it
 		if idx.IsLocked(it.Key, txn) {
-			failed = wire.StatusAbortLocked
-			finish()
+			f.land(wire.StatusAbortLocked)
 			continue
 		}
 		if v, known := idx.VersionOf(it.Key); known {
-			if v != it.Version {
-				failed = wire.StatusAbortVersion
-			}
-			finish()
+			f.land(versionStatus(v, it.Version))
 			continue
 		}
-		n.lookupAsync(c, shard, it.Key, func(res nicindex.Result) {
-			if res.Version != it.Version {
-				failed = wire.StatusAbortVersion
-			}
-			finish()
+		res, hit := n.lookupStart(c, shard, it.Key)
+		if hit {
+			f.land(versionStatus(res.Version, it.Version))
+			continue
+		}
+		n.lookupFinish(c, shard, it.Key, res, func(res nicindex.Result) {
+			f.land(versionStatus(res.Version, it.Version))
 		})
 	}
+}
+
+// versionStatus is a VALIDATE check's verdict on one key.
+func versionStatus(have, want uint64) wire.Status {
+	if have != want {
+		return wire.StatusAbortVersion
+	}
+	return wire.StatusOK
 }
 
 // handleValidate serves a remote VALIDATE.
@@ -218,18 +287,62 @@ func (n *Node) handleValidate(c *nicrt.Core, src int, m *wire.Validate) {
 	})
 }
 
-// appendLog DMA-writes a log record into this node's host-memory log and
-// calls done once the record is durable (§4.2 step 5).
-func (n *Node) appendLog(c *nicrt.Core, kind recordKind, txn uint64, shard int,
-	writes []wire.KV, done func(seq uint64)) {
-	n.appendLogTS(c, kind, txn, shard, writes, 0, nil, done)
+// logAppend is one log record on its way into host memory by DMA. Records
+// are pooled per node; run, the DMA continuation, is the single point one
+// returns to the freelist.
+type logAppend struct {
+	n      *Node
+	c      *nicrt.Core
+	kind   recordKind
+	txn    uint64
+	shard  int
+	writes []wire.KV
+	epoch  int
+	cts    uint64
+	kvTS   []uint64
+	// done, when non-nil, runs once the record is durable; otherwise the
+	// append acknowledges with a LogResp to node ackTo.
+	done  func(seq uint64)
+	ackTo int
+	fire  func() // run, bound when the record is first created
 }
 
-// appendLogTS is appendLog with MVCC metadata: cts stamps commit records
-// with their commit timestamp; kvTS carries per-KV snapshot bases for
-// state-transfer chunk records. Both zero-valued under MVCC-off.
+func (a *logAppend) run() {
+	n, c, txn, done, ackTo := a.n, a.c, a.txn, a.done, a.ackTo
+	seq := n.log.append(a.kind, txn, a.shard, a.writes, a.epoch, a.cts, a.kvTS)
+	*a = logAppend{fire: a.fire}
+	n.logAppends.put(a)
+	n.wakeWorkers()
+	if done != nil {
+		done(seq)
+		return
+	}
+	n.sendOrLoop(c, ackTo, &wire.LogResp{
+		Header: wire.Header{TxnID: txn, Src: uint8(n.id)},
+		Status: wire.StatusOK,
+	})
+}
+
+// appendLogAck appends a backup record and, once it is durable, acknowledges
+// to node ackTo with a LogResp (the coordinator — directly, even when the
+// request came from a shipped execution at another node, §4.2.3).
+func (n *Node) appendLogAck(c *nicrt.Core, txn uint64, shard int, writes []wire.KV, ackTo int) {
+	n.logRecord(c, recBackup, txn, shard, writes, 0, nil, nil, ackTo)
+}
+
+// appendLogTS DMA-writes a log record into this node's host-memory log and
+// calls done once the record is durable (§4.2 step 5). cts stamps commit
+// records with their MVCC commit timestamp; kvTS carries per-KV snapshot
+// bases for state-transfer chunk records. Both zero-valued under MVCC-off.
 func (n *Node) appendLogTS(c *nicrt.Core, kind recordKind, txn uint64, shard int,
 	writes []wire.KV, cts uint64, kvTS []uint64, done func(seq uint64)) {
+	n.logRecord(c, kind, txn, shard, writes, cts, kvTS, done, 0)
+}
+
+// logRecord DMA-writes one log record; its completion is done or, with a
+// nil done, a LogResp to node ackTo.
+func (n *Node) logRecord(c *nicrt.Core, kind recordKind, txn uint64, shard int,
+	writes []wire.KV, cts uint64, kvTS []uint64, done func(seq uint64), ackTo int) {
 
 	// Stamp the record with its origin epoch — the frame's when handling a
 	// remote Log, else this node's own — before the DMA completes (the
@@ -239,27 +352,22 @@ func (n *Node) appendLogTS(c *nicrt.Core, kind recordKind, txn uint64, shard int
 	if epoch == 0 {
 		epoch = n.nic.Epoch()
 	}
-	c.DMAWrite([]int{recordBytes(writes)}, func() {
-		seq := n.log.append(kind, txn, shard, writes, epoch, cts, kvTS)
-		n.wakeWorkers()
-		done(seq)
-	})
+	a := n.logAppends.get()
+	if a.fire == nil {
+		a.fire = a.run
+	}
+	a.n, a.c, a.kind, a.txn, a.shard, a.writes = n, c, kind, txn, shard, writes
+	a.epoch, a.cts, a.kvTS, a.done, a.ackTo = epoch, cts, kvTS, done, ackTo
+	c.DMAWrite(recordBytes(writes), a.fire)
 }
 
-// handleLog serves a backup LOG request, acknowledging to RespondTo (the
-// coordinator — directly, even when the request came from a shipped
-// execution at another node, §4.2.3).
+// handleLog serves a backup LOG request.
 func (n *Node) handleLog(c *nicrt.Core, src int, m *wire.Log) {
 	shard := n.place().ShardOf(m.Writes[0].Key)
 	if _, ok := n.backups[shard]; !ok {
 		panic(fmt.Sprintf("core: node %d got LOG for shard %d it does not back up", n.id, shard))
 	}
-	n.appendLog(c, recBackup, m.TxnID, shard, m.Writes, func(uint64) {
-		n.sendOrLoop(c, int(m.RespondTo), &wire.LogResp{
-			Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-			Status: wire.StatusOK,
-		})
-	})
+	n.appendLogAck(c, m.TxnID, shard, m.Writes, int(m.RespondTo))
 }
 
 // commitShard applies a committed write set at this (primary) node: the
@@ -363,168 +471,180 @@ func (n *Node) handleAbort(c *nicrt.Core, m *wire.Abort) {
 // values, run the execution function, fan out LOG requests for all write
 // shards with acks directed at the coordinator, and return the result.
 func (n *Node) handleShipExec(c *nicrt.Core, src int, m *wire.ShipExec) {
-	coord := int(m.Coord)
-	fn, ok := n.cl.Registry().Get(m.FnID)
-	if !ok {
+	if _, ok := n.cl.Registry().Get(m.FnID); !ok {
 		panic(fmt.Sprintf("core: node %d: shipped unknown fn %d", n.id, m.FnID))
 	}
 
-	// Partition keys: this node's shards are resolved here; the rest
-	// arrived pre-read in LocalReads. After a promotion this node may
-	// serve several shards, so each key locks in its own shard's index.
-	local := map[uint64]wire.KV{}
-	for _, kv := range m.LocalReads {
-		local[kv.Key] = kv
-	}
-	var mine []uint64
-	seen := map[uint64]bool{}
-	for _, k := range append(append([]uint64{}, m.ReadKeys...), m.WriteKeys...) {
-		if _, pre := local[k]; !pre && !seen[k] {
-			seen[k] = true
-			mine = append(mine, k)
+	// Lay out the execution input: one slot per distinct key in (ReadKeys ++
+	// WriteKeys) order. Keys of other nodes arrived pre-read in LocalReads;
+	// the rest are this node's to lock and resolve. After a promotion this
+	// node may serve several shards, so each key locks in its own shard's
+	// index.
+	nkeys := len(m.ReadKeys) + len(m.WriteKeys)
+	reads := make([]wire.KV, 0, nkeys)
+	mine := make([]uint64, 0, nkeys)
+	for i := 0; i < nkeys; i++ {
+		k := keyAt(m.ReadKeys, m.WriteKeys, i)
+		if hasKey(reads, k) {
+			continue
 		}
-	}
-
-	failResp := func(st wire.Status, locked []uint64) {
-		n.chargeIndexOps(c, len(locked))
-		for _, k := range locked {
-			if p := n.prim(n.place().ShardOf(k)); p != nil {
-				p.index.UnlockIf(k, m.TxnID)
-			}
+		if kv, pre := lastKV(m.LocalReads, k); pre {
+			reads = append(reads, kv)
+			continue
 		}
-		c.Send(coord, &wire.ShipResult{
-			Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-			Status: st,
-		})
+		reads = append(reads, wire.KV{Key: k})
+		mine = append(mine, k)
 	}
 
 	for _, k := range mine {
 		if !n.serving(n.place().ShardOf(k)) {
-			failResp(wire.StatusAbortLocked, nil)
+			n.shipFail(c, m, wire.StatusAbortLocked, nil)
 			return
 		}
 	}
 
 	// Lock-all on this node's keys.
 	n.chargeIndexOps(c, len(mine))
-	var locked []uint64
-	for _, k := range mine {
+	for i, k := range mine {
 		if !n.prim(n.place().ShardOf(k)).index.TryLock(k, m.TxnID) {
-			failResp(wire.StatusAbortLocked, locked)
+			n.shipFail(c, m, wire.StatusAbortLocked, mine[:i])
 			return
 		}
-		locked = append(locked, k)
 	}
 
-	// Resolve this shard's values, then execute.
-	vals := map[uint64]wire.KV{}
-	pending := len(mine)
-	conflict := false
-	finish := func() {
-		if conflict {
-			failResp(wire.StatusAbortLocked, locked)
-			return
-		}
-		reads := assembleReads(m.ReadKeys, m.WriteKeys, func(k uint64) (wire.KV, bool) {
-			if kv, ok := local[k]; ok {
-				return kv, true
-			}
-			kv, ok := vals[k]
-			return kv, ok
-		})
-		c.Charge(n.cl.cfg.Params.HostScaled(fn.HostCost))
-		res := fn.Run(m.ExecState, reads)
-		if res.Abort {
-			failResp(wire.StatusAbortMissing, locked)
-			return
-		}
-		if len(res.MoreReads) > 0 {
-			panic("core: shipped execution requested another round (§4.2.3 requires single-round)")
-		}
-		writes := append(res.Writes, m.WriteSet...)
-		versionWrites(writes, reads)
-		n.recordShip(m.TxnID, coord, writes)
-		n.remoteLocks[m.TxnID] = locked
-
-		// Fan out LOG requests for every write shard's backups; acks flow
-		// to the coordinator (Figure 7b).
-		numLogs := 0
-		for _, sw := range groupByShard(n.place(), writes) {
-			shard, ws := sw.shard, sw.writes
-			for _, b := range n.cl.viewBackups(shard) {
-				numLogs++
-				if b == n.id {
-					ws := ws
-					n.appendLog(c, recBackup, m.TxnID, shard, ws, func(uint64) {
-						n.sendOrLoop(c, coord, &wire.LogResp{
-							Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-							Status: wire.StatusOK,
-						})
-					})
-					continue
-				}
-				n.sendOrLoop(c, b, &wire.Log{
-					Header:    wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-					RespondTo: uint8(coord),
-					Writes:    ws,
-				})
-			}
-		}
-		c.Send(coord, &wire.ShipResult{
-			Header:  wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-			Status:  wire.StatusOK,
-			NumLogs: uint8(numLogs),
-			ReadSet: reads,
-			Writes:  writes,
-		})
-	}
-	if pending == 0 {
-		finish()
+	// Resolve this node's values, then execute.
+	if len(mine) == 0 {
+		n.shipRun(c, m, mine, reads)
 		return
 	}
+	f := n.shipFans.get()
+	*f = shipFan{n: n, c: c, m: m, mine: mine, reads: reads, pending: len(mine)}
 	for _, k := range mine {
-		k := k
-		n.lookupAsync(c, n.place().ShardOf(k), k, func(res nicindex.Result) {
-			if res.Conflict {
-				conflict = true
-			}
-			vals[k] = wire.KV{Key: k, Version: res.Version, Value: res.Value}
-			pending--
-			if pending == 0 {
-				finish()
-			}
-		})
+		s := n.place().ShardOf(k)
+		res, hit := n.lookupStart(c, s, k)
+		if hit {
+			f.land(k, res)
+			continue
+		}
+		n.lookupFinish(c, s, k, res, func(res nicindex.Result) { f.land(k, res) })
 	}
 }
 
-// assembleReads builds the execution-function input: one KV per key in
-// (readKeys ++ writeKeys) order, deduplicated, missing keys zero-valued.
-func assembleReads(readKeys, writeKeys []uint64, get func(uint64) (wire.KV, bool)) []wire.KV {
-	seen := map[uint64]bool{}
-	var out []wire.KV
-	for _, k := range append(append([]uint64{}, readKeys...), writeKeys...) {
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		if kv, ok := get(k); ok {
-			out = append(out, kv)
-		} else {
-			out = append(out, wire.KV{Key: k})
+// shipFan gathers the lookups of one shipped execution; pooled like
+// execFan.
+type shipFan struct {
+	n        *Node
+	c        *nicrt.Core
+	m        *wire.ShipExec
+	mine     []uint64  // keys locked here
+	reads    []wire.KV // execution input, filled as lookups land
+	pending  int
+	conflict bool
+}
+
+// land records key's lookup result in its input slot and, after the last,
+// runs the execution.
+func (f *shipFan) land(key uint64, res nicindex.Result) {
+	if res.Conflict {
+		f.conflict = true
+	}
+	for i := range f.reads {
+		if f.reads[i].Key == key {
+			f.reads[i].Version, f.reads[i].Value = res.Version, res.Value
+			break
 		}
 	}
-	return out
+	f.pending--
+	if f.pending > 0 {
+		return
+	}
+	n, c, m, mine, reads, conflict := f.n, f.c, f.m, f.mine, f.reads, f.conflict
+	*f = shipFan{}
+	n.shipFans.put(f)
+	if conflict {
+		n.shipFail(c, m, wire.StatusAbortLocked, mine)
+		return
+	}
+	n.shipRun(c, m, mine, reads)
+}
+
+// shipFail releases the locks a failing shipped execution took here and
+// reports st to the coordinator.
+func (n *Node) shipFail(c *nicrt.Core, m *wire.ShipExec, st wire.Status, locked []uint64) {
+	n.chargeIndexOps(c, len(locked))
+	for _, k := range locked {
+		if p := n.prim(n.place().ShardOf(k)); p != nil {
+			p.index.UnlockIf(k, m.TxnID)
+		}
+	}
+	c.Send(int(m.Coord), &wire.ShipResult{
+		Header: wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
+		Status: st,
+	})
+}
+
+// shipRun executes a shipped transaction over its resolved input, fans out
+// the LOG requests and returns the result. locked is this node's lock set,
+// held until the coordinator's COMMIT or ABORT.
+func (n *Node) shipRun(c *nicrt.Core, m *wire.ShipExec, locked []uint64, reads []wire.KV) {
+	coord := int(m.Coord)
+	fn, _ := n.cl.Registry().Get(m.FnID)
+	c.Charge(n.cl.cfg.Params.HostScaled(fn.HostCost))
+	res := fn.Run(m.ExecState, reads)
+	if res.Abort {
+		n.shipFail(c, m, wire.StatusAbortMissing, locked)
+		return
+	}
+	if len(res.MoreReads) > 0 {
+		panic("core: shipped execution requested another round (§4.2.3 requires single-round)")
+	}
+	writes := append(res.Writes, m.WriteSet...)
+	versionWrites(writes, reads)
+	n.recordShip(m.TxnID, coord, writes)
+	n.remoteLocks[m.TxnID] = locked
+
+	// Fan out LOG requests for every write shard's backups; acks flow
+	// to the coordinator (Figure 7b).
+	numLogs := 0
+	for _, sw := range groupByShard(n.place(), writes) {
+		for _, b := range n.cl.viewBackups(sw.shard) {
+			numLogs++
+			if b == n.id {
+				n.appendLogAck(c, m.TxnID, sw.shard, sw.writes, coord)
+				continue
+			}
+			n.sendOrLoop(c, b, &wire.Log{
+				Header:    wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
+				RespondTo: uint8(coord),
+				Writes:    sw.writes,
+			})
+		}
+	}
+	c.Send(coord, &wire.ShipResult{
+		Header:  wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
+		Status:  wire.StatusOK,
+		NumLogs: uint8(numLogs),
+		ReadSet: reads,
+		Writes:  writes,
+	})
+}
+
+// lastKV returns the last entry of kvs for key.
+func lastKV(kvs []wire.KV, key uint64) (wire.KV, bool) {
+	for i := len(kvs) - 1; i >= 0; i-- {
+		if kvs[i].Key == key {
+			return kvs[i], true
+		}
+	}
+	return wire.KV{}, false
 }
 
 // versionWrites assigns each write its successor version based on the
 // version observed at execution (missing keys start at version 1).
 func versionWrites(writes []wire.KV, reads []wire.KV) {
-	vers := map[uint64]uint64{}
-	for _, kv := range reads {
-		vers[kv.Key] = kv.Version
-	}
 	for i := range writes {
-		writes[i].Version = vers[writes[i].Key] + 1
+		kv, _ := lastKV(reads, writes[i].Key)
+		writes[i].Version = kv.Version + 1
 	}
 }
 
@@ -535,23 +655,63 @@ type shardWrites struct {
 }
 
 // groupByShard splits a write set by primary shard, in ascending shard
-// order (deterministic fan-out order keeps runs reproducible).
+// order (deterministic fan-out order keeps runs reproducible). The groups
+// are views into one array allocated here: the write sets handed to LOG
+// and COMMIT messages end up retained in host logs, so nothing in the
+// result may be scratch.
 func groupByShard(place txnmodel.Placement, writes []wire.KV) []shardWrites {
-	m := map[int][]wire.KV{}
-	var order []int
-	for _, kv := range writes {
-		s := place.ShardOf(kv.Key)
-		if _, ok := m[s]; !ok {
-			order = append(order, s)
-		}
-		m[s] = append(m[s], kv)
+	if len(writes) == 0 {
+		return nil
 	}
-	sortInts(order)
-	out := make([]shardWrites, 0, len(order))
-	for _, s := range order {
-		out = append(out, shardWrites{shard: s, writes: m[s]})
+	// Stable insertion sort by shard: write sets are at most a few dozen keys
+	// over a handful of shards, and usually arrive in shard order already.
+	var buf [16]int
+	shards := buf[:0]
+	sorted := make([]wire.KV, len(writes))
+	for i, kv := range writes {
+		s := place.ShardOf(kv.Key)
+		j := i
+		for j > 0 && shards[j-1] > s {
+			j--
+		}
+		shards = append(shards, 0)
+		copy(shards[j+1:], shards[j:i])
+		copy(sorted[j+1:i+1], sorted[j:i])
+		shards[j], sorted[j] = s, kv
+	}
+	groups := 1
+	for i := 1; i < len(shards); i++ {
+		if shards[i] != shards[i-1] {
+			groups++
+		}
+	}
+	out := make([]shardWrites, 0, groups)
+	start := 0
+	for i := 1; i <= len(sorted); i++ {
+		if i == len(sorted) || shards[i] != shards[start] {
+			out = append(out, shardWrites{shard: shards[start], writes: sorted[start:i:i]})
+			start = i
+		}
 	}
 	return out
+}
+
+// writeShards appends the distinct primary shards of a write set to buf, in
+// ascending order, for fan-outs that need the shards but not the writes.
+func writeShards(place txnmodel.Placement, writes []wire.KV, buf []int) []int {
+	for _, kv := range writes {
+		s := place.ShardOf(kv.Key)
+		i := 0
+		for i < len(buf) && buf[i] < s {
+			i++
+		}
+		if i == len(buf) || buf[i] != s {
+			buf = append(buf, 0)
+			copy(buf[i+1:], buf[i:])
+			buf[i] = s
+		}
+	}
+	return buf
 }
 
 func sortInts(a []int) {

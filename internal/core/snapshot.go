@@ -71,7 +71,7 @@ func (n *Node) snapPart(c *nicrt.Core, t *ctxn, st wire.Status, items []wire.KV)
 	}
 	if st == wire.StatusOK {
 		for _, kv := range items {
-			t.reads[kv.Key] = kv
+			t.setRead(kv)
 		}
 	} else if t.failed == wire.StatusOK {
 		t.failed = st
@@ -95,7 +95,7 @@ func (n *Node) snapFinish(c *nicrt.Core, t *ctxn) {
 	n.recordCommit(t, nil)
 	n.finishTxn(c, t, wire.StatusOK)
 	n.closeTxn(t, wire.StatusOK)
-	delete(n.ctxns, t.id)
+	n.dropCtxn(t)
 }
 
 // snapClose releases the transaction's GC protection refcount exactly once
@@ -157,7 +157,7 @@ func (n *Node) serveSnapshotRead(c *nicrt.Core, shard int, S uint64, keys []uint
 		}
 		// NIC chain miss (or a host-resolved B+tree key): walk the host
 		// row's version chain via DMA.
-		c.DMARead([]int{chainWalkBytes}, func() {
+		c.DMARead(chainWalkBytes, func() {
 			v, ver, exists, ok := p.data.ReadAt(k, S)
 			switch {
 			case !ok:

@@ -82,9 +82,9 @@ func lioRTT(op lioOp, fromNIC bool, iters int, seed int64) sim.Time {
 			c.Charge(60 * sim.Nanosecond) // NOP handler
 			reply()
 		case opDMARead:
-			c.DMARead([]int{256}, reply)
+			c.DMARead(256, reply)
 		case opDMAWrite:
-			c.DMAWrite([]int{256}, reply)
+			c.DMAWrite(256, reply)
 		case opHostRPC:
 			c.SendHost(cm)
 		}
@@ -323,7 +323,7 @@ func lioWriteTput(size int, batched, hostMem bool, window sim.Time, seed int64) 
 			c.Send(from, &wire.CommitResp{Header: wire.Header{TxnID: cm.TxnID, Src: 0}})
 		}
 		if hostMem {
-			c.DMAWrite([]int{size}, reply)
+			c.DMAWrite(size, reply)
 			return
 		}
 		c.Charge(p.NICCacheObjCopy)

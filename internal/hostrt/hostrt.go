@@ -34,6 +34,10 @@ type Host struct {
 	router   func(m wire.Msg) int
 
 	util *metrics.Utilization
+
+	// outFree holds outbox arrays handed back through Recycle, so a thread's
+	// next batch need not grow a new one.
+	outFree [][]wire.Msg
 }
 
 // New creates a host with n threads at the given node. seed is the cluster
@@ -92,8 +96,16 @@ func (h *Host) OnMessage(fn Handler) { h.handler = fn }
 func (h *Host) OnIdle(fn func(t *Thread) bool) { h.idle = fn }
 
 // OnTransmit installs the outbox flush function (e.g. post a PCIe packet to
-// the local SmartNIC, or RDMA sends for the baselines).
+// the local SmartNIC, or RDMA sends for the baselines). fn owns ms; whoever
+// consumes the batch may hand the array back with Recycle.
 func (h *Host) OnTransmit(fn func(t *Thread, ms []wire.Msg)) { h.transmit = fn }
+
+// Recycle returns a transmitted batch's array to the host once its last
+// message has been consumed; the caller must not touch ms afterwards.
+func (h *Host) Recycle(ms []wire.Msg) {
+	clear(ms)
+	h.outFree = append(h.outFree, ms[:0])
+}
 
 // SetRouter installs the inbound routing function mapping a message to the
 // owning thread index. Default: steer by transaction id.
@@ -132,11 +144,12 @@ type inMsg struct {
 
 // Thread is one host core's polling loop.
 type Thread struct {
-	host   *Host
-	id     int
-	poller *nicrt.Poller
-	in     []inMsg
-	out    []wire.Msg
+	host    *Host
+	id      int
+	poller  *nicrt.Poller
+	in      []inMsg
+	inSpare []inMsg // ping-ponged with in each iteration, like the NIC queues
+	out     []wire.Msg
 }
 
 // ID returns the thread index.
@@ -176,15 +189,17 @@ func (t *Thread) Wake() { t.poller.Wake() }
 func (t *Thread) iteration() bool {
 	did := false
 	msgs := t.in
-	t.in = nil
-	for _, im := range msgs {
+	t.in = t.inSpare[:0]
+	for i, im := range msgs {
 		did = true
 		t.Charge(t.host.p.HostMsgProc)
 		if t.host.handler == nil {
 			panic(fmt.Sprintf("hostrt: node %d has no handler", t.host.node))
 		}
 		t.host.handler(t, im.src, im.m)
+		msgs[i] = inMsg{}
 	}
+	t.inSpare = msgs[:0]
 	if t.host.idle != nil {
 		if t.host.idle(t) {
 			did = true
@@ -193,6 +208,11 @@ func (t *Thread) iteration() bool {
 	if len(t.out) > 0 {
 		ms := t.out
 		t.out = nil
+		if k := len(t.host.outFree); k > 0 {
+			t.out = t.host.outFree[k-1]
+			t.host.outFree[k-1] = nil
+			t.host.outFree = t.host.outFree[:k-1]
+		}
 		t.Charge(t.host.p.HostSendCost)
 		if t.host.transmit == nil {
 			panic(fmt.Sprintf("hostrt: node %d has no transmit function", t.host.node))

@@ -142,3 +142,44 @@ func TestScheduledAtCallback(t *testing.T) {
 		t.Fatalf("fired at %v", fired)
 	}
 }
+
+// TestOutboxArrayRecycled: a batch handed back through Recycle backs a later
+// flush — cleared first, so it pins none of the old messages — while a batch
+// the consumer still holds is never written again.
+func TestOutboxArrayRecycled(t *testing.T) {
+	eng, h := newHost(t, 1)
+	var batches [][]wire.Msg
+	h.OnTransmit(func(th *Thread, ms []wire.Msg) { batches = append(batches, ms) })
+	n := 0
+	h.OnIdle(func(th *Thread) bool {
+		if n == 3 {
+			return false
+		}
+		n++
+		th.Send(&wire.TxnDone{Header: wire.Header{TxnID: uint64(n)}})
+		th.Send(&wire.TxnDone{Header: wire.Header{TxnID: uint64(n) + 100}})
+		if n == 2 {
+			h.Recycle(batches[0]) // the first batch's consumer is done with it
+		}
+		return true
+	})
+	h.WakeAll()
+	eng.RunAll()
+	if len(batches) != 3 {
+		t.Fatalf("%d batches transmitted, want 3", len(batches))
+	}
+	if &batches[2][0] != &batches[0][0] {
+		t.Fatal("third batch did not reuse the recycled array")
+	}
+	if &batches[1][0] == &batches[0][0] {
+		t.Fatal("second batch wrote into an array its consumer still held")
+	}
+	for i, want := range []uint64{3, 103} {
+		if got := batches[2][i].(*wire.TxnDone).TxnID; got != want {
+			t.Fatalf("third batch message %d is txn %d, want %d", i, got, want)
+		}
+	}
+	if got := batches[1][0].(*wire.TxnDone).TxnID; got != 2 {
+		t.Fatalf("held batch was overwritten: txn %d", got)
+	}
+}

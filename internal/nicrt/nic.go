@@ -67,14 +67,17 @@ type NIC struct {
 
 	handler     Handler
 	hostDeliver func(ms []wire.Msg)
+	hostPktDone func(ms []wire.Msg)
 
 	// sched, when non-nil, routes host transaction-start frames through the
 	// conflict-aware batch scheduler instead of the static hash dispatch.
 	sched *Scheduler
 
-	// sendFn hands a frame to the fabric (the At1 target for frame
-	// transmission, bound once so flushes schedule without closures).
-	sendFn func(any)
+	// sendFn hands a frame to the fabric and deliverFn a packet to the host
+	// (the At1 targets of the flushes, bound once so they schedule without
+	// closures).
+	sendFn    func(any)
+	deliverFn func(any)
 
 	util  *metrics.Utilization
 	stats Stats
@@ -110,6 +113,7 @@ func New(eng *sim.Engine, p model.Params, nw *simnet.Network, node, ncores int, 
 		n.cores = append(n.cores, c)
 	}
 	n.sendFn = n.sendFrame
+	n.deliverFn = n.deliverHostBatch
 	nw.Attach(node, n.dispatchFrame)
 	return n
 }
@@ -212,8 +216,13 @@ func (n *NIC) Reset() {
 func (n *NIC) OnMessage(h Handler) { n.handler = h }
 
 // OnHostDeliver installs the host-side receive function for NIC->host
-// messages (the host runtime's dispatcher).
+// messages (the host runtime's dispatcher). fn must not retain ms: the
+// backing array returns to the sending core's freelist when fn returns.
 func (n *NIC) OnHostDeliver(fn func(ms []wire.Msg)) { n.hostDeliver = fn }
+
+// OnHostPacketDone installs a function that takes back a FromHost batch once
+// a core has handled its last message (the host runtime's Recycle).
+func (n *NIC) OnHostPacketDone(fn func(ms []wire.Msg)) { n.hostPktDone = fn }
 
 // dispatchFrame steers an arriving frame to a core by its flow label. Frames
 // whose hashed core is stopped fall through to the next live core (the
@@ -278,7 +287,8 @@ func (n *NIC) liveCoreFrom(idx int) *Core {
 }
 
 // FromHost delivers a batch of host-originated messages (one PCIe packet)
-// to a NIC core. Called by the host runtime after the HostToNIC delay.
+// to a NIC core. Called by the host runtime after the HostToNIC delay. The
+// NIC owns ms from here on and releases it through OnHostPacketDone.
 // Like dispatchFrame, it routes around stopped cores and counts the batch as
 // dropped if none remain.
 func (n *NIC) FromHost(ms []wire.Msg) {
@@ -409,29 +419,30 @@ type Core struct {
 
 	inFrames []*simnet.Frame
 	inHost   [][]wire.Msg
-	dmaDone  [][]func()
+	dmaDone  []*dmaVec // completed vectors whose continuations have yet to run
 	jobs     []func(c *Core)
 
 	// Spare backing arrays ping-ponged with the input queues each iteration,
 	// so draining a queue does not force the next arrivals to reallocate it.
 	frameSpare []*simnet.Frame
 	hostSpare  [][]wire.Msg
-	doneSpare  [][]func()
+	doneSpare  []*dmaVec
 	jobSpare   []func(c *Core)
 
-	pendReadSizes  []int
-	pendReadCbs    []func()
-	pendWriteSizes []int
-	pendWriteCbs   []func()
-
-	// Freelists for the per-vector sizes/continuation arrays: sizes come back
-	// when a vector completes, continuation batches when they have run.
-	sizePool [][]int
-	cbPool   [][]func()
+	// pendRead/pendWrite accumulate the next vector of each direction (nil
+	// until the first element arrives); vecFree is this core's freelist of
+	// vector records, refilled when a completed vector's continuations have
+	// run. A plain LIFO owned by the core: no other core or goroutine sees it.
+	pendRead  *dmaVec
+	pendWrite *dmaVec
+	vecFree   []*dmaVec
 
 	outNet  map[int]*[]wire.Msg
 	outDsts []int
 	outHost []wire.Msg
+	// hostFree is the freelist of NIC->host packets: flushHost swaps the
+	// filled outHost array into one, deliverHostBatch returns it.
+	hostFree []*hostBatch
 
 	// rxEpoch is the view epoch stamped on the frame whose messages are being
 	// handled right now (0 for host-, DMA-, and job-context work).
@@ -483,18 +494,21 @@ func (c *Core) iteration() bool {
 			c.nic.handler(c, c.nic.node, m)
 		}
 		hostPkts[i] = nil
+		if done := c.nic.hostPktDone; done != nil {
+			done(pkt)
+		}
 	}
 	c.hostSpare = hostPkts[:0]
 
 	done := c.dmaDone
 	c.dmaDone = c.doneSpare[:0]
-	for i, batch := range done {
+	for i, v := range done {
 		did = true
-		for j, cb := range batch {
+		for j, cb := range v.cbs {
 			cb()
-			batch[j] = nil
+			v.cbs[j] = nil
 		}
-		c.cbPool = append(c.cbPool, batch[:0])
+		c.releaseVec(v)
 		done[i] = nil
 	}
 	c.doneSpare = done[:0]
@@ -548,153 +562,159 @@ func (c *Core) Send(dst int, m wire.Msg) {
 // SendHost queues m for delivery to the local host over PCIe.
 func (c *Core) SendHost(m wire.Msg) { c.outHost = append(c.outHost, m) }
 
-// DMARead issues an asynchronous host-memory read of the given element
-// sizes; cb runs (on this core, in a later iteration) once the data is in
-// NIC memory. With AsyncDMA disabled the core blocks for the completion.
-func (c *Core) DMARead(sizes []int, cb func()) { c.dmaOp(false, sizes, cb) }
+// DMARead issues an asynchronous host-memory read of bytes; cb runs (on this
+// core, in a later iteration) once the data is in NIC memory. With AsyncDMA
+// disabled the core blocks for the completion.
+func (c *Core) DMARead(bytes int, cb func()) { c.dmaOp(false, bytes, cb) }
 
-// DMAWrite issues an asynchronous host-memory write; cb runs once the
-// completion status lands (e.g. to send a LOG acknowledgement).
-func (c *Core) DMAWrite(sizes []int, cb func()) { c.dmaOp(true, sizes, cb) }
+// DMAWrite issues an asynchronous host-memory write of bytes; cb runs once
+// the completion status lands (e.g. to send a LOG acknowledgement).
+func (c *Core) DMAWrite(bytes int, cb func()) { c.dmaOp(true, bytes, cb) }
 
-func (c *Core) dmaOp(write bool, sizes []int, cb func()) {
-	if len(sizes) == 0 {
-		panic("nicrt: empty DMA")
-	}
+func (c *Core) dmaOp(write bool, bytes int, cb func()) {
 	p := c.nic.p
 	if write {
-		c.nic.stats.DMAWrites += int64(len(sizes))
+		c.nic.stats.DMAWrites++
 	} else {
-		c.nic.stats.DMAReads += int64(len(sizes))
+		c.nic.stats.DMAReads++
 	}
 	if !c.nic.feat.AsyncDMA {
 		// Blocking mode (ablation baseline): submit immediately as its own
 		// vector and stall the core until completion.
 		c.Charge(p.DMASubmit)
-		c.nic.dmaVecOcc.Record(len(sizes))
+		c.nic.dmaVecOcc.Record(1)
 		if tr := c.nic.tr; tr.Enabled() {
 			tr.Instant("dma", "dma-vec", c.nic.node, c.id, c.nic.eng.Now(),
-				trace.Args{"n": len(sizes), "write": write})
+				trace.Args{"n": 1, "write": write})
 		}
 		lat := p.DMAReadLatency
 		if write {
 			lat = p.DMAWriteLatency
 		}
-		c.nic.dma.Submit(c.id%p.DMAQueues, &pcie.Vector{Write: write, Sizes: sizes})
+		c.nic.dma.Submit(c.id%p.DMAQueues, &pcie.Vector{Write: write, Sizes: []int{bytes}})
 		c.Charge(lat)
 		if cb != nil {
 			cb()
 		}
 		return
 	}
-	for _, sz := range sizes {
-		if write {
-			c.pendWriteSizes = append(c.pendWriteSizes, sz)
-			if len(c.pendWriteSizes) == p.DMAVectorMax {
-				if cb != nil {
-					c.pendWriteCbs = append(c.pendWriteCbs, cb)
-					cb = nil
-				}
-				c.submitVector(true)
-				continue
-			}
-		} else {
-			c.pendReadSizes = append(c.pendReadSizes, sz)
-			if len(c.pendReadSizes) == p.DMAVectorMax {
-				if cb != nil {
-					c.pendReadCbs = append(c.pendReadCbs, cb)
-					cb = nil
-				}
-				c.submitVector(false)
-				continue
-			}
-		}
+	pend := c.pendSlot(write)
+	v := *pend
+	if v == nil {
+		v = c.grabVec(write)
+		*pend = v
 	}
+	v.vec.Sizes = append(v.vec.Sizes, bytes)
 	if cb != nil {
-		if write {
-			c.pendWriteCbs = append(c.pendWriteCbs, cb)
-		} else {
-			c.pendReadCbs = append(c.pendReadCbs, cb)
-		}
+		v.cbs = append(v.cbs, cb)
 	}
+	if len(v.vec.Sizes) == p.DMAVectorMax {
+		c.submitVector(write)
+	}
+}
+
+// pendSlot returns the pending-vector slot of one direction.
+func (c *Core) pendSlot(write bool) **dmaVec {
+	if write {
+		return &c.pendWrite
+	}
+	return &c.pendRead
+}
+
+// dmaVec is one pooled vectored DMA submission: the engine's vector, the
+// continuations to run once it completes, and the retry state. The three
+// callbacks are bound once, when the record is first created, so a
+// steady-state submit -> complete -> continuation cycle allocates nothing.
+// A record is owned by exactly one place at a time: a core's pending slot,
+// the DMA engine (between submit and completion), the core's dmaDone queue,
+// or the core's freelist; releaseVec is the single point it returns there.
+type dmaVec struct {
+	core    *Core
+	vec     pcie.Vector
+	cbs     []func()
+	attempt int    // failed completions so far (fault runs)
+	submit  func() // hands vec to the DMA engine
+}
+
+// grabVec takes a vector record off the freelist, or creates one with
+// room for a full vector.
+func (c *Core) grabVec(write bool) *dmaVec {
+	var v *dmaVec
+	if n := len(c.vecFree); n > 0 {
+		v = c.vecFree[n-1]
+		c.vecFree[n-1] = nil
+		c.vecFree = c.vecFree[:n-1]
+	} else {
+		vmax := c.nic.p.DMAVectorMax
+		v = &dmaVec{core: c, cbs: make([]func(), 0, vmax)}
+		v.vec.Sizes = make([]int, 0, vmax)
+		v.vec.Complete = v.complete
+		v.vec.Failed = v.failed
+		v.submit = v.submitNow
+	}
+	v.vec.Write = write
+	return v
+}
+
+// releaseVec returns a vector whose continuations have all run (and been
+// cleared) to the freelist.
+func (c *Core) releaseVec(v *dmaVec) {
+	v.vec.Sizes = v.vec.Sizes[:0]
+	v.cbs = v.cbs[:0]
+	v.attempt = 0
+	c.vecFree = append(c.vecFree, v)
+}
+
+func (v *dmaVec) submitNow() {
+	c := v.core
+	c.nic.dma.Submit(c.id%c.nic.p.DMAQueues, &v.vec)
+}
+
+// complete runs at the vector's completion instant: queue its continuations
+// for the core's next iteration.
+func (v *dmaVec) complete() {
+	c := v.core
+	if len(v.cbs) > 0 {
+		c.dmaDone = append(c.dmaDone, v)
+	} else {
+		c.releaseVec(v)
+	}
+	c.poller.Wake()
+}
+
+// failed runs instead of complete when a fault run fails the completion: the
+// runtime retries the same vector after a deterministic capped-exponential
+// backoff, so a burst of injected errors delays the continuations instead of
+// losing them.
+func (v *dmaVec) failed() {
+	c := v.core
+	v.attempt++
+	c.nic.stats.DMARetries++
+	if tr := c.nic.tr; tr.Enabled() {
+		tr.Instant("fault", "dma-retry", c.nic.node, c.id, c.nic.eng.Now(),
+			trace.Args{"attempt": v.attempt, "write": v.vec.Write})
+	}
+	c.nic.eng.After(dmaRetryBackoff(v.attempt), v.submit)
 }
 
 // submitVector submits the pending read or write vector, amortizing the
-// submission cost and registering the completion continuation.
+// submission cost over its elements.
 func (c *Core) submitVector(write bool) {
-	p := c.nic.p
-	var sizes []int
-	var cbs []func()
-	if write {
-		sizes, cbs = c.pendWriteSizes, c.pendWriteCbs
-		c.pendWriteSizes, c.pendWriteCbs = c.grabSizes(), c.grabCbs()
-	} else {
-		sizes, cbs = c.pendReadSizes, c.pendReadCbs
-		c.pendReadSizes, c.pendReadCbs = c.grabSizes(), c.grabCbs()
-	}
-	if len(sizes) == 0 {
+	pend := c.pendSlot(write)
+	v := *pend
+	if v == nil {
 		return
 	}
-	c.Charge(p.DMASubmit)
-	c.nic.dmaVecOcc.Record(len(sizes))
+	*pend = nil
+	c.Charge(c.nic.p.DMASubmit)
+	c.nic.dmaVecOcc.Record(len(v.vec.Sizes))
 	if tr := c.nic.tr; tr.Enabled() {
 		tr.Instant("dma", "dma-vec", c.nic.node, c.id, c.nic.eng.Now(),
-			trace.Args{"n": len(sizes), "write": write})
-	}
-	core := c
-	queue := c.id % p.DMAQueues
-	v := &pcie.Vector{
-		Write: write,
-		Sizes: sizes,
-		Complete: func() {
-			if len(cbs) > 0 {
-				core.dmaDone = append(core.dmaDone, cbs)
-			} else if cap(cbs) > 0 {
-				core.cbPool = append(core.cbPool, cbs[:0])
-			}
-			// The engine is done with the vector; its sizes array can back a
-			// future vector.
-			core.sizePool = append(core.sizePool, sizes[:0])
-			core.poller.Wake()
-		},
-	}
-	// On fault runs the engine may fail the completion; the runtime retries
-	// the same vector after a deterministic capped-exponential backoff, so a
-	// burst of injected errors delays the continuations instead of losing
-	// them.
-	attempt := 0
-	v.Failed = func() {
-		attempt++
-		core.nic.stats.DMARetries++
-		if tr := core.nic.tr; tr.Enabled() {
-			tr.Instant("fault", "dma-retry", core.nic.node, core.id, core.nic.eng.Now(),
-				trace.Args{"attempt": attempt, "write": write})
-		}
-		core.nic.eng.After(dmaRetryBackoff(attempt), func() { core.nic.dma.Submit(queue, v) })
+			trace.Args{"n": len(v.vec.Sizes), "write": write})
 	}
 	// Submit at the core's current instant so engine admission sees the
 	// true submission time, not the iteration's start.
-	c.poller.At(0, func() { c.nic.dma.Submit(queue, v) })
-}
-
-// grabSizes returns a recycled sizes array (or nil; append allocates then).
-func (c *Core) grabSizes() []int {
-	if n := len(c.sizePool); n > 0 {
-		s := c.sizePool[n-1]
-		c.sizePool = c.sizePool[:n-1]
-		return s
-	}
-	return nil
-}
-
-// grabCbs returns a recycled continuation array (or nil).
-func (c *Core) grabCbs() []func() {
-	if n := len(c.cbPool); n > 0 {
-		s := c.cbPool[n-1]
-		c.cbPool = c.cbPool[:n-1]
-		return s
-	}
-	return nil
+	c.poller.At(0, v.submit)
 }
 
 // DMA resubmission backoff: deterministic capped doubling, mirroring the
@@ -797,22 +817,44 @@ func (c *Core) emitFrame(dst, flow, bytes int, f *simnet.Frame) {
 	c.nic.eng.At1(c.poller.Now(), c.nic.sendFn, f)
 }
 
+// hostBatch is one NIC->host PCIe packet in flight, pooled per core.
+type hostBatch struct {
+	core *Core
+	ms   []wire.Msg
+}
+
 // flushHost delivers queued NIC->host messages as one PCIe packet.
 func (c *Core) flushHost() {
 	if len(c.outHost) == 0 {
 		return
 	}
-	ms := c.outHost
-	c.outHost = nil
-	c.nic.stats.HostTxMsgs += int64(len(ms))
+	var b *hostBatch
+	if n := len(c.hostFree); n > 0 {
+		b = c.hostFree[n-1]
+		c.hostFree[n-1] = nil
+		c.hostFree = c.hostFree[:n-1]
+	} else {
+		b = &hostBatch{core: c}
+	}
+	b.ms, c.outHost = c.outHost, b.ms
+	c.nic.stats.HostTxMsgs += int64(len(b.ms))
 	c.Charge(c.nic.p.NICFrameTx)
 	if tr := c.nic.tr; tr.Enabled() {
 		tr.Instant("pcie", "host-tx", c.nic.node, c.id, c.nic.eng.Now(),
-			trace.Args{"msgs": len(ms)})
+			trace.Args{"msgs": len(b.ms)})
 	}
-	deliver := c.nic.hostDeliver
-	if deliver == nil {
+	if c.nic.hostDeliver == nil {
 		panic("nicrt: no host delivery function installed")
 	}
-	c.poller.At(c.nic.p.NICToHost, func() { deliver(ms) })
+	c.nic.eng.At1(c.poller.Now()+c.nic.p.NICToHost, c.nic.deliverFn, b)
+}
+
+// deliverHostBatch hands a packet to the host at its arrival instant and
+// recycles it.
+func (n *NIC) deliverHostBatch(arg any) {
+	b := arg.(*hostBatch)
+	n.hostDeliver(b.ms)
+	clear(b.ms)
+	b.ms = b.ms[:0]
+	b.core.hostFree = append(b.core.hostFree, b)
 }

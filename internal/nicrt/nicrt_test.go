@@ -202,7 +202,7 @@ func TestAsyncDMABatchesVectors(t *testing.T) {
 	completed := 0
 	a.Inject(0, func(c *Core) {
 		for i := 0; i < 30; i++ {
-			c.DMAWrite([]int{64}, func() { completed++ })
+			c.DMAWrite(64, func() { completed++ })
 		}
 	})
 	eng.RunAll()
@@ -226,7 +226,7 @@ func TestBlockingDMASubmitsSingles(t *testing.T) {
 	a.Inject(0, func(c *Core) {
 		start := c.Now()
 		for i := 0; i < 10; i++ {
-			c.DMAWrite([]int{64}, func() { completed++ })
+			c.DMAWrite(64, func() { completed++ })
 		}
 		spent = c.Now() - start
 	})
@@ -249,7 +249,7 @@ func TestDMAReadCallbackLatency(t *testing.T) {
 	var start, done sim.Time
 	a.Inject(0, func(c *Core) {
 		start = c.Now()
-		c.DMARead([]int{128}, func() { done = c.Now() })
+		c.DMARead(128, func() { done = c.Now() })
 	})
 	eng.RunAll()
 	if done == 0 {

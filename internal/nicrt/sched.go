@@ -223,6 +223,9 @@ func (s *Scheduler) fromHost(ms []wire.Msg) {
 	if len(rest) > 0 {
 		s.nic.deliverHostPacket(rest)
 	}
+	if done := s.nic.hostPktDone; done != nil {
+		done(ms) // split above; nothing retains the packet itself
+	}
 }
 
 // submit enqueues one transaction start and arms the batch flush timer.

@@ -43,13 +43,39 @@ func (d *TxnDesc) ReadOnly() bool {
 	return len(d.UpdateKeys) == 0 && len(d.BlindWrites) == 0
 }
 
-// WriteKeys returns all keys that will be locked and written.
-func (d *TxnDesc) WriteKeys() []uint64 {
-	ks := append([]uint64(nil), d.UpdateKeys...)
-	for _, kv := range d.BlindWrites {
-		ks = append(ks, kv.Key)
+// NumWriteKeys counts the keys that will be locked and written: UpdateKeys,
+// then the BlindWrites keys, duplicates kept.
+func (d *TxnDesc) NumWriteKeys() int { return len(d.UpdateKeys) + len(d.BlindWrites) }
+
+// WriteKey returns the i-th write key in that order.
+func (d *TxnDesc) WriteKey(i int) uint64 {
+	if i < len(d.UpdateKeys) {
+		return d.UpdateKeys[i]
 	}
-	return ks
+	return d.BlindWrites[i-len(d.UpdateKeys)].Key
+}
+
+// AppendWriteKeys appends the write keys to dst, for callers that need them
+// as a slice of their own.
+func (d *TxnDesc) AppendWriteKeys(dst []uint64) []uint64 {
+	dst = append(dst, d.UpdateKeys...)
+	for _, kv := range d.BlindWrites {
+		dst = append(dst, kv.Key)
+	}
+	return dst
+}
+
+// NumKeys counts every key the transaction names: ReadKeys, then the write
+// keys. This is the order execution-function inputs and lock acquisition
+// follow, so it must not drift.
+func (d *TxnDesc) NumKeys() int { return len(d.ReadKeys) + d.NumWriteKeys() }
+
+// Key returns the i-th key in that order.
+func (d *TxnDesc) Key(i int) uint64 {
+	if i < len(d.ReadKeys) {
+		return d.ReadKeys[i]
+	}
+	return d.WriteKey(i - len(d.ReadKeys))
 }
 
 // ExecResult is what an execution function produces.
