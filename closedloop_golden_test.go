@@ -16,8 +16,7 @@ import (
 // The xenic fingerprint was re-captured once after the host-local read-only
 // validation gained the §4.2 step-4 lock check (a serializability fix: the
 // old version-only check could commit a read taken under a writer's lock
-// window). The conflict scheduler is NOT part of that delta — scheduler-off
-// runs take the legacy dispatch path untouched, which these values pin.
+// window).
 func TestClosedLoopGolden(t *testing.T) {
 	type golden struct {
 		committed, measured, aborts int64

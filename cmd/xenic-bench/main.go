@@ -24,7 +24,6 @@ import (
 
 	"xenic/internal/cliflags"
 	"xenic/internal/harness"
-	"xenic/internal/harness/wallbench"
 	"xenic/internal/telemetry"
 )
 
@@ -38,11 +37,6 @@ func main() {
 	statsJSONOut := flag.String("stats-json", "", "write one machine-readable document (reports + stats snapshots + bottleneck verdicts) to this JSON file")
 	tel := cliflags.AddTelemetry(flag.CommandLine, "collect time-resolved telemetry; write PREFIX-<id>.csv/.json per experiment and a PREFIX.html dashboard")
 	ol := cliflags.AddOpenLoop(flag.CommandLine)
-	sched := cliflags.AddSched(flag.CommandLine)
-	wallOut := flag.String("wallbench", "", "time the harness itself (wall seconds, cells/sec, peak RSS, engine allocs/op) and write the result to this JSON file")
-	wallTel := flag.Bool("wallbench-telemetry", false, "with -wallbench: run every experiment with a telemetry collector attached (times the sampling overhead; series are discarded)")
-	baselinePath := flag.String("baseline", "", "with -wallbench: compare against this committed baseline, exit nonzero if cells/sec regresses beyond -baseline-frac or a hot path allocates")
-	baseFrac := flag.Float64("baseline-frac", 0.20, "with -baseline: allowed fractional cells/sec regression")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: xenic-bench [-quick] [-seed N] [-j N] <experiment-id>... | all\n\n")
 		fmt.Fprintf(os.Stderr, "experiments:\n")
@@ -59,7 +53,7 @@ func main() {
 		return
 	}
 	args := flag.Args()
-	if len(args) == 0 && *wallOut == "" {
+	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -71,47 +65,11 @@ func main() {
 	} else {
 		ids = args
 	}
-	if *wallOut != "" {
-		if len(ids) == 0 {
-			ids = wallbench.DefaultSweep()
-		}
-		wopt := harness.Options{Quick: *quick, Seed: *seed, Workers: *workers}
-		if *wallTel {
-			wopt.Telemetry = harness.NewTelemetryCollector(tel.Interval())
-		}
-		res, err := wallbench.Run(wopt, ids)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		writeJSON(*wallOut, res)
-		fmt.Printf("wallbench: %d cells in %.2fs (%.2f cells/sec, -j %d, telemetry %v), peak RSS %.1f MiB\n",
-			res.Cells, res.WallSeconds, res.CellsPerSec, res.Workers, res.Telemetry, float64(res.PeakRSSBytes)/(1<<20))
-		for _, e := range res.Engine {
-			fmt.Printf("wallbench: %-22s %8.2f ns/op  %d allocs/op  %d B/op\n",
-				e.Name, e.NsPerOp, e.AllocsPerOp, e.BytesPerOp)
-		}
-		fmt.Printf("wallbench: mvcc update A/B: events %+.2f%% (off %d, on %d), wall %+.1f%% (off %.2fs, on %.2fs)\n",
-			100*(res.MVCC.EventsOverhead-1), res.MVCC.OffEvents, res.MVCC.OnEvents,
-			100*(res.MVCC.Overhead-1), res.MVCC.OffSeconds, res.MVCC.OnSeconds)
-		if *baselinePath != "" {
-			if err := wallbench.Check(res, *baselinePath, *baseFrac); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wallbench: within %.0f%% of baseline %s\n", 100**baseFrac, *baselinePath)
-		}
-		return
-	}
-
 	opt := harness.Options{Quick: *quick, Seed: *seed, Workers: *workers,
 		// The open-loop flags parameterize the slo experiment (-arrival,
 		// -admit, -sessions, -slo-us); other experiments ignore them.
 		SLO: &harness.SLOTuning{Arrival: ol.Arrival, Admit: ol.Admit,
-			Sessions: ol.Sessions, SLOUs: ol.SLOUs},
-		// The scheduler flags parameterize the contention experiment's
-		// scheduler-on cells (-sched-batch-us, -sched-hot-k).
-		Sched: &harness.SchedTuning{BatchUs: sched.BatchUs, HotK: sched.HotK}}
+			Sessions: ol.Sessions, SLOUs: ol.SLOUs}}
 	collectStats := *statsOut != "" || *statsJSONOut != ""
 	allStats := map[string]any{}
 	var reports []*harness.Report

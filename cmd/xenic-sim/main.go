@@ -74,8 +74,11 @@ func main() {
 	alpha := flag.Float64("alpha", 0, "override the retwis Zipf skew alpha (0 = the paper's 0.5)")
 	hotFrac := flag.Float64("hot-frac", 0, "override the smallbank hot-account fraction (0 = the paper's 0.04)")
 	hotProb := flag.Float64("hot-prob", 0, "override the smallbank hot-access probability (0 = the paper's 0.9)")
-	sched := cliflags.AddSched(flag.CommandLine)
 	flag.Parse()
+	if err := validateFlags(*app, *threads, *warmMS, *ms); err != nil {
+		fmt.Fprintln(os.Stderr, "xenic-sim:", err)
+		os.Exit(2)
+	}
 
 	var plan *xenic.FaultPlan
 	if obs.Faults != "" {
@@ -161,9 +164,6 @@ func main() {
 		cfg.Faults = plan
 		cfg.MVCC = obs.MVCC
 		cfg.MVCCKeep = obs.MVCCKeep
-		cfg.Sched = sched.Enabled
-		cfg.SchedBatchUs = sched.BatchUs
-		cfg.SchedHotK = sched.HotK
 		if *oneLink {
 			cfg.Params = cfg.Params.OneLink()
 		}
@@ -213,9 +213,6 @@ func main() {
 	if obs.MVCC {
 		fmt.Fprintln(os.Stderr, "xenic-sim: -mvcc is only supported for -system xenic; ignoring")
 	}
-	if sched.Enabled {
-		fmt.Fprintln(os.Stderr, "xenic-sim: -sched is only supported for -system xenic; ignoring")
-	}
 	cl, err := xenic.NewBaseline(cfg, gen, opts...)
 	must(err)
 	res, s0, s1 := measure(cl, warm, win, ol)
@@ -224,6 +221,23 @@ func main() {
 	writeStats(*statsOut, reg)
 	writeTelemetry(tel.Out, fmt.Sprintf("%s/%s", sys, gen.Name()), telS)
 	checkHistory(cl, hist)
+}
+
+// validateFlags rejects, before any cluster is built, the thread counts main
+// divides -window by and the windows that would report a NaN or negative
+// rate.
+func validateFlags(app, threads, warmMS, ms int) error {
+	switch {
+	case app < 1:
+		return fmt.Errorf("-app must be at least 1, have %d", app)
+	case threads < 1:
+		return fmt.Errorf("-threads must be at least 1, have %d", threads)
+	case warmMS < 0:
+		return fmt.Errorf("-warm-ms must not be negative, have %d", warmMS)
+	case ms < 1:
+		return fmt.Errorf("-ms must be at least 1, have %d", ms)
+	}
+	return nil
 }
 
 // measure runs the warmup + window. Closed-loop runs take the plain Measure

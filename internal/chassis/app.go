@@ -325,7 +325,6 @@ func (ch *Chassis) Measure(warmup, window sim.Time) txnmodel.Result {
 		res.AbortMissing += reason(wire.StatusAbortMissing)
 		res.AbortView += reason(wire.StatusAbortView)
 		res.AbortTimeout += reason(wire.StatusAbortTimeout)
-		res.AbortSched += reason(wire.StatusAbortSched)
 		res.AbortSnapshot += reason(wire.StatusAbortSnapshot)
 		res.SnapCommitted += s.SnapCommitted - b.SnapCommitted
 		lat.Merge(s.Latency)

@@ -66,22 +66,6 @@ func AddSimObserve(fs *flag.FlagSet) *SimObserve {
 	return s
 }
 
-// Sched groups the conflict-aware NIC scheduler flags (DESIGN.md §14).
-type Sched struct {
-	Enabled bool
-	BatchUs int
-	HotK    int
-}
-
-// AddSched adds -sched, -sched-batch-us, and -sched-hot-k.
-func AddSched(fs *flag.FlagSet) *Sched {
-	s := &Sched{}
-	fs.BoolVar(&s.Enabled, "sched", false, "enable the conflict-aware NIC-core transaction scheduler (xenic only)")
-	fs.IntVar(&s.BatchUs, "sched-batch-us", 0, "scheduler batch-accumulation window in simulated microseconds (0 = default 2; with -sched)")
-	fs.IntVar(&s.HotK, "sched-hot-k", 0, "decayed touch count at which a key counts as hot (0 = default 8; with -sched)")
-	return s
-}
-
 // OpenLoop groups the open-loop traffic front-end flags. A zero Rate means
 // the flags were not used and the built-in closed loop drives the run.
 type OpenLoop struct {

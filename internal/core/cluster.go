@@ -152,21 +152,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		}
 
 		n.nic.OnMessage(n.nicHandler)
-		if cfg.Sched {
-			sc := nicrt.DefaultSchedConfig()
-			if cfg.SchedBatchUs > 0 {
-				sc.BatchWindow = sim.Time(cfg.SchedBatchUs) * sim.Microsecond
-			}
-			if cfg.SchedHotK > 0 {
-				sc.HotThreshold = cfg.SchedHotK
-			}
-			sched := nicrt.NewScheduler(cl.Engine(), sc)
-			n.nic.SetScheduler(sched)
-			node, snic := n, n.nic
-			sched.OnShed(func(req *wire.TxnRequest) {
-				snic.Inject(snic.LiveCore(), func(c *nicrt.Core) { node.shedTxn(c, req) })
-			})
-		}
 		nic, host := n.nic, n.host
 		n.nic.OnHostDeliver(func(ms []wire.Msg) { host.Deliver(id, ms) })
 		n.nic.OnHostPacketDone(host.Recycle)
@@ -313,30 +298,6 @@ func (cl *Cluster) window() {
 			h.Reset()
 		}
 	}
-}
-
-// SchedStats is the conflict scheduler's counter block, re-exported so
-// callers aggregating cluster results need not import nicrt.
-type SchedStats = nicrt.SchedStats
-
-// SchedStats sums the per-node conflict-scheduler counters. Zero-valued
-// when the scheduler is disabled.
-func (cl *Cluster) SchedStats() nicrt.SchedStats {
-	var s nicrt.SchedStats
-	for _, n := range cl.nodes {
-		sched := n.nic.Scheduler()
-		if sched == nil {
-			continue
-		}
-		st := sched.Stats()
-		s.Submitted += st.Submitted
-		s.Batches += st.Batches
-		s.Dispatched += st.Dispatched
-		s.HotRouted += st.HotRouted
-		s.Parked += st.Parked
-		s.Shed += st.Shed
-	}
-	return s
 }
 
 // drained reports whether the protocol holds no in-flight state: no

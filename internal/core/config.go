@@ -85,19 +85,6 @@ type Config struct {
 	// MVCCKeep is the bounded chain depth K (old versions retained per
 	// key); 0 means the default of 8.
 	MVCCKeep int
-	// Sched enables the conflict-aware NIC-core transaction scheduler
-	// (DESIGN.md §14): start frames are batched, per-key hotness is tracked
-	// with a decayed counter, and transactions that would race on a hot key
-	// are serialized behind its current owner instead of aborting under
-	// OCC. Off (the default), dispatch is the legacy hash and runs are
-	// byte-identical to builds without the scheduler.
-	Sched bool
-	// SchedBatchUs is the scheduler's batch-accumulation window in
-	// microseconds; 0 uses the nicrt default (2us). Ignored unless Sched.
-	SchedBatchUs int
-	// SchedHotK is the decayed touch count at which a key counts as hot;
-	// 0 uses the nicrt default (8). Ignored unless Sched.
-	SchedHotK int
 }
 
 // DefaultConfig mirrors the paper's testbed: 6 servers, 3-way replication.

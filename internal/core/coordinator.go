@@ -147,15 +147,24 @@ func (n *Node) grabCtxn(id uint64) *ctxn {
 	return t
 }
 
-// dropCtxn removes t from the coordinator table — the single point a ctxn
-// leaves it — and recycles the record. A transaction that ends normally has
-// no continuation outstanding: every fan-out counts its units in t.pending
+// dropCtxn is the single point a ctxn leaves the coordinator table: it
+// closes t's last phase and its trace span with final status st, deletes t
+// from the table, and recycles the record. A transaction that ends normally
+// has no continuation outstanding: every fan-out counts its units in t.pending
 // and moves on only at zero. One killed mid-flight (t.dead: view change or
 // watchdog) may still have local DMA or lookup continuations holding t, so
 // its record is left to the garbage collector instead.
-func (n *Node) dropCtxn(t *ctxn) {
+func (n *Node) dropCtxn(t *ctxn, st wire.Status) {
 	if n.ctxns[t.id] != t {
 		panic(fmt.Sprintf("core: node %d: txn %#x dropped twice", n.id, t.id))
+	}
+	now := n.cl.Engine().Now()
+	if h := n.stats.PhaseLat[t.phase]; h != nil {
+		h.Record(now - t.phaseAt)
+	}
+	if tr := n.tr(); tr.Enabled() {
+		tr.EndAsync("phase", t.phase.String(), t.id, n.id, now, nil)
+		tr.EndAsync("txn", "txn", t.id, n.id, now, trace.Args{"status": st.String()})
 	}
 	delete(n.ctxns, t.id)
 	if !t.dead {
@@ -704,8 +713,7 @@ func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
 		// Read-only transaction completes after validation (§4.2 step 5).
 		n.recordCommit(t, nil)
 		n.finishTxn(c, t, wire.StatusOK)
-		n.closeTxn(t, wire.StatusOK)
-		n.dropCtxn(t)
+		n.dropCtxn(t, wire.StatusOK)
 		return
 	}
 	n.logPhase(c, t)
@@ -714,14 +722,6 @@ func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
 // logPhase replicates the write set to every surviving backup of every
 // write shard (§4.2 step 5).
 func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
-	// Validation succeeded: this transaction's outcome is decided, so its
-	// hot-key claims can release now instead of at close. A waiter admitted
-	// here overlaps its read round with this transaction's log/commit tail
-	// (by the time it reaches validation the writes are applied), restoring
-	// the phase overlap OCC gets for free while still keeping conflicters
-	// out of the owner's execute/validate window. closeTxn's release is a
-	// no-op after this one.
-	n.nic.SchedDone(t.id)
 	n.setPhase(t, phLog)
 	if mutUnlockBeforeLog {
 		n.mutReleaseLocks(c, t)
@@ -877,8 +877,7 @@ func (n *Node) coordCommitPart(c *nicrt.Core, t *ctxn) {
 	if t.pending > 0 {
 		return
 	}
-	n.closeTxn(t, wire.StatusOK)
-	n.dropCtxn(t)
+	n.dropCtxn(t, wire.StatusOK)
 }
 
 // abortTxn releases all locks and reports the abort to the host.
@@ -910,8 +909,7 @@ func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 	n.recordAbort(t, t.failed)
 	n.traceAbort(t)
 	n.finishTxn(c, t, t.failed)
-	n.closeTxn(t, t.failed)
-	n.dropCtxn(t)
+	n.dropCtxn(t, t.failed)
 }
 
 // --- coordinator watchdog (fault runs) ---
@@ -989,18 +987,6 @@ func (n *Node) finishTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
 		done.ReadSet = n.readsInOrder(t)
 	}
 	c.SendHost(done)
-}
-
-// shedTxn reports a scheduler-shed transaction back to the host as an
-// abort. The transaction never started — the scheduler parked it past its
-// shed deadline, so there is no ctxn and no locks to release; the host
-// retries it with backoff like any other abort.
-func (n *Node) shedTxn(c *nicrt.Core, req *wire.TxnRequest) {
-	n.dbgEvt(req.TxnID, "shedTxn (scheduler shed)")
-	c.SendHost(&wire.TxnDone{
-		Header: wire.Header{TxnID: req.TxnID, Src: uint8(n.id)},
-		Status: wire.StatusAbortSched,
-	})
 }
 
 // --- shipped path (§4.2.3) ---
@@ -1116,8 +1102,7 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 		n.recordAbort(t, m.Status)
 		n.traceAbort(t)
 		n.finishTxn(c, t, m.Status)
-		n.closeTxn(t, m.Status)
-		n.dropCtxn(t)
+		n.dropCtxn(t, m.Status)
 		return
 	}
 	t.gotResult = true
@@ -1197,8 +1182,7 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 		c.Send(t.shipTo, &wire.Abort{Header: wire.Header{TxnID: t.id, Src: uint8(n.id)}})
 	}
 	if len(byShard) == 0 {
-		n.closeTxn(t, wire.StatusOK)
-		n.dropCtxn(t)
+		n.dropCtxn(t, wire.StatusOK)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xenic/internal/fault"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -283,5 +284,55 @@ func TestVersionsMonotonic(t *testing.T) {
 		if ver != binary.LittleEndian.Uint64(v)+1 {
 			t.Fatalf("key %d: version %d != count+1 (%d)", k, ver, binary.LittleEndian.Uint64(v)+1)
 		}
+	}
+}
+
+// abortAccounting measures window of a counter workload squeezed onto 48
+// keys, so hot-key contention engages hard, and checks the accounting
+// invariant: every abort increments exactly one per-reason counter, so the
+// per-reason fields of the Result sum to Aborts. It is the regression check
+// for the Measure aggregation bug where a reason (AbortTimeout) was counted
+// in Aborts but missing from the breakdown.
+func abortAccounting(t *testing.T, cfg Config, window sim.Time) Result {
+	t.Helper()
+	g := &kvGen{keys: 48, keysPer: 2, readFrac: 0.1, nicExec: true}
+	cl, err := New(cfg, g, Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := cl.Measure(500*sim.Microsecond, window)
+	if res.Aborts == 0 {
+		t.Fatal("contended run produced no aborts; cross-check is vacuous")
+	}
+	sum := res.AbortLocked + res.AbortVersion + res.AbortMissing +
+		res.AbortView + res.AbortTimeout + res.AbortSnapshot
+	if sum != res.Aborts {
+		t.Errorf("per-reason sum %d != aborts %d (%+v)", sum, res.Aborts, res)
+	}
+	return res
+}
+
+// TestAbortAccountingCrossCheck pins the invariant on a fault-free contended
+// run.
+func TestAbortAccountingCrossCheck(t *testing.T) {
+	cfg := testConfig(4, AllFeatures())
+	cfg.Seed = 11
+	abortAccounting(t, cfg, 3*sim.Millisecond)
+}
+
+// TestAbortAccountingCrossCheckFaulty pins it on a faulty run where the
+// timeout reason (the historically dropped one) actually fires: the
+// transport retransmits dropped frames, so it takes the partition to outlast
+// a coordinator watchdog.
+func TestAbortAccountingCrossCheckFaulty(t *testing.T) {
+	plan, err := fault.Parse("drop=0.02,delay=0.05,maxdelay=60us,part=1@1ms+1ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig(4, AllFeatures())
+	cfg.Seed = 5
+	cfg.Faults = plan
+	if res := abortAccounting(t, cfg, 4*sim.Millisecond); res.AbortTimeout == 0 {
+		t.Fatal("faulty run produced no timeout aborts; cross-check misses the reason it pins")
 	}
 }

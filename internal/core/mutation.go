@@ -7,9 +7,9 @@ import (
 
 // Deliberately broken protocol variants for mutation-testing the
 // serializability checker (internal/check): each flips one protocol rule
-// whose violation the checker must catch with a witness cycle. Like
-// debugTxn, these are package-level knobs toggled only from same-package
-// tests; every production path sees them false.
+// whose violation the checker must catch with a witness cycle. These are
+// package-level knobs toggled only from same-package tests; every
+// production path sees them false.
 var (
 	// mutSkipValidation commits without re-checking read-set versions
 	// (§4.2 step 4 removed): concurrent writers between read and commit go

@@ -6,6 +6,7 @@ import (
 
 	"xenic/internal/check"
 	"xenic/internal/sim"
+	"xenic/internal/workload/smallbank"
 )
 
 // mvccConfig is the shared cluster shape for MVCC tests: 4 nodes with the
@@ -230,5 +231,36 @@ func TestMVCCChainsBounded(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMVCCUpdatePathEventBudget caps the simulated work version chains add
+// to the update path. One update-only Smallbank cell (ReadOnlyFrac < 0
+// strips the Balance transactions, so every commit drives the ApplyTS chain
+// hold) runs with MVCC off and then on; the simulator events processed are a
+// function of the seed alone, so the on/off ratio (1.0237 when the budget
+// was set: 724 566 / 707 757) is held to 5% with no allowance for noise.
+func TestMVCCUpdatePathEventBudget(t *testing.T) {
+	events := func(mvcc bool) uint64 {
+		g := smallbank.New()
+		g.AccountsPerServer = 5000
+		g.ReadOnlyFrac = -1
+		cfg := DefaultConfig()
+		cfg.Nodes = 4
+		cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 2, 4
+		cfg.MVCC = mvcc
+		cl, err := New(cfg, g, Observers{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Measure(500*sim.Microsecond, 4*sim.Millisecond)
+		return cl.Engine().Events()
+	}
+	off, on := events(false), events(true)
+	ratio := float64(on) / float64(off)
+	t.Logf("events: off %d, on %d, ratio %.4f", off, on, ratio)
+	if ratio > 1.05 {
+		t.Fatalf("MVCC update path processes %.1f%% more events than MVCC off (off %d, on %d), budget 5%%",
+			100*(ratio-1), off, on)
 	}
 }

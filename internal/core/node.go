@@ -179,7 +179,6 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		// Booting after a restart: until the join view arrives this node has
 		// no epoch to speak in and drops all traffic.
 		n.stats.StaleDrops++
-		n.dbgMsg(src, m, "DROP boot-fence")
 		return
 	}
 	if n.viewAlive != nil && src != n.id && !n.viewAlive[src] {
@@ -187,7 +186,6 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		// its state; processing it now would strand locks or resurrect
 		// transactions the survivors decided.
 		n.stats.StaleDrops++
-		n.dbgMsg(src, m, "DROP evicted-src-fence")
 		return
 	}
 	if n.joined != nil && src != n.id {
@@ -196,11 +194,9 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		// not serve stale reads or acquire locks with them.
 		if e := c.RxEpoch(); e < n.joined[src] || e < n.joined[n.id] {
 			n.stats.StaleDrops++
-			n.dbgMsg(src, m, "DROP epoch-fence")
 			return
 		}
 	}
-	n.dbgMsg(src, m, "recv")
 	switch m := m.(type) {
 	// Coordinator side.
 	case *wire.TxnRequest:
@@ -256,35 +252,6 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 	default:
 		panic(fmt.Sprintf("core: node %d: unexpected message %T", n.id, m))
 	}
-}
-
-// debugTxn enables message tracing for one transaction id; ^0 traces every
-// fence drop instead (tests only).
-var debugTxn uint64
-
-// dbgMsg traces a protocol message arriving for the traced transaction, or —
-// in trace-all mode — any fence drop.
-func (n *Node) dbgMsg(src int, m wire.Msg, what string) {
-	if debugTxn == 0 {
-		return
-	}
-	if debugTxn != ^uint64(0) {
-		if g, ok := m.(interface{ GetTxnID() uint64 }); !ok || g.GetTxnID() != debugTxn {
-			return
-		}
-	} else if what == "recv" {
-		return // trace-all mode: drops only
-	}
-	fmt.Printf("DBG t=%v node=%d src=%d msg=%v %s\n", n.cl.Engine().Now(), n.id, src, m.Type(), what)
-}
-
-// dbgEvt traces a lifecycle event (phase change, abort, pending decision) of
-// the traced transaction.
-func (n *Node) dbgEvt(txn uint64, format string, args ...any) {
-	if debugTxn == 0 || txn != debugTxn {
-		return
-	}
-	fmt.Printf("DBG t=%v node=%d %s\n", n.cl.Engine().Now(), n.id, fmt.Sprintf(format, args...))
 }
 
 // sendOrLoop sends m to node dst, or re-dispatches locally when dst is this

@@ -6,7 +6,6 @@ import (
 	"xenic/internal/metrics"
 	"xenic/internal/store/nicindex"
 	"xenic/internal/trace"
-	"xenic/internal/wire"
 )
 
 // This file wires the cluster into the observability layer: the
@@ -130,26 +129,6 @@ func (n *Node) setPhase(t *ctxn, ph phase) {
 	t.phase = ph
 	t.phaseAt = now
 	t.epoch++ // phase changes are the watchdog's progress signal
-	n.dbgEvt(t.id, "phase -> %v", ph)
-}
-
-// closeTxn finishes accounting when the coordinator drops t's state. Call
-// exactly once per ctxn, immediately before deleting it from n.ctxns.
-func (n *Node) closeTxn(t *ctxn, st wire.Status) {
-	n.dbgEvt(t.id, "closeTxn status=%v phase=%v", st, t.phase)
-	// Release any hot-key claims the conflict scheduler holds for this
-	// transaction and re-admit its waiters. closeTxn is the single funnel
-	// every coordinated transaction passes through exactly once (commit,
-	// abort, recovery sweep, snapshot), so claims cannot leak.
-	n.nic.SchedDone(t.id)
-	now := n.cl.Engine().Now()
-	if h := n.stats.PhaseLat[t.phase]; h != nil {
-		h.Record(now - t.phaseAt)
-	}
-	if tr := n.tr(); tr.Enabled() {
-		tr.EndAsync("phase", t.phase.String(), t.id, n.id, now, nil)
-		tr.EndAsync("txn", "txn", t.id, n.id, now, trace.Args{"status": st.String()})
-	}
 }
 
 // traceAbort emits the abort instant with its reason.

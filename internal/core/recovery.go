@@ -175,15 +175,13 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 	slices.Sort(ids)
 	for _, id := range ids {
 		t := n.ctxns[id]
-		n.dbgEvt(id, "abortInFlight phase=%v epoch=%d", t.phase, v.Epoch)
 		t.dead = true
 		if t.phase == phCommit {
 			// Already reported committed: in-flight COMMITs to surviving
 			// primaries complete on their own (they need no coordinator
 			// state); commits destined for the dead node are recovered
 			// from the backups' logs. Just drop the state.
-			n.closeTxn(t, wire.StatusOK)
-			n.dropCtxn(t)
+			n.dropCtxn(t, wire.StatusOK)
 			continue
 		}
 		if t.failed == wire.StatusOK {
@@ -238,8 +236,7 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 		n.recordAbort(t, t.failed)
 		n.traceAbort(t)
 		n.finishTxn(c, t, t.failed)
-		n.closeTxn(t, t.failed)
-		n.dropCtxn(t)
+		n.dropCtxn(t, t.failed)
 	}
 	// Shipped transactions from dead coordinators may hold lock-all state
 	// here; their owners are swept below via the orphan-lock path, so also
@@ -322,7 +319,6 @@ func (n *Node) adoptShards(c *nicrt.Core, v membership.View) {
 					keys = append(keys, kv.Key)
 				}
 			}
-			n.dbgEvt(ts.txn, "adoptShards pendingDecide shard=%d keys=%d", s, len(keys))
 			n.pendingDecide[ts] = keys
 		}
 		if !started {
@@ -554,7 +550,6 @@ func (n *Node) handleRecoveryDecide(c *nicrt.Core, m *wire.RecoveryDecide) {
 		return
 	}
 	ts := txnShard{txn: m.TxnID, shard: shard}
-	n.dbgEvt(m.TxnID, "handleRecoveryDecide shard=%d commit=%v", shard, m.Commit)
 	if keys, ok := n.pendingDecide[ts]; ok {
 		delete(n.pendingDecide, ts)
 		if p := n.prim(shard); p != nil {

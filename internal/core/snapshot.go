@@ -94,8 +94,7 @@ func (n *Node) snapFinish(c *nicrt.Core, t *ctxn) {
 	n.stats.SnapCommitted++
 	n.recordCommit(t, nil)
 	n.finishTxn(c, t, wire.StatusOK)
-	n.closeTxn(t, wire.StatusOK)
-	n.dropCtxn(t)
+	n.dropCtxn(t, wire.StatusOK)
 }
 
 // snapClose releases the transaction's GC protection refcount exactly once

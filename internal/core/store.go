@@ -91,9 +91,9 @@ func (c *mvChain) gc(keep int, lwm uint64) {
 	}
 }
 
-// NewShardData builds an empty replica sized by spec. Exported for the
-// wallbench version-chain benchmark; the cluster builds its replicas through
-// the internal constructor.
+// NewShardData builds an empty replica sized by spec. Exported for the repo
+// benchmark's shard-apply driver loops (bench/drivers.go); the cluster builds
+// its replicas through the internal constructor.
 func NewShardData(spec txnmodel.StoreSpec, place txnmodel.Placement) *ShardData {
 	return newShardData(spec, place)
 }

@@ -4,29 +4,58 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"xenic/internal/raceflag"
 	"xenic/internal/wire"
 )
 
-// BenchmarkMVCCApplyTS measures the update hot path with a version chain
-// held at its retention cap: every ApplyTS moves the displaced row's buffer
-// into the chain history and drops the tail entry. The chain hold itself
-// must stay allocation-free (the store's one fresh-buffer insert is the
-// pre-MVCC cost) — wallbench mirrors this benchmark as store/mvcc-apply and
-// CI gates its allocs/op to equal store/apply's.
-func BenchmarkMVCCApplyTS(b *testing.B) {
+// applyOp returns one op of the committed-write install on a single key.
+// With chain set, the key's version chain is first filled to its retention
+// cap, so every op displaces the row into the chain history and drops the
+// tail entry (ApplyTS); without it, ops take the plain MVCC-off Apply.
+func applyOp(chain bool) func() {
 	g := &kvGen{keys: 16}
 	sd := newShardData(g.Spec(), modPlace{nodes: 1})
 	const keep = 8
 	val := make([]byte, 8)
-	for i := uint64(0); i <= keep; i++ {
-		binary.LittleEndian.PutUint64(val, i)
-		sd.ApplyTS(wire.KV{Key: 1, Value: val, Version: i + 1}, i+1, keep, 1)
+	v := uint64(0)
+	op := func() {
+		v++
+		binary.LittleEndian.PutUint64(val, v)
+		kv := wire.KV{Key: 1, Value: val, Version: v}
+		if chain {
+			sd.ApplyTS(kv, v, keep, 1)
+		} else {
+			sd.Apply(kv)
+		}
 	}
+	for i := 0; i <= keep; i++ {
+		op()
+	}
+	return op
+}
+
+// BenchmarkMVCCApplyTS measures the update hot path with a version chain
+// held at its retention cap.
+func BenchmarkMVCCApplyTS(b *testing.B) {
+	op := applyOp(true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := uint64(keep + 2 + i)
-		binary.LittleEndian.PutUint64(val, v)
-		sd.ApplyTS(wire.KV{Key: 1, Value: val, Version: v}, v, keep, 1)
+		op()
+	}
+}
+
+// TestMVCCApplyTSAllocsWithinApply is the exact gate on the chain hold: it
+// must add no allocation to the plain apply path (the store's one
+// fresh-buffer insert is the pre-MVCC cost; the chain packs displaced values
+// into a per-key buffer).
+func TestMVCCApplyTSAllocsWithinApply(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	plain := testing.AllocsPerRun(1000, applyOp(false))
+	chained := testing.AllocsPerRun(1000, applyOp(true))
+	if chained > plain {
+		t.Fatalf("version-chain hold allocates: ApplyTS %v objects per op, Apply %v", chained, plain)
 	}
 }

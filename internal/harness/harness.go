@@ -39,17 +39,6 @@ type Options struct {
 	// admission policy, sessions, p99 bound) from cmd/xenic-bench's flags.
 	// Nil keeps the experiment defaults; other experiments ignore it.
 	SLO *SLOTuning
-	// Sched overrides the contention experiment's scheduler tuning from
-	// cmd/xenic-bench's -sched-* flags. Nil keeps the nicrt defaults; other
-	// experiments ignore it.
-	Sched *SchedTuning
-}
-
-// SchedTuning carries the -sched-batch-us / -sched-hot-k overrides for the
-// contention experiment's scheduler-on cells (0 = nicrt default).
-type SchedTuning struct {
-	BatchUs int
-	HotK    int
 }
 
 // StatsCollector accumulates one stats-registry snapshot per cluster run.
@@ -119,7 +108,7 @@ func DefaultOptions() Options { return Options{Seed: 1} }
 
 // Cell is one machine-readable table cell: the rendered text plus, when the
 // cell carries a number, its typed value — so JSON consumers and tooling
-// (wallbench, regression gates) read values directly instead of re-parsing
+// (regression gates) read values directly instead of re-parsing
 // fmt-formatted strings. Value is nil for purely textual cells; numeric
 // cells carry int64 (counts), float64 (rates; durations in microseconds).
 type Cell struct {

@@ -31,7 +31,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "fig4", "fig8a", "fig8b", "fig8c", "fig8d",
 		"fig9a", "fig9b", "table1", "table2", "table3",
 		"ablate-cache", "ablate-dm", "ablate-k", "availability", "chaos", "checksweep",
-		"contention", "mvcc", "slo"}
+		"mvcc", "slo"}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {
 			t.Errorf("missing experiment %s", id)

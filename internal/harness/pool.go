@@ -1,17 +1,6 @@
 package harness
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// cellsRun counts experiment cells executed process-wide, for wallbench's
-// cells/sec metric.
-var cellsRun atomic.Int64
-
-// CellsRun returns the number of experiment cells executed so far in this
-// process.
-func CellsRun() int64 { return cellsRun.Load() }
+import "sync"
 
 // runCells runs n independent experiment cells on a bounded worker pool and
 // returns their results in cell order. A cell is one (cluster build,
@@ -46,7 +35,6 @@ func runCells[T any](opt Options, n int, run func(idx int, opt Options) T) []T {
 			o.Telemetry = tsubs[i]
 		}
 		results[i] = run(i, o)
-		cellsRun.Add(1)
 	}
 
 	workers := opt.Workers

@@ -17,7 +17,7 @@ func chiSquared(counts []int, total int) float64 {
 }
 
 // hash64 steers every dispatch decision in this package (frame flows, host
-// packets, scheduler routing), and its inputs are decidedly low-entropy:
+// packets, timer jobs), and its inputs are decidedly low-entropy:
 // sequential transaction ids, node*64+core flow labels, small dense workload
 // key spaces. A finalizer that left structure in the low bits would pile
 // whole workloads onto a few NIC cores. Each stream below is a DISTINCT key

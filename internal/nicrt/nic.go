@@ -69,10 +69,6 @@ type NIC struct {
 	hostDeliver func(ms []wire.Msg)
 	hostPktDone func(ms []wire.Msg)
 
-	// sched, when non-nil, routes host transaction-start frames through the
-	// conflict-aware batch scheduler instead of the static hash dispatch.
-	sched *Scheduler
-
 	// sendFn hands a frame to the fabric and deliverFn a packet to the host
 	// (the At1 targets of the flushes, bound once so they schedule without
 	// closures).
@@ -181,11 +177,6 @@ func (n *NIC) RegisterMetrics(reg *metrics.Registry) {
 			"dma_retries":  s.DMARetries,
 		}
 	})
-	if n.sched != nil {
-		// Only present with the scheduler attached, keeping scheduler-off
-		// stats snapshots byte-identical to the goldens.
-		reg.RegisterFunc("sched", func() any { return n.sched.Snapshot() })
-	}
 	reg.RegisterIntHist("batch_msgs_per_frame", &n.batchSizes)
 	reg.RegisterIntHist("gather_list_len", &n.gatherLens)
 	reg.RegisterIntHist("dma_vector_occupancy", &n.dmaVecOcc)
@@ -207,9 +198,6 @@ func (n *NIC) Reset() {
 	n.seen = nil
 	n.maxSeq = nil
 	n.epoch = 0
-	if n.sched != nil {
-		n.sched.Reset()
-	}
 }
 
 // OnMessage installs the protocol handler; must be set before traffic flows.
@@ -287,25 +275,14 @@ func (n *NIC) liveCoreFrom(idx int) *Core {
 }
 
 // FromHost delivers a batch of host-originated messages (one PCIe packet)
-// to a NIC core. Called by the host runtime after the HostToNIC delay. The
-// NIC owns ms from here on and releases it through OnHostPacketDone.
-// Like dispatchFrame, it routes around stopped cores and counts the batch as
-// dropped if none remain.
+// to a NIC core, chosen by hashing the first message's transaction id.
+// Called by the host runtime after the HostToNIC delay. The NIC owns ms from
+// here on and releases it through OnHostPacketDone. Like dispatchFrame, it
+// routes around stopped cores and counts the batch as dropped if none remain.
 func (n *NIC) FromHost(ms []wire.Msg) {
 	if len(ms) == 0 {
 		return
 	}
-	if n.sched != nil {
-		n.sched.fromHost(ms)
-		return
-	}
-	n.deliverHostPacket(ms)
-}
-
-// deliverHostPacket is the legacy host-packet dispatch: hash the first
-// message's transaction id to a core. The scheduler routes non-start
-// messages through here unchanged.
-func (n *NIC) deliverHostPacket(ms []wire.Msg) {
 	c := n.liveCoreFrom(int(hash64(txnOf(ms[0])) % uint64(len(n.cores))))
 	if c == nil {
 		n.stats.DeadDrops++
@@ -313,27 +290,6 @@ func (n *NIC) deliverHostPacket(ms []wire.Msg) {
 	}
 	c.inHost = append(c.inHost, ms)
 	c.poller.Wake()
-}
-
-// SetScheduler attaches the conflict-aware scheduler (nil restores the
-// legacy dispatch). Must be set before traffic flows.
-func (n *NIC) SetScheduler(s *Scheduler) {
-	n.sched = s
-	if s != nil {
-		s.nic = n
-	}
-}
-
-// Scheduler returns the attached scheduler, or nil.
-func (n *NIC) Scheduler() *Scheduler { return n.sched }
-
-// SchedDone notifies the scheduler that a transaction closed so its hot-key
-// claims release and waiters re-admit. A nil-check no-op when the scheduler
-// is off; unknown ids are no-ops too, so every close path may call it.
-func (n *NIC) SchedDone(txn uint64) {
-	if n.sched != nil {
-		n.sched.done(txn)
-	}
 }
 
 func txnOf(m wire.Msg) uint64 {

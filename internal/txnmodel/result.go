@@ -30,9 +30,6 @@ type Result struct {
 	// AbortTimeout counts coordinator-watchdog expiries (fault runs only;
 	// always zero on fault-free runs).
 	AbortTimeout int64
-	// AbortSched counts transactions shed by the NIC conflict scheduler
-	// after parking past the shed deadline (scheduler runs only).
-	AbortSched int64
 	// Read-only breakdown, populated only when the system runs with MVCC
 	// snapshot reads enabled (all-zero otherwise, so String() and recorded
 	// fingerprints are unchanged for MVCC-off runs).
@@ -50,13 +47,10 @@ func (r Result) String() string {
 	if r.Aborts > 0 {
 		s += fmt.Sprintf("(lk=%d ver=%d miss=%d vc=%d",
 			r.AbortLocked, r.AbortVersion, r.AbortMissing, r.AbortView)
-		// Reasons that only occur on fault/scheduler runs print only when
-		// present, keeping fault-free output byte-identical to old builds.
+		// Timeouts only occur on fault runs and print only when present,
+		// keeping fault-free output byte-identical to old builds.
 		if r.AbortTimeout > 0 {
 			s += fmt.Sprintf(" to=%d", r.AbortTimeout)
-		}
-		if r.AbortSched > 0 {
-			s += fmt.Sprintf(" sched=%d", r.AbortSched)
 		}
 		s += ")"
 	}

@@ -85,13 +85,8 @@ const (
 	// a primary's version-chain GC horizon (or raced a promotion); the
 	// coordinator retries at a fresher snapshot. Never contention-induced.
 	StatusAbortSnapshot
-	// StatusAbortSched aborts a transaction that the NIC-side conflict
-	// scheduler shed: it was parked behind a hot-key owner longer than the
-	// shed deadline. The host retries it like any other abort. Only emitted
-	// with the scheduler enabled, so scheduler-off runs never see it.
-	StatusAbortSched
 
-	NumStatuses = int(StatusAbortSched) + 1
+	NumStatuses = int(StatusAbortSnapshot) + 1
 )
 
 func (s Status) String() string {
@@ -110,8 +105,6 @@ func (s Status) String() string {
 		return "abort-timeout"
 	case StatusAbortSnapshot:
 		return "abort-snapshot"
-	case StatusAbortSched:
-		return "abort-sched"
 	}
 	return fmt.Sprintf("status(%d)", uint8(s))
 }
@@ -318,27 +311,6 @@ const (
 	FlagNICExec = 1 << 0 // execute on the coordinator NIC (user annotation, §4.3.3)
 	FlagLocal   = 1 << 1 // host-executed local transaction (§4.2.4)
 )
-
-// ReadHints appends the keys this transaction declared it will read to dst
-// and returns the extended slice. Local fast-path transactions declare their
-// observed read versions instead of ReadKeys.
-func (m *TxnRequest) ReadHints(dst []uint64) []uint64 {
-	dst = append(dst, m.ReadKeys...)
-	for i := range m.LocalReadVers {
-		dst = append(dst, m.LocalReadVers[i].Key)
-	}
-	return dst
-}
-
-// WriteHints appends the keys this transaction declared it will write
-// (blind writes plus read-modify-write keys) to dst and returns the
-// extended slice.
-func (m *TxnRequest) WriteHints(dst []uint64) []uint64 {
-	for i := range m.WriteSet {
-		dst = append(dst, m.WriteSet[i].Key)
-	}
-	return append(dst, m.WriteKeys...)
-}
 
 func (m *TxnRequest) Type() Type { return TTxnRequest }
 func (m *TxnRequest) WireSize() int {
