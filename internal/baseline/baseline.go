@@ -29,6 +29,7 @@ import (
 	"xenic/internal/store/btree"
 	"xenic/internal/store/chained"
 	"xenic/internal/txnmodel"
+	"xenic/internal/wire"
 )
 
 // System selects which baseline to run.
@@ -182,19 +183,13 @@ func (s *shardData) apply(key uint64, value []byte, version uint64) {
 type logRecord struct {
 	txn    uint64
 	shard  int
-	writes []kvw
+	writes []wire.KV
 }
 
-type kvw struct {
-	key     uint64
-	version uint64
-	value   []byte
-}
-
-func recordBytes(writes []kvw) int {
+func recordBytes(writes []wire.KV) int {
 	n := 18
-	for _, w := range writes {
-		n += objHeader + len(w.value)
+	for _, kv := range writes {
+		n += objHeader + len(kv.Value)
 	}
 	return n
 }

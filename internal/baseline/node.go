@@ -177,11 +177,7 @@ func (n *Node) rpcLog(t *hostrt.Thread, src int, m *wire.Log) {
 // appendBackupRecord queues a replicated write set for host application.
 func (n *Node) appendBackupRecord(txn uint64, writes []wire.KV) {
 	shard := n.cl.Placement().ShardOf(writes[0].Key)
-	ws := make([]kvw, len(writes))
-	for i, kv := range writes {
-		ws[i] = kvw{key: kv.Key, version: kv.Version, value: kv.Value}
-	}
-	n.applyq = append(n.applyq, logRecord{txn: txn, shard: shard, writes: ws})
+	n.applyq = append(n.applyq, logRecord{txn: txn, shard: shard, writes: writes})
 	n.host.WakeAll()
 }
 
@@ -233,14 +229,19 @@ func (n *Node) applyBackupRecords(t *hostrt.Thread) bool {
 		if !ok {
 			panic(fmt.Sprintf("baseline: node %d applying record for shard %d", n.id, r.shard))
 		}
-		for _, w := range r.writes {
-			if n.cl.Placement().IsBTree(w.key) {
+		for _, kv := range r.writes {
+			if n.cl.Placement().IsBTree(kv.Key) {
 				t.Charge(p.HostBTreeOp)
 			} else {
 				t.Charge(p.HostStoreOp)
 			}
-			b.apply(w.key, w.value, w.version)
+			b.apply(kv.Key, kv.Value, kv.Version)
 		}
+	}
+	if did && n.apHead == len(n.applyq) {
+		// Drained: release the applied write sets and reuse the array.
+		clear(n.applyq)
+		n.applyq, n.apHead = n.applyq[:0], 0
 	}
 	return did
 }

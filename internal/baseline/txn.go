@@ -625,11 +625,7 @@ func (n *Node) logPhase(t *hostrt.Thread, tx *btxn) {
 			}
 			g := g
 			backup := n.cl.nodes[b]
-			var ws []kvw
-			for _, kv := range g.writes {
-				ws = append(ws, kvw{key: kv.Key, version: kv.Version, value: kv.Value})
-			}
-			n.rnic.Write(t, b, recordBytes(ws), func() {
+			n.rnic.Write(t, b, recordBytes(g.writes), func() {
 				backup.appendBackupRecord(tx.ID, g.writes)
 			}, func() {
 				n.logUnit(t, tx)

@@ -113,7 +113,7 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 			host:          ch.App(id).Host(),
 			prims:         map[int]*primaryShard{},
 			backups:       map[int]*ShardData{},
-			log:           newHostLog(),
+			log:           newHostLog(cfg.Faults != nil || obs.History != nil),
 			pins:          map[uint64][]uint64{},
 			pinIdx:        map[uint64]*nicindex.Index{},
 			ctxns:         map[uint64]*ctxn{},
@@ -214,8 +214,14 @@ func (cl *Cluster) cacheCap() int {
 
 // Kill crashes node id: it stops processing and renewing its lease; the
 // manager reconfigures once the lease expires.
+//
+// From the first crash on every log retains its finished records: recovery
+// votes may be answered from a record applied long before (hostLog.has).
 func (cl *Cluster) Kill(id int) {
 	cl.nodes[id].alive = false
+	for _, n := range cl.nodes {
+		n.log.retain = true
+	}
 }
 
 // Restart brings a crashed (and evicted) node back with wiped NIC and host
@@ -240,7 +246,7 @@ func (cl *Cluster) Restart(id int) {
 	// Measure windows keep working.
 	n.prims = map[int]*primaryShard{}
 	n.backups = map[int]*ShardData{}
-	n.log = newHostLog()
+	n.log = newHostLog(true) // restarts follow a Kill
 	n.pins = map[uint64][]uint64{}
 	n.pinIdx = map[uint64]*nicindex.Index{}
 	n.ctxns = map[uint64]*ctxn{}
@@ -329,9 +335,10 @@ func (cl *Cluster) drained() bool {
 	return true
 }
 
-// CheckInvariants validates every node's store and index structures plus
-// cross-replica consistency for quiesced clusters (call after StopLoad and
-// a drain period).
+// CheckInvariants validates every node's store and index structures, and
+// that every reclaiming host log has shrunk back to at most one segment with
+// nothing undecided, for quiesced clusters (call after StopLoad and a drain
+// period).
 func (cl *Cluster) CheckInvariants() error {
 	for _, n := range cl.nodes {
 		if !n.alive {
@@ -352,6 +359,9 @@ func (cl *Cluster) CheckInvariants() error {
 			if err := b.Hash.CheckInvariants(); err != nil {
 				return fmt.Errorf("node %d backup of %d: %w", n.id, s, err)
 			}
+		}
+		if err := n.log.checkDrained(); err != nil {
+			return fmt.Errorf("node %d log: %w", n.id, err)
 		}
 	}
 	return nil

@@ -195,8 +195,7 @@ func (cl *Cluster) AuditHistory() error {
 				return err
 			}
 		}
-		for i := range n.log.records {
-			r := &n.log.records[i]
+		for r := range n.log.records() {
 			if r.txn == 0 {
 				// State-transfer snapshot chunks ride the backup-log path
 				// under sentinel txn 0 (handleStateChunk); they carry already

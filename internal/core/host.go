@@ -349,8 +349,8 @@ func (n *Node) hostDone(t *hostrt.Thread, m *wire.TxnDone) {
 func (n *Node) workerIdle(t *hostrt.Thread) bool {
 	did := false
 	for i := 0; i < workerBatch; i++ {
-		r := n.log.claim()
-		if r == nil {
+		r, ok := n.log.claim()
+		if !ok {
 			break
 		}
 		did = true
@@ -375,7 +375,7 @@ func (n *Node) workerIdle(t *hostrt.Thread) bool {
 				}
 				store = p.data
 			}
-			n.applyKV(store, r, ki, kv)
+			n.applyKV(store, &r, ki, kv)
 		}
 		if r.kind == recCommit {
 			if r.cts != 0 {

@@ -1,6 +1,12 @@
 package core
 
-import "xenic/internal/wire"
+import (
+	"fmt"
+	"iter"
+	"math"
+
+	"xenic/internal/wire"
+)
 
 // recordKind distinguishes backup log records from primary commit records.
 type recordKind uint8
@@ -51,17 +57,50 @@ func recordBytes(writes []wire.KV) int {
 	return n
 }
 
+// segSize is the number of records in one log segment. The in-flight log
+// (appended, not yet applied or dropped) stays under two segments per node
+// on every benchmark workload, so a drained log holds at most one.
+const (
+	segShift = 10
+	segSize  = 1 << segShift
+)
+
+// logSegment is segSize consecutive records; record index i lives in segment
+// i>>segShift at slot i&(segSize-1).
+type logSegment struct {
+	recs [segSize]logRecord
+	// finished counts the segment's records that are applied or dropped:
+	// nothing will claim, decide or apply them again.
+	finished int
+}
+
 // hostLog is a node's log region in host memory. Records become visible to
 // host pollers when the NIC's DMA write completes; worker threads claim
 // decided records in order.
+//
+// The region is a run of fixed-size segments addressed by record index
+// (index = seq-1). Once every record of the oldest segment is finished the
+// segment is zeroed — releasing the write sets it pinned — and recycled
+// through the log's own freelist, unless retain is set.
 type hostLog struct {
-	records []logRecord
+	segs []*logSegment // live segments, oldest first
+	head int           // segment number of segs[0]
+	free freelist[logSegment]
+	// retain keeps finished records: something may read them back — a
+	// recovery vote answered from a decided record (has), or the history
+	// audit. Set at construction for fault-plan and history runs, and by
+	// Cluster.Kill from the first crash on (DESIGN.md §5).
+	retain  bool
 	nextSeq uint64
-	// byTxn indexes undecided backup records: (txn, shard) -> record index.
-	byTxn map[txnShard][]int
-	// ready queues indices of decided, unapplied records.
+	// byTxn indexes undecided backup records: (txn, shard) -> record indices.
+	byTxn map[txnShard]recIdx
+	// ready queues indices of decided, unapplied records; its array is
+	// reused whenever the queue drains.
 	ready []int
 	rhead int
+	// appliedAnswers counts has() answers served from an applied record: the
+	// read-back that the retention rule exists for (retention tests pin it).
+	appliedAnswers int
 }
 
 type txnShard struct {
@@ -69,27 +108,65 @@ type txnShard struct {
 	shard int
 }
 
-func newHostLog() *hostLog {
-	return &hostLog{byTxn: map[txnShard][]int{}}
+// recIdx lists the undecided records under one (txn, shard) key in append
+// order. It is almost always one record; more holds the rest (duplicated Log
+// frames, state-transfer chunk records, which share key (0, shard)).
+type recIdx struct {
+	first int
+	more  []int
+}
+
+func newHostLog(retain bool) *hostLog {
+	return &hostLog{byTxn: map[txnShard]recIdx{}, retain: retain}
+}
+
+// at returns record idx, which must not have been reclaimed.
+func (l *hostLog) at(idx int) *logRecord {
+	return &l.segs[idx>>segShift-l.head].recs[idx&(segSize-1)]
 }
 
 // append makes a completed record visible and returns its sequence number.
 // Commit records are decided by definition; backup records await their
 // LogCommit (or a recovery decision).
 func (l *hostLog) append(kind recordKind, txn uint64, shard int, writes []wire.KV, epoch int, cts uint64, kvTS []uint64) uint64 {
+	idx := int(l.nextSeq)
 	l.nextSeq++
-	rec := logRecord{seq: l.nextSeq, kind: kind, txn: txn, shard: shard, writes: writes, epoch: epoch, cts: cts, kvTS: kvTS}
-	idx := len(l.records)
+	if idx>>segShift-l.head == len(l.segs) {
+		l.segs = append(l.segs, l.free.get())
+	}
+	r := l.at(idx)
+	*r = logRecord{seq: l.nextSeq, kind: kind, txn: txn, shard: shard, writes: writes, epoch: epoch, cts: cts, kvTS: kvTS}
 	if kind == recCommit {
-		rec.committed = true
-		l.records = append(l.records, rec)
+		r.committed = true
 		l.ready = append(l.ready, idx)
 		return l.nextSeq
 	}
-	l.records = append(l.records, rec)
 	k := txnShard{txn: txn, shard: shard}
-	l.byTxn[k] = append(l.byTxn[k], idx)
+	if e, ok := l.byTxn[k]; ok {
+		e.more = append(e.more, idx)
+		l.byTxn[k] = e
+	} else {
+		l.byTxn[k] = recIdx{first: idx}
+	}
 	return l.nextSeq
+}
+
+// finish notes that record idx is applied or dropped — exactly once per
+// record — and reclaims every leading segment that is finished throughout.
+func (l *hostLog) finish(idx int) {
+	l.segs[idx>>segShift-l.head].finished++
+	if l.retain && !mutReclaimUnderFaults {
+		return
+	}
+	k := 0
+	for ; k < len(l.segs) && l.segs[k].finished == segSize; k++ {
+		*l.segs[k] = logSegment{}
+		l.free.put(l.segs[k])
+	}
+	if k > 0 {
+		l.segs = l.segs[:copy(l.segs, l.segs[k:])]
+		l.head += k
+	}
 }
 
 // markCommitted moves a transaction's backup records for shard to the
@@ -99,27 +176,30 @@ func (l *hostLog) append(kind recordKind, txn uint64, shard int, writes []wire.K
 // only sends it after the ack, so in practice the record exists).
 func (l *hostLog) markCommitted(txn uint64, shard int, cts uint64) {
 	k := txnShard{txn: txn, shard: shard}
-	for _, idx := range l.byTxn[k] {
-		r := &l.records[idx]
-		if !r.committed && !r.dropped {
-			r.committed = true
-			if cts != 0 {
-				r.cts = cts
-			}
-			l.ready = append(l.ready, idx)
-		}
+	e, ok := l.byTxn[k]
+	if !ok {
+		return
+	}
+	l.commitRecord(e.first, cts)
+	for _, idx := range e.more {
+		l.commitRecord(idx, cts)
 	}
 	delete(l.byTxn, k)
+}
+
+func (l *hostLog) commitRecord(idx int, cts uint64) {
+	r := l.at(idx)
+	r.committed = true
+	if cts != 0 {
+		r.cts = cts
+	}
+	l.ready = append(l.ready, idx)
 }
 
 // drop discards a transaction's undecided backup records for shard
 // (recovery decided abort).
 func (l *hostLog) drop(txn uint64, shard int) {
-	k := txnShard{txn: txn, shard: shard}
-	for _, idx := range l.byTxn[k] {
-		l.records[idx].dropped = true
-	}
-	delete(l.byTxn, k)
+	l.dropBefore(txn, shard, math.MaxInt)
 }
 
 // dropBefore discards a transaction's undecided backup records for shard
@@ -128,35 +208,69 @@ func (l *hostLog) drop(txn uint64, shard int) {
 // and survive; their own LogCommit or abort decision resolves them.
 func (l *hostLog) dropBefore(txn uint64, shard, fence int) {
 	k := txnShard{txn: txn, shard: shard}
-	kept := l.byTxn[k][:0]
-	for _, idx := range l.byTxn[k] {
-		if l.records[idx].epoch < fence {
-			l.records[idx].dropped = true
-			continue
-		}
-		kept = append(kept, idx)
-	}
-	if len(kept) == 0 {
-		delete(l.byTxn, k)
+	e, ok := l.byTxn[k]
+	if !ok {
 		return
 	}
-	l.byTxn[k] = kept
+	firstKept := !l.dropIfBefore(e.first, fence)
+	kept := e.more[:0]
+	for _, idx := range e.more {
+		if !l.dropIfBefore(idx, fence) {
+			kept = append(kept, idx)
+		}
+	}
+	switch {
+	case firstKept:
+		l.byTxn[k] = recIdx{first: e.first, more: kept}
+	case len(kept) > 0:
+		l.byTxn[k] = recIdx{first: kept[0], more: kept[1:]}
+	default:
+		delete(l.byTxn, k)
+	}
+}
+
+// dropIfBefore drops undecided record idx if its epoch is older than fence.
+func (l *hostLog) dropIfBefore(idx, fence int) bool {
+	r := l.at(idx)
+	if r.epoch >= fence {
+		return false
+	}
+	r.dropped = true
+	l.finish(idx)
+	return true
 }
 
 // has reports whether the log holds a backup record for (txn, shard) —
-// decided or not — and returns its writes (recovery queries).
+// decided or not — and returns its writes (recovery queries). Undecided
+// records answer from the index; a decided record answers only while the
+// log still holds it, which retain guarantees wherever recovery can ask.
 func (l *hostLog) has(txn uint64, shard int) ([]wire.KV, bool) {
-	if idxs, ok := l.byTxn[txnShard{txn: txn, shard: shard}]; ok && len(idxs) > 0 {
-		return l.records[idxs[0]].writes, true
+	if e, ok := l.byTxn[txnShard{txn: txn, shard: shard}]; ok {
+		return l.at(e.first).writes, true
 	}
-	// Already decided records still count as held.
-	for i := range l.records {
-		r := &l.records[i]
+	for r := range l.records() {
 		if r.kind == recBackup && r.txn == txn && r.shard == shard && !r.dropped {
+			if r.applied {
+				l.appliedAnswers++
+			}
 			return r.writes, true
 		}
 	}
 	return nil, false
+}
+
+// records iterates over every record the log still holds, oldest first.
+func (l *hostLog) records() iter.Seq[*logRecord] {
+	return func(yield func(*logRecord) bool) {
+		for si, s := range l.segs {
+			n := min(int(l.nextSeq)-(l.head+si)<<segShift, segSize)
+			for i := range s.recs[:n] {
+				if !yield(&s.recs[i]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // undecided lists (txn, writes) of undecided backup records for shard.
@@ -176,16 +290,39 @@ func (l *hostLog) undecided(shard int) []txnShard {
 	return out
 }
 
-// claim hands the next decided, unapplied record to a worker, or nil.
-func (l *hostLog) claim() *logRecord {
-	for l.rhead < len(l.ready) {
-		r := &l.records[l.ready[l.rhead]]
-		l.rhead++
-		if r.dropped || r.applied {
-			continue
-		}
-		r.applied = true
-		return r
+// claim hands the next decided, unapplied record to a worker and finishes
+// it. The record is returned by value: its segment may be recycled before
+// the caller is done applying it.
+func (l *hostLog) claim() (logRecord, bool) {
+	if l.rhead == len(l.ready) {
+		return logRecord{}, false
+	}
+	idx := l.ready[l.rhead]
+	l.rhead++
+	if l.rhead == len(l.ready) {
+		l.ready, l.rhead = l.ready[:0], 0
+	}
+	r := l.at(idx)
+	r.applied = true
+	rec := *r
+	l.finish(idx)
+	return rec, true
+}
+
+// checkDrained verifies that a quiesced log has reclaimed itself: no record
+// is left undecided and at most one segment — the partly filled tail — is
+// live. A record stuck undecided pins its segment and every later one, which
+// is the unbounded log again. Logs in retain mode keep everything by design.
+func (l *hostLog) checkDrained() error {
+	if l.retain {
+		return nil
+	}
+	if len(l.byTxn) > 0 {
+		return fmt.Errorf("%d undecided record keys after drain", len(l.byTxn))
+	}
+	if len(l.segs) > 1 {
+		return fmt.Errorf("%d live segments after drain (records %d..%d), want at most 1",
+			len(l.segs), l.head<<segShift, l.nextSeq)
 	}
 	return nil
 }

@@ -35,6 +35,11 @@ var (
 	// racing committing updaters observes a version newer than its
 	// timestamp (the SI visibility check must flag it).
 	mutGCIgnoreSnapshots bool
+	// mutReclaimUnderFaults makes the host log reclaim finished records even
+	// where the retention rule keeps them (fault plans, history runs, after a
+	// Kill): a recovery vote that needs an applied record's evidence finds it
+	// gone and aborts a transaction part of the cluster already applied.
+	mutReclaimUnderFaults bool
 )
 
 // mutReleaseLocks force-releases every lock t holds (the unlock-before-log

@@ -272,11 +272,11 @@ func (n *Node) adoptShards(c *nicrt.Core, v membership.View) {
 		// promotion happens off the critical path (§4.2.1), and the serving
 		// copy must reflect every decided write before lookups begin.
 		for {
-			r := n.log.claim()
-			if r == nil {
+			r, ok := n.log.claim()
+			if !ok {
 				break
 			}
-			n.applyRecord(c, r)
+			n.applyRecord(c, &r)
 		}
 		idx := nicindex.New(data.Hash, n.cl.cacheCap(), 1)
 		idx.SyncHints()
