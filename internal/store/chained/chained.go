@@ -11,25 +11,33 @@ import (
 	"xenic/internal/store/robinhood"
 )
 
-// Entry is one stored object.
-type Entry struct {
-	Key     uint64
-	Version uint64
-	Value   []byte
+// entry is one stored object: 24 pointer-free bytes, so the entry array —
+// most of a table's memory — is never scanned by the garbage collector.
+type entry struct {
+	key     uint64
+	version uint64
+	val     uint32 // 0: unused; else 1 + index into Table.vals
 }
 
-type bucket struct {
-	used    int
-	entries []Entry
-	next    *bucket
-}
-
-// Table is a chained-bucket hash table.
+// Table is a chained-bucket hash table. Buckets are numbered: [0, Roots())
+// is the closed root array, root bucket i owning roots[i*b : (i+1)*b];
+// linked buckets take the numbers after that and live in links, which only
+// grows (appending to the root array instead would copy it, and leave a
+// quarter of it as slack, on a table's first chain link).
 type Table struct {
 	b     int
 	mask  uint64
-	root  []bucket
-	count int
+	roots []entry
+	links []entry
+	used  []int32 // per bucket: occupied prefix of its entries
+	next  []int32 // per bucket: the linked bucket, 0 = none (bucket 0 is a root)
+	// vals holds the values, one cell per stored entry; an entry's cell
+	// travels with it when Delete compacts. A cell is only ever pointed at a
+	// fresh copy, never written through: slices handed out by Lookup outlive
+	// the call.
+	vals     [][]byte
+	freeVals []uint32 // released cells (as val codes), reused LIFO
+	count    int
 }
 
 // New creates a table with roots root buckets (rounded to a power of two)
@@ -42,11 +50,13 @@ func New(roots, b int) *Table {
 	for n < roots {
 		n <<= 1
 	}
-	t := &Table{b: b, mask: uint64(n - 1), root: make([]bucket, n)}
-	for i := range t.root {
-		t.root[i].entries = make([]Entry, b)
+	return &Table{
+		b:     b,
+		mask:  uint64(n - 1),
+		roots: make([]entry, n*b),
+		used:  make([]int32, n),
+		next:  make([]int32, n),
 	}
-	return t
 }
 
 // B returns the bucket size.
@@ -54,33 +64,71 @@ func (t *Table) B() int { return t.b }
 
 // Len reports stored keys; Roots the number of root buckets.
 func (t *Table) Len() int   { return t.count }
-func (t *Table) Roots() int { return len(t.root) }
+func (t *Table) Roots() int { return int(t.mask) + 1 }
 
-func (t *Table) bucketOf(key uint64) *bucket {
-	return &t.root[robinhood.Hash(key)&t.mask]
+func (t *Table) rootOf(key uint64) int { return int(robinhood.Hash(key) & t.mask) }
+
+// slots returns bucket bi's b entry slots.
+func (t *Table) slots(bi int) []entry {
+	if n := t.Roots(); bi >= n {
+		bi -= n
+		return t.links[bi*t.b : (bi+1)*t.b]
+	}
+	return t.roots[bi*t.b : (bi+1)*t.b]
+}
+
+// bucket returns bucket bi's occupied entries.
+func (t *Table) bucket(bi int) []entry { return t.slots(bi)[:t.used[bi]] }
+
+// find returns the entry holding key, walking the chain from its root.
+func (t *Table) find(key uint64) *entry {
+	for bi := t.rootOf(key); ; {
+		es := t.bucket(bi)
+		for i := range es {
+			if es[i].key == key {
+				return &es[i]
+			}
+		}
+		if bi = int(t.next[bi]); bi == 0 {
+			return nil
+		}
+	}
 }
 
 // Insert adds or updates key.
 func (t *Table) Insert(key uint64, value []byte, version uint64) {
-	for b := t.bucketOf(key); b != nil; b = b.next {
-		for i := 0; i < b.used; i++ {
-			if b.entries[i].Key == key {
-				b.entries[i].Value = append([]byte(nil), value...)
-				b.entries[i].Version = version
-				return
-			}
-		}
+	v := append([]byte(nil), value...)
+	if e := t.find(key); e != nil {
+		t.vals[e.val-1] = v
+		e.version = version
+		return
 	}
-	b := t.bucketOf(key)
-	for b.used == t.b {
-		if b.next == nil {
-			b.next = &bucket{entries: make([]Entry, t.b)}
+	bi := t.rootOf(key)
+	for int(t.used[bi]) == t.b {
+		if t.next[bi] == 0 {
+			t.next[bi] = int32(len(t.used))
+			t.links = append(t.links, make([]entry, t.b)...)
+			t.used = append(t.used, 0)
+			t.next = append(t.next, 0)
 		}
-		b = b.next
+		bi = int(t.next[bi])
 	}
-	b.entries[b.used] = Entry{Key: key, Version: version, Value: append([]byte(nil), value...)}
-	b.used++
+	e := &t.slots(bi)[t.used[bi]]
+	*e = entry{key: key, version: version, val: t.newCell()}
+	t.vals[e.val-1] = v
+	t.used[bi]++
 	t.count++
+}
+
+// newCell returns the val code of an unused value cell.
+func (t *Table) newCell() uint32 {
+	if n := len(t.freeVals); n > 0 {
+		c := t.freeVals[n-1]
+		t.freeVals = t.freeVals[:n-1]
+		return c
+	}
+	t.vals = append(t.vals, nil)
+	return uint32(len(t.vals))
 }
 
 // LookupResult reports a lookup and its remote-access cost: B objects per
@@ -96,77 +144,104 @@ type LookupResult struct {
 // Lookup traverses the chain from the root bucket.
 func (t *Table) Lookup(key uint64) LookupResult {
 	var r LookupResult
-	for b := t.bucketOf(key); b != nil; b = b.next {
+	for bi := t.rootOf(key); ; {
 		r.Roundtrips++
 		r.ObjectsRead += t.b
-		for i := 0; i < b.used; i++ {
-			if b.entries[i].Key == key {
+		es := t.bucket(bi)
+		for i := range es {
+			if es[i].key == key {
 				r.Found = true
-				r.Value = b.entries[i].Value
-				r.Version = b.entries[i].Version
+				r.Value = t.vals[es[i].val-1]
+				r.Version = es[i].version
 				return r
 			}
 		}
+		if bi = int(t.next[bi]); bi == 0 {
+			return r
+		}
 	}
-	if r.Roundtrips == 0 {
-		r.Roundtrips = 1
-		r.ObjectsRead = t.b
-	}
-	return r
 }
 
 // Delete removes key, compacting the chain tail into the hole.
 func (t *Table) Delete(key uint64) bool {
-	for b := t.bucketOf(key); b != nil; b = b.next {
-		for i := 0; i < b.used; i++ {
-			if b.entries[i].Key != key {
+	for bi := t.rootOf(key); ; {
+		es := t.bucket(bi)
+		for i := range es {
+			if es[i].key != key {
 				continue
 			}
+			// The value slice is dropped, never written.
+			t.vals[es[i].val-1] = nil
+			t.freeVals = append(t.freeVals, es[i].val)
 			// Find the last entry in the chain and move it into the hole.
-			lastB := b
-			for lastB.next != nil && lastB.next.used > 0 {
-				lastB = lastB.next
+			last := bi
+			for n := int(t.next[last]); n != 0 && t.used[n] > 0; n = int(t.next[last]) {
+				last = n
 			}
-			b.entries[i] = lastB.entries[lastB.used-1]
-			lastB.entries[lastB.used-1] = Entry{}
-			lastB.used--
+			tail := t.bucket(last)
+			es[i] = tail[len(tail)-1]
+			tail[len(tail)-1] = entry{}
+			t.used[last]--
 			t.count--
 			return true
 		}
+		if bi = int(t.next[bi]); bi == 0 {
+			return false
+		}
 	}
-	return false
 }
 
 // ForEach visits every stored entry until fn returns false.
 func (t *Table) ForEach(fn func(key uint64, version uint64, value []byte) bool) {
-	for ri := range t.root {
-		for b := &t.root[ri]; b != nil; b = b.next {
-			for i := 0; i < b.used; i++ {
-				e := b.entries[i]
-				if !fn(e.Key, e.Version, e.Value) {
+	for ri := 0; ri < t.Roots(); ri++ {
+		for bi := ri; ; {
+			for _, e := range t.bucket(bi) {
+				if !fn(e.key, e.version, t.vals[e.val-1]) {
 					return
 				}
+			}
+			if bi = int(t.next[bi]); bi == 0 {
+				break
 			}
 		}
 	}
 }
 
-// CheckInvariants verifies bucket occupancy bookkeeping and key placement.
+// CheckInvariants verifies bucket occupancy bookkeeping, key placement and
+// that every stored entry owns exactly one value cell.
 func (t *Table) CheckInvariants() error {
-	n := 0
-	for ri := range t.root {
-		for b := &t.root[ri]; b != nil; b = b.next {
-			if b.used < 0 || b.used > t.b {
-				return fmt.Errorf("bucket %d: used=%d", ri, b.used)
+	n, buckets := 0, 0
+	cellUsed := make([]bool, len(t.vals))
+	for ri := 0; ri < t.Roots(); ri++ {
+		for bi := ri; ; {
+			buckets++
+			if buckets > len(t.used) {
+				return fmt.Errorf("root %d: chain revisits a bucket", ri)
 			}
-			for i := 0; i < b.used; i++ {
-				e := b.entries[i]
-				if int(robinhood.Hash(e.Key)&t.mask) != ri {
-					return fmt.Errorf("key %d in root %d, hashes to %d", e.Key, ri, robinhood.Hash(e.Key)&t.mask)
+			if t.used[bi] < 0 || int(t.used[bi]) > t.b {
+				return fmt.Errorf("bucket %d: used=%d", ri, t.used[bi])
+			}
+			for _, e := range t.bucket(bi) {
+				if t.rootOf(e.key) != ri {
+					return fmt.Errorf("key %d in root %d, hashes to %d", e.key, ri, t.rootOf(e.key))
 				}
+				c := int(e.val) - 1
+				if c < 0 || c >= len(cellUsed) || cellUsed[c] {
+					return fmt.Errorf("key %d: value cell %d missing, out of range or shared", e.key, c)
+				}
+				cellUsed[c] = true
 				n++
 			}
+			if bi = int(t.next[bi]); bi == 0 {
+				break
+			}
 		}
+	}
+	if buckets != len(t.used) {
+		return fmt.Errorf("%d buckets reachable from the roots, %d allocated", buckets, len(t.used))
+	}
+	if live := len(t.vals) - len(t.freeVals); live != n {
+		return fmt.Errorf("%d live value cells != %d stored entries", live, n)
 	}
 	if n != t.count {
 		return fmt.Errorf("count %d != resident %d", t.count, n)

@@ -1,9 +1,15 @@
 package chained
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"xenic/internal/raceflag"
 )
 
 func TestInsertLookupDelete(t *testing.T) {
@@ -137,5 +143,175 @@ func TestModelEquivalence(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// modelRow is the oracle's record of one key.
+type modelRow struct {
+	v   []byte
+	ver uint64
+}
+
+// checkAgainstModel compares the whole table with the oracle: invariants
+// (which include one value cell per stored entry), Len, and ForEach as a set.
+func checkAgainstModel(t *testing.T, tb *Table, model map[uint64]modelRow) {
+	t.Helper()
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != len(model) {
+		t.Fatalf("len %d, oracle %d", tb.Len(), len(model))
+	}
+	seen := 0
+	tb.ForEach(func(key, version uint64, value []byte) bool {
+		want, ok := model[key]
+		if !ok || want.ver != version || !bytes.Equal(want.v, value) {
+			t.Fatalf("ForEach key %d: version %d, %dB value; oracle has it %v at version %d with %dB",
+				key, version, len(value), ok, want.ver, len(want.v))
+		}
+		seen++
+		return true
+	})
+	if seen != len(model) {
+		t.Fatalf("ForEach visited %d keys, oracle holds %d", seen, len(model))
+	}
+}
+
+// TestTableAgainstModel drives seeded random Insert / Delete / Lookup
+// sequences against a plain map, over a key range small enough that chains
+// grow, drain to empty linked buckets and refill. The one-root B=2 shape is
+// a single long chain, so every delete compacts across buckets.
+func TestTableAgainstModel(t *testing.T) {
+	const ops = 20_000
+	shapes := []struct {
+		name           string
+		roots, b, keys int
+	}{
+		{"roots=1,B=2", 1, 2, 24},
+		{"roots=16,B=4", 16, 4, 200},
+	}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", sh.name, seed), func(t *testing.T) {
+				tb := New(sh.roots, sh.b)
+				rng := rand.New(rand.NewSource(seed))
+				model := map[uint64]modelRow{}
+				chained := 0
+				for op := 1; op <= ops; op++ {
+					key := uint64(rng.Intn(sh.keys))
+					want, present := model[key]
+					switch x := rng.Intn(100); {
+					case x < 45:
+						v := make([]byte, rng.Intn(20))
+						rng.Read(v)
+						tb.Insert(key, v, uint64(op))
+						model[key] = modelRow{v, uint64(op)}
+					case x < 75:
+						if got := tb.Delete(key); got != present {
+							t.Fatalf("op %d: delete %d = %v, oracle has it: %v", op, key, got, present)
+						}
+						delete(model, key)
+					default:
+						r := tb.Lookup(key)
+						if r.Found != present || r.Version != want.ver || !bytes.Equal(r.Value, want.v) {
+							t.Fatalf("op %d: lookup %d = %+v, oracle %v %+v", op, key, r, present, want)
+						}
+						if r.Roundtrips < 1 || r.ObjectsRead != r.Roundtrips*sh.b {
+							t.Fatalf("op %d: lookup cost %+v with B=%d", op, r, sh.b)
+						}
+						if r.Roundtrips > 1 {
+							chained++
+						}
+					}
+					if op%250 == 0 {
+						checkAgainstModel(t, tb, model)
+					}
+				}
+				checkAgainstModel(t, tb, model)
+				if chained == 0 {
+					t.Fatal("no lookup followed a chain link")
+				}
+			})
+		}
+	}
+}
+
+// TestLookupValueImmutable pins copy-on-install: a slice Lookup returned
+// keeps its bytes through any number of later updates, deletes and
+// re-inserts of that key and its neighbours (callers hold such slices in
+// in-flight RDMA read results).
+func TestLookupValueImmutable(t *testing.T) {
+	tb := New(4, 2)
+	rng := rand.New(rand.NewSource(12))
+	const keys = 32
+	for k := uint64(0); k < keys; k++ {
+		v := make([]byte, 12)
+		rng.Read(v)
+		tb.Insert(k, v, 1)
+	}
+	type held struct {
+		key       uint64
+		got, want []byte
+	}
+	var handed []held
+	hold := func(k uint64) {
+		if r := tb.Lookup(k); r.Found {
+			handed = append(handed, held{k, r.Value, append([]byte(nil), r.Value...)})
+		}
+	}
+	for k := uint64(0); k < keys; k += 5 {
+		hold(k)
+	}
+	for op := 0; op < 1000; op++ {
+		k := (uint64(rng.Intn(keys/5+1))*5 + uint64(rng.Intn(3))) % keys
+		if rng.Intn(3) == 0 {
+			tb.Delete(k)
+		} else {
+			v := make([]byte, 12)
+			rng.Read(v)
+			tb.Insert(k, v, uint64(op+2))
+		}
+		if op%100 == 0 {
+			hold(k)
+		}
+	}
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range handed {
+		if !bytes.Equal(h.got, h.want) {
+			t.Fatalf("key %d: a value handed out by Lookup changed under later writes: %x, was %x", h.key, h.got, h.want)
+		}
+	}
+}
+
+// TestSmallbankTableFootprint holds the baselines' Smallbank table — 32 768
+// roots of 8, 18 of them per cluster — to its flat layout: a 24-byte
+// pointer-free entry and no per-bucket allocation (13 MiB live when each
+// root was a header plus its own []Entry).
+func TestSmallbankTableFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow memory is part of the heap")
+	}
+	if got := unsafe.Sizeof(entry{}); got != 24 {
+		t.Fatalf("entry is %d bytes, want 24", got)
+	}
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	before := liveHeap()
+	tb := New(16_666, 8)
+	row := make([]byte, 12)
+	for k := uint64(0); k < 80_000; k++ {
+		tb.Insert(k, row, 1)
+	}
+	mib := liveHeap() - before
+	runtime.KeepAlive(tb)
+	t.Logf("%d roots of %d, %d rows: %.1f MiB live", tb.Roots(), tb.B(), tb.Len(), mib)
+	if mib > 10.6 {
+		t.Fatalf("Smallbank table holds %.1f MiB live, want at most 10.6", mib)
 	}
 }

@@ -230,18 +230,17 @@ func (x *Index) Lookup(key uint64) Result {
 	if window > dm-1 {
 		window = dm - 1
 	}
-	slots := x.host.ReadRegion(home, window+1)
-	res.Reads = append(res.Reads, ReadOp{Slots: len(slots), Bytes: len(slots) * x.host.SlotBytes()})
-	res.ObjectsRead += len(slots)
-	found, done := x.scan(key, home, slots, &res)
+	res.Reads = append(res.Reads, ReadOp{Slots: window + 1, Bytes: (window + 1) * x.host.SlotBytes()})
+	res.ObjectsRead += window + 1
+	found, done := x.scan(key, home, 0, window+1, &res)
 
 	if !found && !done && window < dm-1 {
 		// d_i may be stale: second, adjacent read up to the limit (§4.1.3).
 		x.stats.SecondReads++
-		more := x.host.ReadRegion(home+window+1, dm-1-window)
-		res.Reads = append(res.Reads, ReadOp{Slots: len(more), Bytes: len(more) * x.host.SlotBytes()})
-		res.ObjectsRead += len(more)
-		found, _ = x.scan(key, home, append(slots, more...), &res)
+		more := dm - 1 - window
+		res.Reads = append(res.Reads, ReadOp{Slots: more, Bytes: more * x.host.SlotBytes()})
+		res.ObjectsRead += more
+		found, _ = x.scan(key, home, window+1, dm, &res)
 	}
 
 	if !found && x.host.OverflowLen(seg) > 0 {
@@ -276,12 +275,14 @@ func (x *Index) Lookup(key uint64) Result {
 	return res
 }
 
-// scan searches fetched slots for key, resolving large-object indirection
-// and caching the hit. It reports (found, provenDone): provenDone is true
-// when an empty slot or Robin Hood early-stop proves the key cannot be
-// further in the table.
-func (x *Index) scan(key uint64, home int, slots []robinhood.Slot, res *Result) (bool, bool) {
-	for d, s := range slots {
+// scan searches the fetched slots at displacements [from, to) of home for
+// key, resolving large-object indirection and caching the hit. It reads the
+// host table slot by slot instead of copying the region a DMA read returns.
+// It reports (found, provenDone): provenDone is true when an empty slot or
+// Robin Hood early-stop proves the key cannot be further in the table.
+func (x *Index) scan(key uint64, home, from, to int, res *Result) (bool, bool) {
+	for d := from; d < to; d++ {
+		s := x.host.SlotAt(home + d)
 		if !s.Occupied {
 			return false, true
 		}

@@ -13,6 +13,7 @@ package robinhood
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Hash is the 64-bit mix function used to derive home positions; exported so
@@ -54,7 +55,9 @@ func DefaultConfig(slots int) Config {
 	}
 }
 
-// Slot is one main-table entry as visible to a DMA read.
+// Slot is one main-table entry as visible to a DMA read: the modelled
+// record of SlotBytes() bytes, materialised on demand (SlotAt, ReadRegion)
+// from the compact in-memory slot below.
 type Slot struct {
 	Occupied bool
 	Key      uint64
@@ -87,13 +90,43 @@ type Stats struct {
 	MultiLineSwaps     int64 // swaps spanning >1 host cache line (HTM-guarded, §4.1.2)
 }
 
+// slot is the in-memory form of one main-table entry: 24 pointer-free bytes,
+// so the slot array — most of a table's memory, mostly empty — is never
+// scanned by the garbage collector. It is not the modelled layout (Slot and
+// SlotBytes are); disp is 32 bits because an unlimited-displacement table
+// probes up to its whole length.
+type slot struct {
+	key     uint64
+	version uint64
+	disp    int32
+	val     uint32 // 0: empty; largeVal: value behind Table.large; else 1 + index into Table.vals
+}
+
+const largeVal = ^uint32(0)
+
+// segMeta is one segment's bookkeeping.
+type segMeta struct {
+	maxDisp int32 // exact max displacement among keys homed in the segment
+	over    int32 // entries in the segment's overflow bucket
+}
+
 // Table is the host-side store for one shard.
 type Table struct {
-	cfg      Config
-	mask     uint64
-	slots    []Slot
-	overflow [][]OverflowEntry // per segment
-	segMax   []int             // per-segment max displacement (exact)
+	cfg   Config
+	mask  uint64
+	slots []slot
+	segs  []segMeta
+	// vals holds the inline values, one cell per occupied inline slot; a
+	// slot's cell travels with it through swaps and shifts. A cell is only
+	// ever pointed at a fresh copy, never written through: slices handed
+	// out by Lookup outlive the call (in-flight DMA results and snapshot
+	// responses), so their bytes must stay immutable.
+	vals     [][]byte
+	freeVals []uint32 // released cells (as val codes), reused LIFO
+	// overflow holds the buckets of segments that have entries, and is
+	// consulted only where segs[seg].over > 0. It is never iterated: map
+	// order must not reach an observable.
+	overflow map[int][]OverflowEntry
 	count    int
 	large    map[uint64][]byte // out-of-table large values
 	stats    Stats
@@ -122,13 +155,16 @@ func New(cfg Config) *Table {
 	if cfg.InlineValueSize <= 0 {
 		cfg.InlineValueSize = 64
 	}
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("robinhood: %d slots exceed the 32-bit displacement field", n))
+	}
 	cfg.Slots = n
 	return &Table{
 		cfg:      cfg,
 		mask:     uint64(n - 1),
-		slots:    make([]Slot, n),
-		overflow: make([][]OverflowEntry, n/cfg.SegmentSlots),
-		segMax:   make([]int, n/cfg.SegmentSlots),
+		slots:    make([]slot, n),
+		segs:     make([]segMeta, n/cfg.SegmentSlots),
+		overflow: make(map[int][]OverflowEntry),
 		large:    make(map[uint64][]byte),
 	}
 }
@@ -143,7 +179,7 @@ func (t *Table) Len() int { return t.count }
 func (t *Table) Slots() int { return len(t.slots) }
 
 // Segments reports the number of segments.
-func (t *Table) Segments() int { return len(t.overflow) }
+func (t *Table) Segments() int { return len(t.segs) }
 
 // Stats returns a copy of the structural event counters.
 func (t *Table) Stats() Stats { return t.stats }
@@ -157,14 +193,15 @@ func (t *Table) SegmentOf(idx int) int { return idx / t.cfg.SegmentSlots }
 // SegmentMaxDisp returns the exact maximum displacement among keys whose
 // home position lies in segment seg (0 when empty). The NIC index mirrors
 // this value, possibly stale, as its lookup hint d_i.
-func (t *Table) SegmentMaxDisp(seg int) int { return t.segMax[seg] }
+func (t *Table) SegmentMaxDisp(seg int) int { return int(t.segs[seg].maxDisp) }
 
 // OverflowLen reports the number of overflow entries for segment seg.
-func (t *Table) OverflowLen(seg int) int { return len(t.overflow[seg]) }
+func (t *Table) OverflowLen(seg int) int { return int(t.segs[seg].over) }
 
-// SlotBytes is the encoded size of one slot in host memory: 8B key + 2B
-// displacement + 2B flags + 4B version + inline value capacity. DMA probe
-// reads fetch multiples of this.
+// SlotBytes is the encoded size of one slot in the modelled host memory: 8B
+// key + 2B displacement + 2B flags + 4B version + inline value capacity. DMA
+// probe reads fetch multiples of this; it does not follow the simulator's
+// own in-memory slot.
 func (t *Table) SlotBytes() int { return 16 + t.cfg.InlineValueSize }
 
 // dispLimited reports whether the displacement limit is enabled.
@@ -182,45 +219,86 @@ func (t *Table) idx(home, d int) int { return (home + d) & int(t.mask) }
 
 // raiseSegMax records a displacement observation for a key homed in seg.
 func (t *Table) raiseSegMax(seg, disp int) {
-	if disp > t.segMax[seg] {
-		if disp > t.segMax[seg]+1 {
+	m := &t.segs[seg]
+	if disp > int(m.maxDisp) {
+		if disp > int(m.maxDisp)+1 {
 			t.stats.MaxDispRaisedByTwo++
 		}
 		t.stats.MaxDispRaised++
-		t.segMax[seg] = disp
+		m.maxDisp = int32(disp)
 	}
 }
 
 // recomputeSegMax recalculates a segment's max displacement after deletion.
 func (t *Table) recomputeSegMax(seg int) {
-	maxD := 0
+	maxD := int32(0)
 	base := seg * t.cfg.SegmentSlots
 	// A key homed in this segment can sit up to limit()-1 past segment end.
 	for off := 0; off < t.cfg.SegmentSlots+t.limit(); off++ {
 		s := &t.slots[(base+off)&int(t.mask)]
-		if s.Occupied && t.SegmentOf(t.Home(s.Key)) == seg && s.Disp > maxD {
-			maxD = s.Disp
+		if s.val != 0 && t.SegmentOf(t.Home(s.key)) == seg && s.disp > maxD {
+			maxD = s.disp
 		}
 	}
-	t.segMax[seg] = maxD
+	t.segs[seg].maxDisp = maxD
 }
 
-// storeValue prepares a slot's value fields, applying large-object
+// newCell returns the val code of an unused value cell.
+func (t *Table) newCell() uint32 {
+	if n := len(t.freeVals); n > 0 {
+		c := t.freeVals[n-1]
+		t.freeVals = t.freeVals[:n-1]
+		return c
+	}
+	t.vals = append(t.vals, nil)
+	return uint32(len(t.vals))
+}
+
+// releaseValue gives up s's value — its cell or its large object — when the
+// record leaves the main table or changes representation. The slice itself
+// is dropped, never written.
+func (t *Table) releaseValue(s *slot) {
+	switch s.val {
+	case 0:
+	case largeVal:
+		delete(t.large, s.key)
+	default:
+		t.vals[s.val-1] = nil
+		t.freeVals = append(t.freeVals, s.val)
+	}
+	s.val = 0
+}
+
+// valueOf resolves an occupied slot's value, following large-object
 // indirection.
-func (t *Table) storeValue(s *Slot, key uint64, value []byte) {
+func (t *Table) valueOf(s *slot) []byte {
+	if s.val == largeVal {
+		return t.large[s.key]
+	}
+	return t.vals[s.val-1]
+}
+
+// storeValue installs a fresh copy of value as s's value, applying
+// large-object indirection.
+func (t *Table) storeValue(s *slot, value []byte) {
 	if len(value) > t.cfg.LargeThreshold {
-		s.Indirect = true
-		s.Value = nil
-		t.large[key] = append([]byte(nil), value...)
+		if s.val != largeVal {
+			t.releaseValue(s)
+			s.val = largeVal
+		}
+		t.large[s.key] = append([]byte(nil), value...)
 		return
 	}
 	if len(value) > t.cfg.InlineValueSize {
 		panic(fmt.Sprintf("robinhood: value of %dB exceeds inline capacity %dB (and is below the large threshold %dB)",
 			len(value), t.cfg.InlineValueSize, t.cfg.LargeThreshold))
 	}
-	s.Indirect = false
-	s.Value = append([]byte(nil), value...)
-	delete(t.large, key)
+	v := append([]byte(nil), value...)
+	if s.val == 0 || s.val == largeVal {
+		t.releaseValue(s)
+		s.val = t.newCell()
+	}
+	t.vals[s.val-1] = v
 }
 
 // Insert adds key with value and version. Inserting an existing key updates
@@ -229,8 +307,8 @@ func (t *Table) storeValue(s *Slot, key uint64, value []byte) {
 // that are completely full).
 func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 	if s := t.findSlot(key); s != nil {
-		t.storeValue(s, key, value)
-		s.Version = version
+		t.storeValue(s, value)
+		s.version = version
 		return nil
 	}
 	if e := t.findOverflow(key); e != nil {
@@ -240,8 +318,8 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 	}
 	t.stats.Inserts++
 
-	carry := Slot{Occupied: true, Key: key, Version: version}
-	t.storeValue(&carry, key, value)
+	carry := slot{key: key, version: version}
+	t.storeValue(&carry, value)
 	home := t.Home(key)
 	carryHome := home
 	d := 0
@@ -255,17 +333,17 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 		}
 		i := t.idx(carryHome, d)
 		s := &t.slots[i]
-		if !s.Occupied {
-			carry.Disp = d
+		if s.val == 0 {
+			carry.disp = int32(d)
 			*s = carry
 			t.count++
 			t.raiseSegMax(t.SegmentOf(carryHome), d)
 			return nil
 		}
-		if s.Disp < d {
+		if int(s.disp) < d {
 			// Steal displacement wealth: swap the carried element with the
 			// better-placed occupant and continue inserting the victim.
-			carry.Disp = d
+			carry.disp = int32(d)
 			victim := *s
 			*s = carry
 			t.stats.Swaps++
@@ -274,28 +352,52 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 			}
 			t.raiseSegMax(t.SegmentOf(carryHome), d)
 			carry = victim
-			carryHome = t.Home(victim.Key)
-			d = victim.Disp
+			carryHome = t.Home(victim.key)
+			d = int(victim.disp)
 		}
 		d++
 	}
+	// The record still carried found no slot and is dropped; so is its value.
+	t.releaseValue(&carry)
 	return ErrFull
 }
 
-// slotSpansCacheLines reports whether a slot crosses a 64B host cache line,
-// requiring the HTM-guarded swap path of §4.1.2.
+// slotSpansCacheLines reports whether a modelled slot crosses a 64B host
+// cache line, requiring the HTM-guarded swap path of §4.1.2.
 func (t *Table) slotSpansCacheLines() bool { return t.SlotBytes() > 64 }
 
-func (t *Table) appendOverflow(s Slot, home int) {
-	seg := t.SegmentOf(home)
-	val := s.Value
-	if s.Indirect {
-		val = append([]byte(nil), t.large[s.Key]...)
-		delete(t.large, s.Key)
+// setBucket installs b as segment seg's overflow bucket, keeping the map
+// free of empty buckets and the segment's count in step.
+func (t *Table) setBucket(seg int, b []OverflowEntry) {
+	if len(b) == 0 {
+		delete(t.overflow, seg)
+	} else {
+		t.overflow[seg] = b
 	}
-	t.overflow[seg] = append(t.overflow[seg], OverflowEntry{
-		Key: s.Key, Version: s.Version, Value: val, Home: home,
-	})
+	t.segs[seg].over = int32(len(b))
+}
+
+// bucket returns segment seg's overflow bucket, nil when it has none.
+func (t *Table) bucket(seg int) []OverflowEntry {
+	if t.segs[seg].over == 0 {
+		return nil
+	}
+	return t.overflow[seg]
+}
+
+// appendOverflow moves the carried record s, homed at home, to its segment's
+// overflow bucket: the entry keeps the value slice, the cell is released.
+func (t *Table) appendOverflow(s slot, home int) {
+	seg := t.SegmentOf(home)
+	var val []byte
+	if s.val == largeVal {
+		val = append([]byte(nil), t.large[s.key]...)
+	} else {
+		val = t.vals[s.val-1]
+	}
+	e := OverflowEntry{Key: s.key, Version: s.version, Value: val, Home: home}
+	t.releaseValue(&s)
+	t.setBucket(seg, append(t.bucket(seg), e))
 	t.count++
 	t.stats.Overflows++
 	// When the carried element is a displaced victim (not the original
@@ -305,17 +407,17 @@ func (t *Table) appendOverflow(s Slot, home int) {
 }
 
 // findSlot returns the main-table slot holding key, or nil.
-func (t *Table) findSlot(key uint64) *Slot {
+func (t *Table) findSlot(key uint64) *slot {
 	home := t.Home(key)
 	for d := 0; d < t.limit(); d++ {
 		s := &t.slots[t.idx(home, d)]
-		if !s.Occupied {
+		if s.val == 0 {
 			return nil
 		}
-		if s.Key == key {
+		if s.key == key {
 			return s
 		}
-		if s.Disp < d {
+		if int(s.disp) < d {
 			// Robin Hood invariant: key would have displaced this element.
 			return nil
 		}
@@ -324,10 +426,10 @@ func (t *Table) findSlot(key uint64) *Slot {
 }
 
 func (t *Table) findOverflow(key uint64) *OverflowEntry {
-	seg := t.SegmentOf(t.Home(key))
-	for i := range t.overflow[seg] {
-		if t.overflow[seg][i].Key == key {
-			return &t.overflow[seg][i]
+	b := t.bucket(t.SegmentOf(t.Home(key)))
+	for i := range b {
+		if b[i].Key == key {
+			return &b[i]
 		}
 	}
 	return nil
@@ -346,11 +448,7 @@ type LookupResult struct {
 // Lookup finds key via local memory access (the host fast path).
 func (t *Table) Lookup(key uint64) LookupResult {
 	if s := t.findSlot(key); s != nil {
-		v := s.Value
-		if s.Indirect {
-			v = t.large[key]
-		}
-		return LookupResult{Found: true, Value: v, Version: s.Version, Disp: s.Disp}
+		return LookupResult{Found: true, Value: t.valueOf(s), Version: s.version, Disp: int(s.disp)}
 	}
 	if e := t.findOverflow(key); e != nil {
 		return LookupResult{Found: true, Value: e.Value, Version: e.Version, Overflow: true}
@@ -362,8 +460,8 @@ func (t *Table) Lookup(key uint64) LookupResult {
 // the key is absent.
 func (t *Table) Update(key uint64, value []byte, version uint64) bool {
 	if s := t.findSlot(key); s != nil {
-		t.storeValue(s, key, value)
-		s.Version = version
+		t.storeValue(s, value)
+		s.version = version
 		return true
 	}
 	if e := t.findOverflow(key); e != nil {
@@ -382,14 +480,14 @@ func (t *Table) Delete(key uint64) bool {
 	for d := 0; d < t.limit(); d++ {
 		i := t.idx(home, d)
 		s := &t.slots[i]
-		if !s.Occupied {
+		if s.val == 0 {
 			break
 		}
-		if s.Key == key {
+		if s.key == key {
+			t.releaseValue(s)
 			shifted := t.removeAt(i)
 			t.stats.Deletes++
 			t.count--
-			delete(t.large, key)
 			t.recomputeSegMax(t.SegmentOf(home))
 			for _, seg := range shifted {
 				if seg != t.SegmentOf(home) {
@@ -398,33 +496,33 @@ func (t *Table) Delete(key uint64) bool {
 			}
 			return true
 		}
-		if s.Disp < d {
+		if int(s.disp) < d {
 			break
 		}
 	}
 	// Overflow-resident key.
 	seg := t.SegmentOf(home)
-	for i := range t.overflow[seg] {
-		if t.overflow[seg][i].Key == key {
-			t.overflow[seg] = append(t.overflow[seg][:i], t.overflow[seg][i+1:]...)
+	b := t.bucket(seg)
+	for i := range b {
+		if b[i].Key == key {
+			t.setBucket(seg, append(b[:i], b[i+1:]...))
 			t.stats.Deletes++
 			t.count--
-			delete(t.large, key)
 			return true
 		}
 	}
 	return false
 }
 
-// removeAt frees slot i with a bounded backward shift, then tries to pull an
-// overflow element of a covering segment back into the main table (§4.1.2's
-// "swap an overflow element over the deleted element"). The pulled element
-// goes through the normal insertion path so the Robin Hood run ordering —
-// home positions non-decreasing within a probe run, which the early-stop
-// lookup rule depends on — is preserved. It returns the home segments of
-// every shifted element: their displacements decreased, so the caller must
-// recompute those segments' max-displacement hints, not just the deleted
-// key's.
+// removeAt frees slot i, whose value the caller has released, with a bounded
+// backward shift, then tries to pull an overflow element of a covering
+// segment back into the main table (§4.1.2's "swap an overflow element over
+// the deleted element"). The pulled element goes through the normal
+// insertion path so the Robin Hood run ordering — home positions
+// non-decreasing within a probe run, which the early-stop lookup rule
+// depends on — is preserved. It returns the home segments of every shifted
+// element: their displacements decreased, so the caller must recompute
+// those segments' max-displacement hints, not just the deleted key's.
 func (t *Table) removeAt(i int) []int {
 	// Backward shift: move subsequent displaced elements one slot back
 	// until an empty slot or an element already at home.
@@ -433,17 +531,17 @@ func (t *Table) removeAt(i int) []int {
 	for {
 		next := (cur + 1) & int(t.mask)
 		n := &t.slots[next]
-		if !n.Occupied || n.Disp == 0 {
+		if n.val == 0 || n.disp == 0 {
 			break
 		}
 		moved := *n
-		moved.Disp--
+		moved.disp--
 		t.slots[cur] = moved
 		t.stats.BackwardShifts++
-		shifted = append(shifted, t.SegmentOf(t.Home(moved.Key)))
+		shifted = append(shifted, t.SegmentOf(t.Home(moved.key)))
 		cur = next
 	}
-	t.slots[cur] = Slot{}
+	t.slots[cur] = slot{}
 	t.promoteOverflow(i)
 	return shifted
 }
@@ -453,17 +551,17 @@ func (t *Table) removeAt(i int) []int {
 // again.
 func (t *Table) promoteOverflow(i int) {
 	for _, seg := range t.segmentsCovering(i) {
-		bucket := t.overflow[seg]
-		if len(bucket) == 0 {
+		b := t.bucket(seg)
+		if len(b) == 0 {
 			continue
 		}
-		e := bucket[len(bucket)-1]
-		t.overflow[seg] = bucket[:len(bucket)-1]
+		e := b[len(b)-1]
+		t.setBucket(seg, b[:len(b)-1])
 		t.count--
 		before := t.stats.Overflows
 		if err := t.Insert(e.Key, e.Value, e.Version); err != nil {
 			// Should be impossible: we just freed a slot. Restore.
-			t.overflow[seg] = append(t.overflow[seg], e)
+			t.setBucket(seg, append(t.bucket(seg), e))
 			t.count++
 			return
 		}
@@ -486,12 +584,24 @@ func (t *Table) segmentsCovering(i int) []int {
 	return segs
 }
 
-// ReadRegion copies n slots starting at the key's home offset; this is what
-// a NIC DMA probe read returns. start is an absolute slot index.
+// SlotAt returns slot i (wrapping past the table end) as a DMA read sees it.
+func (t *Table) SlotAt(i int) Slot {
+	s := &t.slots[i&int(t.mask)]
+	switch s.val {
+	case 0:
+		return Slot{}
+	case largeVal:
+		return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Indirect: true}
+	}
+	return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Value: t.vals[s.val-1]}
+}
+
+// ReadRegion copies n slots starting at absolute slot index start; this is
+// what a NIC DMA probe read returns.
 func (t *Table) ReadRegion(start, n int) []Slot {
 	out := make([]Slot, 0, n)
 	for k := 0; k < n; k++ {
-		out = append(out, t.slots[(start+k)&int(t.mask)])
+		out = append(out, t.SlotAt(start+k))
 	}
 	return out
 }
@@ -499,7 +609,7 @@ func (t *Table) ReadRegion(start, n int) []Slot {
 // ReadOverflow returns a copy of segment seg's overflow bucket, as a DMA
 // read of the overflow page would.
 func (t *Table) ReadOverflow(seg int) []OverflowEntry {
-	return append([]OverflowEntry(nil), t.overflow[seg]...)
+	return append([]OverflowEntry(nil), t.bucket(seg)...)
 }
 
 // LargeValue fetches an out-of-table value by key (the single-object DMA
@@ -509,24 +619,21 @@ func (t *Table) LargeValue(key uint64) ([]byte, bool) {
 	return v, ok
 }
 
-// ForEach visits every stored key (main table then overflow) until fn
-// returns false. Values for indirect entries are resolved.
+// ForEach visits every stored key (main table, then overflow buckets in
+// segment order) until fn returns false. Values for indirect entries are
+// resolved.
 func (t *Table) ForEach(fn func(key uint64, version uint64, value []byte) bool) {
 	for i := range t.slots {
 		s := &t.slots[i]
-		if !s.Occupied {
+		if s.val == 0 {
 			continue
 		}
-		v := s.Value
-		if s.Indirect {
-			v = t.large[s.Key]
-		}
-		if !fn(s.Key, s.Version, v) {
+		if !fn(s.key, s.version, t.valueOf(s)) {
 			return
 		}
 	}
-	for _, bucket := range t.overflow {
-		for _, e := range bucket {
+	for seg := range t.segs {
+		for _, e := range t.bucket(seg) {
 			if !fn(e.Key, e.Version, e.Value) {
 				return
 			}
@@ -537,47 +644,71 @@ func (t *Table) ForEach(fn func(key uint64, version uint64, value []byte) bool) 
 // CheckInvariants verifies structural invariants, returning an error
 // describing the first violation. Tests and failure-injection runs call it.
 func (t *Table) CheckInvariants() error {
-	n := 0
+	n, indirect := 0, 0
+	// maxDisp must be exact, as documented: a low hint breaks nothing (the
+	// NIC's second adjacent read covers it) but an inflated one silently
+	// widens every DMA probe read.
+	exact := make([]int32, len(t.segs))
+	cellUsed := make([]bool, len(t.vals))
 	for i := range t.slots {
 		s := &t.slots[i]
-		if !s.Occupied {
+		if s.val == 0 {
 			continue
 		}
 		n++
-		home := t.Home(s.Key)
+		home := t.Home(s.key)
 		d := (i - home) & int(t.mask)
-		if d != s.Disp {
-			return fmt.Errorf("slot %d: stored disp %d != actual %d", i, s.Disp, d)
+		if d != int(s.disp) {
+			return fmt.Errorf("slot %d: stored disp %d != actual %d", i, s.disp, d)
 		}
-		if t.dispLimited() && s.Disp >= t.cfg.MaxDisplacement {
-			return fmt.Errorf("slot %d: disp %d >= limit %d", i, s.Disp, t.cfg.MaxDisplacement)
+		if t.dispLimited() && d >= t.cfg.MaxDisplacement {
+			return fmt.Errorf("slot %d: disp %d >= limit %d", i, s.disp, t.cfg.MaxDisplacement)
 		}
-	}
-	// segMax must be exact, as documented: a low hint breaks nothing (the
-	// NIC's second adjacent read covers it) but an inflated one silently
-	// widens every DMA probe read.
-	exact := make([]int, len(t.segMax))
-	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.Occupied {
+		if seg := t.SegmentOf(home); s.disp > exact[seg] {
+			exact[seg] = s.disp
+		}
+		if s.val == largeVal {
+			if _, ok := t.large[s.key]; !ok {
+				return fmt.Errorf("slot %d: dangling large pointer for key %d", i, s.key)
+			}
+			indirect++
 			continue
 		}
-		if seg := t.SegmentOf(t.Home(s.Key)); s.Disp > exact[seg] {
-			exact[seg] = s.Disp
+		c := int(s.val) - 1
+		if c >= len(cellUsed) || cellUsed[c] {
+			return fmt.Errorf("slot %d: value cell %d out of range or shared", i, c)
 		}
+		cellUsed[c] = true
 	}
-	for seg := range exact {
-		if t.segMax[seg] != exact[seg] {
-			return fmt.Errorf("segment %d: max disp hint %d != exact %d", seg, t.segMax[seg], exact[seg])
+	if live := len(t.vals) - len(t.freeVals); live != n-indirect {
+		return fmt.Errorf("%d live value cells != %d occupied inline slots", live, n-indirect)
+	}
+	if len(t.large) != indirect {
+		return fmt.Errorf("%d large objects != %d indirect slots", len(t.large), indirect)
+	}
+	buckets := 0
+	for seg := range t.segs {
+		m := t.segs[seg]
+		if m.maxDisp != exact[seg] {
+			return fmt.Errorf("segment %d: max disp hint %d != exact %d", seg, m.maxDisp, exact[seg])
 		}
-	}
-	for seg, b := range t.overflow {
+		if m.over == 0 {
+			continue
+		}
+		buckets++
+		b := t.overflow[seg]
+		if len(b) != int(m.over) {
+			return fmt.Errorf("segment %d: overflow count %d != bucket length %d", seg, m.over, len(b))
+		}
 		for _, e := range b {
 			if t.SegmentOf(e.Home) != seg {
 				return fmt.Errorf("overflow entry %d homed in segment %d stored in %d", e.Key, t.SegmentOf(e.Home), seg)
 			}
 			n++
 		}
+	}
+	if buckets != len(t.overflow) {
+		return fmt.Errorf("overflow map holds %d buckets, segments account for %d", len(t.overflow), buckets)
 	}
 	if n != t.count {
 		return fmt.Errorf("count %d != resident %d", t.count, n)

@@ -1,10 +1,15 @@
 package robinhood
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"xenic/internal/raceflag"
 )
 
 func cfg(slots, dm int) Config {
@@ -499,5 +504,221 @@ func TestDeleteReinsertFullTable(t *testing.T) {
 	}
 	if tb.Len() != len(keys) {
 		t.Fatalf("len = %d, want %d", tb.Len(), len(keys))
+	}
+}
+
+// modelRow is the oracle's record of one key.
+type modelRow struct {
+	v   []byte
+	ver uint64
+}
+
+// liveCells counts the value cells in use.
+func (t *Table) liveCells() int { return len(t.vals) - len(t.freeVals) }
+
+// checkAgainstModel compares the whole table with the oracle: invariants,
+// Len, ForEach as a set, and one value cell per occupied inline record.
+func checkAgainstModel(t *testing.T, tb *Table, model map[uint64]modelRow) {
+	t.Helper()
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tb.Len() != len(model) {
+		t.Fatalf("len %d, oracle %d", tb.Len(), len(model))
+	}
+	seen := 0
+	tb.ForEach(func(key, version uint64, value []byte) bool {
+		want, ok := model[key]
+		if !ok || want.ver != version || !bytes.Equal(want.v, value) {
+			t.Fatalf("ForEach key %d: version %d, %dB value; oracle has it %v at version %d with %dB",
+				key, version, len(value), ok, want.ver, len(want.v))
+		}
+		seen++
+		return true
+	})
+	if seen != len(model) {
+		t.Fatalf("ForEach visited %d keys, oracle holds %d", seen, len(model))
+	}
+	inline := 0
+	for i := 0; i < tb.Slots(); i++ {
+		if s := tb.SlotAt(i); s.Occupied && !s.Indirect {
+			inline++
+		}
+	}
+	if tb.liveCells() != inline {
+		t.Fatalf("%d live value cells, %d occupied inline records", tb.liveCells(), inline)
+	}
+}
+
+// TestTableAgainstModel drives seeded random Insert / Update / Delete /
+// Lookup sequences against a plain map. Keys come from a range small enough
+// to collide and to be deleted and re-inserted many times; value lengths
+// straddle InlineValueSize and LargeThreshold so records move inline ↔
+// large; the Dm=2 shape overflows carried victims and pulls them back on
+// delete, the Dm=0 shape probes without a limit.
+func TestTableAgainstModel(t *testing.T) {
+	const ops = 20_000
+	shapes := []struct {
+		name            string
+		slots, dm, keys int
+	}{
+		{"dm=2", 64, 2, 60},
+		{"dm=8", 256, 8, 200},
+		{"unlimited", 64, 0, 56},
+	}
+	// Inline capacity 16, large above 64; in between the table panics by
+	// contract.
+	lengths := []int{0, 1, 15, 16, 65, 300}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("%s/seed=%d", sh.name, seed), func(t *testing.T) {
+				c := cfg(sh.slots, sh.dm)
+				c.InlineValueSize, c.LargeThreshold = 16, 64
+				tb := New(c)
+				rng := rand.New(rand.NewSource(seed))
+				model := map[uint64]modelRow{}
+				value := func() []byte {
+					v := make([]byte, lengths[rng.Intn(len(lengths))])
+					rng.Read(v)
+					return v
+				}
+				for op := 1; op <= ops; op++ {
+					key := uint64(rng.Intn(sh.keys))
+					want, present := model[key]
+					switch x := rng.Intn(100); {
+					case x < 35:
+						v := value()
+						if err := tb.Insert(key, v, uint64(op)); err != nil {
+							t.Fatalf("op %d: insert %d: %v", op, key, err)
+						}
+						model[key] = modelRow{v, uint64(op)}
+					case x < 55:
+						v := value()
+						if got := tb.Update(key, v, uint64(op)); got != present {
+							t.Fatalf("op %d: update %d = %v, oracle has it: %v", op, key, got, present)
+						}
+						if present {
+							model[key] = modelRow{v, uint64(op)}
+						}
+					case x < 80:
+						if got := tb.Delete(key); got != present {
+							t.Fatalf("op %d: delete %d = %v, oracle has it: %v", op, key, got, present)
+						}
+						delete(model, key)
+					default:
+						r := tb.Lookup(key)
+						if r.Found != present || r.Version != want.ver || !bytes.Equal(r.Value, want.v) {
+							t.Fatalf("op %d: lookup %d = %+v, oracle %v %+v", op, key, r, present, want)
+						}
+					}
+					if op%250 == 0 {
+						checkAgainstModel(t, tb, model)
+					}
+				}
+				checkAgainstModel(t, tb, model)
+				st := tb.Stats()
+				if sh.dm == 2 && (st.Overflows == 0 || st.OverflowSwapsIn == 0) {
+					t.Fatalf("Dm=2 run never overflowed a victim or promoted one back: %+v", st)
+				}
+				if sh.dm == 0 && st.Overflows != 0 {
+					t.Fatalf("unlimited table overflowed: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// TestLookupValueImmutable pins copy-on-install: a slice Lookup returned
+// keeps its bytes through any number of later updates, deletes and
+// re-inserts of that key and its neighbours. Callers hold such slices across
+// simulated DMA latency and in in-flight snapshot responses; storing a new
+// value by writing through the old cell would corrupt them.
+func TestLookupValueImmutable(t *testing.T) {
+	c := cfg(64, 4)
+	c.InlineValueSize, c.LargeThreshold = 16, 64
+	tb := New(c)
+	rng := rand.New(rand.NewSource(11))
+	const keys = 48
+	for k := uint64(0); k < keys; k++ {
+		v := make([]byte, 16)
+		rng.Read(v)
+		if err := tb.Insert(k, v, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type held struct {
+		key       uint64
+		got, want []byte
+	}
+	var handed []held
+	hold := func(k uint64) {
+		if r := tb.Lookup(k); r.Found {
+			handed = append(handed, held{k, r.Value, append([]byte(nil), r.Value...)})
+		}
+	}
+	for k := uint64(0); k < keys; k += 5 {
+		hold(k)
+	}
+	for op := 0; op < 1000; op++ {
+		// The held keys and their neighbours, so cells are recycled next door.
+		k := (uint64(rng.Intn(keys/5+1))*5 + uint64(rng.Intn(3))) % keys
+		switch rng.Intn(4) {
+		case 0:
+			tb.Delete(k)
+		case 1:
+			big := make([]byte, 100)
+			rng.Read(big)
+			tb.Insert(k, big, uint64(op+2))
+		default:
+			v := make([]byte, 16)
+			rng.Read(v)
+			tb.Insert(k, v, uint64(op+2))
+		}
+		if op%100 == 0 {
+			hold(k)
+		}
+	}
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range handed {
+		if !bytes.Equal(h.got, h.want) {
+			t.Fatalf("key %d: a value handed out by Lookup changed under later writes: %x, was %x", h.key, h.got, h.want)
+		}
+	}
+}
+
+// TestSmallbankTableFootprint holds the benchmark's Smallbank table — 262 144
+// slots at 30 % occupancy, 18 of them per cluster — to its compact layout:
+// a 24-byte pointer-free slot, 9.7 MiB live for the whole table (19.3 MiB
+// when each slot was a 64-byte Slot with a slice header in it).
+func TestSmallbankTableFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow memory is part of the heap")
+	}
+	if got := unsafe.Sizeof(slot{}); got != 24 {
+		t.Fatalf("slot is %d bytes, want 24", got)
+	}
+	liveHeap := func() float64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc) / (1 << 20)
+	}
+	before := liveHeap()
+	c := DefaultConfig(133_333)
+	c.InlineValueSize, c.MaxDisplacement = 16, 16
+	tb := New(c)
+	row := make([]byte, 12)
+	for k := uint64(0); k < 80_000; k++ {
+		if err := tb.Insert(k, row, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mib := liveHeap() - before
+	runtime.KeepAlive(tb)
+	t.Logf("%d slots, %d rows: %.1f MiB live", tb.Slots(), tb.Len(), mib)
+	if mib > 11 {
+		t.Fatalf("Smallbank table holds %.1f MiB live, want at most 11", mib)
 	}
 }
