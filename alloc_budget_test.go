@@ -8,40 +8,57 @@ import (
 	"xenic/internal/raceflag"
 )
 
-// smallbankAllocBudget is the host allocations one committed Smallbank
-// transaction may cost on the Xenic path, about 10 % above what the tree
-// measured when the budget was last set (38.83 here, 37.53 in a
-// one-second smallbank_xenic benchmark run; Go 1.24). The hot path recycles
-// its per-transaction and per-operation records (DESIGN.md "Hot-path memory
-// discipline"); a change that adds a closure, a map or a scratch slice to it
-// shows here, before it shows in a benchmark run. The CI bench-contract job
-// holds the benchmark's own smallbank_xenic workload to the same number.
-const smallbankAllocBudget = 42.0
-
-// TestSmallbankAllocBudget runs the benchmark's smallbank_xenic shape (six
-// nodes, three replicas, 2 application / 3 worker threads, 16 NIC cores,
-// window 64) at a small population and divides the allocations of one
-// simulated millisecond by the transactions it committed. The count is a
-// function of the seed alone — no pool in the tree is emptied by the
-// collector — so the bound needs no slack for noise.
+// TestSmallbankAllocBudget holds the host allocations one committed
+// Smallbank transaction may cost, on the Xenic path and on the DrTM+H
+// baseline, each about 10 % above what the tree measured when the budget
+// was last set (Go 1.24). The hot paths recycle their per-transaction and
+// per-operation records and keep their bookkeeping in slices (DESIGN.md
+// "Hot-path memory discipline"); a change that adds a closure, a map or a
+// scratch slice to either shows here, before it shows in a benchmark run.
+// The CI bench-contract job holds one-second runs of the benchmark's
+// smallbank_xenic and smallbank_drtmh workloads to budgets set the same way
+// (42 and 99).
+//
+// Both rows use the benchmark's shapes (six nodes, three replicas; Xenic
+// with 2 application / 3 worker threads, 16 NIC cores and window 64, DrTM+H
+// with 16 host threads and window 8) at a small population, and divide the
+// allocations of one simulated millisecond by the transactions it
+// committed. The count is a function of the seed alone — no pool in the
+// tree is emptied by the collector — so the bounds need no slack for noise.
 func TestSmallbankAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	cl := smallbankBudgetCluster(t)
-	cl.Measure(xenic.Millisecond, 0) // warm-up: freelists and queues reach working size
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	res := cl.Measure(0, xenic.Millisecond)
-	runtime.ReadMemStats(&after)
-	if res.Committed < 10_000 {
-		t.Fatalf("only %d transactions committed in the window", res.Committed)
-	}
-	perTxn := float64(after.Mallocs-before.Mallocs) / float64(res.Committed)
-	t.Logf("%.2f allocations per committed transaction (%d committed, budget %.0f)",
-		perTxn, res.Committed, smallbankAllocBudget)
-	if perTxn > smallbankAllocBudget {
-		t.Fatalf("%.2f allocations per committed transaction, budget %.0f", perTxn, smallbankAllocBudget)
+	for _, row := range []struct {
+		name         string
+		build        func(t *testing.T) xenic.System
+		minCommitted int64
+		budget       float64
+	}{
+		// 38.66 measured here, 37.27 in a one-second smallbank_xenic run.
+		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 42},
+		// 117.78 measured here (9 803 commits), 89.69 in a one-second
+		// smallbank_drtmh run: the 10 000-account population contends
+		// more, and DrTM+H pays for every aborted attempt in allocations.
+		{"drtmh", smallbankBudgetBaseline, 9_000, 130},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cl := row.build(t)
+			cl.Measure(xenic.Millisecond, 0) // warm-up: freelists and queues reach working size
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res := cl.Measure(0, xenic.Millisecond)
+			runtime.ReadMemStats(&after)
+			if res.Committed < row.minCommitted {
+				t.Fatalf("only %d transactions committed in the window", res.Committed)
+			}
+			perTxn := float64(after.Mallocs-before.Mallocs) / float64(res.Committed)
+			t.Logf("%.2f allocations per committed transaction (%d committed, budget %.0f)",
+				perTxn, res.Committed, row.budget)
+			if perTxn > row.budget {
+				t.Fatalf("%.2f allocations per committed transaction, budget %.0f", perTxn, row.budget)
+			}
+		})
 	}
 }
 
@@ -58,6 +75,19 @@ func smallbankBudgetCluster(t *testing.T) *xenic.Cluster {
 	gen := xenic.Smallbank()
 	gen.AccountsPerServer = 10_000
 	cl, err := xenic.NewCluster(cfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+func smallbankBudgetBaseline(t *testing.T) xenic.System {
+	t.Helper()
+	cfg := xenic.DefaultBaselineConfig(xenic.DrTMH)
+	cfg.Threads, cfg.Outstanding, cfg.Seed = 16, 8, 1
+	gen := xenic.Smallbank()
+	gen.AccountsPerServer = 10_000
+	cl, err := xenic.NewBaseline(cfg, gen)
 	if err != nil {
 		t.Fatal(err)
 	}

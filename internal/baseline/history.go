@@ -27,8 +27,8 @@ func (n *Node) recordCommit(t *hostrt.Thread, tx *btxn) {
 		Status: wire.StatusOK,
 		Start:  tx.Start,
 		End:    t.Now(),
-		Reads:  check.Reads(tx.reads),
-		Writes: check.Writes(tx.writes),
+		Reads:  tx.ReadVers(),
+		Writes: check.Writes(tx.Writes),
 	})
 }
 
@@ -45,7 +45,7 @@ func (n *Node) recordAbort(t *hostrt.Thread, tx *btxn, st wire.Status) {
 		Status: st,
 		Start:  tx.Start,
 		End:    t.Now(),
-		Reads:  check.Reads(tx.reads),
+		Reads:  tx.ReadVers(),
 	})
 }
 
@@ -72,7 +72,7 @@ func (cl *Cluster) AuditHistory() error {
 		for s := range n.backups {
 			shards = append(shards, s)
 		}
-		sortInts(shards)
+		slices.Sort(shards)
 		for _, s := range shards {
 			if err := check.AuditReplica(fmt.Sprintf("node %d backup of shard %d", n.id, s), last, n.backups[s].hash.ForEach, n.backups[s].btree); err != nil {
 				return err

@@ -128,20 +128,6 @@ func (h *History) Ships() []ShipRecord {
 	return h.ships
 }
 
-// Reads canonicalizes an observed read map into a KeyVer slice sorted by
-// key.
-func Reads(m map[uint64]wire.KV) []wire.KeyVer {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]wire.KeyVer, 0, len(m))
-	for k, kv := range m {
-		out = append(out, wire.KeyVer{Key: k, Version: kv.Version})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
 // Writes canonicalizes an installed write set into a KeyVer slice sorted by
 // key, deduplicating repeated keys (the last install wins, matching apply
 // order).

@@ -173,12 +173,8 @@ func TestNilHistory(t *testing.T) {
 	}
 }
 
-// TestCanonicalize: Reads/Writes/KeyVers sort by key and dedupe.
+// TestCanonicalize: Writes/KeyVers sort by key and dedupe.
 func TestCanonicalize(t *testing.T) {
-	r := Reads(map[uint64]wire.KV{5: {Key: 5, Version: 2}, 1: {Key: 1, Version: 7}})
-	if len(r) != 2 || r[0].Key != 1 || r[1].Key != 5 {
-		t.Errorf("Reads not sorted: %v", r)
-	}
 	w := Writes([]wire.KV{{Key: 3, Version: 1}, {Key: 3, Version: 2}, {Key: 1, Version: 4}})
 	if len(w) != 2 || w[0] != kv(1, 4) || w[1] != kv(3, 2) {
 		t.Errorf("Writes not canonical: %v", w)

@@ -32,41 +32,27 @@ const (
 	numPhases = int(phShipped) + 1
 )
 
-// lockSet is the keys a transaction holds locked on one shard.
-type lockSet struct {
-	shard int
-	keys  []uint64
-}
-
 // ctxn is one in-flight transaction's coordinator state, resident in
 // SmartNIC memory. Records are recycled through the node's freelist (see
 // dropCtxn), so nothing outside n.ctxns may hold one past its transaction's
 // last continuation.
 type ctxn struct {
+	// OCC holds the read set, lock sets, write set and fan-in counter
+	// (Pending counts blind B+tree verifies, EXECUTE/VALIDATE/LOG/COMMIT
+	// parts and local lookups alike).
+	txnmodel.OCC
+
 	id       uint64
 	desc     txnmodel.TxnDesc
 	phase    phase
 	phaseAt  sim.Time // when the current phase began (latency accounting)
 	openedAt sim.Time // when the transaction opened (history recording)
 	epoch    int      // bumped on every phase change; watchdog progress marker
-	failed   wire.Status
 	// checkFailed holds the first validation failure of a local commit until
 	// its last check is in; a view change in between still reports as one.
 	checkFailed wire.Status
 	dead        bool // view change aborted this transaction; drop stragglers
-
-	// reads accumulates read values from all shards, one entry per key.
-	// Read sets are a few to a few dozen keys, so lookups scan.
-	reads     []wire.KV
-	readOrder []uint64      // fn-input key order across execution rounds
-	writes    []wire.KV     // final write set with new versions
-	byShard   []shardWrites // writes grouped by shard (log phase onward)
-	locked    []lockSet     // locked keys per shard, ascending by shard
-	// pending counts the outstanding units of the current fan-out (blind
-	// B+tree verifies, EXECUTE/VALIDATE/LOG/COMMIT parts, local lookups).
-	pending int
-	rounds  int
-	nicExec bool
+	nicExec     bool
 	// cts is the MVCC commit timestamp assigned at the commit point
 	// (0 = MVCC off or not yet committed).
 	cts uint64
@@ -75,10 +61,6 @@ type ctxn struct {
 	snapTS     uint64
 	snapshot   bool
 	snapClosed bool // GC-protection refcount released
-	// relockStash holds execution output while an extra EXECUTE round
-	// locks write keys the execution introduced.
-	relockStash []wire.KV
-	hasStash    bool
 
 	// Shipped-path state.
 	shipTo     int
@@ -89,68 +71,22 @@ type ctxn struct {
 	localLocks []uint64
 }
 
-// read returns the accumulated read of key.
-func (t *ctxn) read(key uint64) (wire.KV, bool) { return lastKV(t.reads, key) }
-
-// setRead records kv as the read of its key, replacing an earlier one.
-func (t *ctxn) setRead(kv wire.KV) {
-	for i := range t.reads {
-		if t.reads[i].Key == kv.Key {
-			t.reads[i] = kv
-			return
-		}
-	}
-	t.reads = append(t.reads, kv)
-}
-
-// lockedOn returns the keys t holds locked on shard.
-func (t *ctxn) lockedOn(shard int) []uint64 {
-	for i := range t.locked {
-		if t.locked[i].shard == shard {
-			return t.locked[i].keys
-		}
-	}
-	return nil
-}
-
-// addLocks records keys as locked on shard, keeping t.locked in ascending
-// shard order (the order every release path walks it in).
-func (t *ctxn) addLocks(shard int, keys ...uint64) {
-	i := 0
-	for i < len(t.locked) && t.locked[i].shard < shard {
-		i++
-	}
-	if i == len(t.locked) || t.locked[i].shard != shard {
-		t.locked = append(t.locked, lockSet{})
-		copy(t.locked[i+1:], t.locked[i:])
-		t.locked[i] = lockSet{shard: shard}
-	}
-	t.locked[i].keys = append(t.locked[i].keys, keys...)
-}
-
 // grabCtxn returns coordinator state for transaction id: a recycled record
 // when the node's freelist has one, else a new one. A recycled record keeps
-// the backing arrays it owns outright (reads, readOrder, the outer locked
-// array, localLocks); every slice that was handed to a message or a
-// continuation is dropped.
+// the backing arrays it owns outright (the OCC arrays Reset keeps, and
+// localLocks); every slice that was handed to a message or a continuation is
+// dropped.
 func (n *Node) grabCtxn(id uint64) *ctxn {
 	t := n.ctxnFree.get()
-	clear(t.reads)
-	clear(t.locked)
-	*t = ctxn{
-		id:         id,
-		reads:      t.reads[:0],
-		readOrder:  t.readOrder[:0],
-		locked:     t.locked[:0],
-		localLocks: t.localLocks[:0],
-	}
+	t.OCC.Reset()
+	*t = ctxn{OCC: t.OCC, id: id, localLocks: t.localLocks[:0]}
 	return t
 }
 
 // dropCtxn is the single point a ctxn leaves the coordinator table: it
 // closes t's last phase and its trace span with final status st, deletes t
 // from the table, and recycles the record. A transaction that ends normally
-// has no continuation outstanding: every fan-out counts its units in t.pending
+// has no continuation outstanding: every fan-out counts its units in t.Pending
 // and moves on only at zero. One killed mid-flight (t.dead: view change or
 // watchdog) may still have local DMA or lookup continuations holding t, so
 // its record is left to the garbage collector instead.
@@ -182,11 +118,7 @@ func (n *Node) newCtxn(m *wire.TxnRequest) *ctxn {
 		State:       m.ExecState,
 		NICExec:     m.Flags&wire.FlagNICExec != 0,
 	}
-	for i := 0; i < t.desc.NumKeys(); i++ {
-		if k := t.desc.Key(i); !slices.Contains(t.readOrder, k) {
-			t.readOrder = append(t.readOrder, k)
-		}
-	}
+	t.Begin(&t.desc)
 	return t
 }
 
@@ -221,9 +153,9 @@ func (n *Node) coordStart(c *nicrt.Core, m *wire.TxnRequest) {
 }
 
 // afterBlindLocks starts execution once every coordinator-local B+tree
-// blind write is locked and verified (t.failed holds the first failure).
+// blind write is locked and verified (t.Failed holds the first failure).
 func (n *Node) afterBlindLocks(c *nicrt.Core, t *ctxn) {
-	if t.failed != wire.StatusOK {
+	if t.Failed != wire.StatusOK {
 		n.abortTxn(c, t)
 		return
 	}
@@ -251,7 +183,7 @@ const btreeVerifyBytes = 32
 // the host read the row. Continues in afterBlindLocks once every key is
 // locked and verified.
 func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
-	t.pending = 1
+	t.Pending = 1
 	for _, kv := range t.desc.BlindWrites {
 		if !n.place().IsBTree(kv.Key) {
 			continue
@@ -266,30 +198,30 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
 		p := n.prim(shard)
 		n.chargeIndexOps(c, 1)
 		if !p.index.TryLock(kv.Key, t.id) {
-			t.failed = wire.StatusAbortLocked
+			t.Failed = wire.StatusAbortLocked
 		} else {
-			t.addLocks(shard, kv.Key)
+			t.AddLocks(shard, kv.Key)
 		}
-		t.setRead(wire.KV{Key: kv.Key, Version: kv.Version})
-		if t.failed != wire.StatusOK {
+		t.SetRead(wire.KV{Key: kv.Key, Version: kv.Version})
+		if t.Failed != wire.StatusOK {
 			continue
 		}
 		if v, known := p.index.VersionOf(kv.Key); known {
 			if v != kv.Version {
-				t.failed = wire.StatusAbortVersion
+				t.Failed = wire.StatusAbortVersion
 			}
 			continue
 		}
 		kv := kv
-		t.pending++
+		t.Pending++
 		c.DMARead(btreeVerifyBytes, func() {
 			if t.dead {
 				return
 			}
 			_, ver, ok := p.data.Read(kv.Key)
 			if stale := ok && ver != kv.Version || !ok && kv.Version != 0; stale &&
-				t.failed == wire.StatusOK {
-				t.failed = wire.StatusAbortVersion
+				t.Failed == wire.StatusOK {
+				t.Failed = wire.StatusAbortVersion
 			}
 			n.blindVerified(c, t)
 		})
@@ -299,8 +231,7 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
 
 // blindVerified retires one unit of lockBlindBTree's fan-out.
 func (n *Node) blindVerified(c *nicrt.Core, t *ctxn) {
-	t.pending--
-	if t.pending == 0 && !t.dead {
+	if t.Done(wire.StatusOK) && !t.dead {
 		n.afterBlindLocks(c, t)
 	}
 }
@@ -347,66 +278,43 @@ func (n *Node) shipTarget(d *txnmodel.TxnDesc) (int, bool) {
 	return remote, true
 }
 
-// execPart is one shard's slice of an EXECUTE round.
-type execPart struct {
-	shard        int
-	reads, locks []uint64
-}
-
-// partFor returns shard's entry in parts, inserting it in ascending shard
-// order (deterministic fan-out order keeps runs reproducible).
-func partFor(parts *[]execPart, shard int) *execPart {
-	ps := *parts
-	i := 0
-	for i < len(ps) && ps[i].shard < shard {
-		i++
-	}
-	if i == len(ps) || ps[i].shard != shard {
-		ps = append(ps, execPart{})
-		copy(ps[i+1:], ps[i:])
-		ps[i] = execPart{shard: shard}
-		*parts = ps
-	}
-	return &ps[i]
-}
-
 // execRound fans out combined read+lock EXECUTE operations for the given
 // keys, one per shard — or per key when SmartRemoteOps is disabled,
 // mirroring one-sided RDMA's separate read/lock operations (§5.7).
 func (n *Node) execRound(c *nicrt.Core, t *ctxn, readKeys, lockKeys []uint64) {
 	n.setPhase(t, phExecute)
-	var buf [8]execPart
+	var buf [8]txnmodel.ExecPart
 	parts := buf[:0]
 	for _, k := range readKeys {
-		p := partFor(&parts, n.place().ShardOf(k))
-		p.reads = append(p.reads, k)
+		p := txnmodel.PartFor(&parts, n.place().ShardOf(k))
+		p.Reads = append(p.Reads, k)
 	}
 	for _, k := range lockKeys {
-		p := partFor(&parts, n.place().ShardOf(k))
-		p.locks = append(p.locks, k)
+		p := txnmodel.PartFor(&parts, n.place().ShardOf(k))
+		p.Locks = append(p.Locks, k)
 	}
 
 	// Count every operation before issuing the first, so a local one that
 	// completes inline cannot finish the round early.
 	smart := n.cl.cfg.Features.SmartRemoteOps
-	t.pending = len(parts)
+	t.Pending = len(parts)
 	if !smart {
-		t.pending = len(readKeys) + len(lockKeys)
+		t.Pending = len(readKeys) + len(lockKeys)
 	}
-	if t.pending == 0 {
+	if t.Pending == 0 {
 		n.afterExec(c, t)
 		return
 	}
 	for _, p := range parts {
 		if smart {
-			n.execOp(c, t, p.shard, p.reads, p.locks)
+			n.execOp(c, t, p.Shard, p.Reads, p.Locks)
 			continue
 		}
-		for _, k := range p.reads {
-			n.execOp(c, t, p.shard, []uint64{k}, nil)
+		for _, k := range p.Reads {
+			n.execOp(c, t, p.Shard, []uint64{k}, nil)
 		}
-		for _, k := range p.locks {
-			n.execOp(c, t, p.shard, nil, []uint64{k})
+		for _, k := range p.Locks {
+			n.execOp(c, t, p.Shard, nil, []uint64{k})
 		}
 	}
 }
@@ -457,7 +365,7 @@ func (n *Node) coordExecPart(c *nicrt.Core, t *ctxn, shard int, locks []uint64,
 	st wire.Status, items []wire.KV) {
 
 	if t.dead {
-		// A view-change abort swept t.locked while this local EXECUTE unit
+		// A view-change abort swept t.Locked while this local EXECUTE unit
 		// was still in flight, so the locks it just acquired have no owner
 		// left to release them. Unlock here — the local analogue of the
 		// straggler Abort coordExecuteResp sends for remote responses.
@@ -471,21 +379,10 @@ func (n *Node) coordExecPart(c *nicrt.Core, t *ctxn, shard int, locks []uint64,
 		}
 		return
 	}
-	if st == wire.StatusOK {
-		if len(locks) > 0 {
-			t.addLocks(shard, locks...)
-		}
-		for _, kv := range items {
-			t.setRead(kv)
-		}
-	} else if t.failed == wire.StatusOK {
-		t.failed = st
-	}
-	t.pending--
-	if t.pending > 0 {
+	if !t.Landed(st, shard, locks, items) {
 		return
 	}
-	if t.failed != wire.StatusOK {
+	if t.Failed != wire.StatusOK {
 		n.abortTxn(c, t)
 		return
 	}
@@ -495,29 +392,26 @@ func (n *Node) coordExecPart(c *nicrt.Core, t *ctxn, shard int, locks []uint64,
 // afterExec runs once all EXECUTE responses are in: execute on the NIC
 // (§4.2.2) or round-trip to the host.
 func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
-	if t.hasStash {
+	if writes, ok := t.Unstash(); ok {
 		// This round existed only to lock execution-introduced write keys.
-		writes := t.relockStash
-		t.relockStash, t.hasStash = nil, false
 		n.prepareCommit(c, t, writes)
 		return
 	}
-	t.rounds++
 	if t.nicExec {
 		fn, ok := n.cl.Registry().Get(t.desc.FnID)
 		if !ok {
 			panic(fmt.Sprintf("core: unknown fn %d", t.desc.FnID))
 		}
-		reads := n.readsInOrder(t)
+		reads := t.ReadsInOrder()
 		c.Charge(n.cl.cfg.Params.HostScaled(fn.HostCost))
 		res := fn.Run(t.desc.State, reads)
 		if res.Abort {
-			t.failed = wire.StatusAbortMissing
+			t.Failed = wire.StatusAbortMissing
 			n.abortTxn(c, t)
 			return
 		}
 		if len(res.MoreReads) > 0 {
-			t.addReadOrder(res.MoreReads)
+			t.AddReadOrder(res.MoreReads)
 			n.execRound(c, t, res.MoreReads, nil)
 			return
 		}
@@ -527,31 +421,8 @@ func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
 	n.setPhase(t, phHostExec)
 	c.SendHost(&wire.ReadReturn{
 		Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-		Items:  n.readsInOrder(t),
+		Items:  t.ReadsInOrder(),
 	})
-}
-
-// readsInOrder assembles execution input in (ReadKeys ++ UpdateKeys ++
-// later rounds) order.
-func (n *Node) readsInOrder(t *ctxn) []wire.KV {
-	out := make([]wire.KV, len(t.readOrder))
-	for i, k := range t.readOrder {
-		if kv, ok := t.read(k); ok {
-			out[i] = kv
-		} else {
-			out[i] = wire.KV{Key: k}
-		}
-	}
-	return out
-}
-
-// addReadOrder appends newly requested read keys for later rounds.
-func (t *ctxn) addReadOrder(keys []uint64) {
-	for _, k := range keys {
-		if !slices.Contains(t.readOrder, k) {
-			t.readOrder = append(t.readOrder, k)
-		}
-	}
 }
 
 // coordWriteSet resumes with host-computed writes (§4.2 step 3).
@@ -561,102 +432,55 @@ func (n *Node) coordWriteSet(c *nicrt.Core, m *wire.WriteSet) {
 		return
 	}
 	if m.Abort {
-		t.failed = wire.StatusAbortMissing
+		t.Failed = wire.StatusAbortMissing
 		n.abortTxn(c, t)
 		return
 	}
 	if len(m.MoreReads) > 0 {
-		t.writes = append(t.writes, m.Writes...)
-		t.addReadOrder(m.MoreReads)
+		t.AddReadOrder(m.MoreReads)
 		n.execRound(c, t, m.MoreReads, nil)
 		return
 	}
-	n.prepareCommit(c, t, append(t.writes, m.Writes...))
+	n.prepareCommit(c, t, m.Writes)
 }
 
-// prepareCommit assigns versions, locks any write keys the execution
-// introduced, and moves to validation.
+// prepareCommit versions the write set and moves to validation — after one
+// more EXECUTE round first when the execution introduced write keys that are
+// not locked yet (afterExec re-enters here with the stashed output).
 func (n *Node) prepareCommit(c *nicrt.Core, t *ctxn, fnWrites []wire.KV) {
-	writes := append(fnWrites, t.desc.BlindWrites...)
-	// Lock any write keys not yet locked (execution-introduced writes).
-	var missing []uint64
-	for _, kv := range writes {
-		if !n.keyLocked(t, kv.Key) && !slices.Contains(missing, kv.Key) {
-			missing = append(missing, kv.Key)
-		}
-	}
-	if len(missing) > 0 {
-		// Lock execution-introduced write keys via one more EXECUTE round
-		// before validating; afterExec re-enters prepareCommit with the
-		// stashed output. Locking the keys also reads their current
-		// versions, which versionWrites needs.
-		t.relockStash = fnWrites
-		t.hasStash = true
+	if missing := t.Prepare(n.place(), fnWrites, t.desc.BlindWrites); missing != nil {
 		n.execRound(c, t, nil, missing)
 		return
 	}
-	// Everything the transaction read or locked is the basis for successor
-	// version assignment.
-	versionWrites(writes, t.reads)
-	t.writes = writes
 	n.validate(c, t)
 }
 
-func (n *Node) keyLocked(t *ctxn, key uint64) bool {
-	return slices.Contains(t.lockedOn(n.place().ShardOf(key)), key)
-}
-
 // validate issues VALIDATE operations for read-set keys not covered by
-// write locks (§4.2 step 4). Read-only single-key transactions skip it:
-// their single read is already atomic.
+// write locks (§4.2 step 4).
 func (n *Node) validate(c *nicrt.Core, t *ctxn) {
 	n.setPhase(t, phValidate)
 	if mutSkipValidation {
 		n.afterValidate(c, t)
 		return
 	}
-	// Group the read-set keys no write lock covers by shard, ascending.
-	type valPart struct {
-		shard int
-		items []wire.KeyVer
-	}
-	var buf [8]valPart
-	parts := buf[:0]
-	total := 0
-	for _, k := range t.readOrder { // deterministic order
-		if hasKey(t.writes, k) {
-			continue
-		}
-		kv, _ := t.read(k) // never read: validates at version 0
-		s := n.place().ShardOf(k)
-		i := 0
-		for i < len(parts) && parts[i].shard < s {
-			i++
-		}
-		if i == len(parts) || parts[i].shard != s {
-			parts = append(parts, valPart{})
-			copy(parts[i+1:], parts[i:])
-			parts[i] = valPart{shard: s}
-		}
-		parts[i].items = append(parts[i].items, wire.KeyVer{Key: k, Version: kv.Version})
-		total++
-	}
-	if total == 0 || (t.desc.ReadOnly() && total == 1 && len(t.writes) == 0) {
+	var buf [8]txnmodel.ValPart
+	parts, total := t.Validation(n.place(), t.desc.ReadOnly(), buf[:0])
+	if total == 0 {
 		n.afterValidate(c, t)
 		return
 	}
 	smart := n.cl.cfg.Features.SmartRemoteOps
-	t.pending = len(parts)
+	t.Pending = len(parts)
 	if !smart {
-		t.pending = total
+		t.Pending = total
 	}
 	for _, p := range parts {
 		if smart {
-			n.validateOp(c, t, p.shard, p.items)
+			n.validateOp(c, t, p.Shard, p.Items)
 			continue
 		}
-		for i := range p.items {
-			n.validateOp(c, t, p.shard, p.items[i:i+1:i+1])
+		for i := range p.Items {
+			n.validateOp(c, t, p.Shard, p.Items[i:i+1:i+1])
 		}
 	}
 }
@@ -676,12 +500,6 @@ func (n *Node) validateOp(c *nicrt.Core, t *ctxn, shard int, items []wire.KeyVer
 	})
 }
 
-// hasKey reports whether kvs holds an entry for key.
-func hasKey(kvs []wire.KV, key uint64) bool {
-	_, ok := lastKV(kvs, key)
-	return ok
-}
-
 func (n *Node) coordValidateResp(c *nicrt.Core, m *wire.ValidateResp) {
 	t, ok := n.ctxns[m.TxnID]
 	if !ok || t.phase != phValidate {
@@ -694,14 +512,10 @@ func (n *Node) coordValidatePart(c *nicrt.Core, t *ctxn, st wire.Status) {
 	if t.dead {
 		return
 	}
-	if st != wire.StatusOK && t.failed == wire.StatusOK {
-		t.failed = st
-	}
-	t.pending--
-	if t.pending > 0 {
+	if !t.Done(st) {
 		return
 	}
-	if t.failed != wire.StatusOK {
+	if t.Failed != wire.StatusOK {
 		n.abortTxn(c, t)
 		return
 	}
@@ -709,7 +523,7 @@ func (n *Node) coordValidatePart(c *nicrt.Core, t *ctxn, st wire.Status) {
 }
 
 func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
-	if len(t.writes) == 0 {
+	if len(t.Writes) == 0 {
 		// Read-only transaction completes after validation (§4.2 step 5).
 		n.recordCommit(t, nil)
 		n.finishTxn(c, t, wire.StatusOK)
@@ -728,21 +542,21 @@ func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 	}
 	// Grouped once for both fan-outs: committed() sends the same per-shard
 	// slices to the primaries that go to the backups here.
-	t.byShard = groupByShard(n.place(), t.writes)
-	byShard := t.byShard
-	t.pending = 0
+	t.ByShard = txnmodel.GroupByShard(n.place(), t.Writes)
+	byShard := t.ByShard
+	t.Pending = 0
 	for _, sw := range byShard {
-		t.pending += len(n.cl.viewBackups(sw.shard))
+		t.Pending += len(n.cl.viewBackups(sw.Shard))
 	}
-	if t.pending == 0 {
+	if t.Pending == 0 {
 		// Replication factor 1 (or all backups lost): commit directly.
 		n.committed(c, t)
 		return
 	}
 	for _, sw := range byShard {
-		for _, b := range n.cl.viewBackups(sw.shard) {
+		for _, b := range n.cl.viewBackups(sw.Shard) {
 			if b == n.id {
-				n.appendLogTS(c, recBackup, t.id, sw.shard, sw.writes, 0, nil, func(uint64) {
+				n.appendLogTS(c, recBackup, t.id, sw.Shard, sw.Writes, 0, nil, func(uint64) {
 					n.coordLogPart(c, t)
 				})
 				continue
@@ -750,7 +564,7 @@ func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 			c.Send(b, &wire.Log{
 				Header:    wire.Header{TxnID: t.id, Src: uint8(n.id)},
 				RespondTo: uint8(n.id),
-				Writes:    sw.writes,
+				Writes:    sw.Writes,
 			})
 		}
 	}
@@ -773,14 +587,9 @@ func (n *Node) coordLogResp(c *nicrt.Core, m *wire.LogResp) {
 }
 
 func (n *Node) coordLogPart(c *nicrt.Core, t *ctxn) {
-	if t.dead {
-		return
+	if !t.dead && t.Done(wire.StatusOK) {
+		n.committed(c, t)
 	}
-	t.pending--
-	if t.pending > 0 {
-		return
-	}
-	n.committed(c, t)
 }
 
 // notifyLogCommits tells every backup that logged this transaction's
@@ -788,7 +597,7 @@ func (n *Node) coordLogPart(c *nicrt.Core, t *ctxn) {
 // (and recovery can tell decided records from undecided ones).
 func (n *Node) notifyLogCommits(c *nicrt.Core, txn uint64, writes []wire.KV, cts uint64) {
 	var buf [8]int
-	for _, shard := range writeShards(n.place(), writes, buf[:0]) {
+	for _, shard := range txnmodel.WriteShards(n.place(), writes, buf[:0]) {
 		for _, b := range n.cl.viewBackups(shard) {
 			if b == n.id {
 				n.log.markCommitted(txn, shard, cts)
@@ -807,7 +616,7 @@ func (n *Node) notifyLogCommits(c *nicrt.Core, txn uint64, writes []wire.KV, cts
 // txn's writes to drop them: the transaction never reached its commit point.
 func (n *Node) announceAbort(c *nicrt.Core, txn uint64, writes []wire.KV) {
 	var buf [8]int
-	for _, shard := range writeShards(n.place(), writes, buf[:0]) {
+	for _, shard := range txnmodel.WriteShards(n.place(), writes, buf[:0]) {
 		for _, b := range n.cl.replicasOf(shard) {
 			if b == n.id {
 				n.log.drop(txn, shard)
@@ -839,24 +648,24 @@ func (n *Node) assignCTS(txn uint64, writes []wire.KV) uint64 {
 // committed reports the outcome to the host, then applies the write set at
 // each primary (§4.2 step 6). The commit phase is off the latency path.
 func (n *Node) committed(c *nicrt.Core, t *ctxn) {
-	t.cts = n.assignCTS(t.id, t.writes)
-	n.recordCommit(t, t.writes)
+	t.cts = n.assignCTS(t.id, t.Writes)
+	n.recordCommit(t, t.Writes)
 	n.finishTxn(c, t, wire.StatusOK)
-	n.notifyLogCommits(c, t.id, t.writes, t.cts)
+	n.notifyLogCommits(c, t.id, t.Writes, t.cts)
 	n.setPhase(t, phCommit)
-	byShard := t.byShard // grouped in logPhase
-	t.pending = len(byShard)
+	byShard := t.ByShard // grouped in logPhase
+	t.Pending = len(byShard)
 	for _, sw := range byShard {
-		dst := n.primaryNode(sw.shard)
+		dst := n.primaryNode(sw.Shard)
 		if dst == n.id {
-			n.commitShard(c, sw.shard, t.id, sw.writes, t.lockedOn(sw.shard), t.cts, func() {
+			n.commitShard(c, sw.Shard, t.id, sw.Writes, t.LockedOn(sw.Shard), t.cts, func() {
 				n.coordCommitPart(c, t)
 			})
 			continue
 		}
 		c.Send(dst, &wire.Commit{
 			Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			Writes: sw.writes, CTS: t.cts,
+			Writes: sw.Writes, CTS: t.cts,
 		})
 	}
 }
@@ -870,32 +679,27 @@ func (n *Node) coordCommitResp(c *nicrt.Core, m *wire.CommitResp) {
 }
 
 func (n *Node) coordCommitPart(c *nicrt.Core, t *ctxn) {
-	if t.dead {
-		return
+	if !t.dead && t.Done(wire.StatusOK) {
+		n.dropCtxn(t, wire.StatusOK)
 	}
-	t.pending--
-	if t.pending > 0 {
-		return
-	}
-	n.dropCtxn(t, wire.StatusOK)
 }
 
 // abortTxn releases all locks and reports the abort to the host.
 func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 	n.snapClose(t) // snapshot reads hold no locks, only the GC refcount
-	for _, ls := range t.locked {
-		dst := n.primaryNode(ls.shard)
+	for _, ls := range t.Locked {
+		dst := n.primaryNode(ls.Shard)
 		if dst == n.id {
-			n.chargeIndexOps(c, len(ls.keys))
-			idx := n.prim(ls.shard).index
-			for _, k := range ls.keys {
+			n.chargeIndexOps(c, len(ls.Keys))
+			idx := n.prim(ls.Shard).index
+			for _, k := range ls.Keys {
 				idx.Unlock(k, t.id)
 			}
 			continue
 		}
 		c.Send(dst, &wire.Abort{
 			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			LockedKeys: ls.keys,
+			LockedKeys: ls.Keys,
 		})
 	}
 	if t.phase == phLog {
@@ -904,12 +708,12 @@ func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 		// like notifyLogCommits announces commits: without it a backup
 		// promoted to primary parks the record in pendingDecide and keeps
 		// the write set locked waiting for a decision that never comes.
-		n.announceAbort(c, t.id, t.writes)
+		n.announceAbort(c, t.id, t.Writes)
 	}
-	n.recordAbort(t, t.failed)
+	n.recordAbort(t, t.Failed)
 	n.traceAbort(t)
-	n.finishTxn(c, t, t.failed)
-	n.dropCtxn(t, t.failed)
+	n.finishTxn(c, t, t.Failed)
+	n.dropCtxn(t, t.Failed)
 }
 
 // --- coordinator watchdog (fault runs) ---
@@ -969,7 +773,7 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 			tr.Instant("fault", "txn-timeout", n.id, 0, n.cl.Engine().Now(),
 				trace.Args{"txn": t.id, "phase": t.phase.String()})
 		}
-		t.failed = wire.StatusAbortTimeout
+		t.Failed = wire.StatusAbortTimeout
 		// Anything still pending (local async lookups, remote responses)
 		// must land as a straggler, exactly as after a view-change abort.
 		t.dead = true
@@ -984,7 +788,7 @@ func (n *Node) finishTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
 		Status: st,
 	}
 	if t.nicExec && st == wire.StatusOK {
-		done.ReadSet = n.readsInOrder(t)
+		done.ReadSet = t.ReadsInOrder()
 	}
 	c.SendHost(done)
 }
@@ -1009,35 +813,35 @@ func (n *Node) shipTxn(c *nicrt.Core, t *ctxn, dst int) {
 	t.localLocks = localKeys
 	n.chargeIndexOps(c, len(localKeys))
 	for _, k := range localKeys {
-		if n.keyLocked(t, k) {
+		if t.KeyLocked(n.place(), k) {
 			continue
 		}
 		s := n.place().ShardOf(k)
 		if !n.serving(s) {
-			t.failed = wire.StatusAbortLocked
+			t.Failed = wire.StatusAbortLocked
 			n.abortTxn(c, t)
 			return
 		}
 		if !n.prim(s).index.TryLock(k, t.id) {
-			t.failed = wire.StatusAbortLocked
+			t.Failed = wire.StatusAbortLocked
 			n.abortTxn(c, t)
 			return
 		}
-		t.addLocks(s, k)
+		t.AddLocks(s, k)
 	}
 
 	// Read local values, then ship. B+tree keys' versions are already in
-	// t.reads (observed at the host); hash keys resolve via the index.
+	// t.Reads (observed at the host); hash keys resolve via the index.
 	localReads := make([]wire.KV, len(localKeys))
-	t.pending = 0
+	t.Pending = 0
 	for i, k := range localKeys {
 		if n.place().IsBTree(k) {
-			localReads[i], _ = t.read(k)
+			localReads[i], _ = t.Read(k)
 		} else {
-			t.pending++
+			t.Pending++
 		}
 	}
-	if t.pending == 0 {
+	if t.Pending == 0 {
 		n.sendShip(c, t, localReads)
 		return
 	}
@@ -1062,9 +866,8 @@ func (n *Node) shipTxn(c *nicrt.Core, t *ctxn, dst int) {
 func (n *Node) shipLocalRead(c *nicrt.Core, t *ctxn, localReads []wire.KV, i int, res nicindex.Result) {
 	kv := wire.KV{Key: t.localLocks[i], Version: res.Version, Value: res.Value}
 	localReads[i] = kv
-	t.setRead(kv)
-	t.pending--
-	if t.pending == 0 && !t.dead {
+	t.SetRead(kv)
+	if t.Done(wire.StatusOK) && !t.dead {
 		n.sendShip(c, t, localReads)
 	}
 }
@@ -1098,7 +901,7 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 	}
 	if m.Status != wire.StatusOK {
 		n.unlockLocalSet(c, t, nil)
-		t.failed = m.Status
+		t.Failed = m.Status
 		n.recordAbort(t, m.Status)
 		n.traceAbort(t)
 		n.finishTxn(c, t, m.Status)
@@ -1114,13 +917,13 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 // unlockLocalSet releases every locally-held lock of t, except on shards in
 // skip (whose locks a pending commitShard releases after durability).
 func (n *Node) unlockLocalSet(c *nicrt.Core, t *ctxn, skip []int) {
-	for _, ls := range t.locked {
-		if slices.Contains(skip, ls.shard) || n.primaryNode(ls.shard) != n.id {
+	for _, ls := range t.Locked {
+		if slices.Contains(skip, ls.Shard) || n.primaryNode(ls.Shard) != n.id {
 			continue
 		}
-		idx := n.prim(ls.shard).index
-		n.chargeIndexOps(c, len(ls.keys))
-		for _, k := range ls.keys {
+		idx := n.prim(ls.Shard).index
+		n.chargeIndexOps(c, len(ls.Keys))
+		for _, k := range ls.Keys {
 			idx.Unlock(k, t.id)
 		}
 	}
@@ -1134,7 +937,7 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 		return
 	}
 	for _, kv := range t.shipped.ReadSet {
-		t.setRead(kv)
+		t.SetRead(kv)
 	}
 	t.nicExec = true // results return with TxnDone
 	t.cts = n.assignCTS(t.id, t.shipped.Writes)
@@ -1142,19 +945,19 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 	n.finishTxn(c, t, wire.StatusOK)
 	n.notifyLogCommits(c, t.id, t.shipped.Writes, t.cts)
 
-	byShard := groupByShard(n.place(), t.shipped.Writes)
+	byShard := txnmodel.GroupByShard(n.place(), t.shipped.Writes)
 	n.setPhase(t, phCommit)
 	// Counted before the first commit is issued, so a local one that
 	// completes inline (blocking DMA) cannot close t while the loop runs.
-	t.pending = len(byShard)
+	t.Pending = len(byShard)
 	var buf [8]int
 	localWriteShards := buf[:0]
 	remoteCovered := false
 	for _, sw := range byShard {
-		dst := n.primaryNode(sw.shard)
+		dst := n.primaryNode(sw.Shard)
 		if dst == n.id {
-			localWriteShards = append(localWriteShards, sw.shard)
-			n.commitShard(c, sw.shard, t.id, sw.writes, t.lockedOn(sw.shard), t.cts, func() {
+			localWriteShards = append(localWriteShards, sw.Shard)
+			n.commitShard(c, sw.Shard, t.id, sw.Writes, t.LockedOn(sw.Shard), t.cts, func() {
 				n.coordCommitPart(c, t)
 			})
 			continue
@@ -1164,7 +967,7 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 		}
 		c.Send(dst, &wire.Commit{
 			Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			Writes: sw.writes, CTS: t.cts,
+			Writes: sw.Writes, CTS: t.cts,
 		})
 	}
 	// Release local read locks on shards with no local writes. The shipped
@@ -1201,10 +1004,10 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 		// complete. Recording only — the version basis is never consulted on
 		// this path, so behavior is unchanged.
 		for _, rv := range m.LocalReadVers {
-			t.setRead(wire.KV{Key: rv.Key, Version: rv.Version})
+			t.SetRead(wire.KV{Key: rv.Key, Version: rv.Version})
 		}
 		for _, kv := range m.WriteSet {
-			t.setRead(wire.KV{Key: kv.Key, Version: kv.Version})
+			t.SetRead(wire.KV{Key: kv.Key, Version: kv.Version})
 		}
 	}
 
@@ -1213,11 +1016,11 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	for _, kv := range m.WriteSet {
 		s := n.place().ShardOf(kv.Key)
 		if !n.serving(s) || !n.prim(s).index.TryLock(kv.Key, t.id) {
-			t.failed = wire.StatusAbortLocked
+			t.Failed = wire.StatusAbortLocked
 			n.abortTxn(c, t)
 			return
 		}
-		t.addLocks(s, kv.Key)
+		t.AddLocks(s, kv.Key)
 	}
 
 	// Validate: the NIC index is authoritative for versions it knows
@@ -1225,8 +1028,8 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	// tracks are re-read from the authoritative host store. The versions
 	// the host observed are from submit time and may predate a commit that
 	// has been applied since — trusting them unchecked loses updates.
-	// t.checkFailed keeps the first failure; t.pending counts the re-reads.
-	t.pending = 1
+	// t.checkFailed keeps the first failure; t.Pending counts the re-reads.
+	t.Pending = 1
 	n.chargeIndexOps(c, len(m.LocalReadVers)+len(m.WriteSet))
 	for _, rv := range m.LocalReadVers {
 		n.localCheck(c, t, m, rv.Key, rv.Version)
@@ -1258,7 +1061,7 @@ func (n *Node) localCheck(c *nicrt.Core, t *ctxn, m *wire.TxnRequest, key, ver u
 		}
 		return
 	}
-	t.pending++
+	t.Pending++
 	if n.place().IsBTree(key) {
 		c.DMARead(btreeVerifyBytes, func() {
 			if t.dead {
@@ -1294,12 +1097,11 @@ func (n *Node) localCheck(c *nicrt.Core, t *ctxn, m *wire.TxnRequest, key, ver u
 // localChecked retires one unit of a local commit's validation; after the
 // last it aborts, or versions the write set and replicates it.
 func (n *Node) localChecked(c *nicrt.Core, t *ctxn, m *wire.TxnRequest) {
-	t.pending--
-	if t.pending != 0 || t.dead {
+	if !t.Done(wire.StatusOK) || t.dead {
 		return
 	}
 	if t.checkFailed != wire.StatusOK {
-		t.failed = t.checkFailed
+		t.Failed = t.checkFailed
 		n.abortTxn(c, t)
 		return
 	}
@@ -1307,6 +1109,6 @@ func (n *Node) localChecked(c *nicrt.Core, t *ctxn, m *wire.TxnRequest) {
 	for i, kv := range m.WriteSet {
 		writes[i] = wire.KV{Key: kv.Key, Version: kv.Version + 1, Value: kv.Value}
 	}
-	t.writes = writes
+	t.Writes = writes
 	n.logPhase(c, t)
 }

@@ -32,7 +32,7 @@ func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
 		Status:     wire.StatusOK,
 		Start:      t.openedAt,
 		End:        n.cl.Engine().Now(),
-		Reads:      readVers(t),
+		Reads:      t.ReadVers(),
 		Writes:     check.Writes(writes),
 		Shipped:    t.phase == phShipped,
 		ShipTo:     t.shipTo,
@@ -40,15 +40,6 @@ func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
 		SnapshotTS: t.snapTS,
 		CommitTS:   t.cts,
 	})
-}
-
-// readVers canonicalizes t's accumulated reads for a history record.
-func readVers(t *ctxn) []wire.KeyVer {
-	kvs := make([]wire.KeyVer, len(t.reads))
-	for i, kv := range t.reads {
-		kvs[i] = wire.KeyVer{Key: kv.Key, Version: kv.Version}
-	}
-	return check.KeyVers(kvs)
 }
 
 // recordSnapLocal appends a snapshot read-only transaction decided entirely
@@ -86,7 +77,7 @@ func (n *Node) recordAbort(t *ctxn, st wire.Status) {
 		Status: st,
 		Start:  t.openedAt,
 		End:    n.cl.Engine().Now(),
-		Reads:  readVers(t),
+		Reads:  t.ReadVers(),
 	})
 }
 
@@ -163,7 +154,7 @@ func (cl *Cluster) AuditHistory() error {
 		for s := range n.prims {
 			shards = append(shards, s)
 		}
-		sortInts(shards)
+		slices.Sort(shards)
 		for _, s := range shards {
 			p := n.prims[s]
 			var lockErr error
@@ -184,7 +175,7 @@ func (cl *Cluster) AuditHistory() error {
 		for s := range n.backups {
 			bshards = append(bshards, s)
 		}
-		sortInts(bshards)
+		slices.Sort(bshards)
 		for _, s := range bshards {
 			// Only audit backups of shards whose serving primary survived:
 			// a shard that lost every replica may legitimately lag.

@@ -310,12 +310,15 @@ func (n *Node) hostExec(t *hostrt.Thread, m *wire.ReadReturn) {
 	}
 	t.Charge(fn.HostCost)
 	res := fn.Run(d.State, m.Items)
-	t.Send(&wire.WriteSet{
+	ws := &wire.WriteSet{
 		Header:    wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-		Writes:    res.Writes,
 		MoreReads: res.MoreReads,
 		Abort:     res.Abort,
-	})
+	}
+	if len(res.MoreReads) == 0 {
+		ws.Writes = res.Writes // only the final round's writes count
+	}
+	t.Send(ws)
 }
 
 // complete reports tx's final outcome to the application side and recycles

@@ -45,21 +45,21 @@ var (
 // mutReleaseLocks force-releases every lock t holds (the unlock-before-log
 // mutant): local locks through the index, remote ones via ABORT messages
 // (whose handler uses the tolerant UnlockIf, as does the later COMMIT).
-// t.locked is cleared so the commit fan-out does not unlock again.
+// t.Locked is cleared so the commit fan-out does not unlock again.
 func (n *Node) mutReleaseLocks(c *nicrt.Core, t *ctxn) {
-	for _, ls := range t.locked {
-		dst := n.primaryNode(ls.shard)
+	for _, ls := range t.Locked {
+		dst := n.primaryNode(ls.Shard)
 		if dst == n.id {
-			idx := n.prim(ls.shard).index
-			for _, k := range ls.keys {
+			idx := n.prim(ls.Shard).index
+			for _, k := range ls.Keys {
 				idx.Unlock(k, t.id)
 			}
 			continue
 		}
 		c.Send(dst, &wire.Abort{
 			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			LockedKeys: ls.keys,
+			LockedKeys: ls.Keys,
 		})
 	}
-	t.locked = nil
+	t.Locked = nil
 }

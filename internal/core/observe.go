@@ -135,7 +135,7 @@ func (n *Node) setPhase(t *ctxn, ph phase) {
 func (n *Node) traceAbort(t *ctxn) {
 	if tr := n.tr(); tr.Enabled() {
 		tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
-			trace.Args{"reason": t.failed.String(), "txn": t.id})
+			trace.Args{"reason": t.Failed.String(), "txn": t.id})
 	}
 }
 

@@ -184,18 +184,18 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			n.dropCtxn(t, wire.StatusOK)
 			continue
 		}
-		if t.failed == wire.StatusOK {
-			t.failed = wire.StatusAbortView
+		if t.Failed == wire.StatusOK {
+			t.Failed = wire.StatusAbortView
 		}
 		if t.phase == phShipped && v.Alive[t.shipTo] {
 			// Release any lock-all state at the remote primary.
 			c.Send(t.shipTo, &wire.Abort{Header: wire.Header{TxnID: t.id, Src: uint8(n.id)}})
 		}
-		for _, ls := range t.locked {
-			dst := n.primaryNode(ls.shard)
+		for _, ls := range t.Locked {
+			dst := n.primaryNode(ls.Shard)
 			if dst == n.id {
-				if p := n.prim(ls.shard); p != nil {
-					for _, k := range ls.keys {
+				if p := n.prim(ls.Shard); p != nil {
+					for _, k := range ls.Keys {
 						p.index.UnlockIf(k, t.id)
 					}
 				}
@@ -204,11 +204,11 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			if v.Alive[dst] {
 				c.Send(dst, &wire.Abort{
 					Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-					LockedKeys: ls.keys,
+					LockedKeys: ls.Keys,
 				})
 			}
 		}
-		dropWrites := t.writes
+		dropWrites := t.Writes
 		if t.phase == phShipped && t.shipped != nil {
 			// The remote execution already fanned out its records.
 			dropWrites = t.shipped.Writes
@@ -233,10 +233,10 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// transaction never reached its commit point).
 			n.announceAbort(c, t.id, dropWrites)
 		}
-		n.recordAbort(t, t.failed)
+		n.recordAbort(t, t.Failed)
 		n.traceAbort(t)
-		n.finishTxn(c, t, t.failed)
-		n.dropCtxn(t, t.failed)
+		n.finishTxn(c, t, t.Failed)
+		n.dropCtxn(t, t.Failed)
 	}
 	// Shipped transactions from dead coordinators may hold lock-all state
 	// here; their owners are swept below via the orphan-lock path, so also
@@ -380,7 +380,7 @@ func (n *Node) sweepOrphanLocks(c *nicrt.Core, v membership.View) {
 	for s := range n.prims {
 		shards = append(shards, s)
 	}
-	sortInts(shards)
+	slices.Sort(shards)
 	for _, s := range shards {
 		p := n.prims[s]
 		orphans := map[uint64][]uint64{} // txn -> locked keys

@@ -7,94 +7,10 @@ import (
 
 	"xenic/internal/check"
 	"xenic/internal/nicrt"
-	"xenic/internal/raceflag"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
-
-// TestGroupByShard pins the write-set grouping: groups in ascending shard
-// order, each in the write set's own order, cut from one array that is new
-// on every call (callers retain the groups in host logs), and capped so an
-// append to one group cannot spill into the next.
-func TestGroupByShard(t *testing.T) {
-	place := modPlace{nodes: 4}
-	kv := func(keys ...uint64) []wire.KV {
-		var out []wire.KV
-		for _, k := range keys {
-			out = append(out, wire.KV{Key: k, Version: k + 100})
-		}
-		return out
-	}
-	cases := []struct {
-		name   string
-		writes []wire.KV
-		want   [][]uint64 // per group, shard = key % 4
-	}{
-		{"empty", nil, nil},
-		{"one key", kv(6), [][]uint64{{6}}},
-		{"one shard keeps order", kv(9, 1, 5), [][]uint64{{9, 1, 5}}},
-		{"already ascending", kv(4, 1, 5, 3), [][]uint64{{4}, {1, 5}, {3}}},
-		{"interleaved", kv(3, 4, 7, 0, 2, 8), [][]uint64{{4, 0, 8}, {2}, {3, 7}}},
-		{"descending", kv(7, 6, 5, 4), [][]uint64{{4}, {5}, {6}, {7}}},
-		{"duplicate key kept", kv(5, 2, 5), [][]uint64{{5, 5}, {2}}},
-		{"more keys than the stack buffer",
-			kv(19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
-			[][]uint64{{16, 12, 8, 4, 0}, {17, 13, 9, 5, 1}, {18, 14, 10, 6, 2}, {19, 15, 11, 7, 3}}},
-	}
-	for _, tc := range cases {
-		in := slices.Clone(tc.writes)
-		got := groupByShard(place, tc.writes)
-		if len(got) != len(tc.want) {
-			t.Errorf("%s: %d groups, want %d", tc.name, len(got), len(tc.want))
-			continue
-		}
-		for i, g := range got {
-			if i > 0 && got[i-1].shard >= g.shard {
-				t.Errorf("%s: group shards not ascending: %d then %d", tc.name, got[i-1].shard, g.shard)
-			}
-			var keys []uint64
-			for _, w := range g.writes {
-				if place.ShardOf(w.Key) != g.shard || w.Version != w.Key+100 {
-					t.Errorf("%s: shard %d holds %+v", tc.name, g.shard, w)
-				}
-				keys = append(keys, w.Key)
-			}
-			if !slices.Equal(keys, tc.want[i]) {
-				t.Errorf("%s: group %d keys %v, want %v", tc.name, i, keys, tc.want[i])
-			}
-			if cap(g.writes) != len(g.writes) {
-				t.Errorf("%s: group %d has spare capacity into its neighbour", tc.name, i)
-			}
-		}
-		// The result must not alias the input: mutate it and re-check.
-		if len(tc.writes) > 0 {
-			got[0].writes[0].Version = 0
-			if !slices.EqualFunc(in, tc.writes, func(a, b wire.KV) bool { return a.Key == b.Key && a.Version == b.Version }) {
-				t.Errorf("%s: grouping aliases its input", tc.name)
-			}
-		}
-	}
-
-	if raceflag.Enabled {
-		return // the race detector's instrumentation allocates
-	}
-	writes := kv(3, 4, 7, 2) // 4 keys over 3 shards
-	var sink []shardWrites
-	if n := testing.AllocsPerRun(100, func() { sink = groupByShard(place, writes) }); n > 2 {
-		t.Errorf("grouping 4 keys over 3 shards allocates %v objects, budget 2", n)
-	}
-	if len(sink) != 3 {
-		t.Errorf("%d groups, want 3", len(sink))
-	}
-	var buf [8]int
-	if n := testing.AllocsPerRun(100, func() { _ = writeShards(place, writes, buf[:0]) }); n != 0 {
-		t.Errorf("writeShards allocates %v objects, want 0", n)
-	}
-	if got := writeShards(place, writes, buf[:0]); !slices.Equal(got, []int{0, 2, 3}) {
-		t.Errorf("writeShards = %v, want [0 2 3]", got)
-	}
-}
 
 // TestViewAbortedCtxnNeverReissued is the recycling safety test. Coordinator
 // records return to the node's freelist when their transaction ends — except
@@ -164,9 +80,9 @@ func TestViewAbortedCtxnNeverReissued(t *testing.T) {
 	if tA != rec || idA == idW {
 		t.Fatalf("A did not reuse the warm-up transaction's record (%p vs %p)", tA, rec)
 	}
-	if tA.phase != phExecute || tA.pending != 2 || len(tA.reads) != 0 || len(tA.locked) != 0 {
+	if tA.phase != phExecute || tA.Pending != 2 || len(tA.Reads) != 0 || len(tA.Locked) != 0 {
 		t.Fatalf("A not waiting on both EXECUTE units with clean state: phase=%v pending=%d reads=%d locked=%d",
-			tA.phase, tA.pending, len(tA.reads), len(tA.locked))
+			tA.phase, tA.Pending, len(tA.Reads), len(tA.Locked))
 	}
 	if got := countLocked(n, 0); got != 1 {
 		t.Fatalf("local EXECUTE holds %d locks on shard 0, want 1", got)
@@ -216,8 +132,8 @@ func TestViewAbortedCtxnNeverReissued(t *testing.T) {
 		notReissued()
 		return countLocked(n, 0) == 0
 	})
-	if n.ctxns[idB] == tB && (tB.id != idB || tB.dead || tB.failed != wire.StatusOK) {
-		t.Fatalf("straggler disturbed B: id=%#x dead=%v failed=%v", tB.id, tB.dead, tB.failed)
+	if n.ctxns[idB] == tB && (tB.id != idB || tB.dead || tB.Failed != wire.StatusOK) {
+		t.Fatalf("straggler disturbed B: id=%#x dead=%v failed=%v", tB.id, tB.dead, tB.Failed)
 	}
 
 	stepUntil("A (retried) and B done", func() bool {

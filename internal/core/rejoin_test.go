@@ -74,7 +74,7 @@ func TestRestartRejoin(t *testing.T) {
 
 // TestViewChangeReleasesInFlightLocalExecLocks pins a lock leak in the
 // EXECUTE round: when a view change (here, the rejoin at restart) aborts an
-// in-flight transaction, abortInFlight sweeps t.locked — but a local EXECUTE
+// in-flight transaction, abortInFlight sweeps t.Locked — but a local EXECUTE
 // unit still in flight at the coordinator's own shard acquires its locks
 // *after* the sweep, and coordExecPart's dead-transaction guard used to drop
 // them on the floor (remote stragglers get a cleanup Abort; the local path

@@ -485,10 +485,10 @@ func (n *Node) handleShipExec(c *nicrt.Core, src int, m *wire.ShipExec) {
 	mine := make([]uint64, 0, nkeys)
 	for i := 0; i < nkeys; i++ {
 		k := keyAt(m.ReadKeys, m.WriteKeys, i)
-		if hasKey(reads, k) {
+		if _, dup := txnmodel.LastKV(reads, k); dup {
 			continue
 		}
-		if kv, pre := lastKV(m.LocalReads, k); pre {
+		if kv, pre := txnmodel.LastKV(m.LocalReads, k); pre {
 			reads = append(reads, kv)
 			continue
 		}
@@ -599,24 +599,24 @@ func (n *Node) shipRun(c *nicrt.Core, m *wire.ShipExec, locked []uint64, reads [
 		panic("core: shipped execution requested another round (§4.2.3 requires single-round)")
 	}
 	writes := append(res.Writes, m.WriteSet...)
-	versionWrites(writes, reads)
+	txnmodel.VersionWrites(writes, reads)
 	n.recordShip(m.TxnID, coord, writes)
 	n.remoteLocks[m.TxnID] = locked
 
 	// Fan out LOG requests for every write shard's backups; acks flow
 	// to the coordinator (Figure 7b).
 	numLogs := 0
-	for _, sw := range groupByShard(n.place(), writes) {
-		for _, b := range n.cl.viewBackups(sw.shard) {
+	for _, sw := range txnmodel.GroupByShard(n.place(), writes) {
+		for _, b := range n.cl.viewBackups(sw.Shard) {
 			numLogs++
 			if b == n.id {
-				n.appendLogAck(c, m.TxnID, sw.shard, sw.writes, coord)
+				n.appendLogAck(c, m.TxnID, sw.Shard, sw.Writes, coord)
 				continue
 			}
 			n.sendOrLoop(c, b, &wire.Log{
 				Header:    wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
 				RespondTo: uint8(coord),
-				Writes:    sw.writes,
+				Writes:    sw.Writes,
 			})
 		}
 	}
@@ -627,97 +627,4 @@ func (n *Node) shipRun(c *nicrt.Core, m *wire.ShipExec, locked []uint64, reads [
 		ReadSet: reads,
 		Writes:  writes,
 	})
-}
-
-// lastKV returns the last entry of kvs for key.
-func lastKV(kvs []wire.KV, key uint64) (wire.KV, bool) {
-	for i := len(kvs) - 1; i >= 0; i-- {
-		if kvs[i].Key == key {
-			return kvs[i], true
-		}
-	}
-	return wire.KV{}, false
-}
-
-// versionWrites assigns each write its successor version based on the
-// version observed at execution (missing keys start at version 1).
-func versionWrites(writes []wire.KV, reads []wire.KV) {
-	for i := range writes {
-		kv, _ := lastKV(reads, writes[i].Key)
-		writes[i].Version = kv.Version + 1
-	}
-}
-
-// shardWrites is one shard's slice of a write set.
-type shardWrites struct {
-	shard  int
-	writes []wire.KV
-}
-
-// groupByShard splits a write set by primary shard, in ascending shard
-// order (deterministic fan-out order keeps runs reproducible). The groups
-// are views into one array allocated here: the write sets handed to LOG
-// and COMMIT messages end up retained in host logs, so nothing in the
-// result may be scratch.
-func groupByShard(place txnmodel.Placement, writes []wire.KV) []shardWrites {
-	if len(writes) == 0 {
-		return nil
-	}
-	// Stable insertion sort by shard: write sets are at most a few dozen keys
-	// over a handful of shards, and usually arrive in shard order already.
-	var buf [16]int
-	shards := buf[:0]
-	sorted := make([]wire.KV, len(writes))
-	for i, kv := range writes {
-		s := place.ShardOf(kv.Key)
-		j := i
-		for j > 0 && shards[j-1] > s {
-			j--
-		}
-		shards = append(shards, 0)
-		copy(shards[j+1:], shards[j:i])
-		copy(sorted[j+1:i+1], sorted[j:i])
-		shards[j], sorted[j] = s, kv
-	}
-	groups := 1
-	for i := 1; i < len(shards); i++ {
-		if shards[i] != shards[i-1] {
-			groups++
-		}
-	}
-	out := make([]shardWrites, 0, groups)
-	start := 0
-	for i := 1; i <= len(sorted); i++ {
-		if i == len(sorted) || shards[i] != shards[start] {
-			out = append(out, shardWrites{shard: shards[start], writes: sorted[start:i:i]})
-			start = i
-		}
-	}
-	return out
-}
-
-// writeShards appends the distinct primary shards of a write set to buf, in
-// ascending order, for fan-outs that need the shards but not the writes.
-func writeShards(place txnmodel.Placement, writes []wire.KV, buf []int) []int {
-	for _, kv := range writes {
-		s := place.ShardOf(kv.Key)
-		i := 0
-		for i < len(buf) && buf[i] < s {
-			i++
-		}
-		if i == len(buf) || buf[i] != s {
-			buf = append(buf, 0)
-			copy(buf[i+1:], buf[i:])
-			buf[i] = s
-		}
-	}
-	return buf
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

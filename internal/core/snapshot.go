@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"xenic/internal/nicrt"
 	"xenic/internal/wire"
 )
@@ -34,9 +36,9 @@ func (n *Node) snapStart(c *nicrt.Core, t *ctxn) {
 		}
 		byShard[s] = append(byShard[s], k)
 	}
-	sortInts(shards)
-	t.pending = len(shards)
-	if t.pending == 0 {
+	slices.Sort(shards)
+	t.Pending = len(shards)
+	if t.Pending == 0 {
 		n.snapFinish(c, t)
 		return
 	}
@@ -69,18 +71,10 @@ func (n *Node) snapPart(c *nicrt.Core, t *ctxn, st wire.Status, items []wire.KV)
 	if t.dead {
 		return
 	}
-	if st == wire.StatusOK {
-		for _, kv := range items {
-			t.setRead(kv)
-		}
-	} else if t.failed == wire.StatusOK {
-		t.failed = st
-	}
-	t.pending--
-	if t.pending > 0 {
+	if !t.Landed(st, 0, nil, items) {
 		return
 	}
-	if t.failed != wire.StatusOK {
+	if t.Failed != wire.StatusOK {
 		n.abortTxn(c, t)
 		return
 	}

@@ -1,6 +1,10 @@
 package fault
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -135,6 +139,11 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		"part-empty":     {Partitions: []Partition{{Start: 1, End: 2}}},
 		"part-inverted":  {Partitions: []Partition{{Nodes: []int{0}, Start: 2, End: 1}}},
 		"stall-zero-dur": {CoreStalls: []CoreStall{{Node: 0, Core: 1, At: 1}}},
+		"prob-nan":       {DupProb: math.NaN()},
+		"crash-negative": {Crashes: []Crash{{Node: 1, At: -sim.Millisecond}}},
+		"part-negative":  {Partitions: []Partition{{Nodes: []int{0}, Start: -2, End: 1}}},
+		"stall-overflow": {DMAStalls: []DMAStall{{Node: 0, At: math.MaxInt64 - 1, Dur: 2}}},
+		"timeout<0":      {TxnTimeout: -sim.Microsecond},
 	} {
 		if err := p.Validate(4); err == nil {
 			t.Errorf("%s validated", name)
@@ -151,6 +160,9 @@ func TestRandomPlanValidAndDeterministic(t *testing.T) {
 		b := RandomPlan(seed, 4)
 		if a.String() != b.String() {
 			t.Fatalf("seed %d: plans diverge:\n%s\n%s", seed, a, b)
+		}
+		if q, err := Parse(specOf(a)); err != nil || !reflect.DeepEqual(q, a) {
+			t.Fatalf("seed %d: %q parses to %+v (%v), want %+v", seed, specOf(a), q, err, a)
 		}
 		// At most two nodes may die (crash or eviction-length partition) so
 		// 3-way replication always keeps a replica per shard.
@@ -191,4 +203,93 @@ func TestInjectorDeterministicStream(t *testing.T) {
 			t.Fatalf("fate %d diverges: %s vs %s", i, a[i], b[i])
 		}
 	}
+}
+
+// specOf renders p in Parse's grammar, for a fuzz corpus of generated plans.
+func specOf(p *Plan) string {
+	ns := func(t sim.Time) string { return fmt.Sprintf("%dns", t/sim.Nanosecond) }
+	prob := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	terms := []string{"drop=" + prob(p.DropProb), "dup=" + prob(p.DupProb),
+		"delay=" + prob(p.DelayProb), "maxdelay=" + ns(p.MaxDelay), "dmaerr=" + prob(p.DMAErrProb)}
+	for _, c := range p.Crashes {
+		terms = append(terms, fmt.Sprintf("crash=%d@%s", c.Node, ns(c.At)))
+	}
+	for _, r := range p.Restarts {
+		terms = append(terms, fmt.Sprintf("restart=%d@%s", r.Node, ns(r.At)))
+	}
+	for _, pt := range p.Partitions {
+		nodes := make([]string, len(pt.Nodes))
+		for i, n := range pt.Nodes {
+			nodes[i] = strconv.Itoa(n)
+		}
+		terms = append(terms, fmt.Sprintf("part=%s@%s+%s", strings.Join(nodes, ":"), ns(pt.Start), ns(pt.End-pt.Start)))
+	}
+	for _, st := range p.CoreStalls {
+		terms = append(terms, fmt.Sprintf("stall=%d/%d@%s+%s", st.Node, st.Core, ns(st.At), ns(st.Dur)))
+	}
+	for _, st := range p.DMAStalls {
+		terms = append(terms, fmt.Sprintf("dmastall=%d@%s+%s", st.Node, ns(st.At), ns(st.Dur)))
+	}
+	return strings.Join(terms, ",")
+}
+
+// FuzzParse holds Parse and Validate to their contract: Parse never panics,
+// and a plan that validates for six nodes has every probability in [0,1]
+// and every instant non-negative, so each of its events can be scheduled.
+// The seed corpus (run by plain go test) is the plans the CI workflow and
+// these tests use, the generated plans, and three that used to validate and
+// then panic or run fault-free.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"drop=0.01,dup=0.005,delay=0.05,maxdelay=40us,dmaerr=0.005,crash=2@4ms,part=1@2ms+800us",
+		"crash=2@2ms,restart=2@5ms",
+		"crash=2@1ms,restart=2@4ms",
+		"crash=2@1ms,restart=2@3ms",
+		"drop=0.02,dup=0.01",
+		"drop=0.01,dup=0.005,delay=0.05,maxdelay=50us,dmaerr=0.01,crash=2@4ms,part=1:2@2ms+1ms," +
+			"stall=0/3@1ms+200us,dmastall=1@2ms+100us,txntimeout=500us,verbtimeout=100us",
+		"delay=0.1",
+		"crash=1@1ms,restart=1@3ms,crash=1@5ms,restart=1@7ms",
+		"crash=2@1ms,restart=2@3ms,restart=2@4ms",
+		"crash=2@-1ms",
+		"crash=1@Infms",
+		"drop=NaN",
+	} {
+		f.Add(spec)
+	}
+	for seed := int64(0); seed < 32; seed++ {
+		f.Add(specOf(RandomPlan(seed, 6)))
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := Parse(spec)
+		if err != nil || p.Validate(6) != nil {
+			return
+		}
+		for _, v := range []float64{p.DropProb, p.DupProb, p.DelayProb, p.DMAErrProb} {
+			if !(v >= 0 && v <= 1) {
+				t.Fatalf("%q validated with probability %v", spec, v)
+			}
+		}
+		instants := []sim.Time{p.MaxDelay, p.TxnTimeout, p.VerbTimeout}
+		for _, c := range p.Crashes {
+			instants = append(instants, c.At)
+		}
+		for _, r := range p.Restarts {
+			instants = append(instants, r.At)
+		}
+		for _, pt := range p.Partitions {
+			instants = append(instants, pt.Start, pt.End)
+		}
+		for _, st := range p.CoreStalls {
+			instants = append(instants, st.At, st.At+st.Dur)
+		}
+		for _, st := range p.DMAStalls {
+			instants = append(instants, st.At, st.At+st.Dur)
+		}
+		for _, at := range instants {
+			if at < 0 {
+				t.Fatalf("%q validated with instant %v", spec, at)
+			}
+		}
+	})
 }

@@ -81,11 +81,14 @@ func (d *TxnDesc) Key(i int) uint64 {
 // ExecResult is what an execution function produces.
 type ExecResult struct {
 	// Writes are the new values for UpdateKeys (and any additional keys,
-	// which must already be locked or local).
+	// which must already be locked or local). Only the final round's Writes
+	// are the write set: every round sees the full read set so far, so a
+	// round that returns MoreReads has its Writes ignored, on every system
+	// and execution site alike.
 	Writes []wire.KV
 	// MoreReads requests another execution round with additional read keys
-	// (multi-shot transactions, §4.2 step 3). Only host execution supports
-	// additional rounds; shipped executions must be single-round (§4.2.3).
+	// (multi-shot transactions, §4.2 step 3). Shipped executions must be
+	// single-round (§4.2.3).
 	MoreReads []uint64
 	// Abort lets application logic abort (e.g. TPC-C payment on a missing
 	// customer); the transaction releases its locks and reports the status.
