@@ -43,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -75,7 +76,8 @@ func main() {
 	hotFrac := flag.Float64("hot-frac", 0, "override the smallbank hot-account fraction (0 = the paper's 0.04)")
 	hotProb := flag.Float64("hot-prob", 0, "override the smallbank hot-access probability (0 = the paper's 0.9)")
 	flag.Parse()
-	if err := validateFlags(*app, *threads, *warmMS, *ms); err != nil {
+	if err := validateFlags(simFlags{app: *app, threads: *threads, warmMS: *warmMS, ms: *ms,
+		roFrac: *roFrac, alpha: *alpha, hotFrac: *hotFrac, hotProb: *hotProb, openloop: ol.Rate}); err != nil {
 		fmt.Fprintln(os.Stderr, "xenic-sim:", err)
 		os.Exit(2)
 	}
@@ -147,7 +149,10 @@ func main() {
 		opts = append(opts, xenic.WithTelemetry(telS))
 	}
 	src, err := ol.Source(*seed)
-	must(err)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xenic-sim:", err)
+		os.Exit(2)
+	}
 	if src != nil {
 		opts = append(opts, xenic.WithLoad(src))
 	}
@@ -223,19 +228,38 @@ func main() {
 	checkHistory(cl, hist)
 }
 
+// simFlags are the parsed flag values validateFlags checks.
+type simFlags struct {
+	app, threads, warmMS, ms                  int
+	roFrac, alpha, hotFrac, hotProb, openloop float64
+}
+
 // validateFlags rejects, before any cluster is built, the thread counts main
-// divides -window by and the windows that would report a NaN or negative
-// rate.
-func validateFlags(app, threads, warmMS, ms int) error {
+// divides -window by, the windows that would report a NaN or negative rate,
+// and the workload and load overrides that would hang the generator (a Zipf
+// alpha of 1 or more collapses every draw onto one key), panic it (a hot set
+// as large as the population) or be silently ignored. The range checks are
+// written to fail on NaN too.
+func validateFlags(f simFlags) error {
 	switch {
-	case app < 1:
-		return fmt.Errorf("-app must be at least 1, have %d", app)
-	case threads < 1:
-		return fmt.Errorf("-threads must be at least 1, have %d", threads)
-	case warmMS < 0:
-		return fmt.Errorf("-warm-ms must not be negative, have %d", warmMS)
-	case ms < 1:
-		return fmt.Errorf("-ms must be at least 1, have %d", ms)
+	case f.app < 1:
+		return fmt.Errorf("-app must be at least 1, have %d", f.app)
+	case f.threads < 1:
+		return fmt.Errorf("-threads must be at least 1, have %d", f.threads)
+	case f.warmMS < 0:
+		return fmt.Errorf("-warm-ms must not be negative, have %d", f.warmMS)
+	case f.ms < 1:
+		return fmt.Errorf("-ms must be at least 1, have %d", f.ms)
+	case !(f.roFrac >= 0 && f.roFrac <= 1):
+		return fmt.Errorf("-ro-frac must be in [0, 1], have %g", f.roFrac)
+	case !(f.alpha >= 0 && f.alpha < 1):
+		return fmt.Errorf("-alpha must be in [0, 1), have %g", f.alpha)
+	case !(f.hotFrac >= 0 && f.hotFrac < 1):
+		return fmt.Errorf("-hot-frac must be in [0, 1), have %g", f.hotFrac)
+	case !(f.hotProb >= 0 && f.hotProb <= 1):
+		return fmt.Errorf("-hot-prob must be in [0, 1], have %g", f.hotProb)
+	case !(f.openloop >= 0 && f.openloop <= math.MaxFloat64):
+		return fmt.Errorf("-openloop must be a finite rate of at least 0, have %g", f.openloop)
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ package cliflags
 
 import (
 	"flag"
+	"fmt"
 
 	"xenic/internal/load"
 	"xenic/internal/openloop"
@@ -99,15 +100,16 @@ func (o *OpenLoop) Enabled() bool { return o.Rate > 0 }
 func (o *OpenLoop) SLO() sim.Time { return sim.Time(o.SLOUs) * sim.Microsecond }
 
 // Config translates the parsed flags into an open-loop source
-// configuration, validating the -arrival and -admit specs.
+// configuration, validating the -arrival and -admit specs; an error names
+// the flag.
 func (o *OpenLoop) Config(seed int64) (openloop.Config, error) {
 	arr, err := openloop.ParseArrival(o.Arrival)
 	if err != nil {
-		return openloop.Config{}, err
+		return openloop.Config{}, fmt.Errorf("-arrival: %w", err)
 	}
 	adm, err := openloop.ParseAdmission(o.Admit)
 	if err != nil {
-		return openloop.Config{}, err
+		return openloop.Config{}, fmt.Errorf("-admit: %w", err)
 	}
 	return openloop.Config{
 		Rate:        o.Rate,

@@ -2,6 +2,7 @@ package cliflags
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"xenic/internal/sim"
@@ -58,14 +59,21 @@ func TestOpenLoopBadSpecs(t *testing.T) {
 	for _, args := range [][]string{
 		{"-openloop", "1e6", "-arrival", "uniform"},
 		{"-openloop", "1e6", "-admit", "bogus:3"},
+		{"-openloop", "1e6", "-admit", "token:NaN"},
+		{"-openloop", "1e6", "-admit", "token:Inf"},
+		{"-openloop", "1e6", "-admit", "token:1:NaN"},
 	} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		o := AddOpenLoop(fs)
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := o.Source(1); err == nil {
+		_, err := o.Source(1)
+		if err == nil {
 			t.Fatalf("bad spec %v accepted", args)
+		}
+		if name := args[2]; !strings.HasPrefix(err.Error(), name+": ") {
+			t.Errorf("bad spec %v: error %q does not name %s", args, err, name)
 		}
 	}
 }

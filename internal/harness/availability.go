@@ -201,8 +201,13 @@ func runAvailability(opt Options) *Report {
 	outs := runCells(opt, 1, func(i int, o Options) availOutcome {
 		return availabilityCell(o, o.Seed)
 	})
-	out := outs[0]
+	return availabilityReport(opt, outs[0])
+}
 
+// availabilityReport renders one availability run: the time series, the
+// restore and recovery notes, and the bottleneck verdicts when opt collected
+// telemetry.
+func availabilityReport(opt Options, out availOutcome) *Report {
 	r := &Report{ID: "availability",
 		Title:  "Fixed offered load through crash, promotion, restart, re-replication",
 		Header: []string{"t", "tput", "aborts", "abort%", "epoch", "repl"}}

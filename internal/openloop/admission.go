@@ -2,6 +2,7 @@ package openloop
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -135,8 +136,10 @@ func ParseAdmission(spec string) (Admission, error) {
 		if len(parts) < 2 || len(parts) > 3 {
 			return nil, fmt.Errorf("openloop: want token:RATE[:BURST], got %q", spec)
 		}
+		// NaN and Inf parse as floats but leave the bucket admitting nothing,
+		// so the range checks exclude them.
 		rate, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil || rate <= 0 {
+		if err != nil || !(rate > 0 && rate <= math.MaxFloat64) {
 			return nil, fmt.Errorf("openloop: bad token rate %q", parts[1])
 		}
 		burst := rate / 100
@@ -144,7 +147,7 @@ func ParseAdmission(spec string) (Admission, error) {
 			burst = 1
 		}
 		if len(parts) == 3 {
-			if burst, err = strconv.ParseFloat(parts[2], 64); err != nil || burst < 1 {
+			if burst, err = strconv.ParseFloat(parts[2], 64); err != nil || !(burst >= 1 && burst <= math.MaxFloat64) {
 				return nil, fmt.Errorf("openloop: bad token burst %q", parts[2])
 			}
 		}

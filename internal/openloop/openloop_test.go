@@ -112,11 +112,63 @@ func TestParseAdmission(t *testing.T) {
 			t.Fatalf("ParseAdmission(%q) = %s, want %s", spec, adm.Name(), want)
 		}
 	}
-	for _, spec := range []string{"token", "token:0", "token:x", "queue", "queue:-1", "queue:4:x", "drop:1", "none:1"} {
+	for _, spec := range []string{"token", "token:0", "token:x", "queue", "queue:-1", "queue:4:x", "drop:1", "none:1",
+		"token:NaN", "token:Inf", "token:1:NaN", "token:1:Inf"} {
 		if _, err := ParseAdmission(spec); err == nil {
 			t.Fatalf("ParseAdmission(%q) accepted a bad spec", spec)
 		}
 	}
+}
+
+// FuzzParseAdmission: a spec the parser accepts yields a policy that admits
+// the first arrival into an idle system, with finite, in-range parameters.
+// The seeds are the CLI's documented forms, the CI runs' specs and the
+// non-finite token specs that used to parse into a bucket admitting nothing.
+func FuzzParseAdmission(f *testing.F) {
+	for _, spec := range []string{"", "none", "unlimited", "token:1000", "token:1e6:50", "token:2e6:64",
+		"queue:64", "queue:64:128", "queue:96:96", "queue:64:0",
+		"token:NaN", "token:Inf", "token:-Inf", "token:1:NaN", "token:1:Inf", "token:0", "token:1:0.5",
+		"queue:0", "queue:-1", "queue:4:-1", "none:1", "drop:1", "token:1:2:3", ":"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		adm, err := ParseAdmission(spec)
+		if err != nil {
+			return
+		}
+		switch p := adm.(type) {
+		case *TokenBucket:
+			if !(p.Rate > 0 && p.Rate <= math.MaxFloat64 && p.Burst >= 1 && p.Burst <= math.MaxFloat64) {
+				t.Fatalf("ParseAdmission(%q) = token bucket rate %g burst %g", spec, p.Rate, p.Burst)
+			}
+		case *QueueDepth:
+			if p.MaxInFlight < 1 || p.MaxQueue < 0 {
+				t.Fatalf("ParseAdmission(%q) = queue depth %d length %d", spec, p.MaxInFlight, p.MaxQueue)
+			}
+		}
+		if d := adm.Arrive(0, 0, 0); d != Admit {
+			t.Fatalf("ParseAdmission(%q): first arrival into an idle system got %d, want Admit", spec, d)
+		}
+	})
+}
+
+// FuzzParseArrival: an accepted arrival process draws positive gaps.
+func FuzzParseArrival(f *testing.F) {
+	for _, spec := range []string{"", "poisson", "pareto", "uniform", "Pareto", "pareto:2"} {
+		f.Add(spec, int64(1))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed int64) {
+		arr, err := ParseArrival(spec)
+		if err != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for range 100 {
+			if g := arr.Gap(rng, 10*sim.Microsecond); g < 1 {
+				t.Fatalf("ParseArrival(%q) drew gap %v", spec, g)
+			}
+		}
+	})
 }
 
 func TestAttachValidation(t *testing.T) {
