@@ -36,7 +36,6 @@ func main() {
 	jsonOut := flag.String("json", "", "write machine-readable reports (typed cells) to this JSON file")
 	statsJSONOut := flag.String("stats-json", "", "write one machine-readable document (reports + stats snapshots + bottleneck verdicts) to this JSON file")
 	tel := cliflags.AddTelemetry(flag.CommandLine, "collect time-resolved telemetry; write PREFIX-<id>.csv/.json per experiment and a PREFIX.html dashboard")
-	ol := cliflags.AddOpenLoop(flag.CommandLine)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: xenic-bench [-quick] [-seed N] [-j N] <experiment-id>... | all\n\n")
 		fmt.Fprintf(os.Stderr, "experiments:\n")
@@ -65,11 +64,7 @@ func main() {
 	} else {
 		ids = args
 	}
-	opt := harness.Options{Quick: *quick, Seed: *seed, Workers: *workers,
-		// The open-loop flags parameterize the slo experiment (-arrival,
-		// -admit, -sessions, -slo-us); other experiments ignore them.
-		SLO: &harness.SLOTuning{Arrival: ol.Arrival, Admit: ol.Admit,
-			Sessions: ol.Sessions, SLOUs: ol.SLOUs}}
+	opt := harness.Options{Quick: *quick, Seed: *seed, Workers: *workers}
 	collectStats := *statsOut != "" || *statsJSONOut != ""
 	allStats := map[string]any{}
 	var reports []*harness.Report

@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"xenic/internal/fault"
-	"xenic/internal/membership"
 	"xenic/internal/model"
 	"xenic/internal/store/btree"
 	"xenic/internal/store/chained"
@@ -82,11 +81,6 @@ type Config struct {
 	// baselines track membership epochs but have no recovery path to heal
 	// a dead replica with.
 	Faults *fault.Plan
-	// Membership tunes the lease service. Baselines run the same cluster
-	// manager as Xenic — leases, epochs, views — so epoch-stamped
-	// comparisons in the harness stay apples-to-apples; with no crash
-	// faults the epoch stays 0 unless a partition lapses a lease.
-	Membership membership.Config
 }
 
 // DefaultConfig mirrors the testbed.
@@ -100,7 +94,6 @@ func DefaultConfig(sys System) Config {
 		System:      sys,
 		Params:      model.Default(),
 		Seed:        1,
-		Membership:  membership.DefaultConfig(),
 	}
 }
 

@@ -54,7 +54,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		Params:      cfg.Params,
 		Seed:        cfg.Seed,
 		Faults:      cfg.Faults,
-		Membership:  cfg.Membership,
 	}, gen, chassis.Protocol{
 		Name:        "baseline",
 		BackoffBase: backoffBase,

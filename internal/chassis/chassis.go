@@ -47,9 +47,6 @@ type Config struct {
 	Params     model.Params
 	Seed       int64
 	Faults     *fault.Plan
-	// Membership tunes the lease service; the zero value means
-	// membership.DefaultConfig.
-	Membership membership.Config
 }
 
 func (c Config) validate(name string) error {
@@ -159,9 +156,6 @@ func New(cfg Config, gen txnmodel.Generator, p Protocol) (*Chassis, error) {
 	if err := cfg.validate(p.Name); err != nil {
 		return nil, err
 	}
-	if cfg.Membership == (membership.Config{}) {
-		cfg.Membership = membership.DefaultConfig()
-	}
 	if p.Alive == nil {
 		p.Alive = func(int) bool { return true }
 	}
@@ -204,14 +198,14 @@ func New(cfg Config, gen txnmodel.Generator, p Protocol) (*Chassis, error) {
 // Boot starts the lease service (§4.2.1): every live, reachable node renews
 // its lease, and the manager reconfigures on expiry, off the critical path.
 func (ch *Chassis) Boot() {
-	ch.mgr = membership.New(ch.eng, ch.cfg.Nodes, ch.cfg.Replication, ch.cfg.Membership)
+	ch.mgr = membership.New(ch.eng, ch.cfg.Nodes, ch.cfg.Replication, ch.Membership())
 	ch.view = ch.mgr.View()
 	ch.mgr.OnChange(func(v membership.View) { ch.view = v })
 	if ch.proto.OnView != nil {
 		ch.mgr.OnChange(ch.proto.OnView)
 	}
 	for id := range ch.nodes {
-		ch.eng.Ticker(ch.cfg.Membership.RenewPeriod, func() bool {
+		ch.eng.Ticker(ch.Membership().RenewPeriod, func() bool {
 			// A partitioned node cannot reach the manager: its lease lapses
 			// and it is evicted.
 			if ch.proto.Alive(id) && (ch.inj == nil || !ch.inj.Isolated(id)) {
@@ -258,8 +252,9 @@ func (ch *Chassis) Injector() *fault.Injector { return ch.inj }
 // Manager exposes the lease service.
 func (ch *Chassis) Manager() *membership.Manager { return ch.mgr }
 
-// Membership returns the lease settings in force (defaults filled in).
-func (ch *Chassis) Membership() membership.Config { return ch.cfg.Membership }
+// Membership returns the lease settings in force: every system runs the
+// same cluster manager (leases, epochs, views) with the default settings.
+func (ch *Chassis) Membership() membership.Config { return membership.DefaultConfig() }
 
 // View returns the membership view the nodes last learned of.
 func (ch *Chassis) View() membership.View { return ch.view }

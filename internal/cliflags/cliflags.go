@@ -1,7 +1,7 @@
-// Package cliflags defines the command-line flag groups shared by
-// cmd/xenic-sim and cmd/xenic-bench in one place, so the two binaries
-// cannot drift in flag names, defaults, or parsing (the -faults grammar,
-// the -admit policy specs, the open-loop knobs).
+// Package cliflags defines the command-line flag groups of cmd/xenic-sim
+// and cmd/xenic-bench in one place, so the two binaries cannot drift in the
+// flags they share (-seed, -stats, -telemetry) and each group's parsing
+// (the -faults grammar, the -admit policy specs) lives beside its flags.
 package cliflags
 
 import (

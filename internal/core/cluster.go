@@ -80,7 +80,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		Params:      cfg.Params,
 		Seed:        cfg.Seed,
 		Faults:      cfg.Faults,
-		Membership:  cfg.Membership,
 	}, gen, chassis.Protocol{
 		Name:              "core",
 		BackoffBase:       retryBackoffBase,

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"xenic/internal/fault"
-	"xenic/internal/membership"
 	"xenic/internal/model"
 	"xenic/internal/nicrt"
 )
@@ -67,8 +66,6 @@ type Config struct {
 	MaxRetries int
 	Features   Features
 	Params     model.Params
-	// Membership tunes the lease-based cluster manager (§4.2.1).
-	Membership membership.Config
 	Seed       int64
 	// Faults, when non-nil, enables deterministic fault injection: frame
 	// drop/duplication/delay at the link layer, DMA errors and stalls, NIC
@@ -99,7 +96,6 @@ func DefaultConfig() Config {
 		MaxRetries:    64,
 		Features:      AllFeatures(),
 		Params:        model.Default(),
-		Membership:    membership.DefaultConfig(),
 		Seed:          1,
 	}
 }

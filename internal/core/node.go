@@ -154,9 +154,6 @@ func (n *Node) PrimaryOf(s int) (*ShardData, bool) {
 	return p.data, true
 }
 
-// Backup returns this node's replica of shard s, or nil.
-func (n *Node) Backup(s int) *ShardData { return n.backups[s] }
-
 // prim returns the serving state for shard s, or nil.
 func (n *Node) prim(s int) *primaryShard { return n.prims[s] }
 

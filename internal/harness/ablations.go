@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"xenic"
 	"xenic/internal/core"
 	"xenic/internal/sim"
 	"xenic/internal/store/nicindex"
@@ -60,32 +61,30 @@ func runAblateCache(opt Options) *Report {
 	}
 	samples := runCells(opt, len(fracs), func(i int, o Options) sample {
 		f := fracs[i]
-		g := retwis.New()
-		g.KeysPerServer = keys
-		g.CacheObjects = int(float64(keys) * f)
-
-		cfg := core.DefaultConfig()
-		cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 3, 16
-		cfg.Outstanding = 32
-		cfg.Seed = o.Seed
-		reg := o.Stats.Registry()
-		cl, err := core.New(cfg, g, core.Observers{Stats: reg})
-		if err != nil {
-			panic(err)
+		build := func(opts ...xenic.Option) (*xenic.Cluster, error) {
+			g := retwis.New()
+			g.KeysPerServer = keys
+			g.CacheObjects = int(float64(keys) * f)
+			cfg := core.DefaultConfig()
+			cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 3, 16
+			cfg.Outstanding = 32
+			cfg.Seed = o.Seed
+			return xenic.NewCluster(cfg, g, opts...)
 		}
-		res := cl.Measure(warm, win)
-		o.Stats.Done(fmt.Sprintf("ablate-cache/%.3f", f), reg)
-		var hits, lookups int64
-		for i := 0; i < cl.Nodes(); i++ {
-			s := cl.Node(i).Index().Stats()
-			hits += s.CacheHits
-			lookups += s.Lookups
-		}
-		hr := 0.0
-		if lookups > 0 {
-			hr = float64(hits) / float64(lookups)
-		}
-		return sample{res: res, hr: hr}
+		return measured(o, fmt.Sprintf("ablate-cache/%.3f", f), build, func(cl *xenic.Cluster) sample {
+			res := cl.Measure(warm, win)
+			var hits, lookups int64
+			for i := 0; i < cl.Nodes(); i++ {
+				s := cl.Node(i).Index().Stats()
+				hits += s.CacheHits
+				lookups += s.Lookups
+			}
+			hr := 0.0
+			if lookups > 0 {
+				hr = float64(hits) / float64(lookups)
+			}
+			return sample{res: res, hr: hr}
+		})
 	})
 	for i, f := range fracs {
 		s := samples[i]
@@ -93,6 +92,7 @@ func runAblateCache(opt Options) *Report {
 			Micros(s.res.Median), Num(100*s.hr, fmt.Sprintf("%.1f%%", 100*s.hr)))
 	}
 	r.AddNote("smaller caches push lookups onto the DMA path; the async pipeline hides the misses until PCIe bandwidth saturates (§4.3.2-4.3.3)")
+	finishTelemetry(r, opt)
 	return r
 }
 

@@ -58,8 +58,9 @@ func runChecksweep(opt Options) *Report {
 		panic(err)
 	}
 	plans := []string{"none", "faulty", "restart"}
-	systems := []string{"xenic", baseline.DrTMH.String(), baseline.DrTMHNC.String(),
-		baseline.FaSST.String(), baseline.DrTMR.String()}
+	baselines := []baseline.System{baseline.DrTMH, baseline.DrTMHNC, baseline.FaSST, baseline.DrTMR}
+	systems := []string{"xenic", baselines[0].String(), baselines[1].String(),
+		baselines[2].String(), baselines[3].String()}
 
 	type outcome struct {
 		txns int
@@ -92,25 +93,44 @@ func runChecksweep(opt Options) *Report {
 		}
 
 		var out outcome
-		if systems[s] == "xenic" {
-			var plan *fault.Plan
+		if s == 0 {
+			cfg := core.DefaultConfig()
+			cfg.Nodes = nodes
+			cfg.Replication = 3
+			cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 2, 4
+			cfg.Outstanding = 4
+			cfg.Seed = seed
+			// Snapshot reads on: pure-read transactions (Retwis get-timeline,
+			// Smallbank Balance) take the lock-free MVCC path, so the
+			// checker's SI visibility pass sweeps alongside the serialization
+			// graph.
+			cfg.MVCC = true
 			cellFor := runFor
 			switch plans[p] {
 			case "faulty":
-				plan = fault.RandomPlan(seed, nodes)
+				cfg.Faults = fault.RandomPlan(seed, nodes)
 			case "restart":
 				// Run past the rejoin so load flows while the restarted node
 				// pulls state and after it is re-admitted.
-				plan = restartPlan
+				cfg.Faults = restartPlan
 				cellFor = 6 * sim.Millisecond
 			}
-			out.txns, out.err = checkXenic(seed, plan, gen, cellFor)
+			out.txns, out.err = checkCell(cellFor, func(opts ...xenic.Option) (xenic.System, error) {
+				return xenic.NewCluster(cfg, gen, opts...)
+			})
 		} else {
-			var plan *fault.Plan
+			cfg := baseline.DefaultConfig(baselines[s-1])
+			cfg.Nodes = nodes
+			cfg.Replication = 3
+			cfg.Threads = 4
+			cfg.Outstanding = 4
+			cfg.Seed = seed
 			if plans[p] != "none" {
-				plan = netPlan
+				cfg.Faults = netPlan
 			}
-			out.txns, out.err = checkBaseline(s-1, seed, plan, gen, runFor)
+			out.txns, out.err = checkCell(runFor, func(opts ...xenic.Option) (xenic.System, error) {
+				return xenic.NewBaseline(cfg, gen, opts...)
+			})
 		}
 		return out
 	})
@@ -146,46 +166,12 @@ func runChecksweep(opt Options) *Report {
 	return r
 }
 
-// checkXenic runs one Xenic cell with a history attached and returns the
-// committed-transaction count plus any checker/audit failure.
-func checkXenic(seed int64, plan *fault.Plan, gen txnmodel.Generator, runFor sim.Time) (int, error) {
-	cfg := core.DefaultConfig()
-	cfg.Nodes = 4
-	cfg.Replication = 3
-	cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 2, 4
-	cfg.Outstanding = 4
-	cfg.Seed = seed
-	cfg.Faults = plan
-	// Snapshot reads on: pure-read transactions (Retwis get-timeline,
-	// Smallbank Balance) take the lock-free MVCC path, so the checker's SI
-	// visibility pass sweeps alongside the serialization graph.
-	cfg.MVCC = true
+// checkCell builds one cell with a history recorder attached, runs it for
+// runFor and drains it, and returns the committed-transaction count plus any
+// build, drain, checker or audit failure.
+func checkCell(runFor sim.Time, build func(...xenic.Option) (xenic.System, error)) (int, error) {
 	h := check.NewHistory()
-	cl, err := xenic.NewCluster(cfg, gen, xenic.WithHistory(h))
-	if err != nil {
-		return 0, err
-	}
-	cl.Start()
-	cl.Run(runFor)
-	if !cl.Drain(100 * sim.Millisecond) {
-		return h.Len(), fmt.Errorf("did not drain")
-	}
-	return h.Len(), verify(h, cl.AuditHistory)
-}
-
-// checkBaseline runs one baseline cell (sys indexes DrTMH..DrTMR) the same
-// way.
-func checkBaseline(sys int, seed int64, plan *fault.Plan, gen txnmodel.Generator, runFor sim.Time) (int, error) {
-	order := []baseline.System{baseline.DrTMH, baseline.DrTMHNC, baseline.FaSST, baseline.DrTMR}
-	cfg := baseline.DefaultConfig(order[sys])
-	cfg.Nodes = 4
-	cfg.Replication = 3
-	cfg.Threads = 4
-	cfg.Outstanding = 4
-	cfg.Seed = seed
-	cfg.Faults = plan
-	h := check.NewHistory()
-	cl, err := xenic.NewBaseline(cfg, gen, xenic.WithHistory(h))
+	cl, err := build(xenic.WithHistory(h))
 	if err != nil {
 		return 0, err
 	}

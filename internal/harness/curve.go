@@ -11,9 +11,7 @@ import (
 
 // This file is the generic throughput/latency curve runner: every system —
 // the Xenic cluster and each baseline — is measured through xenic.System,
-// so a sweep is described by a builder function and a stats label, and the
-// former per-system runner duplicates (runXenicCurve / runBaselineCurve and
-// their one-link variants) collapse into runCurve.
+// so a sweep is described by a builder function and a label per window.
 
 // Result is the shared measurement summary every System reports.
 type Result = xenic.Result
@@ -22,6 +20,11 @@ type Result = xenic.Result
 // observers (telemetry samplers in particular) ride along as
 // construction-time options.
 type builder func(window int, opts ...xenic.Option) (xenic.System, error)
+
+// at binds b to one window, in the shape measure takes.
+func (b builder) at(w int) func(...xenic.Option) (xenic.System, error) {
+	return func(opts ...xenic.Option) (xenic.System, error) { return b(w, opts...) }
+}
 
 // xenicBuilder returns a builder for the Xenic cluster under setup s.
 // oneLink halves the fabric to a single 50Gbps link (§5.3).
@@ -54,38 +57,24 @@ func baselineBuilder(sys baseline.System, s workloadSetup, opt Options, oneLink 
 	}
 }
 
-// runCurve measures one system across the offered-load windows — one pool
-// cell per window — and returns the (window, throughput, median) samples in
-// window order. label names each window's stats snapshot.
-func runCurve(opt Options, windows []int, warm, win sim.Time,
-	label func(w int) string, build builder) []point {
-	return runCells(opt, len(windows), func(i int, o Options) point {
-		w := windows[i]
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		sys, err := build(w, xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		if err != nil {
-			panic(err)
-		}
-		res := sys.Measure(warm, win)
-		o.Stats.Done(label(w), reg)
-		o.Telemetry.Done(label(w), tel)
-		return point{window: w, tput: res.PerServerTput, median: res.Median}
-	})
-}
-
 // curveSpec names one system's sweep for runCurves.
 type curveSpec struct {
-	name  string // row/series label ("Xenic", "DrTM+H", ...)
-	stats string // stats-label component ("xenic", "DrTM+H", ...)
+	name  string             // row/series label ("Xenic", "DrTM+H", ...)
+	label func(w int) string // stats/telemetry label of the cell at window w
 	build builder
+}
+
+// windowLabel labels setup s's cells "<workload>/<sys>/w<window>".
+func windowLabel(s workloadSetup, sys string) func(int) string {
+	return func(w int) string { return fmt.Sprintf("%s/%s/w%d", s.name, sys, w) }
 }
 
 // fig8Specs are the five systems of a Figure 8 panel, Xenic first.
 func fig8Specs(s workloadSetup, opt Options) []curveSpec {
-	specs := []curveSpec{{name: "Xenic", stats: "xenic", build: xenicBuilder(s, opt, false)}}
+	specs := []curveSpec{{"Xenic", windowLabel(s, "xenic"), xenicBuilder(s, opt, false)}}
 	for _, sys := range []baseline.System{baseline.DrTMH, baseline.DrTMHNC, baseline.FaSST, baseline.DrTMR} {
-		specs = append(specs, curveSpec{name: sys.String(), stats: sys.String(),
-			build: baselineBuilder(sys, s, opt, false)})
+		specs = append(specs, curveSpec{sys.String(), windowLabel(s, sys.String()),
+			baselineBuilder(sys, s, opt, false)})
 	}
 	return specs
 }
@@ -94,31 +83,15 @@ func fig8Specs(s workloadSetup, opt Options) []curveSpec {
 // (len(specs) x len(windows)), so a multi-system figure saturates the
 // worker pool instead of parallelizing only within one system's sweep.
 // Results are returned per spec, in spec order.
-func runCurves(s workloadSetup, opt Options, specs []curveSpec, windows []int, warm, win sim.Time) [][]point {
-	type cellID struct{ spec, win int }
-	var ids []cellID
-	for si := range specs {
-		for wi := range windows {
-			ids = append(ids, cellID{si, wi})
-		}
-	}
-	flat := runCells(opt, len(ids), func(i int, o Options) point {
-		id := ids[i]
-		w := windows[id.win]
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		sys, err := specs[id.spec].build(w, xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		if err != nil {
-			panic(err)
-		}
-		res := sys.Measure(warm, win)
-		label := fmt.Sprintf("%s/%s/w%d", s.name, specs[id.spec].stats, w)
-		o.Stats.Done(label, reg)
-		o.Telemetry.Done(label, tel)
+func runCurves(opt Options, specs []curveSpec, windows []int, warm, win sim.Time) [][]point {
+	flat := runCells(opt, len(specs)*len(windows), func(i int, o Options) point {
+		spec, w := specs[i/len(windows)], windows[i%len(windows)]
+		res := measure(o, spec.label(w), warm, win, spec.build.at(w))
 		return point{window: w, tput: res.PerServerTput, median: res.Median}
 	})
 	out := make([][]point, len(specs))
-	for i, id := range ids {
-		out[id.spec] = append(out[id.spec], flat[i])
+	for i := range specs {
+		out[i] = flat[i*len(windows) : (i+1)*len(windows)]
 	}
 	return out
 }

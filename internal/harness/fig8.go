@@ -157,7 +157,7 @@ func runFig8(opt Options, id string) *Report {
 		Header: []string{"system", "window", "tput/server", "median"}}
 
 	specs := fig8Specs(s, opt)
-	series := runCurves(s, opt, specs, windows, warm, win)
+	series := runCurves(opt, specs, windows, warm, win)
 	curves := map[string][]point{}
 	for i, spec := range specs {
 		curves[spec.name] = series[i]
@@ -182,12 +182,14 @@ func runFig8(opt Options, id string) *Report {
 
 	if s.oneLink {
 		// §5.3: one 50Gbps link, compare Xenic against DrTM+R.
-		xe := runCurve(opt, []int{96}, warm, win,
-			func(int) string { return s.name + "/xenic/one-link" },
-			xenicBuilder(s, opt, true))[0].tput
-		dr := runCurve(opt, []int{96}, warm, win,
-			func(int) string { return s.name + "/DrTM+R/one-link" },
-			baselineBuilder(baseline.DrTMR, s, opt, true))[0].tput
+		oneLink := func(sys string) func(int) string {
+			return func(int) string { return s.name + "/" + sys + "/one-link" }
+		}
+		ol := runCurves(opt, []curveSpec{
+			{"Xenic", oneLink("xenic"), xenicBuilder(s, opt, true)},
+			{"DrTM+R", oneLink("DrTM+R"), baselineBuilder(baseline.DrTMR, s, opt, true)},
+		}, []int{96}, warm, win)
+		xe, dr := ol[0][0].tput, ol[1][0].tput
 		ratio := 0.0
 		if dr > 0 {
 			ratio = xe / dr

@@ -27,21 +27,45 @@ func init() {
 	})
 }
 
-func runFig9a(opt Options) *Report {
-	s := setupFor("fig8c")
+// featureStep is one cumulative feature set of a Figure 9 panel.
+type featureStep struct {
+	name string
+	feat core.Features
+}
+
+// runFig9 measures one Figure 9 panel at a fixed per-thread window: cell 0
+// is the DrTM+H reference, cells 1.. the Xenic feature steps, each labelled
+// "<id>/<name>".
+func runFig9(opt Options, id string, s workloadSetup, window int, steps []featureStep) []Result {
 	warm, win := 3*sim.Millisecond, 10*sim.Millisecond
 	if opt.Quick {
 		warm, win = 1*sim.Millisecond, 3*sim.Millisecond
 	}
+	return runCells(opt, len(steps)+1, func(i int, o Options) Result {
+		if i == 0 {
+			return measure(o, id+"/DrTM+H", warm, win, func(opts ...xenic.Option) (*xenic.BaselineCluster, error) {
+				cfg := baseline.DefaultConfig(baseline.DrTMH)
+				cfg.Threads, cfg.Outstanding, cfg.Seed = s.threads, window, o.Seed
+				return xenic.NewBaseline(cfg, s.gen(o.Quick), opts...)
+			})
+		}
+		st := steps[i-1]
+		return measure(o, id+"/"+st.name, warm, win, func(opts ...xenic.Option) (*xenic.Cluster, error) {
+			cfg := core.DefaultConfig()
+			cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = s.app, s.workers, s.nic
+			cfg.Outstanding, cfg.Features, cfg.Seed = window, st.feat, o.Seed
+			return xenic.NewCluster(cfg, s.gen(o.Quick), opts...)
+		})
+	})
+}
+
+func runFig9a(opt Options) *Report {
 	r := &Report{ID: "fig9a", Title: "Retwis per-server peak throughput by feature set",
 		Header: []string{"config", "tput/server", "vs baseline", "vs DrTM+H"}}
 
 	// Throughput-oriented ablation runs with execution at the host
 	// (NICExecution and multi-hop are latency features, §5.7).
-	steps := []struct {
-		name string
-		feat core.Features
-	}{
+	steps := []featureStep{
 		{"Xenic baseline", core.Features{}},
 		{"+ Smart remote ops", core.Features{SmartRemoteOps: true}},
 		{"+ Eth aggregation", core.Features{SmartRemoteOps: true, EthAggregation: true}},
@@ -51,40 +75,7 @@ func runFig9a(opt Options) *Report {
 	if opt.Quick {
 		window = 8
 	}
-
-	// Cell 0 is the DrTM+H reference, cells 1..4 the feature steps.
-	results := runCells(opt, len(steps)+1, func(i int, o Options) Result {
-		if i == 0 {
-			dcfg := baseline.DefaultConfig(baseline.DrTMH)
-			dcfg.Threads = s.threads
-			dcfg.Outstanding = window
-			dcfg.Seed = o.Seed
-			tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-			if err != nil {
-				panic(err)
-			}
-			res := dcl.Measure(warm, win)
-			o.Stats.Done("fig9a/DrTM+H", reg)
-			o.Telemetry.Done("fig9a/DrTM+H", tel)
-			return res
-		}
-		st := steps[i-1]
-		cfg := core.DefaultConfig()
-		cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = s.app, s.workers, s.nic
-		cfg.Outstanding = window
-		cfg.Features = st.feat
-		cfg.Seed = o.Seed
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		if err != nil {
-			panic(err)
-		}
-		res := cl.Measure(warm, win)
-		o.Stats.Done("fig9a/"+st.name, reg)
-		o.Telemetry.Done("fig9a/"+st.name, tel)
-		return res
-	})
+	results := runFig9(opt, "fig9a", setupFor("fig8c"), window, steps)
 
 	dres := results[0]
 	r.AddCells(Text("DrTM+H"), Tput(dres.PerServerTput), Text("-"), Text("1.00x"))
@@ -108,19 +99,11 @@ func runFig9a(opt Options) *Report {
 }
 
 func runFig9b(opt Options) *Report {
-	s := setupFor("fig8d")
-	warm, win := 3*sim.Millisecond, 10*sim.Millisecond
-	if opt.Quick {
-		warm, win = 1*sim.Millisecond, 3*sim.Millisecond
-	}
 	r := &Report{ID: "fig9b", Title: "Smallbank low-load median latency by feature set",
 		Header: []string{"config", "median", "vs baseline", "vs DrTM+H"}}
 
 	rt := core.Features{EthAggregation: true, AsyncDMA: true}
-	steps := []struct {
-		name string
-		feat core.Features
-	}{
+	steps := []featureStep{
 		{"Xenic baseline", rt},
 		{"+ Smart remote ops", with(rt, func(f *core.Features) { f.SmartRemoteOps = true })},
 		{"+ NIC execution", with(rt, func(f *core.Features) { f.SmartRemoteOps = true; f.NICExecution = true })},
@@ -130,40 +113,7 @@ func runFig9b(opt Options) *Report {
 			f.MultiHopOCC = true
 		})},
 	}
-
-	// Cell 0 is the DrTM+H reference, cells 1..4 the feature steps.
-	results := runCells(opt, len(steps)+1, func(i int, o Options) Result {
-		if i == 0 {
-			dcfg := baseline.DefaultConfig(baseline.DrTMH)
-			dcfg.Threads = s.threads
-			dcfg.Outstanding = 1 // low load
-			dcfg.Seed = o.Seed
-			tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-			dcl, err := xenic.NewBaseline(dcfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-			if err != nil {
-				panic(err)
-			}
-			res := dcl.Measure(warm, win)
-			o.Stats.Done("fig9b/DrTM+H", reg)
-			o.Telemetry.Done("fig9b/DrTM+H", tel)
-			return res
-		}
-		st := steps[i-1]
-		cfg := core.DefaultConfig()
-		cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = s.app, s.workers, s.nic
-		cfg.Outstanding = 1
-		cfg.Features = st.feat
-		cfg.Seed = o.Seed
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		cl, err := xenic.NewCluster(cfg, s.gen(o.Quick), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		if err != nil {
-			panic(err)
-		}
-		res := cl.Measure(warm, win)
-		o.Stats.Done("fig9b/"+st.name, reg)
-		o.Telemetry.Done("fig9b/"+st.name, tel)
-		return res
-	})
+	results := runFig9(opt, "fig9b", setupFor("fig8d"), 1, steps) // low load
 
 	dres := results[0]
 	r.AddCells(Text("DrTM+H"), Micros(dres.Median), Text("-"), Text("1.00x"))

@@ -35,10 +35,39 @@ type Options struct {
 	// cell (cmd/xenic-bench -telemetry). Sampling is read-only: reported
 	// numbers are identical with or without a collector attached.
 	Telemetry *TelemetryCollector
-	// SLO overrides the slo experiment's open-loop knobs (arrival process,
-	// admission policy, sessions, p99 bound) from cmd/xenic-bench's flags.
-	// Nil keeps the experiment defaults; other experiments ignore it.
-	SLO *SLOTuning
+}
+
+// labeled is a collector's bookkeeping: values keyed by cell label in
+// insertion order, a duplicate label suffixed "#N". It records each value's
+// original label too, so merging a parallel cell's collector re-runs the
+// suffixing exactly as a serial run would have.
+type labeled[T any] struct {
+	m      map[string]T
+	labels []string // original label per value, insertion order
+	keys   []string // key in m per value, insertion order
+}
+
+func newLabeled[T any]() labeled[T] { return labeled[T]{m: map[string]T{}} }
+
+// add stores v under label, suffixing "#N" on duplicates.
+func (l *labeled[T]) add(label string, v T) {
+	key := label
+	for i := 2; ; i++ {
+		if _, dup := l.m[key]; !dup {
+			break
+		}
+		key = fmt.Sprintf("%s#%d", label, i)
+	}
+	l.m[key] = v
+	l.labels = append(l.labels, label)
+	l.keys = append(l.keys, key)
+}
+
+// merge appends every value of sub, in sub's insertion order.
+func (l *labeled[T]) merge(sub *labeled[T]) {
+	for i, label := range sub.labels {
+		l.add(label, sub.m[sub.keys[i]])
+	}
 }
 
 // StatsCollector accumulates one stats-registry snapshot per cluster run.
@@ -47,28 +76,17 @@ type Options struct {
 // A collector is not safe for concurrent use: parallel cells each record
 // into a private collector that the pool merges in cell order.
 type StatsCollector struct {
+	// Snaps maps each cell's label ("#N" on a duplicate) to its snapshot;
+	// it is snaps.m, exported.
 	Snaps map[string]any
-	// labels records each snapshot's original (pre-dedup) label in insertion
-	// order, so merging collectors re-runs deduplication deterministically.
-	labels []string
-	keys   []string
+	snaps labeled[any]
 }
 
 // NewStatsCollector returns an empty collector.
-func NewStatsCollector() *StatsCollector { return &StatsCollector{Snaps: map[string]any{}} }
-
-// add stores snap under label, suffixing "#N" on duplicates.
-func (c *StatsCollector) add(label string, snap any) {
-	key := label
-	for i := 2; ; i++ {
-		if _, dup := c.Snaps[key]; !dup {
-			break
-		}
-		key = fmt.Sprintf("%s#%d", label, i)
-	}
-	c.Snaps[key] = snap
-	c.labels = append(c.labels, label)
-	c.keys = append(c.keys, key)
+func NewStatsCollector() *StatsCollector {
+	c := &StatsCollector{snaps: newLabeled[any]()}
+	c.Snaps = c.snaps.m
+	return c
 }
 
 // Registry returns a fresh registry for one cell, to be attached at
@@ -89,22 +107,8 @@ func (c *StatsCollector) Done(label string, reg *metrics.Registry) {
 	if c == nil || reg == nil {
 		return
 	}
-	c.add(label, reg.Snapshot())
+	c.snaps.add(label, reg.Snapshot())
 }
-
-// merge appends every snapshot of sub, in sub's insertion order, re-running
-// duplicate-label resolution against c's contents.
-func (c *StatsCollector) merge(sub *StatsCollector) {
-	if c == nil || sub == nil {
-		return
-	}
-	for i, label := range sub.labels {
-		c.add(label, sub.Snaps[sub.keys[i]])
-	}
-}
-
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options { return Options{Seed: 1} }
 
 // Cell is one machine-readable table cell: the rendered text plus, when the
 // cell carries a number, its typed value — so JSON consumers and tooling

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"maps"
 	"slices"
 	"strconv"
 	"strings"
@@ -14,11 +15,16 @@ func quick() Options { return Options{Quick: true, Seed: 1} }
 
 func runByID(t *testing.T, id string) *Report {
 	t.Helper()
+	return runWith(t, id, quick())
+}
+
+func runWith(t *testing.T, id string, opt Options) *Report {
+	t.Helper()
 	e, ok := ByID(id)
 	if !ok {
 		t.Fatalf("experiment %s not registered", id)
 	}
-	r := e.Run(quick())
+	r := e.Run(opt)
 	if r.ID != id || len(r.Rows) == 0 {
 		t.Fatalf("%s produced empty report", id)
 	}
@@ -76,12 +82,23 @@ func TestAblateK(t *testing.T) {
 }
 
 func TestAblateCacheQuick(t *testing.T) {
-	r := runByID(t, "ablate-cache")
+	opt := quick()
+	opt.Stats, opt.Telemetry = NewStatsCollector(), NewTelemetryCollector(0)
+	r := runWith(t, "ablate-cache", opt)
 	// Larger caches hit more.
 	small := cell(t, strings.TrimSuffix(r.Rows[0][3], "%"))
 	big := cell(t, strings.TrimSuffix(r.Rows[len(r.Rows)-1][3], "%"))
 	if big <= small {
 		t.Errorf("hit rate did not grow with cache: %.1f%% vs %.1f%%", small, big)
+	}
+	// Every measured cell files a stats snapshot and a telemetry set under
+	// the same label.
+	want := []string{"ablate-cache/0.020", "ablate-cache/0.250"}
+	if got := slices.Sorted(maps.Keys(opt.Stats.Snaps)); !slices.Equal(got, want) {
+		t.Errorf("stats snapshots %q, want %q", got, want)
+	}
+	if got := slices.Sorted(maps.Keys(opt.Telemetry.Sets)); !slices.Equal(got, want) {
+		t.Errorf("telemetry sets %q, want %q", got, want)
 	}
 }
 
@@ -308,7 +325,7 @@ func fig8Window(id string, window int, systems ...string) map[string]float64 {
 			specs = append(specs, spec)
 		}
 	}
-	series := runCurves(s, opt, specs, []int{window}, 1*sim.Millisecond, 3*sim.Millisecond)
+	series := runCurves(opt, specs, []int{window}, 1*sim.Millisecond, 3*sim.Millisecond)
 	tput := map[string]float64{}
 	for i, spec := range specs {
 		tput[spec.name] = series[i][0].tput

@@ -66,24 +66,18 @@ func runMVCCSweep(opt Options) *Report {
 
 	// Cells interleave off/on per definition: cell 2i is MVCC off, 2i+1 on.
 	results := runCells(opt, 2*len(defs), func(i int, o Options) Result {
-		d := defs[i/2]
-		cfg := core.DefaultConfig()
-		cfg.Nodes = 4
-		cfg.Replication = 3
-		cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 3, 8
-		cfg.Outstanding = 16
-		cfg.Seed = o.Seed
-		cfg.MVCC = i%2 == 1
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		cl, err := xenic.NewCluster(cfg, d.gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		if err != nil {
-			panic(err)
-		}
-		res := cl.Measure(warm, win)
-		label := fmt.Sprintf("mvcc/%s-ro%.0f-%s", d.workload, 100*d.roFrac, onOff(cfg.MVCC))
-		o.Stats.Done(label, reg)
-		o.Telemetry.Done(label, tel)
-		return res
+		d, on := defs[i/2], i%2 == 1
+		label := fmt.Sprintf("mvcc/%s-ro%.0f-%s", d.workload, 100*d.roFrac, onOff(on))
+		return measure(o, label, warm, win, func(opts ...xenic.Option) (*xenic.Cluster, error) {
+			cfg := core.DefaultConfig()
+			cfg.Nodes = 4
+			cfg.Replication = 3
+			cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 3, 8
+			cfg.Outstanding = 16
+			cfg.Seed = o.Seed
+			cfg.MVCC = on
+			return xenic.NewCluster(cfg, d.gen(), opts...)
+		})
 	})
 
 	r := &Report{ID: "mvcc",

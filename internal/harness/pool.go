@@ -1,6 +1,11 @@
 package harness
 
-import "sync"
+import (
+	"sync"
+
+	"xenic"
+	"xenic/internal/sim"
+)
 
 // runCells runs n independent experiment cells on a bounded worker pool and
 // returns their results in cell order. A cell is one (cluster build,
@@ -90,13 +95,37 @@ func runCells[T any](opt Options, n int, run func(idx int, opt Options) T) []T {
 
 	if opt.Stats != nil {
 		for _, sub := range subs {
-			opt.Stats.merge(sub)
+			opt.Stats.snaps.merge(&sub.snaps)
 		}
 	}
 	if opt.Telemetry != nil {
 		for _, sub := range tsubs {
-			opt.Telemetry.merge(sub)
+			opt.Telemetry.sets.merge(&sub.sets)
 		}
 	}
 	return results
+}
+
+// measured is one measured cell: it builds a system with o's observers
+// attached, runs it, then files the stats snapshot and the telemetry set
+// under label, in that order. A build error panics — every experiment
+// configuration is fixed, so it is a harness bug. S is the concrete system
+// type, so run can read what only that system exposes.
+func measured[S xenic.System, T any](o Options, label string,
+	build func(...xenic.Option) (S, error), run func(S) T) T {
+	tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
+	sys, err := build(xenic.WithTelemetry(tel), xenic.WithStats(reg))
+	if err != nil {
+		panic(err)
+	}
+	out := run(sys)
+	o.Stats.Done(label, reg)
+	o.Telemetry.Done(label, tel)
+	return out
+}
+
+// measure is measured for the common cell: warm up, then measure one window.
+func measure[S xenic.System](o Options, label string, warm, win sim.Time,
+	build func(...xenic.Option) (S, error)) Result {
+	return measured(o, label, build, func(s S) Result { return s.Measure(warm, win) })
 }

@@ -98,7 +98,7 @@ func TestRunCellsNoStatsMergeOnFailure(t *testing.T) {
 	func() {
 		defer func() { recover() }()
 		runCells(Options{Workers: 4, Stats: stats}, 8, func(i int, o Options) int {
-			o.Stats.add("cell", i)
+			o.Stats.snaps.add("cell", i)
 			if i == 2 {
 				panic("fail")
 			}

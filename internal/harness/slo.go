@@ -31,49 +31,20 @@ func init() {
 	})
 }
 
-// SLOTuning carries cmd/xenic-bench's open-loop flag overrides into the slo
-// experiment (Options.SLO). Zero values keep the experiment defaults.
-type SLOTuning struct {
-	Arrival  string // arrival process: poisson (default) | pareto
-	Admit    string // admission-cell policy spec ("" or "none" = queue:64:64)
-	Sessions int    // client sessions (0 = 64)
-	SLOUs    int    // p99 SLO bound in microseconds (0 = 5x the low-load p99)
-}
-
 func runSLO(opt Options) *Report {
-	const nodes = 4
+	const (
+		nodes    = 4
+		sessions = 64
+		// The admission cell bounds cluster-wide in-flight work near the
+		// calibration concurrency and keeps the standing queue short, so
+		// queueing delay stays small even when the excess is rejected.
+		admitSpec = "queue:64:64"
+	)
 	warm, win := 2*sim.Millisecond, 6*sim.Millisecond
 	fracs := []float64{0.3, 0.6, 0.9, 1.1, 1.4}
 	if opt.Quick {
 		warm, win = 1*sim.Millisecond, 2*sim.Millisecond
 		fracs = []float64{0.3, 0.9, 1.4}
-	}
-	tune := opt.SLO
-	if tune == nil {
-		tune = &SLOTuning{}
-	}
-	arrival := tune.Arrival
-	if arrival == "" {
-		arrival = "poisson"
-	}
-	sessions := tune.Sessions
-	if sessions == 0 {
-		sessions = 64
-	}
-	admitSpec := tune.Admit
-	if admitSpec == "" || admitSpec == "none" {
-		// Bound cluster-wide in-flight work near the calibration concurrency
-		// and keep the standing queue short, so queueing delay stays small
-		// even when the excess is rejected.
-		admitSpec = "queue:64:64"
-	}
-	// Fail fast on bad flag specs; cells re-parse to get private (stateful)
-	// policy instances.
-	if _, err := openloop.ParseArrival(arrival); err != nil {
-		panic(err)
-	}
-	if _, err := openloop.ParseAdmission(admitSpec); err != nil {
-		panic(err)
 	}
 
 	gen := func() txnmodel.Generator {
@@ -104,26 +75,16 @@ func runSLO(opt Options) *Report {
 	// same thing run to run and system to system.
 	const calWindow = 64 // outstanding txns per node
 	capacity := runCells(opt, len(systems), func(i int, o Options) float64 {
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		var sys xenic.System
-		var err error
-		if i == 0 {
-			cfg := xenicCfg(o.Seed)
-			cfg.Outstanding = perThread(calWindow, cfg.AppThreads)
-			sys, err = xenic.NewCluster(cfg, gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		} else {
+		return measure(o, "slo/calibrate/"+systems[i], warm, win, func(opts ...xenic.Option) (xenic.System, error) {
+			if i == 0 {
+				cfg := xenicCfg(o.Seed)
+				cfg.Outstanding = perThread(calWindow, cfg.AppThreads)
+				return xenic.NewCluster(cfg, gen(), opts...)
+			}
 			cfg := drtmhCfg(o.Seed)
 			cfg.Outstanding = perThread(calWindow, cfg.Threads)
-			sys, err = xenic.NewBaseline(cfg, gen(), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		}
-		if err != nil {
-			panic(err)
-		}
-		res := sys.Measure(warm, win)
-		label := "slo/calibrate/" + systems[i]
-		o.Stats.Done(label, reg)
-		o.Telemetry.Done(label, tel)
-		return res.PerServerTput * nodes
+			return xenic.NewBaseline(cfg, gen(), opts...)
+		}).PerServerTput * nodes
 	})
 
 	// Phase 2: the open-loop sweep (every system x fraction, no admission)
@@ -148,63 +109,51 @@ func runSLO(opt Options) *Report {
 	}
 	points := runCells(opt, len(cells), func(i int, o Options) openPoint {
 		c := cells[i]
-		arr, err := openloop.ParseArrival(arrival)
-		if err != nil {
-			panic(err)
-		}
 		adm, err := openloop.ParseAdmission(c.admit)
 		if err != nil {
 			panic(err)
 		}
 		olc := openloop.Config{
 			Rate:     capacity[c.si] * c.frac,
-			Arrival:  arr,
+			Arrival:  openloop.Poisson{},
 			Sessions: sessions,
 			Admit:    adm,
 			Seed:     o.Seed,
 		}
-		tel, reg := o.Telemetry.Sampler(), o.Stats.Registry()
-		var sys xenic.System
-		if c.si == 0 {
-			cfg := xenicCfg(o.Seed)
-			sys, err = xenic.NewCluster(cfg, gen(), xenic.WithOpenLoop(olc), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		} else {
-			cfg := drtmhCfg(o.Seed)
-			sys, err = xenic.NewBaseline(cfg, gen(), xenic.WithOpenLoop(olc), xenic.WithTelemetry(tel), xenic.WithStats(reg))
-		}
-		if err != nil {
-			panic(err)
-		}
-		// No warmup: open-loop latency is client-observed, so the whole
-		// arrival timeline from t=0 is the measurement — a warmup at an
-		// overloaded rate would only pre-build the backlog the window is
-		// meant to expose.
-		sys.Start()
-		sys.Measure(0, win)
-		s := sys.OfferedLoad()
 		label := fmt.Sprintf("slo/%s/%.1fx-%s", systems[c.si], c.frac, c.admit)
-		o.Stats.Done(label, reg)
-		o.Telemetry.Done(label, tel)
-		sec := win.Seconds()
-		return openPoint{
-			offered:   float64(s.Offered) / sec,
-			completed: float64(s.Completed) / sec,
-			rejected:  float64(s.Rejected) / sec,
-			p50:       s.LatencyP50,
-			p99:       s.LatencyP99,
-			qd99:      s.QueueDelayP99,
+		build := func(opts ...xenic.Option) (xenic.System, error) {
+			opts = append(opts, xenic.WithOpenLoop(olc))
+			if c.si == 0 {
+				return xenic.NewCluster(xenicCfg(o.Seed), gen(), opts...)
+			}
+			return xenic.NewBaseline(drtmhCfg(o.Seed), gen(), opts...)
 		}
+		return measured(o, label, build, func(sys xenic.System) openPoint {
+			// No warmup: open-loop latency is client-observed, so the whole
+			// arrival timeline from t=0 is the measurement — a warmup at an
+			// overloaded rate would only pre-build the backlog the window is
+			// meant to expose.
+			sys.Start()
+			sys.Measure(0, win)
+			s := sys.OfferedLoad()
+			sec := win.Seconds()
+			return openPoint{
+				offered:   float64(s.Offered) / sec,
+				completed: float64(s.Completed) / sec,
+				rejected:  float64(s.Rejected) / sec,
+				p50:       s.LatencyP50,
+				p99:       s.LatencyP99,
+				qd99:      s.QueueDelayP99,
+			}
+		})
 	})
 
-	slo := sim.Time(tune.SLOUs) * sim.Microsecond
-	if slo == 0 {
-		// Derive the bound from the measured service floor: 5x the p99 of
-		// Xenic's lowest-rate cell, where queueing is negligible.
-		slo = 5 * points[0].p99
-	}
+	// Derive the bound from the measured service floor: 5x the p99 of
+	// Xenic's lowest-rate cell, where queueing is negligible.
+	slo := 5 * points[0].p99
 
 	r := &Report{ID: "slo",
-		Title:  fmt.Sprintf("open-loop %s arrivals, %d sessions: throughput vs p99", arrival, sessions),
+		Title:  fmt.Sprintf("open-loop poisson arrivals, %d sessions: throughput vs p99", sessions),
 		Header: []string{"system", "load", "offered/s", "completed/s", "admit", "rejected/s", "p50", "p99", "p99<=slo"}}
 	row := func(c cellDef, p openPoint) {
 		within := "yes"
@@ -223,7 +172,7 @@ func runSLO(opt Options) *Report {
 		r.AddNote("closed-loop calibration %s: C = %s cluster-wide (window %d/node)",
 			name, ktps(capacity[si]), calWindow)
 	}
-	r.AddNote("SLO bound: p99 <= %s%s", us(slo), map[bool]string{true: " (5x Xenic low-load p99)", false: " (-slo-us)"}[tune.SLOUs == 0])
+	r.AddNote("SLO bound: p99 <= %s (5x Xenic low-load p99)", us(slo))
 
 	// The hockey stick: below the knee p99 sits at the service floor; past
 	// it, unadmitted p99 grows with the backlog.

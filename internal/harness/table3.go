@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xenic/internal/baseline"
-	"xenic/internal/core"
 	"xenic/internal/cpubench"
 	"xenic/internal/metrics"
 	"xenic/internal/sim"
@@ -59,28 +58,20 @@ func runTable3(opt Options) *Report {
 		if ci%3 == 0 {
 			// Xenic: measure peak at generous resourcing, then shrink host
 			// threads and NIC cores independently.
-			measure := func(host, nic int) float64 {
-				app, workers := splitHost(id, host)
-				cfg := core.DefaultConfig()
-				cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = app, workers, nic
-				cfg.Outstanding = perThread(nodeWindow, app)
-				cfg.Seed = o.Seed
-				reg := o.Stats.Registry()
-				cl, err := core.New(cfg, s.gen(o.Quick), core.Observers{Stats: reg})
-				if err != nil {
-					panic(err)
-				}
-				res := cl.Measure(warm, win)
-				o.Stats.Done(fmt.Sprintf("table3/%s/xenic/h%d-n%d", names[id], host, nic), reg)
-				return res.PerServerTput
+			tput := func(host, nic int) float64 {
+				x := s
+				x.app, x.workers = splitHost(id, host)
+				x.nic = nic
+				label := fmt.Sprintf("table3/%s/xenic/h%d-n%d", names[id], host, nic)
+				return measure(o, label, warm, win, xenicBuilder(x, o, false).at(nodeWindow)).PerServerTput
 			}
 			maxHost, maxNIC := 24, 24
 			if o.Quick {
 				maxHost, maxNIC = 12, 12
 			}
-			peak := measure(maxHost, maxNIC)
-			hostMin := shrink(maxHost, peak, func(h int) float64 { return measure(h, maxNIC) })
-			nicMin := shrink(maxNIC, peak, func(n int) float64 { return measure(hostMin, n) })
+			peak := tput(maxHost, maxNIC)
+			hostMin := shrink(maxHost, peak, func(h int) float64 { return tput(h, maxNIC) })
+			nicMin := shrink(maxNIC, peak, func(n int) float64 { return tput(hostMin, n) })
 			return search{host: hostMin, nic: nicMin}
 		}
 
@@ -89,25 +80,17 @@ func runTable3(opt Options) *Report {
 		if ci%3 == 2 {
 			sys = baseline.FaSST
 		}
-		measureB := func(th int) float64 {
-			cfg := baseline.DefaultConfig(sys)
-			cfg.Threads = th
-			cfg.Outstanding = perThread(nodeWindow, th)
-			cfg.Seed = o.Seed
-			reg := o.Stats.Registry()
-			cl, err := baseline.New(cfg, s.gen(o.Quick), baseline.Observers{Stats: reg})
-			if err != nil {
-				panic(err)
-			}
-			res := cl.Measure(warm, win)
-			o.Stats.Done(fmt.Sprintf("table3/%s/%s/t%d", names[id], sys, th), reg)
-			return res.PerServerTput
+		tput := func(th int) float64 {
+			b := s
+			b.threads = th
+			label := fmt.Sprintf("table3/%s/%s/t%d", names[id], sys, th)
+			return measure(o, label, warm, win, baselineBuilder(sys, b, o, false).at(nodeWindow)).PerServerTput
 		}
 		maxTh := 32
 		if o.Quick {
 			maxTh = 12
 		}
-		return search{min: shrink(maxTh, measureB(maxTh), measureB)}
+		return search{min: shrink(maxTh, tput(maxTh), tput)}
 	})
 
 	for bi, id := range benches {
@@ -118,6 +101,7 @@ func runTable3(opt Options) *Report {
 			Count(cells[bi*3+1].min), Count(cells[bi*3+2].min), Text(paper[id]))
 	}
 	r.AddNote("NIC threads weighted by the %.2fx Coremark ratio (§5.6)", ratio)
+	finishTelemetry(r, opt)
 	return r
 }
 

@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"fmt"
-
 	"xenic/internal/sim"
 	"xenic/internal/telemetry"
 )
@@ -18,14 +16,17 @@ type TelemetryCollector struct {
 	// Interval is the sampling cadence handed to every sampler this
 	// collector creates (telemetry.DefaultInterval when zero).
 	Interval sim.Time
-	Sets     map[string]*telemetry.Set
-	labels   []string
-	keys     []string
+	// Sets maps each cell's label ("#N" on a duplicate) to its series; it is
+	// sets.m, exported.
+	Sets map[string]*telemetry.Set
+	sets labeled[*telemetry.Set]
 }
 
 // NewTelemetryCollector returns an empty collector sampling every interval.
 func NewTelemetryCollector(interval sim.Time) *TelemetryCollector {
-	return &TelemetryCollector{Interval: interval, Sets: map[string]*telemetry.Set{}}
+	c := &TelemetryCollector{Interval: interval, sets: newLabeled[*telemetry.Set]()}
+	c.Sets = c.sets.m
+	return c
 }
 
 // Sampler returns a fresh sampler for one cell, to be attached at
@@ -48,31 +49,7 @@ func (c *TelemetryCollector) Done(label string, s *telemetry.Sampler) {
 		return
 	}
 	s.Stop()
-	c.add(label, s.Set())
-}
-
-func (c *TelemetryCollector) add(label string, set *telemetry.Set) {
-	key := label
-	for i := 2; ; i++ {
-		if _, dup := c.Sets[key]; !dup {
-			break
-		}
-		key = fmt.Sprintf("%s#%d", label, i)
-	}
-	c.Sets[key] = set
-	c.labels = append(c.labels, label)
-	c.keys = append(c.keys, key)
-}
-
-// merge appends every set of sub, in sub's insertion order, re-running
-// duplicate-label resolution against c's contents.
-func (c *TelemetryCollector) merge(sub *TelemetryCollector) {
-	if c == nil || sub == nil {
-		return
-	}
-	for i, label := range sub.labels {
-		c.add(label, sub.Sets[sub.keys[i]])
-	}
+	c.sets.add(label, s.Set())
 }
 
 // Verdicts runs the bottleneck analyzer over every collected set, keyed
@@ -82,7 +59,7 @@ func (c *TelemetryCollector) Verdicts() map[string]*telemetry.Verdict {
 		return nil
 	}
 	out := make(map[string]*telemetry.Verdict, len(c.Sets))
-	for _, k := range c.keys {
+	for _, k := range c.sets.keys {
 		v := telemetry.Analyze(c.Sets[k])
 		out[k] = &v
 	}
@@ -97,7 +74,7 @@ func finishTelemetry(r *Report, opt Options) {
 		return
 	}
 	r.Bottlenecks = map[string]telemetry.Verdict{}
-	for _, k := range c.keys {
+	for _, k := range c.sets.keys {
 		r.Bottlenecks[k] = telemetry.Analyze(c.Sets[k])
 	}
 }

@@ -1,12 +1,11 @@
 // Package metrics provides the measurement primitives the benchmark harness
-// uses: latency histograms with quantiles, windowed throughput counters, and
+// uses: latency histograms with quantiles, per-core busy accounting, and
 // the Coremark-normalized thread accounting of §5.6.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"xenic/internal/sim"
 )
@@ -306,42 +305,6 @@ func (h *IntHist) Snapshot() map[string]any {
 	}
 }
 
-// Counter is a monotonically increasing event counter with a marked window,
-// used to measure steady-state throughput after warmup.
-type Counter struct {
-	total     int64
-	markCount int64
-	markAt    sim.Time
-}
-
-// Inc adds n events.
-func (c *Counter) Inc(n int64) { c.total += n }
-
-// Total reports all events since creation.
-func (c *Counter) Total() int64 { return c.total }
-
-// Mark starts a measurement window at time now.
-func (c *Counter) Mark(now sim.Time) {
-	c.markCount = c.total
-	c.markAt = now
-}
-
-// Rate reports events/second over the window [markAt, now): the events
-// counted since the last Mark, divided by the simulated time elapsed since
-// it. Without a prior Mark the window starts at time 0 with zero events, so
-// Rate is the lifetime average. now at or before the mark (an empty or
-// negative window) reports 0 rather than dividing by it.
-func (c *Counter) Rate(now sim.Time) float64 {
-	dt := (now - c.markAt).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	return float64(c.total-c.markCount) / dt
-}
-
-// WindowCount reports events since the last Mark.
-func (c *Counter) WindowCount() int64 { return c.total - c.markCount }
-
 // Utilization accumulates busy time for a set of cores and reports
 // occupancy and normalized thread counts.
 type Utilization struct {
@@ -357,19 +320,6 @@ func (u *Utilization) Add(i int, d sim.Time) { u.busy[i] += d }
 // Busy reports total busy time of core i.
 func (u *Utilization) Busy(i int) sim.Time { return u.busy[i] }
 
-// BusyCores reports the equivalent number of fully-busy cores over a window
-// of length dur.
-func (u *Utilization) BusyCores(dur sim.Time) float64 {
-	var total sim.Time
-	for _, b := range u.busy {
-		total += b
-	}
-	if dur <= 0 {
-		return 0
-	}
-	return float64(total) / float64(dur)
-}
-
 // TotalBusy reports the summed busy time across all cores; samplers diff
 // successive values to derive windowed occupancy.
 func (u *Utilization) TotalBusy() sim.Time {
@@ -383,17 +333,6 @@ func (u *Utilization) TotalBusy() sim.Time {
 // Lanes reports the number of cores tracked.
 func (u *Utilization) Lanes() int { return len(u.busy) }
 
-// ActiveCores reports how many cores saw any work.
-func (u *Utilization) ActiveCores() int {
-	n := 0
-	for _, b := range u.busy {
-		if b > 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Reset zeroes all busy accounting.
 func (u *Utilization) Reset() {
 	for i := range u.busy {
@@ -405,45 +344,4 @@ func (u *Utilization) Reset() {
 // each, NIC threads count coremarkRatio each (0.31 in the paper).
 func NormalizedThreads(hostThreads, nicThreads int, coremarkRatio float64) float64 {
 	return float64(hostThreads) + float64(nicThreads)*coremarkRatio
-}
-
-// Series is a labelled sequence of (x, y) points, the unit the harness uses
-// to print figure data.
-type Series struct {
-	Label  string
-	X, Y   []float64
-	XLabel string
-	YLabel string
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.X = append(s.X, x)
-	s.Y = append(s.Y, y)
-}
-
-// PeakY returns the maximum y value, or 0 when empty.
-func (s *Series) PeakY() float64 {
-	peak := 0.0
-	for _, y := range s.Y {
-		if y > peak {
-			peak = y
-		}
-	}
-	return peak
-}
-
-// SortByX orders points by ascending x.
-func (s *Series) SortByX() {
-	idx := make([]int, len(s.X))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return s.X[idx[a]] < s.X[idx[b]] })
-	x := make([]float64, len(s.X))
-	y := make([]float64, len(s.Y))
-	for i, j := range idx {
-		x[i], y[i] = s.X[j], s.Y[j]
-	}
-	s.X, s.Y = x, y
 }

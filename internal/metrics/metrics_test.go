@@ -143,37 +143,15 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc(10)
-	c.Mark(1 * sim.Second)
-	c.Inc(500)
-	if got := c.Rate(2 * sim.Second); got != 500 {
-		t.Fatalf("rate = %v", got)
-	}
-	if c.Total() != 510 || c.WindowCount() != 500 {
-		t.Fatalf("total=%d window=%d", c.Total(), c.WindowCount())
-	}
-	if c.Rate(1*sim.Second) != 0 {
-		t.Fatal("zero-length window should report 0")
-	}
-}
-
 func TestUtilization(t *testing.T) {
 	u := NewUtilization(4)
 	u.Add(0, 500*sim.Millisecond)
 	u.Add(1, 250*sim.Millisecond)
-	if got := u.BusyCores(1 * sim.Second); got != 0.75 {
-		t.Fatalf("BusyCores = %v", got)
-	}
-	if u.ActiveCores() != 2 {
-		t.Fatalf("ActiveCores = %d", u.ActiveCores())
-	}
 	if u.Busy(0) != 500*sim.Millisecond {
 		t.Fatalf("Busy(0) = %v", u.Busy(0))
 	}
 	u.Reset()
-	if u.BusyCores(1*sim.Second) != 0 {
+	if u.TotalBusy() != 0 {
 		t.Fatal("reset did not clear")
 	}
 }
@@ -198,23 +176,5 @@ func TestNormalizedThreads(t *testing.T) {
 	got := NormalizedThreads(5, 16, 0.31)
 	if got < 9.9 || got > 10.0 {
 		t.Fatalf("normalized threads = %v, want ~9.96", got)
-	}
-}
-
-func TestSeries(t *testing.T) {
-	s := &Series{Label: "x"}
-	s.Add(3, 30)
-	s.Add(1, 10)
-	s.Add(2, 50)
-	if s.PeakY() != 50 {
-		t.Fatalf("peak = %v", s.PeakY())
-	}
-	s.SortByX()
-	if s.X[0] != 1 || s.Y[0] != 10 || s.X[2] != 3 || s.Y[2] != 30 {
-		t.Fatalf("sorted: %v %v", s.X, s.Y)
-	}
-	empty := &Series{}
-	if empty.PeakY() != 0 {
-		t.Fatal("empty peak != 0")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Registry is a cluster-wide stats registry: components register named
@@ -156,13 +155,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		return err
 	}
 	return bw.Flush()
-}
-
-// MarshalSnapshot returns the snapshot rendered by WriteJSON as bytes.
-func (r *Registry) MarshalSnapshot() ([]byte, error) {
-	var b strings.Builder
-	if err := r.WriteJSON(&b); err != nil {
-		return nil, err
-	}
-	return []byte(b.String()), nil
 }

@@ -48,17 +48,6 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 	}
 }
 
-func TestUtilizationZeroDuration(t *testing.T) {
-	u := NewUtilization(2)
-	u.Add(0, 10*sim.Microsecond)
-	if got := u.BusyCores(0); got != 0 {
-		t.Fatalf("BusyCores(0) = %v, want 0", got)
-	}
-	if got := u.BusyCores(-1 * sim.Microsecond); got != 0 {
-		t.Fatalf("BusyCores(negative) = %v, want 0", got)
-	}
-}
-
 func TestIntHist(t *testing.T) {
 	var h IntHist
 	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {

@@ -143,15 +143,6 @@ func (n *NIC) QueueDepth() int {
 	return d
 }
 
-// BatchSizes returns the messages-per-frame distribution.
-func (n *NIC) BatchSizes() *metrics.IntHist { return &n.batchSizes }
-
-// GatherLens returns the per-destination gather-list length distribution.
-func (n *NIC) GatherLens() *metrics.IntHist { return &n.gatherLens }
-
-// DMAVecOcc returns the DMA vector occupancy distribution.
-func (n *NIC) DMAVecOcc() *metrics.IntHist { return &n.dmaVecOcc }
-
 // SetTracer attaches tr (nil disables tracing).
 func (n *NIC) SetTracer(tr *trace.Tracer) { n.tr = tr }
 

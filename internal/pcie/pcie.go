@@ -57,9 +57,6 @@ type Engine struct {
 // SetFaultHook installs the completion-error decision hook (fault runs).
 func (d *Engine) SetFaultHook(fn func() bool) { d.faultHook = fn }
 
-// Failures reports injected completion errors.
-func (d *Engine) Failures() int64 { return d.failures }
-
 // Stall freezes the engine for dur: admission and element cursors are
 // pushed past now+dur, so in-flight and subsequent work completes late.
 func (d *Engine) Stall(dur sim.Time) {
@@ -190,12 +187,6 @@ func (d *Engine) Elements() int64 { return d.elements }
 
 // Bytes reports total payload bytes moved over PCIe by DMA.
 func (d *Engine) Bytes() int64 { return d.bytes }
-
-// ReadBytes reports payload bytes moved host-to-NIC (DMA reads).
-func (d *Engine) ReadBytes() int64 { return d.readBytes }
-
-// WriteBytes reports payload bytes moved NIC-to-host (DMA writes).
-func (d *Engine) WriteBytes() int64 { return d.writeBytes }
 
 // Snapshot renders the engine counters for the stats registry.
 func (d *Engine) Snapshot() map[string]any {

@@ -108,10 +108,6 @@ func (n *Network) SetFault(fate func(src, dst int) (drop, dup bool, delay sim.Ti
 	}
 }
 
-// Faulty reports whether a fault hook is installed (receivers enable
-// duplicate-frame suppression when it is).
-func (n *Network) Faulty() bool { return n.fate != nil }
-
 // FaultCounters reports transport-level retransmissions and abandoned
 // frames on fault-injection runs.
 func (n *Network) FaultCounters() (retx, lost int64) { return n.retx, n.lost }

@@ -64,34 +64,23 @@ func TestSystemConformance(t *testing.T) {
 	}
 }
 
-// TestConfigDefects pins two hand-built-config defects fixed once in the
-// shared chassis, over both constructors: a zero Membership takes the
-// default lease settings instead of panicking in the renewal ticker, and
-// more application threads than a transaction id can name are rejected
-// instead of mis-routing completions.
+// TestConfigDefects pins a hand-built-config defect fixed once in the shared
+// chassis, over both constructors: more application threads than a
+// transaction id can name are rejected instead of mis-routing completions.
 func TestConfigDefects(t *testing.T) {
 	build := map[string]func(threads int) (xenic.System, error){
 		"xenic": func(threads int) (xenic.System, error) {
 			cfg := xenic.DefaultConfig()
 			cfg.Nodes, cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 4, threads, 1, 4
-			cfg.Membership = xenic.Config{}.Membership
 			return xenic.NewCluster(cfg, &tinyWorkload{keys: 4000})
 		},
 		"baseline": func(threads int) (xenic.System, error) {
 			cfg := xenic.DefaultBaselineConfig(xenic.FaSST)
 			cfg.Nodes, cfg.Threads = 4, threads
-			cfg.Membership = xenic.BaselineConfig{}.Membership
 			return xenic.NewBaseline(cfg, &tinyWorkload{keys: 4000})
 		},
 	}
 	for name, mk := range build {
-		s, err := mk(2)
-		if err != nil {
-			t.Fatalf("%s: zero Membership rejected: %v", name, err)
-		}
-		if res := s.Measure(100*xenic.Microsecond, 600*xenic.Microsecond); res.Committed == 0 {
-			t.Errorf("%s: zero Membership: nothing committed", name)
-		}
 		if _, err := mk(256); err != nil {
 			t.Errorf("%s: 256 application threads rejected: %v", name, err)
 		}
@@ -117,40 +106,5 @@ func TestOptionsAttachObservers(t *testing.T) {
 		if len(reg.Names()) == 0 {
 			t.Errorf("%s: registry attached via WithStats registered nothing", name)
 		}
-	}
-}
-
-// TestOptionsFaults verifies WithFaults installs (and explicitly clears) a
-// fault plan.
-func TestOptionsFaults(t *testing.T) {
-	plan, err := xenic.ParseFaultPlan("drop=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := xenic.DefaultConfig()
-	cfg.Nodes = 4
-	cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores = 2, 1, 4
-	cl, err := xenic.NewCluster(cfg, &tinyWorkload{keys: 4000}, xenic.WithFaults(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Start()
-	cl.Run(2 * xenic.Millisecond)
-	inj := cl.Injector()
-	if inj == nil {
-		t.Fatal("WithFaults did not install an injector")
-	}
-	if inj.Drops == 0 {
-		t.Error("drop plan injected no drops")
-	}
-
-	// WithFaults(nil) clears a plan already present in the config.
-	cfg.Faults = plan
-	cl2, err := xenic.NewCluster(cfg, &tinyWorkload{keys: 4000}, xenic.WithFaults(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cl2.Injector() != nil {
-		t.Error("WithFaults(nil) did not clear the configured plan")
 	}
 }

@@ -176,17 +176,15 @@ var (
 	_ System = (*BaselineCluster)(nil)
 )
 
-// Option configures observability, load and fault injection at construction
-// time, uniformly for NewCluster and NewBaseline — the only attach point:
+// Option attaches observers and a load source at construction time,
+// uniformly for NewCluster and NewBaseline — the only attach point:
 //
 //	cl, err := xenic.NewCluster(cfg, w,
-//	    xenic.WithTracer(tr), xenic.WithStats(reg), xenic.WithFaults(plan))
+//	    xenic.WithTracer(tr), xenic.WithStats(reg))
 type Option func(*options)
 
 type options struct {
-	obs       chassis.Observers
-	faults    *FaultPlan
-	setFaults bool
+	obs chassis.Observers
 }
 
 // WithTracer attaches tr before any traffic flows.
@@ -207,13 +205,6 @@ func WithHistory(h *History) Option { return func(o *options) { o.obs.History = 
 // series. Sampling never perturbs the simulation — a run with telemetry
 // attached executes the same transaction schedule as one without.
 func WithTelemetry(s *Telemetry) Option { return func(o *options) { o.obs.Telemetry = s } }
-
-// WithFaults installs the fault-injection plan (equivalent to setting
-// Config.Faults / BaselineConfig.Faults before construction). Passing nil
-// explicitly clears any plan already present in the config.
-func WithFaults(p *FaultPlan) Option {
-	return func(o *options) { o.faults = p; o.setFaults = true }
-}
 
 // WithLoad attaches a LoadSource at construction: Start/StopLoad then
 // control the source instead of the built-in closed loop. Source attach
@@ -252,13 +243,9 @@ func AllFeatures() Features { return core.AllFeatures() }
 func DefaultParams() model.Params { return model.Default() }
 
 // NewCluster builds and populates a Xenic cluster running w with the given
-// options (observers, load source, fault plan) attached.
+// options (observers, load source) attached.
 func NewCluster(cfg Config, w Workload, opts ...Option) (*Cluster, error) {
-	o := gather(opts)
-	if o.setFaults {
-		cfg.Faults = o.faults
-	}
-	return core.New(cfg, w, o.obs)
+	return core.New(cfg, w, gather(opts).obs)
 }
 
 // Baseline selects one of the comparison systems (§5.1).
@@ -282,13 +269,9 @@ type BaselineCluster = baseline.Cluster
 func DefaultBaselineConfig(sys Baseline) BaselineConfig { return baseline.DefaultConfig(sys) }
 
 // NewBaseline builds a baseline cluster running w with the given options
-// (observers, load source, fault plan) attached.
+// (observers, load source) attached.
 func NewBaseline(cfg BaselineConfig, w Workload, opts ...Option) (*BaselineCluster, error) {
-	o := gather(opts)
-	if o.setFaults {
-		cfg.Faults = o.faults
-	}
-	return baseline.New(cfg, w, o.obs)
+	return baseline.New(cfg, w, gather(opts).obs)
 }
 
 // TPCC returns the full TPC-C workload (§5.3).
