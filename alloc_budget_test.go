@@ -10,21 +10,24 @@ import (
 
 // TestSmallbankAllocBudget holds the host allocations one committed
 // Smallbank transaction may cost, on the Xenic path and on the DrTM+H
-// baseline, each about 10 % above what the tree measured when the budget
-// was last set (Go 1.24). The hot paths recycle their per-transaction and
+// baseline, and one committed TPC-C transaction on the Xenic path, each
+// about 10 % above what the tree measured when the budget was last set
+// (Go 1.24). The hot paths recycle their per-transaction and
 // per-operation records and keep their bookkeeping in slices (DESIGN.md
 // "Hot-path memory discipline"); a change that adds a closure, a map or a
-// scratch slice to either shows here, before it shows in a benchmark run.
+// scratch slice to any of them shows here, before it shows in a benchmark
+// run.
 // The CI bench-contract job holds one-second runs of the benchmark's
-// smallbank_xenic and smallbank_drtmh workloads to budgets set the same way
-// (42 and 99).
+// smallbank_xenic, smallbank_drtmh and tpcc_xenic workloads to budgets set
+// the same way (42, 99 and 182).
 //
-// Both rows use the benchmark's shapes (six nodes, three replicas; Xenic
-// with 2 application / 3 worker threads, 16 NIC cores and window 64, DrTM+H
-// with 16 host threads and window 8) at a small population, and divide the
-// allocations of one simulated millisecond by the transactions it
-// committed. The count is a function of the seed alone — no pool in the
-// tree is emptied by the collector — so the bounds need no slack for noise.
+// The rows use the benchmark's shapes (six nodes, three replicas; Xenic
+// Smallbank with 2 application / 3 worker threads, 16 NIC cores and window
+// 64, DrTM+H with 16 host threads and window 8, TPC-C as tpccBudgetCluster)
+// — the Smallbank rows at a small population — and divide the allocations
+// of one simulated millisecond by the transactions it committed. The count
+// is a function of the seed alone — no pool in the tree is emptied by the
+// collector — so the bounds need no slack for noise.
 func TestSmallbankAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -35,12 +38,16 @@ func TestSmallbankAllocBudget(t *testing.T) {
 		minCommitted int64
 		budget       float64
 	}{
-		// 38.66 measured here, 37.27 in a one-second smallbank_xenic run.
+		// 37.64 measured here, 35.73 in a one-second smallbank_xenic run.
 		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 42},
 		// 117.78 measured here (9 803 commits), 89.69 in a one-second
 		// smallbank_drtmh run: the 10 000-account population contends
 		// more, and DrTM+H pays for every aborted attempt in allocations.
 		{"drtmh", smallbankBudgetBaseline, 9_000, 130},
+		// 161.73 measured here (1 652 commits; 247.94 before the NIC index
+		// went pointer-free and its lookups stopped building closures),
+		// 164.93 in a one-second tpcc_xenic run.
+		{"tpcc", tpccBudgetCluster, 1_500, 178},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cl := row.build(t)
@@ -74,6 +81,24 @@ func smallbankBudgetCluster(t *testing.T) *xenic.Cluster {
 	cfg.Seed = 1
 	gen := xenic.Smallbank()
 	gen.AccountsPerServer = 10_000
+	cl, err := xenic.NewCluster(cfg, gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
+// tpccBudgetCluster is the benchmark's tpcc_xenic shape: twelve application
+// threads with window 8, six workers and twelve NIC cores per node, the
+// full TPC-C mix over 12 warehouses per server.
+func tpccBudgetCluster(t *testing.T) xenic.System {
+	t.Helper()
+	cfg := xenic.DefaultConfig()
+	cfg.AppThreads, cfg.WorkerThreads, cfg.NICCores, cfg.Outstanding = 12, 6, 12, 8
+	cfg.Seed = 1
+	cfg.MaxRetries = 1 << 20
+	gen := xenic.TPCC()
+	gen.WarehousesPerServer, gen.ItemsPerWarehouse, gen.CustomersPerDistrict = 12, 500, 30
 	cl, err := xenic.NewCluster(cfg, gen)
 	if err != nil {
 		t.Fatal(err)

@@ -62,6 +62,10 @@ type ctxn struct {
 	snapshot   bool
 	snapClosed bool // GC-protection refcount released
 
+	// local is the request of a host-executed local commit (§4.2.4); nil
+	// on every other path.
+	local *wire.TxnRequest
+
 	// Shipped-path state.
 	shipTo     int
 	gotResult  bool
@@ -69,6 +73,23 @@ type ctxn struct {
 	logAcks    int
 	shipped    *wire.ShipResult
 	localLocks []uint64
+	shipReads  []wire.KV // values of localLocks, shipped as LocalReads
+}
+
+// lookupLanded takes the lookups a coordinator issues for itself: a shipped
+// transaction's local reads (shipTxn), a local commit's version checks
+// (localCheck) and the B+tree blind-write verifies (lockBlindBTree). A
+// transaction is in exactly one of those states while any is in flight, and
+// a dead one keeps the state it died in.
+func (t *ctxn) lookupLanded(n *Node, c *nicrt.Core, d lookupDone) {
+	switch {
+	case t.phase == phShipped:
+		n.shipLocalRead(c, t, d.slot, d.res)
+	case t.local != nil:
+		n.localLanded(c, t, d)
+	default:
+		n.blindLanded(c, t, d)
+	}
 }
 
 // grabCtxn returns coordinator state for transaction id: a recycled record
@@ -212,19 +233,20 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
 			}
 			continue
 		}
-		kv := kv
 		t.Pending++
-		c.DMARead(btreeVerifyBytes, func() {
-			if t.dead {
-				return
-			}
-			_, ver, ok := p.data.Read(kv.Key)
-			if stale := ok && ver != kv.Version || !ok && kv.Version != 0; stale &&
-				t.Failed == wire.StatusOK {
-				t.Failed = wire.StatusAbortVersion
-			}
-			n.blindVerified(c, t)
-		})
+		n.issueLookup(c, lookupVerify, p, t, lookupDone{key: kv.Key, want: kv.Version})
+	}
+	n.blindVerified(c, t)
+}
+
+// blindLanded is the row-header read of one lockBlindBTree verify.
+func (n *Node) blindLanded(c *nicrt.Core, t *ctxn, d lookupDone) {
+	if t.dead {
+		return
+	}
+	ok, ver := d.res.Found, d.res.Version
+	if stale := ok && ver != d.want || !ok && d.want != 0; stale && t.Failed == wire.StatusOK {
+		t.Failed = wire.StatusAbortVersion
 	}
 	n.blindVerified(c, t)
 }
@@ -832,17 +854,17 @@ func (n *Node) shipTxn(c *nicrt.Core, t *ctxn, dst int) {
 
 	// Read local values, then ship. B+tree keys' versions are already in
 	// t.Reads (observed at the host); hash keys resolve via the index.
-	localReads := make([]wire.KV, len(localKeys))
+	t.shipReads = make([]wire.KV, len(localKeys))
 	t.Pending = 0
 	for i, k := range localKeys {
 		if n.place().IsBTree(k) {
-			localReads[i], _ = t.Read(k)
+			t.shipReads[i], _ = t.Read(k)
 		} else {
 			t.Pending++
 		}
 	}
 	if t.Pending == 0 {
-		n.sendShip(c, t, localReads)
+		n.sendShip(c, t)
 		return
 	}
 	for i, k := range localKeys {
@@ -852,28 +874,26 @@ func (n *Node) shipTxn(c *nicrt.Core, t *ctxn, dst int) {
 		s := n.place().ShardOf(k)
 		res, hit := n.lookupStart(c, s, k)
 		if hit {
-			n.shipLocalRead(c, t, localReads, i, res)
+			n.shipLocalRead(c, t, i, res)
 			continue
 		}
-		n.lookupFinish(c, s, k, res, func(res nicindex.Result) {
-			n.shipLocalRead(c, t, localReads, i, res)
-		})
+		n.lookupFinish(c, s, t, lookupDone{slot: i, key: k, res: res})
 	}
 }
 
-// shipLocalRead lands one local hash key's value for a shipped transaction
-// and ships once the last is in.
-func (n *Node) shipLocalRead(c *nicrt.Core, t *ctxn, localReads []wire.KV, i int, res nicindex.Result) {
+// shipLocalRead lands the value of local hash key i for a shipped
+// transaction and ships once the last is in.
+func (n *Node) shipLocalRead(c *nicrt.Core, t *ctxn, i int, res nicindex.Result) {
 	kv := wire.KV{Key: t.localLocks[i], Version: res.Version, Value: res.Value}
-	localReads[i] = kv
+	t.shipReads[i] = kv
 	t.SetRead(kv)
 	if t.Done(wire.StatusOK) && !t.dead {
-		n.sendShip(c, t, localReads)
+		n.sendShip(c, t)
 	}
 }
 
 // sendShip ships t's execution to the remote primary it targets.
-func (n *Node) sendShip(c *nicrt.Core, t *ctxn, localReads []wire.KV) {
+func (n *Node) sendShip(c *nicrt.Core, t *ctxn) {
 	c.Send(t.shipTo, &wire.ShipExec{
 		Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
 		FnID:       t.desc.FnID,
@@ -882,7 +902,7 @@ func (n *Node) sendShip(c *nicrt.Core, t *ctxn, localReads []wire.KV) {
 		WriteKeys:  t.desc.AppendWriteKeys(make([]uint64, 0, t.desc.NumWriteKeys())),
 		WriteSet:   t.desc.BlindWrites,
 		ExecState:  t.desc.State,
-		LocalReads: localReads,
+		LocalReads: t.shipReads,
 	})
 }
 
@@ -996,6 +1016,7 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 // replicate and commit without any further host round trips.
 func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	t := n.grabCtxn(m.TxnID)
+	t.local = m
 	n.ctxns[t.id] = t
 	n.openTxn(t)
 	if n.cl.History() != nil {
@@ -1032,12 +1053,12 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	t.Pending = 1
 	n.chargeIndexOps(c, len(m.LocalReadVers)+len(m.WriteSet))
 	for _, rv := range m.LocalReadVers {
-		n.localCheck(c, t, m, rv.Key, rv.Version)
+		n.localCheck(c, t, rv.Key, rv.Version)
 	}
 	for _, kv := range m.WriteSet {
-		n.localCheck(c, t, m, kv.Key, kv.Version)
+		n.localCheck(c, t, kv.Key, kv.Version)
 	}
-	n.localChecked(c, t, m)
+	n.localChecked(c, t)
 }
 
 // localFail records the first validation failure of a local commit.
@@ -1048,7 +1069,7 @@ func localFail(t *ctxn, st wire.Status) {
 }
 
 // localCheck validates one host-observed (key, version) of a local commit.
-func (n *Node) localCheck(c *nicrt.Core, t *ctxn, m *wire.TxnRequest, key, ver uint64) {
+func (n *Node) localCheck(c *nicrt.Core, t *ctxn, key, ver uint64) {
 	s := n.place().ShardOf(key)
 	idx := n.prim(s).index
 	if idx.IsLocked(key, t.id) {
@@ -1063,16 +1084,8 @@ func (n *Node) localCheck(c *nicrt.Core, t *ctxn, m *wire.TxnRequest, key, ver u
 	}
 	t.Pending++
 	if n.place().IsBTree(key) {
-		c.DMARead(btreeVerifyBytes, func() {
-			if t.dead {
-				return
-			}
-			_, v, ok := n.prim(s).data.Read(key)
-			if ok && v != ver || !ok && ver != 0 {
-				localFail(t, wire.StatusAbortVersion)
-			}
-			n.localChecked(c, t, m)
-		})
+		// The row header is read at completion (localLanded).
+		n.issueLookup(c, lookupVerify, nil, t, lookupDone{key: key, want: ver})
 		return
 	}
 	res, hit := n.lookupStart(c, s, key)
@@ -1080,23 +1093,32 @@ func (n *Node) localCheck(c *nicrt.Core, t *ctxn, m *wire.TxnRequest, key, ver u
 		if res.Version != ver {
 			localFail(t, wire.StatusAbortVersion)
 		}
-		n.localChecked(c, t, m)
+		n.localChecked(c, t)
 		return
 	}
-	n.lookupFinish(c, s, key, res, func(res nicindex.Result) {
-		if t.dead {
-			return
-		}
-		if res.Version != ver {
-			localFail(t, wire.StatusAbortVersion)
-		}
-		n.localChecked(c, t, m)
-	})
+	n.lookupFinish(c, s, t, lookupDone{key: key, want: ver, res: res})
+}
+
+// localLanded completes one of localCheck's DMA checks. A B+tree key's row
+// header is read from whichever replica serves its shard now.
+func (n *Node) localLanded(c *nicrt.Core, t *ctxn, d lookupDone) {
+	if t.dead {
+		return
+	}
+	stale := d.res.Version != d.want
+	if n.place().IsBTree(d.key) {
+		_, v, ok := n.prim(n.place().ShardOf(d.key)).data.Read(d.key)
+		stale = ok && v != d.want || !ok && d.want != 0
+	}
+	if stale {
+		localFail(t, wire.StatusAbortVersion)
+	}
+	n.localChecked(c, t)
 }
 
 // localChecked retires one unit of a local commit's validation; after the
 // last it aborts, or versions the write set and replicates it.
-func (n *Node) localChecked(c *nicrt.Core, t *ctxn, m *wire.TxnRequest) {
+func (n *Node) localChecked(c *nicrt.Core, t *ctxn) {
 	if !t.Done(wire.StatusOK) || t.dead {
 		return
 	}
@@ -1105,8 +1127,8 @@ func (n *Node) localChecked(c *nicrt.Core, t *ctxn, m *wire.TxnRequest) {
 		n.abortTxn(c, t)
 		return
 	}
-	writes := make([]wire.KV, len(m.WriteSet))
-	for i, kv := range m.WriteSet {
+	writes := make([]wire.KV, len(t.local.WriteSet))
+	for i, kv := range t.local.WriteSet {
 		writes[i] = wire.KV{Key: kv.Key, Version: kv.Version + 1, Value: kv.Value}
 	}
 	t.Writes = writes

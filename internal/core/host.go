@@ -142,17 +142,17 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		reads = append(reads, wire.KV{Key: k, Version: ver, Value: v})
 		readVers = append(readVers, wire.KeyVer{Key: k, Version: ver})
 	}
-	updateVers := map[uint64]uint64{}
 	for _, k := range d.UpdateKeys {
 		v, ver, _ := n.readLocal(t, k)
 		reads = append(reads, wire.KV{Key: k, Version: ver, Value: v})
-		updateVers[k] = ver
 	}
 	for _, kv := range d.BlindWrites {
 		_, ver, _ := n.readLocal(t, kv.Key)
 		reads = append(reads, wire.KV{Key: kv.Key, Version: ver})
-		updateVers[kv.Key] = ver
 	}
+	// The versions the write set is checked against: the update and blind
+	// write keys' reads, latest wins.
+	writeReads := reads[len(d.ReadKeys):len(reads):len(reads)]
 
 	var writes []wire.KV
 	if d.FnID != 0 {
@@ -224,7 +224,8 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	full := append(writes, d.BlindWrites...)
 	out := make([]wire.KV, len(full))
 	for i, kv := range full {
-		ver, ok := updateVers[kv.Key]
+		prior, ok := txnmodel.LastKV(writeReads, kv.Key)
+		ver := prior.Version
 		if !ok {
 			t.Charge(n.cl.cfg.Params.HostStoreOp)
 			_, ver, _ = n.readLocal(t, kv.Key)

@@ -68,6 +68,7 @@ type Node struct {
 	valFans     freelist[valFan]
 	shipFans    freelist[shipFan]
 	logAppends  freelist[logAppend]
+	lookupOps   freelist[lookupOp]
 	remoteLocks map[uint64][]uint64 // shipped txns' lock sets held here as remote primary
 	app         *chassis.Node       // application threads: load, retries, outcome counters
 
@@ -97,9 +98,9 @@ type Node struct {
 
 // freelist is a LIFO of recycled records owned by one node or its cluster.
 // A cluster runs on one goroutine and clusters share nothing, so it needs no
-// lock; unlike sync.Pool the collector never empties it, which keeps
-// allocation counts — like everything else in a run — a function of the seed
-// alone.
+// lock; unlike the standard library's pool the collector never empties it,
+// which keeps allocation counts — like everything else in a run — a function
+// of the seed alone.
 type freelist[T any] struct{ free []*T }
 
 // get pops a recycled record, or allocates a zero one.

@@ -7,6 +7,7 @@ import (
 
 	"xenic/internal/check"
 	"xenic/internal/nicrt"
+	"xenic/internal/raceflag"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -149,5 +150,65 @@ func TestViewAbortedCtxnNeverReissued(t *testing.T) {
 	}
 	if err := cl.AuditHistory(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// countSink counts the lookups that land in it.
+type countSink struct{ landed int }
+
+func (s *countSink) lookupLanded(_ *Node, _ *nicrt.Core, _ lookupDone) { s.landed++ }
+
+// TestLookupMissAllocFree is the allocation budget of an index miss: once
+// the node's lookupOp freelist and the core's DMA vectors have reached
+// working size, lookupStart → lookupFinish → the chained DMA reads → the
+// sink allocate nothing — the reads ride in the Result, the record is pooled
+// with its continuation bound once, and the sink gets the result by value.
+func TestLookupMissAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cl, err := New(testConfig(4, AllFeatures()), &kvGen{keys: 400, keysPer: 3}, Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cl.nodes[0]
+	// Keys of shard 0 the population lacks: after the first miss each has a
+	// metadata-only entry, so every lookup goes to host memory by DMA.
+	keys := make([]uint64, 24)
+	for i := range keys {
+		keys[i] = uint64(1000 + 4*i)
+	}
+	sink := &countSink{}
+	reads := 0
+	job := func(c *nicrt.Core) {
+		for _, k := range keys {
+			res, hit := n.lookupStart(c, 0, k)
+			if hit {
+				t.Fatalf("key %d hit the NIC cache", k)
+			}
+			reads += len(res.Reads())
+			n.lookupFinish(c, 0, sink, lookupDone{key: k, res: res})
+		}
+	}
+	eng := cl.Engine()
+	cycle := func() {
+		want := sink.landed + len(keys)
+		n.nic.Inject(0, job)
+		for sink.landed < want {
+			if !eng.Step() {
+				t.Fatal("engine ran dry before every lookup landed")
+			}
+		}
+	}
+	cycle()
+	cycle()
+	if got := testing.AllocsPerRun(50, cycle); got != 0 {
+		t.Fatalf("warmed lookup-miss chain allocates %v objects per run, want 0", got)
+	}
+	if reads < 53*len(keys) {
+		t.Fatalf("%d DMA reads over %d lookups: the lookups did not all miss", reads, 53*len(keys))
+	}
+	if free := len(n.lookupOps.free); free == 0 || free > len(keys) {
+		t.Fatalf("lookupOp freelist holds %d records, want 1..%d", free, len(keys))
 	}
 }

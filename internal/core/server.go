@@ -20,24 +20,23 @@ import (
 
 // lookupStart resolves key through shard's NIC index: it charges the index
 // operation and consults the NIC cache. hit reports that res is final;
-// otherwise the caller hands res to lookupFinish with its continuation, which
-// chains the lookup's (dependent) DMA reads. Two halves so that a caller's
-// cache-hit path needs no continuation closure at all.
+// otherwise the caller hands res to lookupFinish with its sink, which chains
+// the lookup's (dependent) DMA reads. Two halves so that a caller's
+// cache-hit path needs no lookupOp at all.
 func (n *Node) lookupStart(c *nicrt.Core, shard int, key uint64) (res nicindex.Result, hit bool) {
 	n.chargeIndexOps(c, 1)
 	if n.place().IsBTree(key) {
 		return res, false
 	}
 	res = n.prim(shard).index.Lookup(key)
-	return res, len(res.Reads) == 0
+	return res, len(res.Reads()) == 0
 }
 
-// lookupFinish resolves a lookupStart miss by DMA and calls done from a
-// later polling-loop iteration.
-func (n *Node) lookupFinish(c *nicrt.Core, shard int, key uint64, res nicindex.Result,
-	done func(res nicindex.Result)) {
-
-	if n.place().IsBTree(key) {
+// lookupFinish resolves a lookupStart miss by DMA and hands the result to
+// sink from a later polling-loop iteration. d names the key, the sink's slot
+// and expected version for it, and carries lookupStart's result.
+func (n *Node) lookupFinish(c *nicrt.Core, shard int, sink lookupSink, d lookupDone) {
+	if n.place().IsBTree(d.key) {
 		// B+tree keys are normally resolved at their coordinator's host, but
 		// after a rejoin the stable-primary rule leaves the restarted node
 		// coordinating against a B+tree shard served here; its operations
@@ -46,29 +45,96 @@ func (n *Node) lookupFinish(c *nicrt.Core, shard int, key uint64, res nicindex.R
 		// a newer committed version than the host has applied (the commit
 		// record is still pinned), no consistent pair exists: report a
 		// conflict so the caller aborts and the coordinator retries.
-		p := n.prim(shard)
-		c.DMARead(btreeVerifyBytes, func() {
-			v, ver, ok := p.data.Read(key)
-			if iv, known := p.index.VersionOf(key); known && iv != ver {
-				done(nicindex.Result{Conflict: true})
-				return
-			}
-			done(nicindex.Result{Found: ok, Version: ver, Value: v})
-		})
+		n.issueLookup(c, lookupRow, n.prim(shard), sink, d)
 		return
 	}
-	i := 0
-	var step func()
-	step = func() {
-		if i == len(res.Reads) {
-			done(res)
+	n.issueLookup(c, lookupChain, nil, sink, d)
+}
+
+// lookupDone is a finished lookup as its sink receives it, by value: the
+// sink's own slot for the key, the key, the version the sink expects of it
+// (VALIDATE and local checks), and the result.
+type lookupDone struct {
+	slot      int
+	key, want uint64
+	res       nicindex.Result
+}
+
+// lookupSink takes finished lookups: the fan records of EXECUTE, VALIDATE
+// and shipped execution, and a coordinator's ctxn for its own reads and
+// checks.
+type lookupSink interface {
+	lookupLanded(n *Node, c *nicrt.Core, d lookupDone)
+}
+
+// lookupMode is what a lookupOp reads over DMA.
+type lookupMode uint8
+
+const (
+	lookupChain  lookupMode = iota // an index miss: the reads lookupStart planned, in order
+	lookupRow                      // a B+tree row served here, checked against the index
+	lookupVerify                   // a B+tree row header: version only
+)
+
+// lookupOp is one lookup in flight over DMA. Records are pooled per node;
+// step, the DMA continuation, is bound once, and the record returns to the
+// freelist when its last read lands, before the sink runs — never with the
+// sink, which may be dead by then.
+type lookupOp struct {
+	n    *Node
+	c    *nicrt.Core
+	sink lookupSink
+	mode lookupMode
+	// p is the shard state a row read uses, captured at issue; a verify
+	// with none leaves the read to its sink.
+	p    *primaryShard
+	next int // reads issued (lookupChain)
+	d    lookupDone
+	fire func() // step, bound when the record is first created
+}
+
+// issueLookup takes a lookupOp for d and issues its first DMA read.
+func (n *Node) issueLookup(c *nicrt.Core, mode lookupMode, p *primaryShard, sink lookupSink, d lookupDone) {
+	op := n.lookupOps.get()
+	if op.fire == nil {
+		op.fire = op.step
+	}
+	op.n, op.c, op.sink, op.mode, op.p, op.d = n, c, sink, mode, p, d
+	if mode == lookupChain {
+		op.step()
+		return
+	}
+	c.DMARead(btreeVerifyBytes, op.fire)
+}
+
+// step issues the next read of the chain or, once every read has landed,
+// completes the lookup.
+func (op *lookupOp) step() {
+	switch op.mode {
+	case lookupChain:
+		if reads := op.d.res.Reads(); op.next < len(reads) {
+			bytes := reads[op.next].Bytes
+			op.next++
+			op.c.DMARead(bytes, op.fire)
 			return
 		}
-		op := res.Reads[i]
-		i++
-		c.DMARead(op.Bytes, step)
+	case lookupRow:
+		v, ver, ok := op.p.data.Read(op.d.key)
+		if iv, known := op.p.index.VersionOf(op.d.key); known && iv != ver {
+			op.d.res = nicindex.Result{Conflict: true}
+		} else {
+			op.d.res = nicindex.Result{Found: ok, Version: ver, Value: v}
+		}
+	case lookupVerify:
+		if op.p != nil {
+			_, ver, ok := op.p.data.Read(op.d.key)
+			op.d.res = nicindex.Result{Found: ok, Version: ver}
+		}
 	}
-	step()
+	n, c, sink, d := op.n, op.c, op.sink, op.d
+	*op = lookupOp{fire: op.fire}
+	n.lookupOps.put(op)
+	sink.lookupLanded(n, c, d)
 }
 
 // serving reports whether this node can serve shard right now.
@@ -90,6 +156,8 @@ type execFan struct {
 	conflict bool
 	done     func(st wire.Status, items []wire.KV)
 }
+
+func (f *execFan) lookupLanded(_ *Node, _ *nicrt.Core, d lookupDone) { f.land(d.slot, d.key, d.res) }
 
 // land records the lookup result of key into slot i and, after the last,
 // reports the operation's outcome.
@@ -170,7 +238,7 @@ func (n *Node) serverExecute(c *nicrt.Core, shard int, txn uint64, readKeys, loc
 			f.land(i, k, res)
 			continue
 		}
-		n.lookupFinish(c, shard, k, res, func(res nicindex.Result) { f.land(i, k, res) })
+		n.lookupFinish(c, shard, f, lookupDone{slot: i, key: k, res: res})
 	}
 }
 
@@ -213,6 +281,10 @@ type valFan struct {
 	pending int
 	failed  wire.Status
 	done    func(st wire.Status)
+}
+
+func (f *valFan) lookupLanded(_ *Node, _ *nicrt.Core, d lookupDone) {
+	f.land(versionStatus(d.res.Version, d.want))
 }
 
 // land retires one key's check with status st and, after the last, reports
@@ -262,9 +334,7 @@ func (n *Node) serverValidate(c *nicrt.Core, shard int, txn uint64, items []wire
 			f.land(versionStatus(res.Version, it.Version))
 			continue
 		}
-		n.lookupFinish(c, shard, it.Key, res, func(res nicindex.Result) {
-			f.land(versionStatus(res.Version, it.Version))
-		})
+		n.lookupFinish(c, shard, f, lookupDone{key: it.Key, want: it.Version, res: res})
 	}
 }
 
@@ -526,7 +596,7 @@ func (n *Node) handleShipExec(c *nicrt.Core, src int, m *wire.ShipExec) {
 			f.land(k, res)
 			continue
 		}
-		n.lookupFinish(c, s, k, res, func(res nicindex.Result) { f.land(k, res) })
+		n.lookupFinish(c, s, f, lookupDone{key: k, res: res})
 	}
 }
 
@@ -541,6 +611,8 @@ type shipFan struct {
 	pending  int
 	conflict bool
 }
+
+func (f *shipFan) lookupLanded(_ *Node, _ *nicrt.Core, d lookupDone) { f.land(d.key, d.res) }
 
 // land records key's lookup result in its input slot and, after the last,
 // runs the execution.

@@ -127,7 +127,7 @@ func runAblateDm(opt Options) *Report {
 		var bytes, rts int64
 		for _, k := range keys {
 			res := idx.Lookup(k)
-			for _, rd := range res.Reads {
+			for _, rd := range res.Reads() {
 				bytes += int64(rd.Bytes)
 				if !rd.Large {
 					rts++

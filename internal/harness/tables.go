@@ -60,7 +60,7 @@ func table2Xenic(slots, dm, n int, seed int64) (objs, rts float64) {
 		}
 		objs += float64(res.ObjectsRead)
 		nrt := 0
-		for _, rd := range res.Reads {
+		for _, rd := range res.Reads() {
 			if !rd.Large {
 				nrt++
 			}

@@ -8,6 +8,7 @@ package chained
 import (
 	"fmt"
 
+	"xenic/internal/store/cell"
 	"xenic/internal/store/robinhood"
 )
 
@@ -16,7 +17,7 @@ import (
 type entry struct {
 	key     uint64
 	version uint64
-	val     uint32 // 0: unused; else 1 + index into Table.vals
+	val     uint32 // 0: unused; else a cell of Table.cells
 }
 
 // Table is a chained-bucket hash table. Buckets are numbered: [0, Roots())
@@ -31,13 +32,12 @@ type Table struct {
 	links []entry
 	used  []int32 // per bucket: occupied prefix of its entries
 	next  []int32 // per bucket: the linked bucket, 0 = none (bucket 0 is a root)
-	// vals holds the values, one cell per stored entry; an entry's cell
+	// cells holds the values, one cell per stored entry; an entry's cell
 	// travels with it when Delete compacts. A cell is only ever pointed at a
 	// fresh copy, never written through: slices handed out by Lookup outlive
 	// the call.
-	vals     [][]byte
-	freeVals []uint32 // released cells (as val codes), reused LIFO
-	count    int
+	cells cell.Table
+	count int
 }
 
 // New creates a table with roots root buckets (rounded to a power of two)
@@ -99,7 +99,7 @@ func (t *Table) find(key uint64) *entry {
 func (t *Table) Insert(key uint64, value []byte, version uint64) {
 	v := append([]byte(nil), value...)
 	if e := t.find(key); e != nil {
-		t.vals[e.val-1] = v
+		t.cells.Set(e.val, v)
 		e.version = version
 		return
 	}
@@ -114,21 +114,10 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) {
 		bi = int(t.next[bi])
 	}
 	e := &t.slots(bi)[t.used[bi]]
-	*e = entry{key: key, version: version, val: t.newCell()}
-	t.vals[e.val-1] = v
+	*e = entry{key: key, version: version, val: t.cells.New()}
+	t.cells.Set(e.val, v)
 	t.used[bi]++
 	t.count++
-}
-
-// newCell returns the val code of an unused value cell.
-func (t *Table) newCell() uint32 {
-	if n := len(t.freeVals); n > 0 {
-		c := t.freeVals[n-1]
-		t.freeVals = t.freeVals[:n-1]
-		return c
-	}
-	t.vals = append(t.vals, nil)
-	return uint32(len(t.vals))
 }
 
 // LookupResult reports a lookup and its remote-access cost: B objects per
@@ -151,7 +140,7 @@ func (t *Table) Lookup(key uint64) LookupResult {
 		for i := range es {
 			if es[i].key == key {
 				r.Found = true
-				r.Value = t.vals[es[i].val-1]
+				r.Value = t.cells.Get(es[i].val)
 				r.Version = es[i].version
 				return r
 			}
@@ -171,8 +160,7 @@ func (t *Table) Delete(key uint64) bool {
 				continue
 			}
 			// The value slice is dropped, never written.
-			t.vals[es[i].val-1] = nil
-			t.freeVals = append(t.freeVals, es[i].val)
+			t.cells.Release(es[i].val)
 			// Find the last entry in the chain and move it into the hole.
 			last := bi
 			for n := int(t.next[last]); n != 0 && t.used[n] > 0; n = int(t.next[last]) {
@@ -196,7 +184,7 @@ func (t *Table) ForEach(fn func(key uint64, version uint64, value []byte) bool) 
 	for ri := 0; ri < t.Roots(); ri++ {
 		for bi := ri; ; {
 			for _, e := range t.bucket(bi) {
-				if !fn(e.key, e.version, t.vals[e.val-1]) {
+				if !fn(e.key, e.version, t.cells.Get(e.val)) {
 					return
 				}
 			}
@@ -211,7 +199,7 @@ func (t *Table) ForEach(fn func(key uint64, version uint64, value []byte) bool) 
 // that every stored entry owns exactly one value cell.
 func (t *Table) CheckInvariants() error {
 	n, buckets := 0, 0
-	cellUsed := make([]bool, len(t.vals))
+	cellUsed := make([]bool, t.cells.Len())
 	for ri := 0; ri < t.Roots(); ri++ {
 		for bi := ri; ; {
 			buckets++
@@ -240,7 +228,7 @@ func (t *Table) CheckInvariants() error {
 	if buckets != len(t.used) {
 		return fmt.Errorf("%d buckets reachable from the roots, %d allocated", buckets, len(t.used))
 	}
-	if live := len(t.vals) - len(t.freeVals); live != n {
+	if live := t.cells.Live(); live != n {
 		return fmt.Errorf("%d live value cells != %d stored entries", live, n)
 	}
 	if n != t.count {

@@ -34,14 +34,14 @@ func TestLookupMissThenHit(t *testing.T) {
 
 	k := keys[10]
 	r := idx.Lookup(k)
-	if !r.Found || r.CacheHit || len(r.Reads) == 0 {
+	if !r.Found || r.CacheHit || len(r.Reads()) == 0 {
 		t.Fatalf("first lookup: %+v", r)
 	}
 	if r.Version != 11 {
 		t.Fatalf("version = %d", r.Version)
 	}
 	r2 := idx.Lookup(k)
-	if !r2.Found || !r2.CacheHit || len(r2.Reads) != 0 {
+	if !r2.Found || !r2.CacheHit || len(r2.Reads()) != 0 {
 		t.Fatalf("second lookup not a cache hit: %+v", r2)
 	}
 	s := idx.Stats()
@@ -67,17 +67,17 @@ func TestSingleReadWithFreshHints(t *testing.T) {
 		}
 		// With exact hints, in-table keys take one read; overflow keys two.
 		maxReads := 1
-		if r.Reads[len(r.Reads)-1].Overflow {
+		if r.Reads()[len(r.Reads())-1].Overflow {
 			maxReads = 2
 		}
 		nonLarge := 0
-		for _, rd := range r.Reads {
+		for _, rd := range r.Reads() {
 			if !rd.Large {
 				nonLarge++
 			}
 		}
 		if nonLarge > maxReads {
-			t.Fatalf("key %d took %d reads with fresh hints: %+v", k, nonLarge, r.Reads)
+			t.Fatalf("key %d took %d reads with fresh hints: %+v", k, nonLarge, r.Reads())
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestOverflowRead(t *testing.T) {
 		if !r.Found {
 			t.Fatalf("lost %d", k)
 		}
-		for _, rd := range r.Reads {
+		for _, rd := range r.Reads() {
 			if rd.Overflow {
 				sawOverflowRead = true
 			}
@@ -157,13 +157,13 @@ func TestLargeObjectExtraRead(t *testing.T) {
 		t.Fatalf("%+v", r)
 	}
 	hasLarge := false
-	for _, rd := range r.Reads {
+	for _, rd := range r.Reads() {
 		if rd.Large && rd.Bytes == 660 {
 			hasLarge = true
 		}
 	}
 	if !hasLarge {
-		t.Fatalf("no large-object read: %+v", r.Reads)
+		t.Fatalf("no large-object read: %+v", r.Reads())
 	}
 }
 
@@ -175,7 +175,7 @@ func TestNegativeLookup(t *testing.T) {
 	if r.Found {
 		t.Fatal("found absent key")
 	}
-	if len(r.Reads) == 0 {
+	if len(r.Reads()) == 0 {
 		t.Fatal("negative lookup reported no reads")
 	}
 }
@@ -459,7 +459,7 @@ func TestFillCannotRegressIndexTimestamp(t *testing.T) {
 	// version): the recorded head timestamp must not regress.
 	tsMap[k] = 25
 	idx.Lookup(k)
-	if o.TS != 30 {
+	if o, _ = idx.Meta(k); o.TS != 30 {
 		t.Fatalf("stale DMA fill regressed head timestamp to %d, want 30", o.TS)
 	}
 	if err := idx.CheckInvariants(); err != nil {

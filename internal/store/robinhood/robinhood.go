@@ -14,6 +14,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"xenic/internal/store/cell"
 )
 
 // Hash is the 64-bit mix function used to derive home positions; exported so
@@ -99,7 +101,7 @@ type slot struct {
 	key     uint64
 	version uint64
 	disp    int32
-	val     uint32 // 0: empty; largeVal: value behind Table.large; else 1 + index into Table.vals
+	val     uint32 // 0: empty; largeVal: value behind Table.large; else a cell of Table.cells
 }
 
 const largeVal = ^uint32(0)
@@ -116,13 +118,12 @@ type Table struct {
 	mask  uint64
 	slots []slot
 	segs  []segMeta
-	// vals holds the inline values, one cell per occupied inline slot; a
+	// cells holds the inline values, one cell per occupied inline slot; a
 	// slot's cell travels with it through swaps and shifts. A cell is only
 	// ever pointed at a fresh copy, never written through: slices handed
 	// out by Lookup outlive the call (in-flight DMA results and snapshot
 	// responses), so their bytes must stay immutable.
-	vals     [][]byte
-	freeVals []uint32 // released cells (as val codes), reused LIFO
+	cells cell.Table
 	// overflow holds the buckets of segments that have entries, and is
 	// consulted only where segs[seg].over > 0. It is never iterated: map
 	// order must not reach an observable.
@@ -243,17 +244,6 @@ func (t *Table) recomputeSegMax(seg int) {
 	t.segs[seg].maxDisp = maxD
 }
 
-// newCell returns the val code of an unused value cell.
-func (t *Table) newCell() uint32 {
-	if n := len(t.freeVals); n > 0 {
-		c := t.freeVals[n-1]
-		t.freeVals = t.freeVals[:n-1]
-		return c
-	}
-	t.vals = append(t.vals, nil)
-	return uint32(len(t.vals))
-}
-
 // releaseValue gives up s's value — its cell or its large object — when the
 // record leaves the main table or changes representation. The slice itself
 // is dropped, never written.
@@ -263,8 +253,7 @@ func (t *Table) releaseValue(s *slot) {
 	case largeVal:
 		delete(t.large, s.key)
 	default:
-		t.vals[s.val-1] = nil
-		t.freeVals = append(t.freeVals, s.val)
+		t.cells.Release(s.val)
 	}
 	s.val = 0
 }
@@ -275,7 +264,7 @@ func (t *Table) valueOf(s *slot) []byte {
 	if s.val == largeVal {
 		return t.large[s.key]
 	}
-	return t.vals[s.val-1]
+	return t.cells.Get(s.val)
 }
 
 // storeValue installs a fresh copy of value as s's value, applying
@@ -296,9 +285,9 @@ func (t *Table) storeValue(s *slot, value []byte) {
 	v := append([]byte(nil), value...)
 	if s.val == 0 || s.val == largeVal {
 		t.releaseValue(s)
-		s.val = t.newCell()
+		s.val = t.cells.New()
 	}
-	t.vals[s.val-1] = v
+	t.cells.Set(s.val, v)
 }
 
 // Insert adds key with value and version. Inserting an existing key updates
@@ -393,7 +382,7 @@ func (t *Table) appendOverflow(s slot, home int) {
 	if s.val == largeVal {
 		val = append([]byte(nil), t.large[s.key]...)
 	} else {
-		val = t.vals[s.val-1]
+		val = t.cells.Get(s.val)
 	}
 	e := OverflowEntry{Key: s.key, Version: s.version, Value: val, Home: home}
 	t.releaseValue(&s)
@@ -593,7 +582,7 @@ func (t *Table) SlotAt(i int) Slot {
 	case largeVal:
 		return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Indirect: true}
 	}
-	return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Value: t.vals[s.val-1]}
+	return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Value: t.cells.Get(s.val)}
 }
 
 // ReadRegion copies n slots starting at absolute slot index start; this is
@@ -649,7 +638,7 @@ func (t *Table) CheckInvariants() error {
 	// NIC's second adjacent read covers it) but an inflated one silently
 	// widens every DMA probe read.
 	exact := make([]int32, len(t.segs))
-	cellUsed := make([]bool, len(t.vals))
+	cellUsed := make([]bool, t.cells.Len())
 	for i := range t.slots {
 		s := &t.slots[i]
 		if s.val == 0 {
@@ -680,7 +669,7 @@ func (t *Table) CheckInvariants() error {
 		}
 		cellUsed[c] = true
 	}
-	if live := len(t.vals) - len(t.freeVals); live != n-indirect {
+	if live := t.cells.Live(); live != n-indirect {
 		return fmt.Errorf("%d live value cells != %d occupied inline slots", live, n-indirect)
 	}
 	if len(t.large) != indirect {

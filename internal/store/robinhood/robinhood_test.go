@@ -514,7 +514,7 @@ type modelRow struct {
 }
 
 // liveCells counts the value cells in use.
-func (t *Table) liveCells() int { return len(t.vals) - len(t.freeVals) }
+func (t *Table) liveCells() int { return t.cells.Live() }
 
 // checkAgainstModel compares the whole table with the oracle: invariants,
 // Len, ForEach as a set, and one value cell per occupied inline record.
