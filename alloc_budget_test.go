@@ -19,7 +19,7 @@ import (
 // run.
 // The CI bench-contract job holds one-second runs of the benchmark's
 // smallbank_xenic, smallbank_drtmh and tpcc_xenic workloads to budgets set
-// the same way (42, 99 and 182).
+// the same way (35, 92 and 99).
 //
 // The rows use the benchmark's shapes (six nodes, three replicas; Xenic
 // Smallbank with 2 application / 3 worker threads, 16 NIC cores and window
@@ -38,16 +38,20 @@ func TestSmallbankAllocBudget(t *testing.T) {
 		minCommitted int64
 		budget       float64
 	}{
-		// 37.64 measured here, 35.73 in a one-second smallbank_xenic run.
-		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 42},
-		// 117.78 measured here (9 803 commits), 89.69 in a one-second
-		// smallbank_drtmh run: the 10 000-account population contends
-		// more, and DrTM+H pays for every aborted attempt in allocations.
-		{"drtmh", smallbankBudgetBaseline, 9_000, 130},
-		// 161.73 measured here (1 652 commits; 247.94 before the NIC index
-		// went pointer-free and its lookups stopped building closures),
-		// 164.93 in a one-second tpcc_xenic run.
-		{"tpcc", tpccBudgetCluster, 1_500, 178},
+		// 32.93 measured here, 31.55 in a one-second smallbank_xenic run
+		// (37.64 and 35.73 while the stores copied every value and each
+		// back-off built a wake-up closure).
+		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 36},
+		// 99.33 measured here (9 803 commits), 82.99 in a one-second
+		// smallbank_drtmh run (117.78 and 89.69 before): the 10 000-account
+		// population contends more, and DrTM+H pays for every aborted
+		// attempt in allocations.
+		{"drtmh", smallbankBudgetBaseline, 9_000, 110},
+		// 88.37 measured here (1 652 commits), 89.57 in a one-second
+		// tpcc_xenic run; 161.73 and 164.93 while every row value was built
+		// per call and copied into each replica, 247.94 here before the NIC
+		// index went pointer-free.
+		{"tpcc", tpccBudgetCluster, 1_500, 97},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cl := row.build(t)
@@ -70,9 +74,10 @@ func TestSmallbankAllocBudget(t *testing.T) {
 }
 
 // smallbankLiveHeapMiB is the live heap smallbankBudgetCluster may hold
-// after a short window, about 15 % above the 49.1 MiB measured when the
-// ceiling was set; nearly all of it is the 18 populated replica tables.
-const smallbankLiveHeapMiB = 56.0
+// after a short window, about 15 % above the 43.7 MiB measured when the
+// ceiling was set (49.1 while every replica row held its own copy of the
+// opening balance); nearly all of it is the 18 populated replica tables.
+const smallbankLiveHeapMiB = 50.0
 
 func smallbankBudgetCluster(t *testing.T) *xenic.Cluster {
 	t.Helper()
@@ -123,7 +128,7 @@ func smallbankBudgetBaseline(t *testing.T) xenic.System {
 // cluster to the same size after a window W and after 4 W: the host log
 // recycles its segments once workers have applied them (DESIGN.md §5), so
 // nothing a commit allocates outlives it by more than the in-flight window.
-// Measured here: +1.6 % (49.1 → 49.9 MiB, nearly all of it the populated
+// Measured here: +1.8 % (43.7 → 44.5 MiB, nearly all of it the populated
 // stores); with a log that only grows the same 15 279 commits add about
 // half a KiB each (+7.6 MiB), linear in the window from there on. The
 // absolute ceiling holds the stores themselves: with 64-byte

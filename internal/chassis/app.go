@@ -83,6 +83,11 @@ type appThread struct {
 	outstanding int
 	retryq      []*Txn
 	injectq     []injected
+	// retrySpare ping-pongs with retryq each idle pass, like the host
+	// thread inboxes; ready is the pass's scratch list of expired retries.
+	// Both are cleared before reuse, so they hold no finished transaction.
+	retrySpare []*Txn
+	ready      []*Txn
 }
 
 func (at *appThread) nextID() uint64 {
@@ -144,10 +149,10 @@ func (n *Node) Idle(t *hostrt.Thread) bool {
 	p := &n.ch.proto
 	did := false
 	// Snapshot the queue first: launching can synchronously abort and
-	// re-append to at.retryq.
+	// re-append to at.retryq, which is the spare array until the walk ends.
 	q := at.retryq
-	at.retryq = nil
-	var ready []*Txn
+	at.retryq = at.retrySpare[:0]
+	ready := at.ready[:0]
 	for _, tx := range q {
 		switch {
 		case tx.notBefore > t.Now():
@@ -159,10 +164,14 @@ func (n *Node) Idle(t *hostrt.Thread) bool {
 			p.Launch(t, n.id, tx)
 		}
 	}
+	clear(q)
+	at.retrySpare = q[:0]
 	for _, tx := range ready {
 		did = true
 		p.Launch(t, n.id, tx)
 	}
+	clear(ready)
+	at.ready = ready[:0]
 	if len(at.retryq) > 0 {
 		// One wake-up at the earliest expiry suffices: that pass recomputes
 		// the next. Taken over the post-launch queue so retries re-appended by
@@ -171,7 +180,7 @@ func (n *Node) Idle(t *hostrt.Thread) bool {
 		for _, tx := range at.retryq[1:] {
 			earliest = min(earliest, tx.notBefore)
 		}
-		t.At(earliest-t.Now(), t.Wake)
+		t.At(earliest-t.Now(), t.WakeFn())
 	}
 	// Snapshot again: launching can synchronously complete, and the
 	// completion callback can inject again.
@@ -256,7 +265,7 @@ func (n *Node) Retry(t *hostrt.Thread, tx *Txn, st wire.Status) {
 	backoff := sim.Backoff(t.Rand(), p.BackoffBase, p.BackoffMax, tx.retries-1)
 	tx.notBefore = t.Now() + backoff
 	at.retryq = append(at.retryq, tx)
-	t.At(backoff, t.Wake)
+	t.At(backoff, t.WakeFn())
 }
 
 // Reset wipes the application threads for a node restart: a coordinator

@@ -7,6 +7,7 @@ import (
 
 	"xenic/internal/hostrt"
 	"xenic/internal/model"
+	"xenic/internal/raceflag"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -184,6 +185,44 @@ func TestBackoffBounds(t *testing.T) {
 			}
 			if !f.Quiesced() {
 				t.Error("not quiesced after the failure")
+			}
+		})
+	}
+}
+
+// TestRetryAllocFree is the retry path's allocation budget: once the retry
+// queue, its spare and the event heap have reached working size, an abort →
+// back-off → wake-up → relaunch cycle allocates nothing, under both drain
+// orders. The wake-up is the thread's bound WakeFn, not a method value.
+func TestRetryAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name   string
+		policy Protocol
+	}{{"xenic", xenicPolicy}, {"baseline", baselinePolicy}} {
+		t.Run(tc.name, func(t *testing.T) {
+			launches := 0
+			f := newFake(t, tc.policy, 1<<30, func(f *fake, th *hostrt.Thread, node int, tx *Txn) {
+				launches++
+				abort(f, th, node, tx)
+			})
+			// Two transactions, so the queue holds a waiting entry while the
+			// other relaunches.
+			f.InjectTxn(0, 0, &txnmodel.TxnDesc{FnID: 1}, nil)
+			f.InjectTxn(0, 0, &txnmodel.TxnDesc{FnID: 2}, nil)
+			cycle := func() { f.Run(tc.policy.BackoffMax) }
+			for i := 0; i < 20; i++ {
+				cycle()
+			}
+			before := launches
+			if n := testing.AllocsPerRun(50, cycle); n != 0 {
+				t.Fatalf("warmed abort/back-off/relaunch cycle allocates %v objects per run, want 0", n)
+			}
+			// Every back-off is below BackoffMax, so each run relaunches both.
+			if got := launches - before; got < 2*51 {
+				t.Fatalf("%d relaunches in 51 runs, want at least %d", got, 2*51)
 			}
 		})
 	}

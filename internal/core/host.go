@@ -219,18 +219,20 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		return
 	}
 
-	// Assemble the full write set with observed versions; the NIC locks,
-	// validates, and replicates.
-	full := append(writes, d.BlindWrites...)
-	out := make([]wire.KV, len(full))
-	for i, kv := range full {
-		prior, ok := txnmodel.LastKV(writeReads, kv.Key)
-		ver := prior.Version
-		if !ok {
-			t.Charge(n.cl.cfg.Params.HostStoreOp)
-			_, ver, _ = n.readLocal(t, kv.Key)
+	// Assemble the full write set — the execution's writes, then the blind
+	// writes — with observed versions; the NIC locks, validates, and
+	// replicates.
+	out := make([]wire.KV, 0, len(writes)+len(d.BlindWrites))
+	for _, part := range [2][]wire.KV{writes, d.BlindWrites} {
+		for _, kv := range part {
+			prior, ok := txnmodel.LastKV(writeReads, kv.Key)
+			ver := prior.Version
+			if !ok {
+				t.Charge(n.cl.cfg.Params.HostStoreOp)
+				_, ver, _ = n.readLocal(t, kv.Key)
+			}
+			out = append(out, wire.KV{Key: kv.Key, Version: ver, Value: kv.Value})
 		}
-		out[i] = wire.KV{Key: kv.Key, Version: ver, Value: kv.Value}
 	}
 	t.Send(&wire.TxnRequest{
 		Header:        wire.Header{TxnID: tx.ID, Src: uint8(n.id)},

@@ -116,9 +116,10 @@ func runAblateDm(opt Options) *Report {
 		host := robinhood.New(cfg)
 		rng := rand.New(rand.NewSource(o.Seed))
 		keys := make([]uint64, n)
+		row := make([]byte, 64) // adopted by every key, never written
 		for i := range keys {
 			keys[i] = rng.Uint64()
-			if err := host.Insert(keys[i], make([]byte, 64), 1); err != nil {
+			if err := host.Insert(keys[i], row, 1); err != nil {
 				panic(err)
 			}
 		}
@@ -176,9 +177,10 @@ func runAblateK(opt Options) *Report {
 		// stale-ify hints) with lookups.
 		base := slots * 85 / 100
 		keys := make([]uint64, 0, base)
+		row := make([]byte, 16) // adopted by every key, never written
 		for i := 0; i < base; i++ {
 			kk := rng.Uint64()
-			if err := host.Insert(kk, make([]byte, 16), 1); err != nil {
+			if err := host.Insert(kk, row, 1); err != nil {
 				panic(err)
 			}
 			keys = append(keys, kk)
@@ -189,7 +191,7 @@ func runAblateK(opt Options) *Report {
 		var lookups, objs int64
 		for i := 0; i < extra; i++ {
 			kk := rng.Uint64()
-			if err := host.Insert(kk, make([]byte, 16), 1); err != nil {
+			if err := host.Insert(kk, row, 1); err != nil {
 				panic(err)
 			}
 			keys = append(keys, kk)

@@ -186,6 +186,10 @@ func (t *Thread) Deliver(src int, m wire.Msg) {
 // Wake schedules an iteration if the thread is parked.
 func (t *Thread) Wake() { t.poller.Wake() }
 
+// WakeFn returns Wake bound once: pass it to At to schedule a wake-up, where
+// the method value t.Wake would allocate a closure per call.
+func (t *Thread) WakeFn() func() { return t.poller.WakeFn() }
+
 func (t *Thread) iteration() bool {
 	did := false
 	msgs := t.in

@@ -37,9 +37,11 @@ type Poller struct {
 	did     bool // last iteration performed work (consumed at iteration end)
 
 	// iterateFn/endFn are the loop callbacks bound once at construction, so
-	// the per-iteration schedule sites allocate nothing.
+	// the per-iteration schedule sites allocate nothing; wakeFn is Wake,
+	// bound once for owners that schedule wake-ups (WakeFn).
 	iterateFn func()
 	endFn     func()
+	wakeFn    func()
 }
 
 // NewPoller creates a parked poller. Callers must set the work function via
@@ -48,6 +50,7 @@ func NewPoller(eng *sim.Engine, pickup sim.Time) *Poller {
 	p := &Poller{eng: eng, pickup: pickup}
 	p.iterateFn = p.iterate
 	p.endFn = p.iterationEnd
+	p.wakeFn = p.Wake
 	return p
 }
 
@@ -78,6 +81,10 @@ func (p *Poller) Charge(d sim.Time) {
 
 // At schedules fn at the core's current instant plus d.
 func (p *Poller) At(d sim.Time, fn func()) { p.eng.At(p.Now()+d, fn) }
+
+// WakeFn returns Wake bound once, for scheduling a wake-up (At) without
+// allocating a method value per call.
+func (p *Poller) WakeFn() func() { return p.wakeFn }
 
 // Wake schedules an iteration if the core is parked. Arrivals during a
 // running iteration are picked up when it finishes.

@@ -70,9 +70,11 @@ func (t *Tree) Get(key uint64) (Item, bool) {
 	}
 }
 
-// Insert stores value/version under key, replacing any existing entry.
+// Insert stores value/version under key, replacing any existing entry. The
+// tree adopts value instead of copying it, its capacity clipped: the caller
+// must never write it again, and items returned by Get outlive the call.
 func (t *Tree) Insert(key uint64, value []byte, version uint64) {
-	it := Item{Key: key, Version: version, Value: append([]byte(nil), value...)}
+	it := Item{Key: key, Version: version, Value: value[:len(value):len(value)]}
 	if added := t.insert(t.root, it); added {
 		t.count++
 	}
@@ -101,10 +103,11 @@ func (t *Tree) insert(n *node, it Item) bool {
 	child := n.children[i]
 	if len(child.items) >= 2*degree-1 {
 		t.split(n, i)
-		if it.Key > n.items[i].Key {
-			i++
-		} else if it.Key == n.items[i].Key && child.leaf {
-			// Separator equals the key: it lives in the right child's leaf.
+		// A key equal to the new separator lives on its right, as search
+		// and Get assume: a leaf split copies the right half's first key
+		// up, an interior split moves up the key whose right subtree went
+		// to the new node.
+		if it.Key >= n.items[i].Key {
 			i++
 		}
 	}

@@ -33,9 +33,9 @@ type Table struct {
 	used  []int32 // per bucket: occupied prefix of its entries
 	next  []int32 // per bucket: the linked bucket, 0 = none (bucket 0 is a root)
 	// cells holds the values, one cell per stored entry; an entry's cell
-	// travels with it when Delete compacts. A cell is only ever pointed at a
-	// fresh copy, never written through: slices handed out by Lookup outlive
-	// the call.
+	// travels with it when Delete compacts. A cell is only ever pointed at an
+	// immutable slice, never written through: slices handed out by Lookup
+	// outlive the call.
 	cells cell.Table
 	count int
 }
@@ -95,9 +95,10 @@ func (t *Table) find(key uint64) *entry {
 	}
 }
 
-// Insert adds or updates key.
+// Insert adds or updates key. The table adopts value instead of copying it,
+// its capacity clipped: the caller must never write it again.
 func (t *Table) Insert(key uint64, value []byte, version uint64) {
-	v := append([]byte(nil), value...)
+	v := value[:len(value):len(value)]
 	if e := t.find(key); e != nil {
 		t.cells.Set(e.val, v)
 		e.version = version

@@ -236,7 +236,7 @@ func TestTableAgainstModel(t *testing.T) {
 	}
 }
 
-// TestLookupValueImmutable pins copy-on-install: a slice Lookup returned
+// TestLookupValueImmutable pins install-by-pointing: a slice Lookup returned
 // keeps its bytes through any number of later updates, deletes and
 // re-inserts of that key and its neighbours (callers hold such slices in
 // in-flight RDMA read results).
@@ -282,6 +282,49 @@ func TestLookupValueImmutable(t *testing.T) {
 		if !bytes.Equal(h.got, h.want) {
 			t.Fatalf("key %d: a value handed out by Lookup changed under later writes: %x, was %x", h.key, h.got, h.want)
 		}
+	}
+}
+
+// TestStoreAdoptsValue pins the ownership rule: Insert keeps the slice it
+// is handed, capacity clipped, instead of copying it, so rewriting a present
+// key allocates nothing, and a value an earlier Lookup returned keeps its
+// bytes after the key is rewritten.
+func TestStoreAdoptsValue(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	tb := New(4, 2)
+	row := []byte("row")
+	for k := uint64(0); k < 32; k++ {
+		tb.Insert(k, row, 1)
+	}
+	// Spare capacity behind a value must not be reachable from the table.
+	var vals [2][]byte
+	for i := range vals {
+		vals[i] = make([]byte, 12, 20)
+		for j := range vals[i] {
+			vals[i][j] = byte('a' + i)
+		}
+	}
+	tb.Insert(7, vals[0], 2)
+	held := tb.Lookup(7)
+	if &held.Value[0] != &vals[0][0] || cap(held.Value) != len(vals[0]) {
+		t.Fatal("Insert copied the value instead of adopting it, or kept its spare capacity")
+	}
+	was := bytes.Clone(held.Value)
+	i := 0
+	rewrite := func() {
+		i++
+		tb.Insert(7, vals[i%2], uint64(2+i))
+	}
+	if n := testing.AllocsPerRun(100, rewrite); n != 0 {
+		t.Fatalf("rewriting a present key allocates %v objects, want 0", n)
+	}
+	if !bytes.Equal(held.Value, was) {
+		t.Fatalf("a value Lookup returned changed after its key was rewritten: %q, was %q", held.Value, was)
+	}
+	if err := tb.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -65,21 +65,23 @@ func (t *Table) home(key uint64) int { return int(robinhood.Hash(key) & t.mask) 
 
 func (t *Table) idx(home, d int) int { return (home + d) & int(t.mask) }
 
-// Insert adds or updates key.
+// Insert adds or updates key. The table adopts value instead of copying it,
+// its capacity clipped: the caller must never write it again.
 func (t *Table) Insert(key uint64, value []byte, version uint64) error {
+	value = value[:len(value):len(value)]
 	home := t.home(key)
 	// Update in place if present.
 	for d := 0; d < t.h; d++ {
 		s := &t.slots[t.idx(home, d)]
 		if s.occupied && s.entry.Key == key {
-			s.entry.Value = append([]byte(nil), value...)
+			s.entry.Value = value
 			s.entry.Version = version
 			return nil
 		}
 	}
 	for i, e := range t.overflow[home] {
 		if e.Key == key {
-			t.overflow[home][i].Value = append([]byte(nil), value...)
+			t.overflow[home][i].Value = value
 			t.overflow[home][i].Version = version
 			return nil
 		}
@@ -122,7 +124,7 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 			// costing lookups a second roundtrip (Table 2: 4% of keys at
 			// 90% occupancy).
 			t.overflow[home] = append(t.overflow[home], Entry{
-				Key: key, Version: version, Value: append([]byte(nil), value...),
+				Key: key, Version: version, Value: value,
 			})
 			t.count++
 			t.ovCount++
@@ -131,7 +133,7 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 	}
 	s := &t.slots[t.idx(home, free)]
 	*s = slot{occupied: true, home: home, entry: Entry{
-		Key: key, Version: version, Value: append([]byte(nil), value...),
+		Key: key, Version: version, Value: value,
 	}}
 	t.count++
 	return nil

@@ -120,9 +120,9 @@ type Table struct {
 	segs  []segMeta
 	// cells holds the inline values, one cell per occupied inline slot; a
 	// slot's cell travels with it through swaps and shifts. A cell is only
-	// ever pointed at a fresh copy, never written through: slices handed
-	// out by Lookup outlive the call (in-flight DMA results and snapshot
-	// responses), so their bytes must stay immutable.
+	// ever pointed at an immutable slice, never written through: slices
+	// handed out by Lookup outlive the call (in-flight DMA results and
+	// snapshot responses), so their bytes must stay immutable.
 	cells cell.Table
 	// overflow holds the buckets of segments that have entries, and is
 	// consulted only where segs[seg].over > 0. It is never iterated: map
@@ -267,7 +267,13 @@ func (t *Table) valueOf(s *slot) []byte {
 	return t.cells.Get(s.val)
 }
 
-// storeValue installs a fresh copy of value as s's value, applying
+// adopt returns value as the table keeps it: the caller's slice itself, its
+// capacity clipped so no append through a handed-out copy can reach past it.
+// Writers never write a value they handed to a store (Insert), so the table
+// need not copy it.
+func adopt(value []byte) []byte { return value[:len(value):len(value)] }
+
+// storeValue installs value as s's value, adopting the slice, applying
 // large-object indirection.
 func (t *Table) storeValue(s *slot, value []byte) {
 	if len(value) > t.cfg.LargeThreshold {
@@ -275,25 +281,25 @@ func (t *Table) storeValue(s *slot, value []byte) {
 			t.releaseValue(s)
 			s.val = largeVal
 		}
-		t.large[s.key] = append([]byte(nil), value...)
+		t.large[s.key] = adopt(value)
 		return
 	}
 	if len(value) > t.cfg.InlineValueSize {
 		panic(fmt.Sprintf("robinhood: value of %dB exceeds inline capacity %dB (and is below the large threshold %dB)",
 			len(value), t.cfg.InlineValueSize, t.cfg.LargeThreshold))
 	}
-	v := append([]byte(nil), value...)
 	if s.val == 0 || s.val == largeVal {
 		t.releaseValue(s)
 		s.val = t.cells.New()
 	}
-	t.cells.Set(s.val, v)
+	t.cells.Set(s.val, adopt(value))
 }
 
 // Insert adds key with value and version. Inserting an existing key updates
-// it in place. Returns ErrFull only when no free slot exists within reach
-// and the overflow path also cannot apply (unlimited-displacement tables
-// that are completely full).
+// it in place. The table adopts value instead of copying it: the caller must
+// never write it again (DESIGN.md §16, "Values are written once"). Returns
+// ErrFull only when no free slot exists within reach and the overflow path
+// also cannot apply (unlimited-displacement tables that are completely full).
 func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 	if s := t.findSlot(key); s != nil {
 		t.storeValue(s, value)
@@ -301,7 +307,7 @@ func (t *Table) Insert(key uint64, value []byte, version uint64) error {
 		return nil
 	}
 	if e := t.findOverflow(key); e != nil {
-		e.Value = append([]byte(nil), value...)
+		e.Value = adopt(value)
 		e.Version = version
 		return nil
 	}
@@ -375,16 +381,12 @@ func (t *Table) bucket(seg int) []OverflowEntry {
 }
 
 // appendOverflow moves the carried record s, homed at home, to its segment's
-// overflow bucket: the entry keeps the value slice, the cell is released.
+// overflow bucket: the entry takes the value slice — its cell's or its large
+// object's, read before releaseValue drops it — and the cell or map entry is
+// released.
 func (t *Table) appendOverflow(s slot, home int) {
 	seg := t.SegmentOf(home)
-	var val []byte
-	if s.val == largeVal {
-		val = append([]byte(nil), t.large[s.key]...)
-	} else {
-		val = t.cells.Get(s.val)
-	}
-	e := OverflowEntry{Key: s.key, Version: s.version, Value: val, Home: home}
+	e := OverflowEntry{Key: s.key, Version: s.version, Value: t.valueOf(&s), Home: home}
 	t.releaseValue(&s)
 	t.setBucket(seg, append(t.bucket(seg), e))
 	t.count++
@@ -446,7 +448,7 @@ func (t *Table) Lookup(key uint64) LookupResult {
 }
 
 // Update overwrites an existing key's value and version, returning false if
-// the key is absent.
+// the key is absent. Like Insert, it adopts value.
 func (t *Table) Update(key uint64, value []byte, version uint64) bool {
 	if s := t.findSlot(key); s != nil {
 		t.storeValue(s, value)
@@ -454,7 +456,7 @@ func (t *Table) Update(key uint64, value []byte, version uint64) bool {
 		return true
 	}
 	if e := t.findOverflow(key); e != nil {
-		e.Value = append([]byte(nil), value...)
+		e.Value = adopt(value)
 		e.Version = version
 		return true
 	}

@@ -628,7 +628,7 @@ func TestTableAgainstModel(t *testing.T) {
 	}
 }
 
-// TestLookupValueImmutable pins copy-on-install: a slice Lookup returned
+// TestLookupValueImmutable pins install-by-pointing: a slice Lookup returned
 // keeps its bytes through any number of later updates, deletes and
 // re-inserts of that key and its neighbours. Callers hold such slices across
 // simulated DMA latency and in in-flight snapshot responses; storing a new
@@ -685,6 +685,86 @@ func TestLookupValueImmutable(t *testing.T) {
 		if !bytes.Equal(h.got, h.want) {
 			t.Fatalf("key %d: a value handed out by Lookup changed under later writes: %x, was %x", h.key, h.got, h.want)
 		}
+	}
+}
+
+// TestStoreAdoptsValue pins the ownership rule: the table keeps the slice it
+// is handed, capacity clipped, instead of copying it — inline, behind the
+// large-object pointer and in an overflow bucket — so rewriting a present
+// key allocates nothing, and a value an earlier Lookup returned keeps its
+// bytes after the key is rewritten.
+func TestStoreAdoptsValue(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	c := cfg(64, 2)
+	c.InlineValueSize, c.LargeThreshold = 16, 64
+	tb := New(c)
+	row := []byte("row")
+	for k := uint64(0); k < 56; k++ {
+		if err := tb.Insert(k, row, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var main, over []uint64
+	for k := uint64(0); k < 56; k++ {
+		if tb.Lookup(k).Overflow {
+			over = append(over, k)
+		} else {
+			main = append(main, k)
+		}
+	}
+	if len(over) == 0 {
+		t.Fatal("no key overflowed; the overflow case tests nothing")
+	}
+	// Spare capacity behind a value must not be reachable from the table.
+	pair := func(n int) [2][]byte {
+		var v [2][]byte
+		for i := range v {
+			v[i] = make([]byte, n, n+8)
+			for j := range v[i] {
+				v[i][j] = byte('a' + i)
+			}
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name string
+		key  uint64
+		vals [2][]byte
+	}{
+		{"inline", main[0], pair(12)},
+		{"large", main[1], pair(100)},
+		{"overflow", over[0], pair(12)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tb.Insert(tc.key, tc.vals[0], 2); err != nil {
+				t.Fatal(err)
+			}
+			held := tb.Lookup(tc.key)
+			if &held.Value[0] != &tc.vals[0][0] || cap(held.Value) != len(tc.vals[0]) {
+				t.Fatal("Insert copied the value instead of adopting it, or kept its spare capacity")
+			}
+			was := bytes.Clone(held.Value)
+			i := 0
+			rewrite := func() {
+				i++
+				if i%2 == 0 {
+					tb.Insert(tc.key, tc.vals[i%2], uint64(2+i))
+				} else {
+					tb.Update(tc.key, tc.vals[i%2], uint64(2+i))
+				}
+			}
+			if n := testing.AllocsPerRun(100, rewrite); n != 0 {
+				t.Fatalf("rewriting a present key allocates %v objects, want 0", n)
+			}
+			if !bytes.Equal(held.Value, was) {
+				t.Fatalf("a value Lookup returned changed after its key was rewritten: %q, was %q", held.Value, was)
+			}
+			if err := tb.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,10 @@ type TxnDesc struct {
 	UpdateKeys []uint64
 	// BlindWrites are writes whose values are known up front (inserts,
 	// overwrites); their keys are locked at execution but their old values
-	// are not needed.
+	// are not needed. A value placed here is never written again, by the
+	// generator or anyone else: the log records and every replica's store
+	// adopt the slice instead of copying it, so one read-only value may
+	// back any number of writes.
 	BlindWrites []wire.KV
 	// FnID names the registered execution function that computes write
 	// values from the read values; 0 means none (pure reads/blind writes).
@@ -84,7 +87,10 @@ type ExecResult struct {
 	// which must already be locked or local). Only the final round's Writes
 	// are the write set: every round sees the full read set so far, so a
 	// round that returns MoreReads has its Writes ignored, on every system
-	// and execution site alike.
+	// and execution site alike. Each value is a slice the function will
+	// never write again and that aliases none of its reads (which may be
+	// the NIC index's own buffers): the write set, the log records and every
+	// replica's store adopt it instead of copying it.
 	Writes []wire.KV
 	// MoreReads requests another execution round with additional read keys
 	// (multi-shot transactions, §4.2 step 3). Shipped executions must be
@@ -97,7 +103,8 @@ type ExecResult struct {
 
 // ExecFunc is a registered execution function. Run must be deterministic
 // given (state, reads): it may run on a host thread, the coordinator NIC,
-// or a remote primary NIC.
+// or a remote primary NIC. It must not write into its reads' values, and its
+// writes' values must be its own (ExecResult.Writes).
 type ExecFunc struct {
 	ID uint16
 	// HostCost is the compute cost of one invocation on a host core; NIC
@@ -164,7 +171,9 @@ type Generator interface {
 	// Register adds the workload's execution functions to r.
 	Register(r *Registry)
 	// Populate returns the initial records for shard (loaded on its
-	// primary and backups). Called once per shard.
+	// primary and backups). Called once per shard. Every replica adopts the
+	// value slice passed to emit instead of copying it, so a value emitted
+	// is never written again; rows that are alike may share one slice.
 	Populate(shard, nodes int, emit func(key uint64, value []byte))
 	// Next produces the next transaction for a coordinator thread.
 	Next(node, thread int, rng *rand.Rand) *TxnDesc

@@ -20,6 +20,7 @@ package tpcc
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
@@ -179,6 +180,24 @@ func moneyVal(n int, tag byte, balance uint64) []byte {
 	return v
 }
 
+// Rows that are the same on every call, built once. A value handed to emit,
+// placed in BlindWrites or returned in ExecResult.Writes is never written
+// again (txnmodel.Generator), so every replica, log record and population
+// row that carries one shares these read-only bytes; parallel clusters read
+// them concurrently. Rows that differ per call (stockVal, moneyVal at
+// execution) stay fresh.
+var (
+	warehouseRow = moneyVal(warehouseSize, 'w', 0)
+	districtRow  = filler(districtSize, 'd')
+	customerRow  = moneyVal(customerSize, 'c', 1000)
+	stockRow     = stockVal(50, 0)
+	historyRow   = filler(historySize, 'h')
+	newOrderRow  = filler(newOrderSize, 'n')
+	orderRow     = filler(orderSize, 'o')
+	deliveredRow = filler(orderSize, 'O')
+	orderLineRow = filler(orderLineSize, 'l')
+)
+
 // Register implements txnmodel.Generator.
 func (g *Gen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
@@ -187,7 +206,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 			// state: nItems, then per-item quantity. reads: [customer,
 			// warehouse, stock..., blind entries...].
 			n := int(state[0])
-			var res txnmodel.ExecResult
+			res := txnmodel.ExecResult{Writes: make([]wire.KV, n)}
 			for i := 0; i < n; i++ {
 				kv := reads[2+i]
 				qty := uint32(state[1+i])
@@ -202,7 +221,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 				} else {
 					cur = cur - qty + 91
 				}
-				res.Writes = append(res.Writes, wire.KV{Key: kv.Key, Value: stockVal(cur, ytd+qty)})
+				res.Writes[i] = wire.KV{Key: kv.Key, Value: stockVal(cur, ytd+qty)}
 			}
 			return res
 		},
@@ -257,15 +276,15 @@ func (g *Gen) Populate(shard, nodes int, emit func(uint64, []byte)) {
 	total := g.WarehousesPerServer * nodes
 	for w := shard; w < total; w += nodes {
 		wu := uint64(w)
-		emit(key(tWarehouse, wu, 0), moneyVal(warehouseSize, 'w', 0))
+		emit(key(tWarehouse, wu, 0), warehouseRow)
 		for d := 0; d < g.Districts; d++ {
-			emit(distKey(wu, uint64(d)), filler(districtSize, 'd'))
+			emit(distKey(wu, uint64(d)), districtRow)
 			for c := 0; c < g.CustomersPerDistrict; c++ {
-				emit(custKey(wu, uint64(d), uint64(c)), moneyVal(customerSize, 'c', 1000))
+				emit(custKey(wu, uint64(d), uint64(c)), customerRow)
 			}
 		}
 		for i := 0; i < g.ItemsPerWarehouse; i++ {
-			emit(stockKey(wu, uint64(i)), stockVal(50, 0))
+			emit(stockKey(wu, uint64(i)), stockRow)
 		}
 	}
 }
@@ -340,7 +359,7 @@ func (g *Gen) newOrder(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 
 	state := make([]byte, 1+nItems)
 	state[0] = byte(nItems)
-	seen := map[uint64]bool{}
+	desc.UpdateKeys = make([]uint64, 0, nItems)
 	for i := 0; i < nItems; i++ {
 		item := uint64(nuRand(rng, 8191, 0, g.ItemsPerWarehouse-1))
 		sw := w
@@ -352,25 +371,25 @@ func (g *Gen) newOrder(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 			sw = uint64(rng.Intn(g.WarehousesPerServer * g.nodes))
 		}
 		sk := stockKey(sw, item)
-		for seen[sk] {
+		for slices.Contains(desc.UpdateKeys, sk) {
 			item = (item + 1) % uint64(g.ItemsPerWarehouse)
 			sk = stockKey(sw, item)
 		}
-		seen[sk] = true
 		desc.UpdateKeys = append(desc.UpdateKeys, sk)
 		state[1+i] = byte(1 + rng.Intn(10))
 	}
 	desc.State = state
 
 	// Local B+tree inserts: district update, order, new-order, order lines.
+	desc.BlindWrites = make([]wire.KV, 0, 3+nItems)
 	desc.BlindWrites = append(desc.BlindWrites,
-		wire.KV{Key: distKey(w, d), Value: filler(districtSize, 'd')},
-		wire.KV{Key: orderKey(w, d, oid), Value: filler(orderSize, 'o')},
-		wire.KV{Key: nordKey(w, d, oid), Value: filler(newOrderSize, 'n')},
+		wire.KV{Key: distKey(w, d), Value: districtRow},
+		wire.KV{Key: orderKey(w, d, oid), Value: orderRow},
+		wire.KV{Key: nordKey(w, d, oid), Value: newOrderRow},
 	)
 	for l := 0; l < nItems; l++ {
 		desc.BlindWrites = append(desc.BlindWrites,
-			wire.KV{Key: olKey(w, d, oid, uint64(l)), Value: filler(orderLineSize, 'l')})
+			wire.KV{Key: olKey(w, d, oid, uint64(l)), Value: orderLineRow})
 	}
 	return desc
 }
@@ -397,8 +416,8 @@ func (g *Gen) payment(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 			key(tWarehouse, w, 0),
 		},
 		BlindWrites: []wire.KV{
-			{Key: distKey(w, d), Value: filler(districtSize, 'd')},
-			{Key: histKey(w, g.nextHist(w)), Value: filler(historySize, 'h')},
+			{Key: distKey(w, d), Value: districtRow},
+			{Key: histKey(w, g.nextHist(w)), Value: historyRow},
 		},
 	}
 }
@@ -437,7 +456,7 @@ func (g *Gen) delivery(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 		desc.UpdateKeys = append(desc.UpdateKeys, custKey(w, du, c))
 		if oid := g.lastOID(w, du); oid > 0 {
 			desc.BlindWrites = append(desc.BlindWrites,
-				wire.KV{Key: orderKey(w, du, oid), Value: filler(orderSize, 'O')})
+				wire.KV{Key: orderKey(w, du, oid), Value: deliveredRow})
 		}
 	}
 	return desc

@@ -4,13 +4,16 @@
 package workload_test
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"xenic/internal/baseline"
 	"xenic/internal/core"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
+	"xenic/internal/wire"
 	"xenic/internal/workload/retwis"
 	"xenic/internal/workload/smallbank"
 	"xenic/internal/workload/tpcc"
@@ -239,5 +242,70 @@ func TestTPCCKeyEncoding(t *testing.T) {
 				t.Fatal("B+tree key in UpdateKeys")
 			}
 		}
+	}
+}
+
+// overlaps reports whether a's and b's backing arrays share a byte, counting
+// each slice's capacity: a write must not even be able to grow into a read.
+func overlaps(a, b []byte) bool {
+	if cap(a) == 0 || cap(b) == 0 {
+		return false
+	}
+	pa := uintptr(unsafe.Pointer(unsafe.SliceData(a)))
+	pb := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return pa < pb+uintptr(cap(b)) && pb < pa+uintptr(cap(a))
+}
+
+// TestExecWritesNeverAliasReads audits every registered execution function
+// of TPC-C, Smallbank and Retwis against the ownership rule the stores rely
+// on: each write's value is a slice no read's backing array overlaps, and
+// the function leaves its reads' bytes alone. Read values can be the NIC
+// index's own cell buffers, which it overwrites in place for the same key; a
+// write aliasing one would hand that buffer to three host tables.
+func TestExecWritesNeverAliasReads(t *testing.T) {
+	for _, g := range []txnmodel.Generator{smallTPCC(false), smallSmallbank(), smallRetwis()} {
+		t.Run(g.Name(), func(t *testing.T) {
+			g.Placement(4, 3)
+			reg := txnmodel.NewRegistry()
+			g.Register(reg)
+			rng := rand.New(rand.NewSource(5))
+			ran := 0
+			for i := 0; i < 3000; i++ {
+				d := g.Next(i%4, 0, rng)
+				fn, ok := reg.Get(d.FnID)
+				if d.FnID == 0 || !ok {
+					continue
+				}
+				// Reads arrive as ReadKeys, UpdateKeys, then the blind-write
+				// keys; each gets its own buffer, sized for the largest row.
+				var reads []wire.KV
+				for k := 0; k < d.NumKeys(); k++ {
+					v := make([]byte, 700)
+					rng.Read(v)
+					reads = append(reads, wire.KV{Key: d.Key(k), Version: uint64(1 + rng.Intn(9)), Value: v})
+				}
+				was := make([][]byte, len(reads))
+				for j, r := range reads {
+					was[j] = bytes.Clone(r.Value)
+				}
+				res := fn.Run(d.State, reads)
+				ran++
+				for _, w := range res.Writes {
+					for _, r := range reads {
+						if overlaps(w.Value, r.Value) {
+							t.Fatalf("fn %d: the write of key %d aliases the read of key %d", d.FnID, w.Key, r.Key)
+						}
+					}
+				}
+				for j, r := range reads {
+					if !bytes.Equal(r.Value, was[j]) {
+						t.Fatalf("fn %d wrote into the read of key %d", d.FnID, r.Key)
+					}
+				}
+			}
+			if ran == 0 {
+				t.Fatal("no transaction ran an execution function")
+			}
+		})
 	}
 }

@@ -58,7 +58,9 @@ type Txn = txnmodel.TxnDesc
 
 // ExecFunc is a registered execution function; it may run on a host
 // thread, the coordinator SmartNIC, or a remote primary SmartNIC
-// (function shipping).
+// (function shipping). It must leave its reads' values unwritten and
+// return write values of its own, which it never writes again: the stores
+// adopt them instead of copying them.
 type ExecFunc = txnmodel.ExecFunc
 
 // ExecResult is an execution function's output.
@@ -74,7 +76,9 @@ type Placement = txnmodel.Placement
 type StoreSpec = txnmodel.StoreSpec
 
 // Workload supplies transactions to a cluster. See internal/workload for
-// the TPC-C, Retwis, and Smallbank implementations.
+// the TPC-C, Retwis, and Smallbank implementations. A value it hands over —
+// to Populate's emit, in a Txn's BlindWrites or in an ExecResult's Writes —
+// is never written again: every replica's store adopts the slice.
 type Workload = txnmodel.Generator
 
 // Config assembles a Xenic cluster.
