@@ -19,7 +19,7 @@ import (
 // run.
 // The CI bench-contract job holds one-second runs of the benchmark's
 // smallbank_xenic, smallbank_drtmh and tpcc_xenic workloads to budgets set
-// the same way (35, 92 and 99).
+// the same way (31, 92 and 62).
 //
 // The rows use the benchmark's shapes (six nodes, three replicas; Xenic
 // Smallbank with 2 application / 3 worker threads, 16 NIC cores and window
@@ -38,20 +38,23 @@ func TestSmallbankAllocBudget(t *testing.T) {
 		minCommitted int64
 		budget       float64
 	}{
-		// 32.93 measured here, 31.55 in a one-second smallbank_xenic run
-		// (37.64 and 35.73 while the stores copied every value and each
-		// back-off built a wake-up closure).
-		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 36},
+		// 29.39 measured here, 28.29 in a one-second smallbank_xenic run
+		// (32.93 and 31.55 while an aborted attempt rebuilt its request,
+		// outcome and lock lists, 37.64 and 35.73 while the stores copied
+		// every value and each back-off built a wake-up closure).
+		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 32},
 		// 99.33 measured here (9 803 commits), 82.99 in a one-second
 		// smallbank_drtmh run (117.78 and 89.69 before): the 10 000-account
 		// population contends more, and DrTM+H pays for every aborted
 		// attempt in allocations.
 		{"drtmh", smallbankBudgetBaseline, 9_000, 110},
-		// 88.37 measured here (1 652 commits), 89.57 in a one-second
-		// tpcc_xenic run; 161.73 and 164.93 while every row value was built
-		// per call and copied into each replica, 247.94 here before the NIC
-		// index went pointer-free.
-		{"tpcc", tpccBudgetCluster, 1_500, 97},
+		// 55.39 measured here (1 652 commits), 56.24 in a one-second
+		// tpcc_xenic run; 88.37 and 89.57 while every aborted attempt
+		// rebuilt its host-local request, outcome message and lock-key
+		// lists, 161.73 and 164.93 while every row value was built per call
+		// and copied into each replica, 247.94 here before the NIC index
+		// went pointer-free.
+		{"tpcc", tpccBudgetCluster, 1_500, 61},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cl := row.build(t)

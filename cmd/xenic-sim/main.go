@@ -76,8 +76,9 @@ func main() {
 	hotFrac := flag.Float64("hot-frac", 0, "override the smallbank hot-account fraction (0 = the paper's 0.04)")
 	hotProb := flag.Float64("hot-prob", 0, "override the smallbank hot-access probability (0 = the paper's 0.9)")
 	flag.Parse()
-	if err := validateFlags(simFlags{app: *app, threads: *threads, warmMS: *warmMS, ms: *ms,
-		roFrac: *roFrac, alpha: *alpha, hotFrac: *hotFrac, hotProb: *hotProb, openloop: ol.Rate}); err != nil {
+	flags := simFlags{app: *app, threads: *threads, warmMS: *warmMS, ms: *ms,
+		roFrac: *roFrac, alpha: *alpha, hotFrac: *hotFrac, hotProb: *hotProb, openloop: ol.Rate}
+	if err := validateFlags(flags); err != nil {
 		fmt.Fprintln(os.Stderr, "xenic-sim:", err)
 		os.Exit(2)
 	}
@@ -89,36 +90,8 @@ func main() {
 		must(err)
 	}
 
-	var gen txnmodel.Generator
-	switch *workload {
-	case "tpcc":
-		g := xenic.TPCC()
-		g.WarehousesPerServer = scaleInt(72, *scale, 2)
-		gen = g
-	case "tpcc-neworder":
-		g := xenic.TPCCNewOrder()
-		g.WarehousesPerServer = scaleInt(72, *scale, 2)
-		gen = g
-	case "retwis":
-		g := xenic.Retwis()
-		g.KeysPerServer = scaleInt(1_000_000, *scale, 1000)
-		g.ReadOnlyFrac = *roFrac
-		if *alpha > 0 {
-			g.Alpha = *alpha
-		}
-		gen = g
-	case "smallbank":
-		g := xenic.Smallbank()
-		g.AccountsPerServer = scaleInt(2_400_000, *scale, 1000)
-		g.ReadOnlyFrac = *roFrac
-		if *hotFrac > 0 {
-			g.HotFrac = *hotFrac
-		}
-		if *hotProb > 0 {
-			g.HotProb = *hotProb
-		}
-		gen = g
-	default:
+	gen := newGen(*workload, *scale, flags)
+	if gen == nil {
 		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
 		os.Exit(2)
 	}
@@ -260,6 +233,42 @@ func validateFlags(f simFlags) error {
 		return fmt.Errorf("-hot-prob must be in [0, 1], have %g", f.hotProb)
 	case !(f.openloop >= 0 && f.openloop <= math.MaxFloat64):
 		return fmt.Errorf("-openloop must be a finite rate of at least 0, have %g", f.openloop)
+	}
+	return nil
+}
+
+// newGen builds the named workload's generator at the given population
+// scale, with the flags' workload overrides (0 keeps the paper's value); nil
+// for an unknown workload.
+func newGen(workload string, scale float64, f simFlags) txnmodel.Generator {
+	switch workload {
+	case "tpcc":
+		g := xenic.TPCC()
+		g.WarehousesPerServer = scaleInt(72, scale, 2)
+		return g
+	case "tpcc-neworder":
+		g := xenic.TPCCNewOrder()
+		g.WarehousesPerServer = scaleInt(72, scale, 2)
+		return g
+	case "retwis":
+		g := xenic.Retwis()
+		g.KeysPerServer = scaleInt(1_000_000, scale, 1000)
+		g.ReadOnlyFrac = f.roFrac
+		if f.alpha > 0 {
+			g.Alpha = f.alpha
+		}
+		return g
+	case "smallbank":
+		g := xenic.Smallbank()
+		g.AccountsPerServer = scaleInt(2_400_000, scale, 1000)
+		g.ReadOnlyFrac = f.roFrac
+		if f.hotFrac > 0 {
+			g.HotFrac = f.hotFrac
+		}
+		if f.hotProb > 0 {
+			g.HotProb = f.hotProb
+		}
+		return g
 	}
 	return nil
 }

@@ -3,8 +3,11 @@ package baseline
 import (
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"xenic/internal/chassis"
+	"xenic/internal/hostrt"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -192,6 +195,66 @@ func TestConfigValidation(t *testing.T) {
 		cfg.Params = DefaultConfig(DrTMH).Params
 		if _, err := New(cfg, g, Observers{}); err == nil {
 			t.Errorf("config %d accepted", i)
+		}
+	}
+}
+
+// TestAbortKeysSurviveRecycle is the lock-list handoff test on the baseline
+// coordinator. An attempt's per-shard lock-key lists survive its reset,
+// except a list handed to an ABORT RPC: that one belongs to the message
+// until it lands. The scenario: an attempt holding two locks on a remote
+// shard aborts, and while its ABORT is in flight the same btxn is reset for
+// the retry and locks two other keys on that shard. The ABORT must arrive
+// carrying the keys it was sent with.
+func TestAbortKeysSurviveRecycle(t *testing.T) {
+	cfg := DefaultConfig(FaSST)
+	cfg.Nodes = 4
+	cfg.Threads = 2
+	cl, err := New(cfg, &counterGen{keys: 400, keysPer: 3}, Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, remote := cl.nodes[0], cl.nodes[1]
+	first, second := []uint64{1, 5}, []uint64{9, 13} // keys of shard 1
+	var arrived [][]uint64
+	remote.host.OnMessage(func(th *hostrt.Thread, src int, m wire.Msg) {
+		if a, ok := m.(*wire.Abort); ok {
+			if !slices.Equal(a.LockedKeys, first) {
+				// Checked before the handler, whose strict unlock panics on a
+				// key the sender does not hold.
+				t.Fatalf("ABORT carried keys %v, sent with %v", a.LockedKeys, first)
+			}
+			arrived = append(arrived, a.LockedKeys)
+		}
+		remote.hostHandler(th, src, m)
+	})
+	tx := newTxn().Attempt.(*btxn)
+	lock := func(keys []uint64) {
+		for _, k := range keys {
+			if !remote.tryLock(k, tx.ID) {
+				t.Fatalf("key %d already locked", k)
+			}
+		}
+		tx.AddLocks(1, keys...)
+	}
+	tx.ID = chassis.TxnID(0, 0, 1<<20)
+	lock(first)
+	n.releaseLocks(n.host.Thread(0), tx)
+	tx.reset()
+	tx.ID++
+	lock(second)
+	eng := cl.Engine()
+	for i := 0; i < 100_000 && len(arrived) == 0; i++ {
+		if !eng.Step() {
+			t.Fatal("engine ran dry before the ABORT landed")
+		}
+	}
+	if len(arrived) == 0 {
+		t.Fatal("the ABORT never landed")
+	}
+	for _, k := range second {
+		if !remote.isLocked(k, 0) {
+			t.Errorf("the retry's lock on key %d was released", k)
 		}
 	}
 }

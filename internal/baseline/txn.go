@@ -39,7 +39,7 @@ func newTxn() *chassis.Txn {
 }
 
 // reset readies tx for its next attempt. The lock RPCs of a wave hold its
-// key lists, so only the outer array is kept.
+// key lists, so only the wave's outer array is kept.
 func (tx *btxn) reset() {
 	tx.OCC.Reset()
 	tx.phase = bExecute
@@ -566,9 +566,11 @@ func (n *Node) abortTxn(t *hostrt.Thread, tx *btxn) {
 }
 
 // releaseLocks unlocks every key tx holds: local ones directly, remote ones
-// by one-sided unlock WRITEs (DrTM+R) or an ABORT RPC per shard.
+// by one-sided unlock WRITEs (DrTM+R) or an ABORT RPC per shard. The RPC
+// carries its shard's lock-key list, so that slot lets go of it.
 func (n *Node) releaseLocks(t *hostrt.Thread, tx *btxn) {
-	for _, ls := range tx.Locked {
+	for i := range tx.Locked {
+		ls := &tx.Locked[i]
 		if ls.Shard == n.id {
 			for _, k := range ls.Keys {
 				n.chargeLocal(t, k)
@@ -590,5 +592,6 @@ func (n *Node) releaseLocks(t *hostrt.Thread, tx *btxn) {
 			Header:     wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
 			LockedKeys: ls.Keys,
 		})
+		ls.Keys = nil
 	}
 }

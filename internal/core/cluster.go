@@ -151,16 +151,13 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		}
 
 		n.nic.OnMessage(n.nicHandler)
-		nic, host := n.nic, n.host
+		host := n.host
 		n.nic.OnHostDeliver(func(ms []wire.Msg) { host.Deliver(id, ms) })
 		n.nic.OnHostPacketDone(host.Recycle)
 		n.host.OnMessage(n.hostHandler)
 		n.host.OnIdle(n.hostIdle)
 		n.host.SetRouter(n.hostRouter)
-		p := cfg.Params
-		n.host.OnTransmit(func(t *hostrt.Thread, ms []wire.Msg) {
-			t.At(p.HostToNIC, func() { nic.FromHost(ms) })
-		})
+		n.host.OnTransmit(n.toNIC)
 		cl.nodes = append(cl.nodes, n)
 	}
 

@@ -106,11 +106,12 @@ func (n *Node) grabCtxn(id uint64) *ctxn {
 
 // dropCtxn is the single point a ctxn leaves the coordinator table: it
 // closes t's last phase and its trace span with final status st, deletes t
-// from the table, and recycles the record. A transaction that ends normally
-// has no continuation outstanding: every fan-out counts its units in t.Pending
-// and moves on only at zero. One killed mid-flight (t.dead: view change or
-// watchdog) may still have local DMA or lookup continuations holding t, so
-// its record is left to the garbage collector instead.
+// from the table, and recycles the record with its host-local request. A
+// transaction that ends normally has no continuation outstanding: every
+// fan-out counts its units in t.Pending and moves on only at zero. One killed
+// mid-flight (t.dead: view change or watchdog) may still have local DMA or
+// lookup continuations holding t, so its record and request are left to the
+// garbage collector instead.
 func (n *Node) dropCtxn(t *ctxn, st wire.Status) {
 	if n.ctxns[t.id] != t {
 		panic(fmt.Sprintf("core: node %d: txn %#x dropped twice", n.id, t.id))
@@ -125,6 +126,10 @@ func (n *Node) dropCtxn(t *ctxn, st wire.Status) {
 	}
 	delete(n.ctxns, t.id)
 	if !t.dead {
+		if t.local != nil {
+			n.putLocalReq(t.local)
+			t.local = nil
+		}
 		n.ctxnFree.put(t)
 	}
 }
@@ -706,10 +711,12 @@ func (n *Node) coordCommitPart(c *nicrt.Core, t *ctxn) {
 	}
 }
 
-// abortTxn releases all locks and reports the abort to the host.
+// abortTxn releases all locks and reports the abort to the host. A remote
+// shard's lock-key list goes out with its ABORT, so its slot lets go of it.
 func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 	n.snapClose(t) // snapshot reads hold no locks, only the GC refcount
-	for _, ls := range t.Locked {
+	for i := range t.Locked {
+		ls := &t.Locked[i]
 		dst := n.primaryNode(ls.Shard)
 		if dst == n.id {
 			n.chargeIndexOps(c, len(ls.Keys))
@@ -723,6 +730,7 @@ func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
 			LockedKeys: ls.Keys,
 		})
+		ls.Keys = nil
 	}
 	if t.phase == phLog {
 		// The abort interrupted log replication (only a view change can do
@@ -803,14 +811,18 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 	})
 }
 
-// finishTxn reports a transaction outcome to the host application.
+// finishTxn reports a transaction outcome to the host application in a
+// pooled TxnDone (hostHandler releases it). The read set a NIC-executed
+// commit returns fills the record's own array.
 func (n *Node) finishTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
-	done := &wire.TxnDone{
-		Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-		Status: st,
+	done := n.doneMsgs.get()
+	*done = wire.TxnDone{
+		Header:  wire.Header{TxnID: t.id, Src: uint8(n.id)},
+		Status:  st,
+		ReadSet: done.ReadSet[:0],
 	}
 	if t.nicExec && st == wire.StatusOK {
-		done.ReadSet = t.ReadsInOrder()
+		done.ReadSet = t.AppendReadsInOrder(done.ReadSet)
 	}
 	c.SendHost(done)
 }

@@ -28,6 +28,10 @@ func (n *Node) hostHandler(t *hostrt.Thread, src int, m wire.Msg) {
 		n.hostExec(t, m)
 	case *wire.TxnDone:
 		n.hostDone(t, m)
+		// The outcome's single release point: the host reads only its
+		// status, and a packet to a dead host is left to the collector.
+		clear(m.ReadSet)
+		n.doneMsgs.put(m)
 	default:
 		panic(fmt.Sprintf("core: host %d: unexpected message %T", n.id, m))
 	}
@@ -67,6 +71,34 @@ func (n *Node) allLocal(d *txnmodel.TxnDesc) bool {
 		}
 	}
 	return true
+}
+
+// hostPacket is one host->NIC PCIe packet in flight, pooled per node: the
+// mirror of the NIC's host-bound packets. fire, bound once, hands the batch
+// to the NIC; FromHost keeps only the batch (whose array comes back through
+// Host.Recycle), so the record returns to the freelist as soon as it returns.
+type hostPacket struct {
+	n    *Node
+	ms   []wire.Msg
+	fire func() // deliver, bound when the record is first created
+}
+
+// toNIC is the host's transmit function: it posts one outbox batch to the
+// node's SmartNIC after the PCIe crossing.
+func (n *Node) toNIC(t *hostrt.Thread, ms []wire.Msg) {
+	pkt := n.hostPkts.get()
+	if pkt.fire == nil {
+		pkt.fire = pkt.deliver
+	}
+	pkt.n, pkt.ms = n, ms
+	t.At(n.cl.cfg.Params.HostToNIC, pkt.fire)
+}
+
+func (pkt *hostPacket) deliver() {
+	n := pkt.n
+	n.nic.FromHost(pkt.ms)
+	*pkt = hostPacket{fire: pkt.fire}
+	n.hostPkts.put(pkt)
 }
 
 // submit launches (or relaunches) a transaction.
@@ -135,8 +167,24 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		n.snapLocal(t, tx)
 		return
 	}
-	reads := make([]wire.KV, 0, len(d.ReadKeys)+len(d.UpdateKeys)+len(d.BlindWrites))
-	readVers := make([]wire.KeyVer, 0, len(d.ReadKeys))
+	// The request is a pooled record (released by dropCtxn, or below on every
+	// exit that never sends it) and reads is the node's scratch; both are
+	// done with before complete or Retry, which may launch the thread's next
+	// transaction and so re-enter here.
+	req := n.localReqs.get()
+	*req = wire.TxnRequest{
+		Header:        wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
+		Flags:         wire.FlagLocal,
+		WriteSet:      req.WriteSet[:0],
+		LocalReadVers: req.LocalReadVers[:0],
+	}
+	reads, readVers := n.localReads[:0], req.LocalReadVers
+	release := func() {
+		clear(reads)
+		n.localReads = reads[:0]
+		req.LocalReadVers = readVers
+		n.putLocalReq(req)
+	}
 	for _, k := range d.ReadKeys {
 		v, ver, _ := n.readLocal(t, k)
 		reads = append(reads, wire.KV{Key: k, Version: ver, Value: v})
@@ -165,6 +213,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			res := fn.Run(d.State, reads)
 			if res.Abort {
 				n.recordHostLocal(tx, wire.StatusAbortMissing, nil, t.Now())
+				release()
 				n.complete(t, tx, wire.StatusAbortMissing)
 				return
 			}
@@ -177,6 +226,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 					// The execution chased a pointer off this node: the
 					// transaction is not local after all. Restart it on
 					// the distributed path (nothing is locked yet).
+					release()
 					n.submitRemote(t, tx)
 					return
 				}
@@ -204,17 +254,20 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			// read-only transactions committing non-serializable reads.
 			if p.index.IsLocked(rv.Key, tx.ID) {
 				n.recordHostLocal(tx, wire.StatusAbortLocked, readVers, t.Now())
+				release()
 				n.app.Retry(t, tx, wire.StatusAbortLocked)
 				return
 			}
 			_, ver, _ := p.data.Read(rv.Key)
 			if ver != rv.Version {
 				n.recordHostLocal(tx, wire.StatusAbortVersion, readVers, t.Now())
+				release()
 				n.app.Retry(t, tx, wire.StatusAbortVersion)
 				return
 			}
 		}
 		n.recordHostLocal(tx, wire.StatusOK, readVers, t.Now())
+		release()
 		n.complete(t, tx, wire.StatusOK)
 		return
 	}
@@ -222,7 +275,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	// Assemble the full write set — the execution's writes, then the blind
 	// writes — with observed versions; the NIC locks, validates, and
 	// replicates.
-	out := make([]wire.KV, 0, len(writes)+len(d.BlindWrites))
+	out := req.WriteSet
 	for _, part := range [2][]wire.KV{writes, d.BlindWrites} {
 		for _, kv := range part {
 			prior, ok := txnmodel.LastKV(writeReads, kv.Key)
@@ -234,12 +287,18 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			out = append(out, wire.KV{Key: kv.Key, Version: ver, Value: kv.Value})
 		}
 	}
-	t.Send(&wire.TxnRequest{
-		Header:        wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
-		Flags:         wire.FlagLocal,
-		WriteSet:      out,
-		LocalReadVers: readVers,
-	})
+	req.WriteSet, req.LocalReadVers = out, readVers
+	clear(reads)
+	n.localReads = reads[:0]
+	t.Send(req)
+}
+
+// putLocalReq returns a host-local request to the node's freelist. Its write
+// set's values are cleared so a pooled request pins no row; the record is
+// reset again when taken.
+func (n *Node) putLocalReq(req *wire.TxnRequest) {
+	clear(req.WriteSet)
+	n.localReqs.put(req)
 }
 
 // snapLocal runs a read-only transaction on the MVCC snapshot path without

@@ -72,6 +72,15 @@ type Node struct {
 	remoteLocks map[uint64][]uint64 // shipped txns' lock sets held here as remote primary
 	app         *chassis.Node       // application threads: load, retries, outcome counters
 
+	// Host-side freelists: the host->NIC packet (its type names the release
+	// point), the host-local request (released by dropCtxn, or by
+	// submitLocal when it never sends one) and the outcome message (released
+	// by hostHandler); localReads is submitLocal's read scratch.
+	hostPkts   freelist[hostPacket]
+	localReqs  freelist[wire.TxnRequest]
+	doneMsgs   freelist[wire.TxnDone]
+	localReads []wire.KV
+
 	recov map[txnShard]*recovering // in-flight recovery decisions
 	// pendingDecide holds promoted-shard records whose (alive) coordinator
 	// has yet to announce the outcome; their write keys stay locked.

@@ -191,7 +191,8 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// Release any lock-all state at the remote primary.
 			c.Send(t.shipTo, &wire.Abort{Header: wire.Header{TxnID: t.id, Src: uint8(n.id)}})
 		}
-		for _, ls := range t.Locked {
+		for i := range t.Locked {
+			ls := &t.Locked[i]
 			dst := n.primaryNode(ls.Shard)
 			if dst == n.id {
 				if p := n.prim(ls.Shard); p != nil {
@@ -206,6 +207,7 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 					Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
 					LockedKeys: ls.Keys,
 				})
+				ls.Keys = nil // handed to the ABORT
 			}
 		}
 		dropWrites := t.Writes

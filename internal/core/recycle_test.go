@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"xenic/internal/chassis"
 	"xenic/internal/check"
 	"xenic/internal/nicrt"
 	"xenic/internal/raceflag"
@@ -210,5 +211,163 @@ func TestLookupMissAllocFree(t *testing.T) {
 	}
 	if free := len(n.lookupOps.free); free == 0 || free > len(keys) {
 		t.Fatalf("lookupOp freelist holds %d records, want 1..%d", free, len(keys))
+	}
+}
+
+// TestAbortKeysSurviveRecycle is the lock-list handoff test. A coordinator
+// record keeps its per-shard lock-key lists across recycling, except a list
+// handed to an ABORT: that one belongs to the message until it lands. The
+// scenario: a transaction holding two locks on a remote shard aborts, its
+// ABORT is held in flight by a stall of the remote NIC, and the recycled
+// record is reused at once by a transaction locking two other keys on the
+// same shard. The ABORT must arrive carrying the keys it was sent with.
+func TestAbortKeysSurviveRecycle(t *testing.T) {
+	cl, err := New(testConfig(4, AllFeatures()), &kvGen{keys: 400, keysPer: 3}, Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, remote := cl.nodes[0], cl.nodes[1]
+	eng := cl.Engine()
+	stepUntil := func(what string, cond func() bool) {
+		t.Helper()
+		for i := 0; i < 100_000 && !cond(); i++ {
+			if !eng.Step() {
+				t.Fatalf("engine ran dry waiting for %s", what)
+			}
+		}
+		if !cond() {
+			t.Fatalf("never reached: %s", what)
+		}
+	}
+	// Keys of shard 1; ids of application thread 0, which has no such
+	// transaction in flight, so the outcomes reach the host and are dropped.
+	first, second := []uint64{1, 5}, []uint64{9, 13}
+	idA, idB := chassis.TxnID(0, 0, 1<<20), chassis.TxnID(0, 0, 1<<20+1)
+	idx := remote.prim(1).index
+	var arrived [][]uint64
+	remote.nic.OnMessage(func(c *nicrt.Core, src int, m wire.Msg) {
+		if a, ok := m.(*wire.Abort); ok {
+			arrived = append(arrived, slices.Clone(a.LockedKeys))
+		}
+		remote.nicHandler(c, src, m)
+	})
+	for i := 0; i < remote.nic.Cores(); i++ {
+		remote.nic.StallCore(i, 50*sim.Microsecond)
+	}
+	begin := func(id uint64, keys []uint64) *ctxn {
+		tx := n.grabCtxn(id)
+		n.ctxns[id] = tx
+		n.openTxn(tx)
+		for _, k := range keys {
+			if !idx.TryLock(k, id) {
+				t.Fatalf("key %d already locked", k)
+			}
+		}
+		tx.AddLocks(1, keys...)
+		return tx
+	}
+
+	var rec *ctxn
+	n.nic.Inject(0, func(c *nicrt.Core) {
+		rec = begin(idA, first)
+		rec.Failed = wire.StatusAbortLocked
+		n.abortTxn(c, rec)
+	})
+	stepUntil("A aborted", func() bool { return rec != nil })
+	if !slices.Contains(n.ctxnFree.free, rec) {
+		t.Fatal("A's record was not recycled")
+	}
+	var reused bool
+	n.nic.Inject(0, func(c *nicrt.Core) {
+		if tx := begin(idB, second); tx != rec {
+			t.Fatalf("B did not reuse A's record (%p vs %p)", tx, rec)
+		}
+		reused = true
+	})
+	stepUntil("B holds A's record", func() bool { return reused })
+	if len(arrived) != 0 {
+		t.Fatal("the ABORT landed before the record was reused; the scenario lost its race")
+	}
+	stepUntil("ABORT delivered", func() bool { return len(arrived) > 0 })
+	if !slices.Equal(arrived[0], first) {
+		t.Fatalf("ABORT carried keys %v, sent with %v", arrived[0], first)
+	}
+	for _, k := range first {
+		if idx.IsLocked(k, 0) {
+			t.Errorf("key %d still locked after A's ABORT", k)
+		}
+	}
+	for _, k := range second {
+		if !idx.IsLocked(k, idA) {
+			t.Errorf("B's lock on key %d was released", k)
+		}
+	}
+}
+
+// tmplGen is kvGen with an execution function that writes one preset row per
+// call, the way the workloads hand out template rows: it allocates nothing.
+type tmplGen struct {
+	kvGen
+	writes []wire.KV
+}
+
+func (g *tmplGen) Register(r *txnmodel.Registry) {
+	r.Register(&txnmodel.ExecFunc{
+		ID:       fnIncr,
+		HostCost: 200 * sim.Nanosecond,
+		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+			return txnmodel.ExecResult{Writes: g.writes}
+		},
+	})
+}
+
+// TestLocalAbortCycleAllocFree is the allocation budget of an aborted
+// attempt on the local fast path (§4.2.4): the host reads and executes into
+// node scratch and a pooled request, the host->NIC packet is a pooled record,
+// the NIC fails to lock a key another transaction holds and reports the
+// abort in a pooled TxnDone, and the host backs off and relaunches. Once the
+// freelists are warm, the whole cycle allocates nothing.
+func TestLocalAbortCycleAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const key = 4 // shard 0: local at node 0
+	g := &tmplGen{kvGen: kvGen{keys: 400, keysPer: 3}}
+	g.writes = []wire.KV{{Key: key, Value: make([]byte, 8)}}
+	cfg := testConfig(4, AllFeatures())
+	cfg.MaxRetries = 1 << 30
+	cl, err := New(cfg, g, Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cl.nodes[0]
+	eng := cl.Engine()
+	holder := chassis.TxnID(3, 1, 1) // a transaction of another node
+	if !n.prim(0).index.TryLock(key, holder) {
+		t.Fatal("key already locked")
+	}
+	cl.InjectTxn(0, 0, &txnmodel.TxnDesc{UpdateKeys: []uint64{key}, FnID: fnIncr, State: []byte{1, 0}}, nil)
+	st := n.app.Stats()
+	cycle := func() {
+		want := st.Aborts + 1
+		for st.Aborts < want {
+			if !eng.Step() {
+				t.Fatal("engine ran dry before the next abort")
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(50, cycle); got != 0 {
+		t.Fatalf("a warmed local abort cycle allocates %v objects, want 0", got)
+	}
+	if st.Committed != 0 || st.AbortReasons[wire.StatusAbortLocked] != st.Aborts {
+		t.Fatalf("%d committed, %d of %d aborts on the held lock: the attempts did not all abort on it",
+			st.Committed, st.AbortReasons[wire.StatusAbortLocked], st.Aborts)
+	}
+	if len(n.localReqs.free) != 1 || len(n.doneMsgs.free) != 1 {
+		t.Fatalf("freelists hold %d requests and %d outcomes, want 1 each",
+			len(n.localReqs.free), len(n.doneMsgs.free))
 	}
 }

@@ -16,9 +16,11 @@ import (
 //
 // Read sets are a few to a few dozen keys over a handful of shards, so every
 // lookup scans a slice. Reset keeps the arrays OCC owns outright (Reads,
-// ReadOrder and the outer Locked array) and drops every slice a message may
-// still hold: the per-shard lock-key lists (ABORTs carry them), the write
-// set and its grouping.
+// ReadOrder, the outer Locked array and each per-shard lock-key list) and
+// drops the write set and its grouping, which LOG and COMMIT messages hold.
+// A lock-key list is OCC's until it is handed to a message: whoever puts
+// Locked[i].Keys into one (an ABORT) sets that slot's Keys to nil, so the
+// next attempt cannot rewrite a list still in flight.
 type OCC struct {
 	// Reads holds one read per key; a later read of a key replaces it.
 	Reads []wire.KV
@@ -49,10 +51,13 @@ type LockSet struct {
 	Keys  []uint64
 }
 
-// Reset readies o for a new attempt, under the ownership rule above.
+// Reset readies o for a new attempt, under the ownership rule above: each
+// lock-key list is kept, truncated, for AddLocks to reuse.
 func (o *OCC) Reset() {
 	clear(o.Reads)
-	clear(o.Locked)
+	for i := range o.Locked {
+		o.Locked[i] = LockSet{Keys: o.Locked[i].Keys[:0]}
+	}
 	*o = OCC{Reads: o.Reads[:0], ReadOrder: o.ReadOrder[:0], Locked: o.Locked[:0]}
 }
 
@@ -91,15 +96,19 @@ func (o *OCC) SetRead(kv wire.KV) {
 // ReadsInOrder returns the execution input: a fresh slice of the reads in
 // ReadOrder, with a key never read at version 0 and no value.
 func (o *OCC) ReadsInOrder() []wire.KV {
-	out := make([]wire.KV, len(o.ReadOrder))
-	for i, k := range o.ReadOrder {
-		if kv, ok := o.Read(k); ok {
-			out[i] = kv
-		} else {
-			out[i] = wire.KV{Key: k}
+	return o.AppendReadsInOrder(make([]wire.KV, 0, len(o.ReadOrder)))
+}
+
+// AppendReadsInOrder appends ReadsInOrder's entries to buf.
+func (o *OCC) AppendReadsInOrder(buf []wire.KV) []wire.KV {
+	for _, k := range o.ReadOrder {
+		kv, ok := o.Read(k)
+		if !ok {
+			kv = wire.KV{Key: k}
 		}
+		buf = append(buf, kv)
 	}
-	return out
+	return buf
 }
 
 // ReadVers returns the read set as (key, version) pairs sorted by key, the
@@ -116,16 +125,21 @@ func (o *OCC) ReadVers() []wire.KeyVer {
 	return out
 }
 
-// AddLocks records keys as locked on shard.
+// AddLocks records keys as locked on shard. A new shard's list reuses the
+// spare slot's array, which Reset left behind.
 func (o *OCC) AddLocks(shard int, keys ...uint64) {
 	i := 0
 	for i < len(o.Locked) && o.Locked[i].Shard < shard {
 		i++
 	}
 	if i == len(o.Locked) || o.Locked[i].Shard != shard {
+		var spare []uint64
+		if n := len(o.Locked); n < cap(o.Locked) {
+			spare = o.Locked[:n+1][n].Keys[:0]
+		}
 		o.Locked = append(o.Locked, LockSet{})
 		copy(o.Locked[i+1:], o.Locked[i:])
-		o.Locked[i] = LockSet{Shard: shard}
+		o.Locked[i] = LockSet{Shard: shard, Keys: spare}
 	}
 	o.Locked[i].Keys = append(o.Locked[i].Keys, keys...)
 }

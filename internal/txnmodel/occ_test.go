@@ -308,6 +308,10 @@ func compareOCC(t *testing.T, i, op int, o *OCC, r *refOCC) {
 	if got, want := o.ReadsInOrder(), r.readsInOrder(); !reflect.DeepEqual(got, want) {
 		fail("ReadsInOrder", got, want)
 	}
+	buf := []wire.KV{{Key: 1 << 40}}
+	if got, want := o.AppendReadsInOrder(buf), append(buf, r.readsInOrder()...); !reflect.DeepEqual(got, want) {
+		fail("AppendReadsInOrder", got, want)
+	}
 	var wantVers []wire.KeyVer
 	for _, k := range slices.Sorted(maps.Keys(r.reads)) {
 		wantVers = append(wantVers, wire.KeyVer{Key: k, Version: r.reads[k].Version})
@@ -420,5 +424,51 @@ func TestGroupByShard(t *testing.T) {
 	}
 	if got := WriteShards(place, writes, buf[:0]); !slices.Equal(got, []int{0, 2, 3}) {
 		t.Errorf("WriteShards = %v, want [0 2 3]", got)
+	}
+}
+
+// TestLockListsSurviveReset pins the lock-list ownership rule: Reset keeps
+// each per-shard lock-key list, so a new attempt that locks keys over the
+// same shards allocates nothing, and a list handed to a message (its slot
+// set to nil, as every ABORT send does) is never shared with the next
+// attempt.
+func TestLockListsSurviveReset(t *testing.T) {
+	var o OCC
+	attempt := func() {
+		o.Reset()
+		o.AddLocks(2, 20, 22)
+		o.AddLocks(0, 4) // inserted ahead of shard 2
+		o.AddLocks(1, 9, 13, 17)
+		o.AddLocks(2, 26)
+	}
+	for i := 0; i < 4; i++ {
+		attempt()
+	}
+	want := []LockSet{{0, []uint64{4}}, {1, []uint64{9, 13, 17}}, {2, []uint64{20, 22, 26}}}
+	if !reflect.DeepEqual(o.Locked, want) {
+		t.Fatalf("Locked = %v, want %v", o.Locked, want)
+	}
+	if !raceflag.Enabled {
+		if n := testing.AllocsPerRun(100, attempt); n != 0 {
+			t.Errorf("an attempt locking over the same shards allocates %v objects, want 0", n)
+		}
+	}
+
+	// Shard 1's list goes out with a message: the next attempt must build
+	// its own, whatever shard order it locks in.
+	attempt()
+	sent := o.Locked[1].Keys
+	o.Locked[1].Keys = nil
+	o.Reset()
+	o.AddLocks(1, 101, 105, 109)
+	o.AddLocks(0, 100)
+	o.AddLocks(2, 102, 106, 110)
+	if !slices.Equal(sent, []uint64{9, 13, 17}) {
+		t.Fatalf("the next attempt rewrote a handed-off list: %v", sent)
+	}
+	for _, ls := range o.Locked {
+		if cap(ls.Keys) > 0 && &ls.Keys[:1][0] == &sent[0] {
+			t.Fatalf("shard %d's list shares the handed-off list's array", ls.Shard)
+		}
 	}
 }

@@ -165,17 +165,27 @@ func filler(n int, tag byte) []byte {
 	return v
 }
 
+// The fill of every row kind stockVal and moneyVal build, made once: each
+// call copies its template instead of computing the pattern byte by byte.
+var (
+	stockFill     = filler(stockSize, 's')
+	customerFill  = filler(customerSize, 'c')
+	warehouseFill = filler(warehouseSize, 'w')
+)
+
 // stockVal encodes quantity/ytd at the head of a 306B stock row.
 func stockVal(quantity, ytd uint32) []byte {
-	v := filler(stockSize, 's')
+	v := make([]byte, stockSize)
+	copy(v, stockFill)
 	binary.LittleEndian.PutUint32(v, quantity)
 	binary.LittleEndian.PutUint32(v[4:], ytd)
 	return v
 }
 
-// moneyVal encodes a balance at the head of an n-byte row.
-func moneyVal(n int, tag byte, balance uint64) []byte {
-	v := filler(n, tag)
+// moneyVal encodes a balance at the head of a row with the given fill.
+func moneyVal(fill []byte, balance uint64) []byte {
+	v := make([]byte, len(fill))
+	copy(v, fill)
 	binary.LittleEndian.PutUint64(v, balance)
 	return v
 }
@@ -187,9 +197,9 @@ func moneyVal(n int, tag byte, balance uint64) []byte {
 // them concurrently. Rows that differ per call (stockVal, moneyVal at
 // execution) stay fresh.
 var (
-	warehouseRow = moneyVal(warehouseSize, 'w', 0)
+	warehouseRow = moneyVal(warehouseFill, 0)
 	districtRow  = filler(districtSize, 'd')
-	customerRow  = moneyVal(customerSize, 'c', 1000)
+	customerRow  = moneyVal(customerFill, 1000)
 	stockRow     = stockVal(50, 0)
 	historyRow   = filler(historySize, 'h')
 	newOrderRow  = filler(newOrderSize, 'n')
@@ -241,8 +251,8 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 				wytd = binary.LittleEndian.Uint64(wh.Value)
 			}
 			return txnmodel.ExecResult{Writes: []wire.KV{
-				{Key: cust.Key, Value: moneyVal(customerSize, 'c', cbal-amount)},
-				{Key: wh.Key, Value: moneyVal(warehouseSize, 'w', wytd+amount)},
+				{Key: cust.Key, Value: moneyVal(customerFill, cbal-amount)},
+				{Key: wh.Key, Value: moneyVal(warehouseFill, wytd+amount)},
 			}}
 		},
 	})
@@ -261,7 +271,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 					bal = binary.LittleEndian.Uint64(kv.Value)
 				}
 				res.Writes = append(res.Writes, wire.KV{
-					Key: kv.Key, Value: moneyVal(customerSize, 'c', bal+amount),
+					Key: kv.Key, Value: moneyVal(customerFill, bal+amount),
 				})
 			}
 			return res
