@@ -19,7 +19,7 @@ import (
 // run.
 // The CI bench-contract job holds one-second runs of the benchmark's
 // smallbank_xenic, smallbank_drtmh and tpcc_xenic workloads to budgets set
-// the same way (31, 92 and 62).
+// the same way (31, 92 and 35).
 //
 // The rows use the benchmark's shapes (six nodes, three replicas; Xenic
 // Smallbank with 2 application / 3 worker threads, 16 NIC cores and window
@@ -48,13 +48,14 @@ func TestSmallbankAllocBudget(t *testing.T) {
 		// population contends more, and DrTM+H pays for every aborted
 		// attempt in allocations.
 		{"drtmh", smallbankBudgetBaseline, 9_000, 110},
-		// 55.39 measured here (1 652 commits), 56.24 in a one-second
-		// tpcc_xenic run; 88.37 and 89.57 while every aborted attempt
-		// rebuilt its host-local request, outcome message and lock-key
-		// lists, 161.73 and 164.93 while every row value was built per call
-		// and copied into each replica, 247.94 here before the NIC index
-		// went pointer-free.
-		{"tpcc", tpccBudgetCluster, 1_500, 61},
+		// 31.21 measured here (1 652 commits), 31.41 in a one-second
+		// tpcc_xenic run; 55.39 and 56.24 while every attempt built fresh
+		// stock and balance rows, 88.37 and 89.57 while every aborted
+		// attempt rebuilt its host-local request, outcome message and
+		// lock-key lists, 161.73 and 164.93 while every row value was built
+		// per call and copied into each replica, 247.94 here before the NIC
+		// index went pointer-free.
+		{"tpcc", tpccBudgetCluster, 1_500, 34},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cl := row.build(t)

@@ -43,8 +43,9 @@ func (b *bank) Placement(nodes, replication int) xenic.Placement {
 
 func bal(v []byte) int64 { return int64(binary.LittleEndian.Uint64(v)) }
 
-func money(x int64) []byte {
-	v := make([]byte, 8)
+// money encodes a balance in a row taken from rows (nil: a fresh one).
+func money(rows *xenic.Rows, x int64) []byte {
+	v := rows.Row(8)
 	binary.LittleEndian.PutUint64(v, uint64(x))
 	return v
 }
@@ -53,15 +54,15 @@ func (b *bank) Register(r *xenic.Registry) {
 	r.Register(&xenic.ExecFunc{
 		ID:       fnTransfer,
 		HostCost: 250 * xenic.Nanosecond,
-		Run: func(state []byte, reads []xenic.KV) xenic.ExecResult {
+		Run: func(state []byte, reads []xenic.KV, rows *xenic.Rows) xenic.ExecResult {
 			amount := int64(binary.LittleEndian.Uint64(state))
 			from, to := reads[0], reads[1]
 			if bal(from.Value) < amount {
 				return xenic.ExecResult{Abort: true} // insufficient funds
 			}
 			return xenic.ExecResult{Writes: []xenic.KV{
-				{Key: from.Key, Value: money(bal(from.Value) - amount)},
-				{Key: to.Key, Value: money(bal(to.Value) + amount)},
+				{Key: from.Key, Value: money(rows, bal(from.Value)-amount)},
+				{Key: to.Key, Value: money(rows, bal(to.Value)+amount)},
 			}}
 		},
 	})
@@ -69,7 +70,7 @@ func (b *bank) Register(r *xenic.Registry) {
 
 func (b *bank) Populate(shard, nodes int, emit func(uint64, []byte)) {
 	for a := shard; a < accounts; a += nodes {
-		emit(uint64(a), money(initialBal))
+		emit(uint64(a), money(nil, initialBal))
 	}
 }
 

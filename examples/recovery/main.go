@@ -37,12 +37,12 @@ func (c *counters) Placement(nodes, replication int) xenic.Placement {
 func (c *counters) Register(r *xenic.Registry) {
 	r.Register(&xenic.ExecFunc{
 		ID: fnIncr, HostCost: 200 * xenic.Nanosecond,
-		Run: func(state []byte, reads []xenic.KV) xenic.ExecResult {
+		Run: func(state []byte, reads []xenic.KV, rows *xenic.Rows) xenic.ExecResult {
 			old := uint64(0)
 			if len(reads[0].Value) >= 8 {
 				old = binary.LittleEndian.Uint64(reads[0].Value)
 			}
-			nv := make([]byte, 8)
+			nv := rows.Row(8)
 			binary.LittleEndian.PutUint64(nv, old+1)
 			return xenic.ExecResult{Writes: []xenic.KV{{Key: reads[0].Key, Value: nv}}}
 		},

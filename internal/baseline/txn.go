@@ -302,7 +302,7 @@ func (n *Node) afterExec(t *hostrt.Thread, tx *btxn) {
 		panic(fmt.Sprintf("baseline: unknown fn %d", d.FnID))
 	}
 	t.Charge(fn.HostCost)
-	res := fn.Run(d.State, tx.ReadsInOrder())
+	res := fn.Run(d.State, tx.ReadsInOrder(), nil)
 	if res.Abort {
 		tx.Failed = wire.StatusAbortMissing
 		n.abortTxn(t, tx)

@@ -107,11 +107,14 @@ func (n *Node) grabCtxn(id uint64) *ctxn {
 // dropCtxn is the single point a ctxn leaves the coordinator table: it
 // closes t's last phase and its trace span with final status st, deletes t
 // from the table, and recycles the record with its host-local request. A
+// local attempt that never built t.Writes aborted in coordLocalCommit's lock
+// or check step, so no log record, replica or message holds its request's
+// rows: the ones its host execution built go back to the node's Rows. A
 // transaction that ends normally has no continuation outstanding: every
 // fan-out counts its units in t.Pending and moves on only at zero. One killed
 // mid-flight (t.dead: view change or watchdog) may still have local DMA or
-// lookup continuations holding t, so its record and request are left to the
-// garbage collector instead.
+// lookup continuations holding t, so its record, request and rows are left
+// to the garbage collector instead.
 func (n *Node) dropCtxn(t *ctxn, st wire.Status) {
 	if n.ctxns[t.id] != t {
 		panic(fmt.Sprintf("core: node %d: txn %#x dropped twice", n.id, t.id))
@@ -127,6 +130,9 @@ func (n *Node) dropCtxn(t *ctxn, st wire.Status) {
 	delete(n.ctxns, t.id)
 	if !t.dead {
 		if t.local != nil {
+			if t.Writes == nil || mutRecycleLoggedRows {
+				n.releaseRows(t.local.WriteSet[:t.local.ExecWrites])
+			}
 			n.putLocalReq(t.local)
 			t.local = nil
 		}
@@ -431,7 +437,7 @@ func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
 		}
 		reads := t.ReadsInOrder()
 		c.Charge(n.cl.cfg.Params.HostScaled(fn.HostCost))
-		res := fn.Run(t.desc.State, reads)
+		res := fn.Run(t.desc.State, reads, nil)
 		if res.Abort {
 			t.Failed = wire.StatusAbortMissing
 			n.abortTxn(c, t)

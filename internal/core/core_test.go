@@ -44,7 +44,7 @@ func (g *kvGen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
 		ID:       fnIncr,
 		HostCost: 200 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			var res txnmodel.ExecResult
 			nUpd := int(binary.LittleEndian.Uint16(state))
 			// The last nUpd entries are update keys; increment each.
@@ -53,7 +53,7 @@ func (g *kvGen) Register(r *txnmodel.Registry) {
 				if len(kv.Value) >= 8 {
 					old = binary.LittleEndian.Uint64(kv.Value)
 				}
-				nv := make([]byte, 8)
+				nv := rows.Row(8)
 				binary.LittleEndian.PutUint64(nv, old+1)
 				res.Writes = append(res.Writes, wire.KV{Key: kv.Key, Value: nv})
 			}

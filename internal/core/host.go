@@ -168,9 +168,11 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		return
 	}
 	// The request is a pooled record (released by dropCtxn, or below on every
-	// exit that never sends it) and reads is the node's scratch; both are
-	// done with before complete or Retry, which may launch the thread's next
-	// transaction and so re-enter here.
+	// exit that never sends it), reads is the node's scratch and the
+	// execution builds its writes in the node's rows, whose Writes slice is
+	// scratch too. All of it is done with before complete or Retry, which may
+	// launch the thread's next transaction and so re-enter here: the writes
+	// are copied into the request or their rows given back.
 	req := n.localReqs.get()
 	*req = wire.TxnRequest{
 		Header:        wire.Header{TxnID: tx.ID, Src: uint8(n.id)},
@@ -210,8 +212,9 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		}
 		for round := 0; ; round++ {
 			t.Charge(fn.HostCost)
-			res := fn.Run(d.State, reads)
+			res := fn.Run(d.State, reads, &n.rows)
 			if res.Abort {
+				n.releaseRows(res.Writes)
 				n.recordHostLocal(tx, wire.StatusAbortMissing, nil, t.Now())
 				release()
 				n.complete(t, tx, wire.StatusAbortMissing)
@@ -221,6 +224,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 				writes = res.Writes
 				break
 			}
+			n.releaseRows(res.Writes) // only the final round's writes count
 			for _, k := range res.MoreReads {
 				if n.primaryNode(n.place().ShardOf(k)) != n.id {
 					// The execution chased a pointer off this node: the
@@ -288,9 +292,18 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		}
 	}
 	req.WriteSet, req.LocalReadVers = out, readVers
+	req.ExecWrites = uint16(len(writes))
 	clear(reads)
 	n.localReads = reads[:0]
 	t.Send(req)
+}
+
+// releaseRows gives the rows of an execution's writes back to the node's
+// Rows, for an attempt whose writes no log record, replica or message holds.
+func (n *Node) releaseRows(writes []wire.KV) {
+	for _, kv := range writes {
+		n.rows.Release(kv.Value)
+	}
 }
 
 // putLocalReq returns a host-local request to the node's freelist. Its write
@@ -371,7 +384,7 @@ func (n *Node) hostExec(t *hostrt.Thread, m *wire.ReadReturn) {
 		return
 	}
 	t.Charge(fn.HostCost)
-	res := fn.Run(d.State, m.Items)
+	res := fn.Run(d.State, m.Items, nil)
 	ws := &wire.WriteSet{
 		Header:    wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
 		MoreReads: res.MoreReads,

@@ -6,8 +6,8 @@ import (
 )
 
 // Deliberately broken protocol variants for mutation-testing the
-// serializability checker (internal/check): each flips one protocol rule
-// whose violation the checker must catch with a witness cycle. These are
+// serializability checker (internal/check) and the ownership tests: each
+// flips one protocol rule whose violation a checker must catch. These are
 // package-level knobs toggled only from same-package tests; every
 // production path sees them false.
 var (
@@ -40,6 +40,11 @@ var (
 	// Kill): a recovery vote that needs an applied record's evidence finds it
 	// gone and aborts a transaction part of the cluster already applied.
 	mutReclaimUnderFaults bool
+	// mutRecycleLoggedRows gives a local attempt's rows back to the node's
+	// Rows even after they reached the log: a committed row that every
+	// replica adopted sits on the free list, and the next execution that
+	// takes it rewrites three stores' value in place.
+	mutRecycleLoggedRows bool
 )
 
 // mutReleaseLocks force-releases every lock t holds (the unlock-before-log

@@ -46,19 +46,19 @@ func (g *condGen) Placement(nodes, replication int) txnmodel.Placement {
 func (g *condGen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnGuard, HostCost: 100 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			v := binary.LittleEndian.Uint64(reads[0].Value)
 			if v%2 == 1 {
 				return txnmodel.ExecResult{Abort: true}
 			}
-			nv := make([]byte, 8)
+			nv := rows.Row(8)
 			binary.LittleEndian.PutUint64(nv, v+2)
 			return txnmodel.ExecResult{Writes: []wire.KV{{Key: reads[0].Key, Value: nv}}}
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnChain, HostCost: 100 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			if len(reads) == 1 {
 				// Round 1: follow the "pointer" stored in the value.
 				next := binary.LittleEndian.Uint64(reads[0].Value) % 97
@@ -69,21 +69,23 @@ func (g *condGen) Register(r *txnmodel.Registry) {
 			}
 			// Round 2: write a tombstone-ish marker to the first key.
 			v := binary.LittleEndian.Uint64(reads[0].Value)
-			nv := make([]byte, 8)
+			nv := rows.Row(8)
 			binary.LittleEndian.PutUint64(nv, v+2)
 			return txnmodel.ExecResult{Writes: []wire.KV{{Key: reads[0].Key, Value: nv}}}
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnRewrite, HostCost: 100 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			if len(reads) == 1 {
+				marker := rows.Row(len(rewriteMarker))
+				copy(marker, rewriteMarker)
 				return txnmodel.ExecResult{
-					Writes:    []wire.KV{{Key: reads[0].Key, Value: rewriteMarker}},
+					Writes:    []wire.KV{{Key: reads[0].Key, Value: marker}},
 					MoreReads: []uint64{binary.LittleEndian.Uint64(state)},
 				}
 			}
-			nv := make([]byte, 8)
+			nv := rows.Row(8)
 			binary.LittleEndian.PutUint64(nv, binary.LittleEndian.Uint64(reads[1].Value)+1)
 			return txnmodel.ExecResult{Writes: []wire.KV{{Key: reads[1].Key, Value: nv}}}
 		},

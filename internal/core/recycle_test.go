@@ -304,36 +304,38 @@ func TestAbortKeysSurviveRecycle(t *testing.T) {
 	}
 }
 
-// tmplGen is kvGen with an execution function that writes one preset row per
-// call, the way the workloads hand out template rows: it allocates nothing.
-type tmplGen struct {
-	kvGen
-	writes []wire.KV
-}
+// rowGen is kvGen with an execution function that builds its one write in a
+// row its Rows lends, the way TPC-C builds a stock row, and takes its write
+// set from the Rows' scratch.
+type rowGen struct{ kvGen }
 
-func (g *tmplGen) Register(r *txnmodel.Registry) {
+func (g *rowGen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
 		ID:       fnIncr,
 		HostCost: 200 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
-			return txnmodel.ExecResult{Writes: g.writes}
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
+			v := rows.Row(8)
+			binary.LittleEndian.PutUint64(v, reads[0].Version+1)
+			w := rows.Writes(1)
+			w[0] = wire.KV{Key: reads[0].Key, Value: v}
+			return txnmodel.ExecResult{Writes: w}
 		},
 	})
 }
 
 // TestLocalAbortCycleAllocFree is the allocation budget of an aborted
-// attempt on the local fast path (§4.2.4): the host reads and executes into
-// node scratch and a pooled request, the host->NIC packet is a pooled record,
-// the NIC fails to lock a key another transaction holds and reports the
-// abort in a pooled TxnDone, and the host backs off and relaunches. Once the
-// freelists are warm, the whole cycle allocates nothing.
+// attempt on the local fast path (§4.2.4): the host reads into node scratch
+// and executes into a row of the node's Rows and a pooled request, the
+// host->NIC packet is a pooled record, the NIC fails to lock a key another
+// transaction holds, gives the row back and reports the abort in a pooled
+// TxnDone, and the host backs off and relaunches. Once the freelists are
+// warm, the whole cycle allocates nothing.
 func TestLocalAbortCycleAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	const key = 4 // shard 0: local at node 0
-	g := &tmplGen{kvGen: kvGen{keys: 400, keysPer: 3}}
-	g.writes = []wire.KV{{Key: key, Value: make([]byte, 8)}}
+	g := &rowGen{kvGen: kvGen{keys: 400, keysPer: 3}}
 	cfg := testConfig(4, AllFeatures())
 	cfg.MaxRetries = 1 << 30
 	cl, err := New(cfg, g, Observers{})
@@ -366,8 +368,10 @@ func TestLocalAbortCycleAllocFree(t *testing.T) {
 		t.Fatalf("%d committed, %d of %d aborts on the held lock: the attempts did not all abort on it",
 			st.Committed, st.AbortReasons[wire.StatusAbortLocked], st.Aborts)
 	}
-	if len(n.localReqs.free) != 1 || len(n.doneMsgs.free) != 1 {
-		t.Fatalf("freelists hold %d requests and %d outcomes, want 1 each",
-			len(n.localReqs.free), len(n.doneMsgs.free))
+	free := 0
+	n.rows.EachFree(func([]byte) { free++ })
+	if len(n.localReqs.free) != 1 || len(n.doneMsgs.free) != 1 || free != 1 {
+		t.Fatalf("freelists hold %d requests, %d outcomes and %d rows, want 1 each",
+			len(n.localReqs.free), len(n.doneMsgs.free), free)
 	}
 }

@@ -662,7 +662,7 @@ func (n *Node) shipRun(c *nicrt.Core, m *wire.ShipExec, locked []uint64, reads [
 	coord := int(m.Coord)
 	fn, _ := n.cl.Registry().Get(m.FnID)
 	c.Charge(n.cl.cfg.Params.HostScaled(fn.HostCost))
-	res := fn.Run(m.ExecState, reads)
+	res := fn.Run(m.ExecState, reads, nil)
 	if res.Abort {
 		n.shipFail(c, m, wire.StatusAbortMissing, locked)
 		return

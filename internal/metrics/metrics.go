@@ -14,8 +14,11 @@ import (
 // ~17s (2^34 ns) with 8 sub-buckets per octave.
 const numBuckets = 34 * 8
 
-// Histogram records latency samples with logarithmic buckets, giving <=0.8%
-// relative quantile error while using constant memory.
+// Histogram records latency samples in logarithmic buckets, 8 per octave,
+// using constant memory. Each bucket is 2^(1/8) wide and Quantile answers
+// with its geometric midpoint, so a quantile can be off by up to
+// 2^(1/16) - 1 ≈ 4.4 % of the true order statistic; finer buckets with
+// in-bucket interpolation are ROADMAP.md item 14.
 type Histogram struct {
 	buckets [numBuckets]int64
 	count   int64

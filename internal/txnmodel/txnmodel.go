@@ -103,14 +103,21 @@ type ExecResult struct {
 
 // ExecFunc is a registered execution function. Run must be deterministic
 // given (state, reads): it may run on a host thread, the coordinator NIC,
-// or a remote primary NIC. It must not write into its reads' values, and its
-// writes' values must be its own (ExecResult.Writes).
+// or a remote primary NIC. It must not write into its reads' values.
+//
+// Run builds every write value in a distinct row rows.Row hands it, and may
+// take ExecResult.Writes from rows.Writes. A row may be one an earlier,
+// aborted attempt released, holding that attempt's bytes, so Run writes
+// every byte of each row it takes: its output depends on (state, reads)
+// alone. rows is nil where the write set is kept or sent (every row is then
+// fresh); the host-local path (§4.2.4) passes its node's Rows and releases
+// the rows of an attempt that never reached the log.
 type ExecFunc struct {
 	ID uint16
 	// HostCost is the compute cost of one invocation on a host core; NIC
 	// cores charge HostCost scaled by the core-speed ratio.
 	HostCost sim.Time
-	Run      func(state []byte, reads []wire.KV) ExecResult
+	Run      func(state []byte, reads []wire.KV, rows *Rows) ExecResult
 }
 
 // Registry maps function ids to execution functions.

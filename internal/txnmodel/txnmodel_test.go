@@ -80,7 +80,7 @@ func TestTxnDescKeyOrder(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	fn := &ExecFunc{ID: 7, Run: func(state []byte, reads []wire.KV) ExecResult {
+	fn := &ExecFunc{ID: 7, Run: func(state []byte, reads []wire.KV, rows *Rows) ExecResult {
 		return ExecResult{}
 	}}
 	r.Register(fn)

@@ -300,6 +300,12 @@ type TxnRequest struct {
 	WriteKeys []uint64
 	ExecState []byte // external application state shipped to the NIC
 	Flags     uint8  // feature bits (NIC execution, local fast path)
+	// ExecWrites counts the leading WriteSet entries of a local transaction
+	// whose values are rows its host execution built (txnmodel.Rows): the
+	// coordinator gives them back if the attempt aborts before the log. It
+	// sits in Flags' padding and is not encoded: the request never leaves
+	// its node.
+	ExecWrites uint16
 	// LocalReadVers carries the read versions a local transaction observed
 	// during optimistic host-side execution (§4.2.4); the NIC validates
 	// them against its index before replicating.

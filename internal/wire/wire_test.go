@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 )
 
 func randBytes(rng *rand.Rand, n int) []byte {
@@ -155,6 +156,14 @@ func TestWireSizeScalesWithPayload(t *testing.T) {
 	// Smallbank-scale sanity: a 12B-value commit message stays compact.
 	if small.WireSize() > 48 {
 		t.Fatalf("small commit is %dB", small.WireSize())
+	}
+}
+
+// TestTxnRequestSize pins the request to 152 bytes: ExecWrites rides in
+// Flags' padding, so every remote request keeps its allocation size class.
+func TestTxnRequestSize(t *testing.T) {
+	if n := unsafe.Sizeof(TxnRequest{}); n != 152 {
+		t.Fatalf("TxnRequest is %d bytes, want 152", n)
 	}
 }
 

@@ -86,14 +86,15 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 	vs := g.ValueSize
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnTouch, HostCost: 200 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// state: count of trailing update keys in reads.
 			nUpd := int(binary.LittleEndian.Uint16(state))
 			var res txnmodel.ExecResult
 			for _, kv := range reads[len(reads)-nUpd:] {
-				nv := make([]byte, vs)
+				nv := rows.Row(vs)
 				binary.LittleEndian.PutUint64(nv, kv.Version+1)
-				copy(nv[8:], kv.Value)
+				n := copy(nv[8:], kv.Value)
+				clear(nv[8+n:]) // a reused row holds an older value's tail
 				res.Writes = append(res.Writes, wire.KV{Key: kv.Key, Value: nv})
 			}
 			return res

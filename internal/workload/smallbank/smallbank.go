@@ -88,58 +88,60 @@ func balance(v []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(v))
 }
 
-// val encodes a 12B account object: 8B balance + 4B flags.
-func val(b int64) []byte {
-	out := make([]byte, 12)
+// val encodes a 12B account object, 8B balance + 4B flags, in a row taken
+// from rows.
+func val(rows *txnmodel.Rows, b int64) []byte {
+	out := rows.Row(12)
 	binary.LittleEndian.PutUint64(out, uint64(b))
+	clear(out[8:])
 	return out
 }
 
 // openingRow is every account's initial object, built once: a value handed
 // to emit is never written again (txnmodel.Generator), so all the replicas'
 // rows share these read-only bytes.
-var openingRow = val(10_000)
+var openingRow = val(nil, 10_000)
 
 // Register implements txnmodel.Generator. Read slices arrive in
 // (ReadKeys ++ UpdateKeys) order.
 func (g *Gen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnDepositChecking, HostCost: 150 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			amount := int64(binary.LittleEndian.Uint64(state))
 			return txnmodel.ExecResult{Writes: []wire.KV{
-				{Key: reads[0].Key, Value: val(balance(reads[0].Value) + amount)},
+				{Key: reads[0].Key, Value: val(rows, balance(reads[0].Value)+amount)},
 			}}
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnTransactSavings, HostCost: 150 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			amount := int64(binary.LittleEndian.Uint64(state))
 			nb := balance(reads[0].Value) + amount
 			if nb < 0 {
 				return txnmodel.ExecResult{Abort: true}
 			}
 			return txnmodel.ExecResult{Writes: []wire.KV{
-				{Key: reads[0].Key, Value: val(nb)},
+				{Key: reads[0].Key, Value: val(rows, nb)},
 			}}
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnAmalgamate, HostCost: 200 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: [A.savings, A.checking, B.checking] — all updates.
 			total := balance(reads[0].Value) + balance(reads[1].Value)
 			return txnmodel.ExecResult{Writes: []wire.KV{
-				{Key: reads[0].Key, Value: val(0)},
-				{Key: reads[1].Key, Value: val(0)},
-				{Key: reads[2].Key, Value: val(balance(reads[2].Value) + total)},
+				{Key: reads[0].Key, Value: val(rows, 0)},
+				{Key: reads[1].Key, Value: val(rows, 0)},
+				{Key: reads[2].Key, Value: val(rows, balance(reads[2].Value)+total)},
 			}}
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnWriteCheck, HostCost: 180 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: [savings (read-only), checking (update)].
 			amount := int64(binary.LittleEndian.Uint64(state))
 			totalBal := balance(reads[0].Value) + balance(reads[1].Value)
@@ -148,7 +150,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 				fee = 1 // overdraft penalty
 			}
 			return txnmodel.ExecResult{Writes: []wire.KV{
-				{Key: reads[1].Key, Value: val(balance(reads[1].Value) - amount - fee)},
+				{Key: reads[1].Key, Value: val(rows, balance(reads[1].Value)-amount-fee)},
 			}}
 		},
 	})

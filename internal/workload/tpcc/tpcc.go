@@ -173,18 +173,20 @@ var (
 	warehouseFill = filler(warehouseSize, 'w')
 )
 
-// stockVal encodes quantity/ytd at the head of a 306B stock row.
-func stockVal(quantity, ytd uint32) []byte {
-	v := make([]byte, stockSize)
+// stockVal encodes quantity/ytd at the head of a 306B stock row taken from
+// rows. The fill overwrites every byte a reused row held.
+func stockVal(rows *txnmodel.Rows, quantity, ytd uint32) []byte {
+	v := rows.Row(stockSize)
 	copy(v, stockFill)
 	binary.LittleEndian.PutUint32(v, quantity)
 	binary.LittleEndian.PutUint32(v[4:], ytd)
 	return v
 }
 
-// moneyVal encodes a balance at the head of a row with the given fill.
-func moneyVal(fill []byte, balance uint64) []byte {
-	v := make([]byte, len(fill))
+// moneyVal encodes a balance at the head of a row with the given fill,
+// taken from rows.
+func moneyVal(rows *txnmodel.Rows, fill []byte, balance uint64) []byte {
+	v := rows.Row(len(fill))
 	copy(v, fill)
 	binary.LittleEndian.PutUint64(v, balance)
 	return v
@@ -195,12 +197,12 @@ func moneyVal(fill []byte, balance uint64) []byte {
 // again (txnmodel.Generator), so every replica, log record and population
 // row that carries one shares these read-only bytes; parallel clusters read
 // them concurrently. Rows that differ per call (stockVal, moneyVal at
-// execution) stay fresh.
+// execution) are built in the rows the caller lends.
 var (
-	warehouseRow = moneyVal(warehouseFill, 0)
+	warehouseRow = moneyVal(nil, warehouseFill, 0)
 	districtRow  = filler(districtSize, 'd')
-	customerRow  = moneyVal(customerFill, 1000)
-	stockRow     = stockVal(50, 0)
+	customerRow  = moneyVal(nil, customerFill, 1000)
+	stockRow     = stockVal(nil, 50, 0)
 	historyRow   = filler(historySize, 'h')
 	newOrderRow  = filler(newOrderSize, 'n')
 	orderRow     = filler(orderSize, 'o')
@@ -212,11 +214,11 @@ var (
 func (g *Gen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnNewOrder, HostCost: 1200 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// state: nItems, then per-item quantity. reads: [customer,
 			// warehouse, stock..., blind entries...].
 			n := int(state[0])
-			res := txnmodel.ExecResult{Writes: make([]wire.KV, n)}
+			res := txnmodel.ExecResult{Writes: rows.Writes(n)}
 			for i := 0; i < n; i++ {
 				kv := reads[2+i]
 				qty := uint32(state[1+i])
@@ -231,14 +233,14 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 				} else {
 					cur = cur - qty + 91
 				}
-				res.Writes[i] = wire.KV{Key: kv.Key, Value: stockVal(cur, ytd+qty)}
+				res.Writes[i] = wire.KV{Key: kv.Key, Value: stockVal(rows, cur, ytd+qty)}
 			}
 			return res
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnPayment, HostCost: 600 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: [customer, warehouse, ...blind]. state: amount.
 			amount := binary.LittleEndian.Uint64(state)
 			cust, wh := reads[0], reads[1]
@@ -250,18 +252,18 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 			if len(wh.Value) >= 8 {
 				wytd = binary.LittleEndian.Uint64(wh.Value)
 			}
-			return txnmodel.ExecResult{Writes: []wire.KV{
-				{Key: cust.Key, Value: moneyVal(customerFill, cbal-amount)},
-				{Key: wh.Key, Value: moneyVal(warehouseFill, wytd+amount)},
-			}}
+			w := rows.Writes(2)
+			w[0] = wire.KV{Key: cust.Key, Value: moneyVal(rows, customerFill, cbal-amount)}
+			w[1] = wire.KV{Key: wh.Key, Value: moneyVal(rows, warehouseFill, wytd+amount)}
+			return txnmodel.ExecResult{Writes: w}
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
 		ID: fnDelivery, HostCost: 2500 * sim.Nanosecond,
-		Run: func(state []byte, reads []wire.KV) txnmodel.ExecResult {
+		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: customers to credit (updates). state: amount.
 			amount := binary.LittleEndian.Uint64(state)
-			var res txnmodel.ExecResult
+			res := txnmodel.ExecResult{Writes: rows.Writes(len(reads))[:0]}
 			for _, kv := range reads {
 				if kv.Key>>56 != tCustomer {
 					continue
@@ -271,7 +273,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 					bal = binary.LittleEndian.Uint64(kv.Value)
 				}
 				res.Writes = append(res.Writes, wire.KV{
-					Key: kv.Key, Value: moneyVal(customerFill, bal+amount),
+					Key: kv.Key, Value: moneyVal(rows, customerFill, bal+amount),
 				})
 			}
 			return res

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"xenic/internal/txnmodel"
 )
 
 // TestExecRowsMatchFiller pins the rows built at execution time, which copy
 // a fill template, to the pattern filler computes byte by byte: for every
 // size and tag stockVal and moneyVal build, the row is filler's with the
-// encoded head, in a fresh array the caller owns.
+// encoded head, in a fresh array the caller owns — or in the released row
+// the caller's Rows lends, whatever bytes that row held.
 func TestExecRowsMatchFiller(t *testing.T) {
 	want := func(n int, tag byte, head ...uint64) []byte {
 		v := filler(n, tag)
@@ -24,11 +27,11 @@ func TestExecRowsMatchFiller(t *testing.T) {
 		got, want []byte
 		fill      []byte
 	}{
-		{"stock", stockVal(37, 1234), want(stockSize, 's', le32pair(37, 1234)), stockFill},
+		{"stock", stockVal(nil, 37, 1234), want(stockSize, 's', le32pair(37, 1234)), stockFill},
 		{"stock row", stockRow, want(stockSize, 's', le32pair(50, 0)), stockFill},
-		{"customer", moneyVal(customerFill, 1<<40+7), want(customerSize, 'c', 1<<40+7), customerFill},
+		{"customer", moneyVal(nil, customerFill, 1<<40+7), want(customerSize, 'c', 1<<40+7), customerFill},
 		{"customer row", customerRow, want(customerSize, 'c', 1000), customerFill},
-		{"warehouse", moneyVal(warehouseFill, 99), want(warehouseSize, 'w', 99), warehouseFill},
+		{"warehouse", moneyVal(nil, warehouseFill, 99), want(warehouseSize, 'w', 99), warehouseFill},
 		{"warehouse row", warehouseRow, want(warehouseSize, 'w', 0), warehouseFill},
 	} {
 		if !bytes.Equal(tc.got, tc.want) {
@@ -36,6 +39,26 @@ func TestExecRowsMatchFiller(t *testing.T) {
 		}
 		if &tc.got[0] == &tc.fill[0] {
 			t.Errorf("%s: row shares its template's array", tc.name)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		build func(rows *txnmodel.Rows) []byte
+		want  []byte
+	}{
+		{"stock", func(r *txnmodel.Rows) []byte { return stockVal(r, 37, 1234) }, want(stockSize, 's', le32pair(37, 1234))},
+		{"customer", func(r *txnmodel.Rows) []byte { return moneyVal(r, customerFill, 1<<40+7) }, want(customerSize, 'c', 1<<40+7)},
+		{"warehouse", func(r *txnmodel.Rows) []byte { return moneyVal(r, warehouseFill, 99) }, want(warehouseSize, 'w', 99)},
+	} {
+		rows := &txnmodel.Rows{}
+		poisoned := bytes.Repeat([]byte{0xFF}, len(tc.want))
+		rows.Release(poisoned)
+		got := tc.build(rows)
+		if &got[0] != &poisoned[0] {
+			t.Errorf("%s: built in a fresh array, not the released row", tc.name)
+		}
+		if !bytes.Equal(got, tc.want) {
+			t.Errorf("%s: reused row differs from filler's pattern:\n got %v\nwant %v", tc.name, got, tc.want)
 		}
 	}
 	for _, tc := range []struct {

@@ -6,6 +6,7 @@ package workload_test
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -262,6 +263,13 @@ func overlaps(a, b []byte) bool {
 // the function leaves its reads' bytes alone. Read values can be the NIC
 // index's own cell buffers, which it overwrites in place for the same key; a
 // write aliasing one would hand that buffer to three host tables.
+//
+// Each function then runs again with a Rows whose free list holds one row
+// per write, every byte 0xFF, the way an aborted attempt leaves them on the
+// host-local path: the output must equal the nil-Rows call's byte for byte
+// (the function writes every byte of a reused row), and every write value
+// must be a distinct one of those rows (it builds each write in a row it is
+// lent, so a release never hands a template or a read to the next writer).
 func TestExecWritesNeverAliasReads(t *testing.T) {
 	for _, g := range []txnmodel.Generator{smallTPCC(false), smallSmallbank(), smallRetwis()} {
 		t.Run(g.Name(), func(t *testing.T) {
@@ -277,10 +285,12 @@ func TestExecWritesNeverAliasReads(t *testing.T) {
 					continue
 				}
 				// Reads arrive as ReadKeys, UpdateKeys, then the blind-write
-				// keys; each gets its own buffer, sized for the largest row.
+				// keys; each gets its own buffer, of 8 bytes up to the largest
+				// row, so a row built from a shorter read shows whether the
+				// function writes the rest of it.
 				var reads []wire.KV
 				for k := 0; k < d.NumKeys(); k++ {
-					v := make([]byte, 700)
+					v := make([]byte, 8+rng.Intn(693))
 					rng.Read(v)
 					reads = append(reads, wire.KV{Key: d.Key(k), Version: uint64(1 + rng.Intn(9)), Value: v})
 				}
@@ -288,7 +298,7 @@ func TestExecWritesNeverAliasReads(t *testing.T) {
 				for j, r := range reads {
 					was[j] = bytes.Clone(r.Value)
 				}
-				res := fn.Run(d.State, reads)
+				res := fn.Run(d.State, reads, nil)
 				ran++
 				for _, w := range res.Writes {
 					for _, r := range reads {
@@ -296,6 +306,28 @@ func TestExecWritesNeverAliasReads(t *testing.T) {
 							t.Fatalf("fn %d: the write of key %d aliases the read of key %d", d.FnID, w.Key, r.Key)
 						}
 					}
+				}
+				rows := &txnmodel.Rows{}
+				lent := map[*byte]bool{}
+				for _, w := range res.Writes {
+					p := bytes.Repeat([]byte{0xFF}, len(w.Value))
+					rows.Release(p)
+					lent[&p[0]] = true
+				}
+				got := fn.Run(d.State, reads, rows)
+				if got.Abort != res.Abort || !slices.Equal(got.MoreReads, res.MoreReads) || len(got.Writes) != len(res.Writes) {
+					t.Fatalf("fn %d: with reused rows the result differs: %+v, want %+v", d.FnID, got, res)
+				}
+				for j, w := range got.Writes {
+					want := res.Writes[j]
+					if w.Key != want.Key || w.Version != want.Version || !bytes.Equal(w.Value, want.Value) {
+						t.Fatalf("fn %d: with reused rows write %d is %d=%x, want %d=%x",
+							d.FnID, j, w.Key, w.Value, want.Key, want.Value)
+					}
+					if !lent[&w.Value[0]] {
+						t.Fatalf("fn %d: write %d (key %d) is not a distinct row its Rows lent", d.FnID, j, w.Key)
+					}
+					delete(lent, &w.Value[0])
 				}
 				for j, r := range reads {
 					if !bytes.Equal(r.Value, was[j]) {

@@ -59,12 +59,18 @@ type Txn = txnmodel.TxnDesc
 // ExecFunc is a registered execution function; it may run on a host
 // thread, the coordinator SmartNIC, or a remote primary SmartNIC
 // (function shipping). It must leave its reads' values unwritten and
-// return write values of its own, which it never writes again: the stores
-// adopt them instead of copying them.
+// return write values it never writes again: the stores adopt them instead
+// of copying them. It builds each write value in a distinct row taken from
+// the Rows it is handed (rows.Row), and writes every byte of it: a row may
+// be one an aborted attempt on the host-local path gave back.
 type ExecFunc = txnmodel.ExecFunc
 
 // ExecResult is an execution function's output.
 type ExecResult = txnmodel.ExecResult
+
+// Rows lends an execution function the buffers it builds its write values
+// in; a nil *Rows allocates each one.
+type Rows = txnmodel.Rows
 
 // Registry holds a workload's execution functions.
 type Registry = txnmodel.Registry
