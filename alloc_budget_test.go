@@ -19,7 +19,7 @@ import (
 // run.
 // The CI bench-contract job holds one-second runs of the benchmark's
 // smallbank_xenic, smallbank_drtmh and tpcc_xenic workloads to budgets set
-// the same way (31, 92 and 35).
+// the same way (31, 44 and 35).
 //
 // The rows use the benchmark's shapes (six nodes, three replicas; Xenic
 // Smallbank with 2 application / 3 worker threads, 16 NIC cores and window
@@ -43,11 +43,12 @@ func TestSmallbankAllocBudget(t *testing.T) {
 		// outcome and lock lists, 37.64 and 35.73 while the stores copied
 		// every value and each back-off built a wake-up closure).
 		{"xenic", func(t *testing.T) xenic.System { return smallbankBudgetCluster(t) }, 10_000, 32},
-		// 99.33 measured here (9 803 commits), 82.99 in a one-second
-		// smallbank_drtmh run (117.78 and 89.69 before): the 10 000-account
-		// population contends more, and DrTM+H pays for every aborted
-		// attempt in allocations.
-		{"drtmh", smallbankBudgetBaseline, 9_000, 110},
+		// 46.10 measured here (9 803 commits), 39.36 in a one-second
+		// smallbank_drtmh run; 99.33 and 82.97 while every RDMA verb built
+		// its request, response, completion and wrapper closures (117.78
+		// and 89.69 before that): the 10 000-account population contends
+		// more, and DrTM+H pays for every aborted attempt in allocations.
+		{"drtmh", smallbankBudgetBaseline, 9_000, 51},
 		// 31.21 measured here (1 652 commits), 31.41 in a one-second
 		// tpcc_xenic run; 55.39 and 56.24 while every attempt built fresh
 		// stock and balance rows, 88.37 and 89.57 while every aborted

@@ -10,6 +10,13 @@
 // runs at the simulated instant the target NIC touches host memory — this
 // is how baseline protocols read objects and CAS lock words "without
 // involving the remote CPU".
+//
+// Each verb is one record, from issue to completion: the request that
+// crosses the fabric also carries the response back and is the Completion
+// the issuing thread runs, and its schedule sites are method values bound
+// when the record is first built. The initiator NIC keeps used records on a
+// free list, so a verb whose callbacks the caller built once allocates
+// nothing. Fault mode (SetFaultTimeout) reuses no record.
 package rdma
 
 import (
@@ -56,20 +63,34 @@ const (
 	kSend
 )
 
-// request rides the fabric from initiator NIC to target NIC.
+// request is one verb, from the initiator's issue to its completion: it
+// rides the fabric to the target NIC, carries the target's response back
+// (resp) and is delivered to the issuing thread as its Completion (comp).
+// The initiator NIC owns it: verbs take records from NIC.reqFree, and a
+// record goes back at one place per verb kind — after the Completion's Fn
+// returned (READ, WRITE, ATOMIC), or after the host delivery at the target
+// (SEND). Under SetFaultTimeout no record is reused, because retransmission,
+// outstanding and duplicate requests can still hold one.
 type request struct {
 	kind    kind
 	payload int // write payload or read length
-	// sample runs at the target-NIC host-memory access instant for READ
-	// (returns the response payload size) and ATOMIC (its bool result is
-	// passed to done).
-	sample      func() int
-	apply       func() bool
-	msg         wire.Msg // two-sided SEND payload
-	src         int
-	donePayload func(ok bool)
-	respTo      *NIC
-	thread      *hostrt.Thread
+
+	// The caller's callbacks, one of each pair per verb. sample0 (Read, may
+	// be nil) and sampleN (ReadDyn, returns the response size) run at the
+	// target-NIC host-memory access instant, and so do apply0 (Write, may be
+	// nil) and applyB (Atomic, whose result reaches doneB). done0 and doneB
+	// run on the issuing thread.
+	sample0 func()
+	sampleN func() int
+	apply0  func()
+	applyB  func() bool
+	done0   func()
+	doneB   func(ok bool)
+	msg     wire.Msg // two-sided SEND payload
+
+	owner  *NIC // the initiator
+	target *NIC // the NIC executing the verb, set on arrival
+	thread *hostrt.Thread
 
 	// id is a per-initiator sequence number; under fault injection the
 	// target suppresses re-executions and the initiator matches responses
@@ -77,13 +98,20 @@ type request struct {
 	id        uint64
 	dst       int
 	wireBytes int
+
+	resp response
+	comp Completion
+
+	// The record's schedule sites, bound once when it is built (comp.Fn is
+	// the fourth, finish).
+	issueFn, atTargetFn, completeFn func()
 }
 
-// response rides back to the initiator NIC.
+// response rides back to the initiator NIC; its size is charged on the
+// wire, not carried.
 type response struct {
-	payload int
-	ok      bool
-	req     *request
+	ok  bool
+	req *request
 }
 
 // Stats counts verbs by type, plus fault-mode transport events.
@@ -116,6 +144,9 @@ type NIC struct {
 	outstanding map[uint64]*request
 	seen        []map[uint64]struct{} // executed request ids, per source
 	maxID       []uint64
+
+	reqFree []*request  // verb records to reuse (never under fault mode)
+	sendBuf [1]wire.Msg // a SEND's delivery to the host
 
 	stats Stats
 }
@@ -159,19 +190,44 @@ func pace(busy *sim.Time, t, gap sim.Time) sim.Time {
 	return start
 }
 
+// newRequest takes a verb record of kind k from the free list, or builds one.
+func (n *NIC) newRequest(k kind) *request {
+	var r *request
+	if last := len(n.reqFree) - 1; last >= 0 {
+		r = n.reqFree[last]
+		n.reqFree[last] = nil
+		n.reqFree = n.reqFree[:last]
+	} else {
+		r = &request{owner: n}
+		r.resp.req = r
+		r.issueFn, r.atTargetFn, r.completeFn = r.issue, r.atTarget, r.complete
+		r.comp.Fn = r.finish
+	}
+	r.kind = k
+	r.payload = 0
+	return r
+}
+
+// release returns r to its initiator's free list once nothing can still
+// hold it, dropping the caller's callbacks and message.
+func (r *request) release() {
+	n := r.owner
+	if n.verbTimeout > 0 {
+		return
+	}
+	r.sample0, r.sampleN, r.apply0, r.applyB, r.done0, r.doneB = nil, nil, nil, nil, nil, nil
+	r.msg, r.target, r.thread = nil, nil, nil
+	n.reqFree = append(n.reqFree, r)
+}
+
 // Read issues a one-sided READ of bytes from dst's host memory. sample runs
 // at the target access instant (so the caller snapshots remote state);
 // done is delivered to the issuing thread's inbox afterwards.
 func (n *NIC) Read(t *hostrt.Thread, dst, bytes int, sample func(), done func()) {
 	n.stats.Reads++
-	n.verb(t, dst, &request{kind: kRead, payload: bytes,
-		sample: func() int {
-			if sample != nil {
-				sample()
-			}
-			return bytes
-		},
-		donePayload: func(bool) { done() }})
+	r := n.newRequest(kRead)
+	r.payload, r.sample0, r.done0 = bytes, sample, done
+	n.verb(t, dst, r)
 }
 
 // ReadDyn issues a one-sided READ whose response size is determined at the
@@ -179,23 +235,18 @@ func (n *NIC) Read(t *hostrt.Thread, dst, bytes int, sample func(), done func())
 // found in a hash bucket). done is delivered to the issuing thread.
 func (n *NIC) ReadDyn(t *hostrt.Thread, dst int, sample func() int, done func()) {
 	n.stats.Reads++
-	n.verb(t, dst, &request{kind: kRead,
-		sample:      sample,
-		donePayload: func(bool) { done() }})
+	r := n.newRequest(kRead)
+	r.sampleN, r.done0 = sample, done
+	n.verb(t, dst, r)
 }
 
 // Write issues a one-sided WRITE of bytes into dst's host memory. apply
 // runs at the target access instant; done is delivered after the ack.
 func (n *NIC) Write(t *hostrt.Thread, dst, bytes int, apply func(), done func()) {
 	n.stats.Writes++
-	n.verb(t, dst, &request{kind: kWrite, payload: bytes,
-		apply: func() bool {
-			if apply != nil {
-				apply()
-			}
-			return true
-		},
-		donePayload: func(bool) { done() }})
+	r := n.newRequest(kWrite)
+	r.payload, r.apply0, r.done0 = bytes, apply, done
+	n.verb(t, dst, r)
 }
 
 // Atomic issues a one-sided compare-and-swap style verb; apply runs at the
@@ -203,7 +254,9 @@ func (n *NIC) Write(t *hostrt.Thread, dst, bytes int, apply func(), done func())
 // remote locking.
 func (n *NIC) Atomic(t *hostrt.Thread, dst int, apply func() bool, done func(ok bool)) {
 	n.stats.Atomics++
-	n.verb(t, dst, &request{kind: kAtomic, payload: 8, apply: apply, donePayload: done})
+	r := n.newRequest(kAtomic)
+	r.payload, r.applyB, r.doneB = 8, apply, done
+	n.verb(t, dst, r)
 }
 
 // Send issues a two-sided SEND delivering m into dst's host inbox (FaSST
@@ -211,7 +264,9 @@ func (n *NIC) Atomic(t *hostrt.Thread, dst int, apply func() bool, done func(ok 
 // application-level Sends in the other direction.
 func (n *NIC) Send(t *hostrt.Thread, dst int, m wire.Msg) {
 	n.stats.Sends++
-	n.verb(t, dst, &request{kind: kSend, payload: m.WireSize(), msg: m})
+	r := n.newRequest(kSend)
+	r.payload, r.msg = m.WireSize(), m
+	n.verb(t, dst, r)
 }
 
 func (n *NIC) verb(t *hostrt.Thread, dst int, r *request) {
@@ -220,27 +275,28 @@ func (n *NIC) verb(t *hostrt.Thread, dst int, r *request) {
 	}
 	p := n.p
 	t.Charge(p.RDMAIssue)
-	r.src = n.node
-	r.respTo = n
 	r.thread = t
 	n.nextID++
 	r.id = n.nextID
 	r.dst = dst
-	now := t.Now()
-	start := pace(&n.issueBusy, now, n.gap())
+	start := pace(&n.issueBusy, t.Now(), n.gap())
 	wireBytes := verbHeader
 	if r.kind == kWrite || r.kind == kSend {
 		wireBytes += r.payload
 	}
 	r.wireBytes = wireBytes
 	n.stats.BytesOut += int64(wireBytes)
-	n.eng.At(start+p.RDMANICProc, func() {
-		n.sendFrames(dst, wireBytes, r)
-		if n.verbTimeout > 0 && r.kind != kSend {
-			n.outstanding[r.id] = r
-			n.armVerbTimer(r, n.verbTimeout)
-		}
-	})
+	n.eng.At(start+p.RDMANICProc, r.issueFn)
+}
+
+// issue puts r on the wire once the initiator NIC has processed it.
+func (r *request) issue() {
+	n := r.owner
+	n.sendFrames(r.dst, r.wireBytes, r)
+	if n.verbTimeout > 0 && r.kind != kSend {
+		n.outstanding[r.id] = r
+		n.armVerbTimer(r, n.verbTimeout)
+	}
 }
 
 // armVerbTimer retransmits r if no response arrived within d, re-arming
@@ -302,55 +358,74 @@ func (n *NIC) handleRequest(r *request) {
 		return
 	}
 	p := n.p
-	start := pace(&n.procBusy, n.eng.Now(), n.gap())
+	at := pace(&n.procBusy, n.eng.Now(), n.gap()) + p.RDMANICProc
+	switch r.kind {
+	case kSend, kWrite:
+		at += p.RDMAHostWrite
+	case kRead:
+		at += p.RDMAHostRead
+	case kAtomic:
+		at += p.RDMAHostRead + p.RDMAAtomicExtra
+	}
+	r.target = n
+	n.eng.At(at, r.atTargetFn)
+}
+
+// atTarget runs at the instant the target NIC touches host memory.
+func (r *request) atTarget() {
+	n := r.target
 	switch r.kind {
 	case kSend:
 		// Two-sided: the NIC DMA-writes the message into a receive buffer
 		// in host memory; the host polls it out.
-		n.eng.At(start+p.RDMANICProc+p.RDMAHostWrite, func() {
-			n.host.Deliver(r.src, []wire.Msg{r.msg})
-		})
-		return
+		n.sendBuf[0] = r.msg
+		n.host.Deliver(r.owner.node, n.sendBuf[:])
+		n.sendBuf[0] = nil
+		r.release()
 	case kRead:
-		n.eng.At(start+p.RDMANICProc+p.RDMAHostRead, func() {
-			bytes := r.sample()
-			n.respond(r, &response{payload: bytes, ok: true, req: r}, verbHeader+bytes)
-		})
+		bytes := r.payload
+		if r.sampleN != nil {
+			bytes = r.sampleN()
+		} else if r.sample0 != nil {
+			r.sample0()
+		}
+		r.resp.ok = true
+		n.respond(r, verbHeader+bytes)
 	case kWrite:
-		n.eng.At(start+p.RDMANICProc+p.RDMAHostWrite, func() {
-			ok := r.apply()
-			n.respond(r, &response{ok: ok, req: r}, verbHeader)
-		})
+		if r.apply0 != nil {
+			r.apply0()
+		}
+		r.resp.ok = true
+		n.respond(r, verbHeader)
 	case kAtomic:
-		n.eng.At(start+p.RDMANICProc+p.RDMAHostRead+p.RDMAAtomicExtra, func() {
-			ok := r.apply()
-			n.respond(r, &response{payload: 8, ok: ok, req: r}, verbHeader+8)
-		})
+		r.resp.ok = r.applyB()
+		n.respond(r, verbHeader+8)
 	}
 }
 
-func (n *NIC) respond(r *request, resp *response, wireBytes int) {
+func (n *NIC) respond(r *request, wireBytes int) {
 	n.stats.BytesOut += int64(wireBytes)
-	n.sendFrames(r.src, wireBytes, resp)
+	n.sendFrames(r.owner.node, wireBytes, &r.resp)
 }
 
 // dupRequest records r as executed, reporting whether it already was. The
 // per-source seen set is pruned by id window once it grows large.
 func (n *NIC) dupRequest(r *request) bool {
-	s := n.seen[r.src]
+	src := r.owner.node
+	s := n.seen[src]
 	if s == nil {
 		s = map[uint64]struct{}{}
-		n.seen[r.src] = s
+		n.seen[src] = s
 	}
 	if _, ok := s[r.id]; ok {
 		return true
 	}
 	s[r.id] = struct{}{}
-	if r.id > n.maxID[r.src] {
-		n.maxID[r.src] = r.id
+	if r.id > n.maxID[src] {
+		n.maxID[src] = r.id
 	}
 	if len(s) > 8192 {
-		floor := n.maxID[r.src] - 4096
+		floor := n.maxID[src] - 4096
 		for id := range s {
 			if id < floor {
 				delete(s, id)
@@ -370,11 +445,19 @@ func (n *NIC) handleResponse(resp *response) {
 		}
 		delete(n.outstanding, r.id)
 	}
-	n.eng.After(p.RDMANICProc+p.RDMACompletion, func() {
-		if r.donePayload != nil {
-			r.thread.Deliver(n.node, &Completion{
-				Fn: func() { r.donePayload(resp.ok) },
-			})
-		}
-	})
+	n.eng.After(p.RDMANICProc+p.RDMACompletion, r.completeFn)
+}
+
+// complete delivers r's completion to the issuing thread.
+func (r *request) complete() { r.thread.Deliver(r.owner.node, &r.comp) }
+
+// finish is the Completion's Fn: it runs the caller's done on the issuing
+// thread, the verb record's last reader.
+func (r *request) finish() {
+	if r.doneB != nil {
+		r.doneB(r.resp.ok)
+	} else if r.done0 != nil {
+		r.done0()
+	}
+	r.release()
 }

@@ -5,6 +5,7 @@ import (
 
 	"xenic/internal/hostrt"
 	"xenic/internal/model"
+	"xenic/internal/raceflag"
 	"xenic/internal/sim"
 	"xenic/internal/simnet"
 	"xenic/internal/wire"
@@ -233,5 +234,132 @@ func TestStats(t *testing.T) {
 	}
 	if s.BytesOut == 0 {
 		t.Fatal("no bytes accounted")
+	}
+}
+
+// verbCycle installs an idle hook on h0's thread 0 that issues one Read,
+// ReadDyn, Write, Atomic and Send to node 1 each time the returned function
+// runs, with callbacks built once, and runs the engine until all five are
+// done. It reports the verbs completed so far.
+func verbCycle(eng *sim.Engine, h0 *hostrt.Host, n0 *NIC) (cycle func(), completed func() int) {
+	done := 0
+	sample := func() {}
+	sampleN := func() int { return 96 }
+	apply := func() {}
+	cas := func() bool { return true }
+	fin := func() { done++ }
+	finB := func(bool) { done++ }
+	msg := &wire.Execute{Header: wire.Header{TxnID: 1, Src: 0}}
+	issue := false
+	h0.OnIdle(func(tt *hostrt.Thread) bool {
+		if tt.ID() != 0 || !issue {
+			return false
+		}
+		issue = false
+		n0.Read(tt, 1, 64, sample, fin)
+		n0.ReadDyn(tt, 1, sampleN, fin)
+		n0.Write(tt, 1, 64, apply, fin)
+		n0.Atomic(tt, 1, cas, finB)
+		n0.Send(tt, 1, msg)
+		return true
+	})
+	cycle = func() {
+		issue = true
+		h0.Thread(0).Wake()
+		eng.Run(eng.Now() + 100*sim.Microsecond)
+	}
+	return cycle, func() int { return done }
+}
+
+// TestVerbAllocFree: once the free lists have grown, a cycle of every verb
+// kind allocates nothing — each verb is one reused record, its completion
+// and response embedded, its schedule sites bound once.
+func TestVerbAllocFree(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	eng, h0, _, n0, _, _ := pair(t)
+	cycle, completed := verbCycle(eng, h0, n0)
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a cycle of five verbs allocates %v objects, want 0", n)
+	}
+	// One cycle above, and AllocsPerRun's warm-up run plus 100.
+	if got := completed(); got != 4*102 {
+		t.Fatalf("%d one-sided verbs completed, want %d", got, 4*102)
+	}
+	if s := n0.Stats(); s.Sends != 102 {
+		t.Fatalf("%d sends issued, want 102", s.Sends)
+	}
+}
+
+// TestVerbResultsNeverCross keeps up to 64 ATOMICs with alternating results
+// and ReadDyns with distinct sizes in flight from one thread, issuing more
+// as they complete so records are reused while others are outstanding, and
+// requires every done to see its own verb's result exactly once.
+func TestVerbResultsNeverCross(t *testing.T) {
+	eng, h0, _, n0, _, _ := pair(t)
+	const total = 2000
+	issued, inflight := 0, 0
+	sampled := make([]int, total)
+	doneCount := make([]int, total)
+	h0.OnIdle(func(tt *hostrt.Thread) bool {
+		did := false
+		for tt.ID() == 0 && inflight < 64 && issued < total {
+			i := issued
+			issued++
+			inflight++
+			did = true
+			if i%2 == 0 {
+				want := i%4 == 0
+				n0.Atomic(tt, 1, func() bool { return want }, func(ok bool) {
+					if ok != want {
+						t.Errorf("atomic %d completed with %v, want %v", i, ok, want)
+					}
+					doneCount[i]++
+					inflight--
+				})
+				continue
+			}
+			size := 8 + i
+			n0.ReadDyn(tt, 1, func() int { sampled[i] = size; return size }, func() {
+				if sampled[i] != size {
+					t.Errorf("read %d completed before its own sample ran", i)
+				}
+				doneCount[i]++
+				inflight--
+			})
+		}
+		return did
+	})
+	h0.WakeAll()
+	eng.Run(10 * sim.Millisecond)
+	for i, n := range doneCount {
+		if n != 1 {
+			t.Fatalf("verb %d completed %d times, want once", i, n)
+		}
+	}
+	if len(n0.reqFree) == 0 {
+		t.Fatal("no verb record was ever released")
+	}
+}
+
+// TestFaultModeReusesNoRecord: with SetFaultTimeout on, retransmission and
+// duplicate suppression can still reach a finished verb's record, so none
+// goes back to a free list.
+func TestFaultModeReusesNoRecord(t *testing.T) {
+	eng, h0, _, n0, n1, _ := pair(t)
+	n0.SetFaultTimeout(20 * sim.Microsecond)
+	n1.SetFaultTimeout(20 * sim.Microsecond)
+	cycle, completed := verbCycle(eng, h0, n0)
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if got := completed(); got != 12 {
+		t.Fatalf("%d one-sided verbs completed, want 12", got)
+	}
+	if len(n0.reqFree) != 0 || len(n1.reqFree) != 0 {
+		t.Fatalf("free lists hold %d and %d records under fault mode, want none",
+			len(n0.reqFree), len(n1.reqFree))
 	}
 }

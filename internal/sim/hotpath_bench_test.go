@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"xenic/internal/raceflag"
@@ -52,5 +53,45 @@ func TestScheduleAllocFree(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, op); n != 0 {
 			t.Errorf("depth %d: schedule+dispatch allocates %v objects per event, want 0", depth, n)
 		}
+	}
+}
+
+// spreadDeltas returns n scheduling distances in the mix a loaded cluster
+// run schedules: 15-20 % at now, about a quarter at 65-262 ns (core and PCIe
+// steps), a quarter at 0.5-2 us (wire and DMA round trips), the rest at
+// 2-64 us (verb round trips, back-offs, timers).
+func spreadDeltas(n int) []Time {
+	rng := rand.New(rand.NewSource(1))
+	span := func(lo, hi Time) Time { return lo + Time(rng.Int63n(int64(hi-lo))) }
+	d := make([]Time, n)
+	for i := range d {
+		switch r := rng.Intn(100); {
+		case r < 18:
+			d[i] = 0
+		case r < 43:
+			d[i] = span(65*Nanosecond, 262*Nanosecond)
+		case r < 68:
+			d[i] = span(500*Nanosecond, 2*Microsecond)
+		default:
+			d[i] = span(2*Microsecond, 64*Microsecond)
+		}
+	}
+	return d
+}
+
+// BenchmarkScheduleSpread holds 1 500 events pending, scheduled at the
+// distances spreadDeltas draws: one event scheduled and executed per op.
+func BenchmarkScheduleSpread(b *testing.B) {
+	deltas := spreadDeltas(4096)
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 1500; i++ {
+		e.At(deltas[i], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.At(e.Now()+deltas[i&4095], fn)
+		e.Step()
 	}
 }

@@ -7,12 +7,15 @@
 // 100Gbps links (a 64B frame lasts ~5.1ns) accumulate without rounding bias.
 //
 // Determinism: events firing at the same instant run in scheduling order
-// (a strictly increasing sequence number breaks ties), and all randomness
-// used by simulations must come from PRNGs seeded through Engine.Rand.
+// (the event queue, a radix heap, keeps it by construction; see Engine), and
+// all randomness used by simulations must come from PRNGs seeded through
+// Engine.Rand.
 package sim
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -59,84 +62,55 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // FromNanos converts floating-point nanoseconds to Time.
 func FromNanos(ns float64) Time { return Time(ns * float64(Nanosecond)) }
 
-// event is a scheduled callback. It carries either a plain closure (fn) or a
-// monomorphic callback with its argument (fn1, arg); the latter lets hot
+// node is one pending event in the radix heap: its time and the slab slot of
+// its callback. It holds no pointer, so the collector never scans a bucket.
+type node struct {
+	at   Time
+	slot int32
+}
+
+// payload is a scheduled callback. It carries either a plain closure (fn) or
+// a monomorphic callback with its argument (fn1, arg); the latter lets hot
 // paths schedule without allocating a closure per event: a package-level
 // function or a method value stored once, plus a pointer-shaped argument,
 // costs nothing to box.
-type event struct {
-	at  Time
-	seq uint64
+type payload struct {
 	fn  func()
 	fn1 func(any)
 	arg any
 }
 
-// eventHeap is a min-heap ordered by (at, seq). It is monomorphic on
-// purpose: container/heap's interface{}-based Push/Pop box every event
-// record (two allocations per scheduled event); here event records live in
-// the heap's backing array and scheduling allocates only on growth.
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(ev event) {
-	*h = append(*h, ev)
-	// Sift up.
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.less(i, parent) {
-			break
-		}
-		s[i], s[parent] = s[parent], s[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	s := *h
-	top := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = event{} // release callback/arg references
-	s = s[:n]
-	*h = s
-	// Sift down.
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		child := l
-		if r < n && s.less(r, l) {
-			child = r
-		}
-		if !s.less(child, i) {
-			break
-		}
-		s[i], s[child] = s[child], s[i]
-		i = child
-	}
-	return top
-}
-
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // create engines with NewEngine.
+//
+// The queue is a monotone radix heap over event time. Nothing is scheduled
+// before now, and last (the time of the last event settled) never passes
+// now, so every pending event is at or after last. An event at t sits in
+// bucket bits.Len64(t ^ last): bucket 0 holds the events at last, and bucket
+// b > 0 those that first differ from last at bit b-1. Times are never
+// negative, so 64 buckets cover them. When bucket 0 runs dry, settle moves
+// last to the minimum of the lowest non-empty bucket and redistributes that
+// bucket into the (empty) buckets below it.
+//
+// Ties need no sequence number. An event's bucket depends only on its time
+// and last, so events at one instant always share a bucket. A bucket is
+// refilled by a redistribution only while it is empty, and after that it
+// only receives appends, in scheduling order; so every bucket is in
+// scheduling order, and bucket 0, consumed from the front, runs
+// same-instant events first in, first out. Callbacks live in a slab beside
+// the buckets, its free slots reused last in, first out.
 type Engine struct {
-	now    Time
-	seq    uint64
-	pq     eventHeap
-	rng    *rand.Rand
-	nRun   uint64 // events executed
-	halted bool
+	now     Time
+	last    Time
+	buckets [64][]node
+	mask    uint64 // bit b set: buckets[b] is non-empty
+	head    int    // next unrun index of buckets[0]
+	pending int
+	slab    []payload
+	free    []int32
+	rng     *rand.Rand
+	nRun    uint64 // events executed
+	halted  bool
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose PRNG is
@@ -161,8 +135,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, fn: fn})
+	e.push(t, payload{fn: fn})
 }
 
 // At1 schedules fn(arg) to run at absolute time t. It is the allocation-free
@@ -174,8 +147,80 @@ func (e *Engine) At1(t Time, fn func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	e.pq.push(event{at: t, seq: e.seq, fn1: fn, arg: arg})
+	e.push(t, payload{fn1: fn, arg: arg})
+}
+
+// push files an event at t >= now into its bucket and its callback into a
+// slab slot.
+func (e *Engine) push(t Time, p payload) {
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[slot] = p
+	} else {
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, p)
+	}
+	b := bits.Len64(uint64(t ^ e.last))
+	e.buckets[b] = append(e.buckets[b], node{at: t, slot: slot})
+	e.mask |= 1 << b
+	e.pending++
+}
+
+// settle makes bucket 0 hold the earliest pending events if they are due by
+// until, reporting whether it does. It leaves last alone when they are not:
+// last must never pass the clock, or an event later scheduled between now
+// and that minimum would land in a bucket above its rank.
+func (e *Engine) settle(until Time) bool {
+	if e.mask&1 != 0 {
+		return e.last <= until
+	}
+	if e.mask == 0 {
+		return false
+	}
+	i := bits.TrailingZeros64(e.mask)
+	b := e.buckets[i]
+	least := b[0].at
+	for _, nd := range b[1:] {
+		if nd.at < least {
+			least = nd.at
+		}
+	}
+	if least > until {
+		return false
+	}
+	e.last = least
+	for _, nd := range b {
+		j := bits.Len64(uint64(nd.at ^ least))
+		e.buckets[j] = append(e.buckets[j], nd)
+		e.mask |= 1 << j
+	}
+	e.buckets[i] = b[:0]
+	e.mask &^= 1 << i
+	return true
+}
+
+// dispatch runs the first event of bucket 0, which settle has filled.
+func (e *Engine) dispatch() {
+	b := e.buckets[0]
+	nd := b[e.head]
+	if e.head++; e.head == len(b) {
+		e.buckets[0] = b[:0]
+		e.head = 0
+		e.mask &^= 1
+	}
+	p := e.slab[nd.slot]
+	e.slab[nd.slot] = payload{}
+	e.free = append(e.free, nd.slot)
+	e.pending--
+	e.now = nd.at
+	e.nRun++
+	if p.fn1 != nil {
+		p.fn1(p.arg)
+	} else {
+		p.fn()
+	}
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -188,17 +233,10 @@ func (e *Engine) Defer(fn func()) { e.At(e.now, fn) }
 // Step executes the next pending event, advancing the clock to its time.
 // It returns false if no events remain or the engine is halted.
 func (e *Engine) Step() bool {
-	if e.halted || len(e.pq) == 0 {
+	if e.halted || !e.settle(math.MaxInt64) {
 		return false
 	}
-	ev := e.pq.pop()
-	e.now = ev.at
-	e.nRun++
-	if ev.fn1 != nil {
-		ev.fn1(ev.arg)
-	} else {
-		ev.fn()
-	}
+	e.dispatch()
 	return true
 }
 
@@ -206,15 +244,8 @@ func (e *Engine) Step() bool {
 // or Halt is called. Events scheduled exactly at `until` do run. The clock is
 // left at min(until, time of last event).
 func (e *Engine) Run(until Time) {
-	for !e.halted && len(e.pq) > 0 && e.pq[0].at <= until {
-		ev := e.pq.pop()
-		e.now = ev.at
-		e.nRun++
-		if ev.fn1 != nil {
-			ev.fn1(ev.arg)
-		} else {
-			ev.fn()
-		}
+	for !e.halted && e.settle(until) {
+		e.dispatch()
 	}
 	if !e.halted && e.now < until {
 		e.now = until
@@ -238,7 +269,7 @@ func (e *Engine) Resume() { e.halted = false }
 func (e *Engine) Halted() bool { return e.halted }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return len(e.pq) }
+func (e *Engine) Pending() int { return e.pending }
 
 // Ticker invokes fn every period until fn returns false. The first
 // invocation happens one period from now.
