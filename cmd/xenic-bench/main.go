@@ -7,8 +7,8 @@
 //
 // With -telemetry PREFIX every experiment cell records time-resolved series
 // (throughput, latency quantiles, occupancies, queue depths) and the run
-// writes PREFIX-<id>.csv / PREFIX-<id>.json per experiment plus one
-// PREFIX.html dashboard covering them all; -stats-json writes a single
+// writes PREFIX-<id>.json per experiment plus one PREFIX.trace.json holding
+// every cell's series as Perfetto counter tracks; -stats-json writes a single
 // machine-readable document combining every report's table, notes, stats
 // snapshots, and bottleneck verdicts.
 package main
@@ -17,14 +17,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"xenic/internal/cliflags"
 	"xenic/internal/harness"
 	"xenic/internal/telemetry"
+	"xenic/internal/trace"
 )
 
 func main() {
@@ -35,7 +37,7 @@ func main() {
 	statsOut := cliflags.Stats(flag.CommandLine, "write per-run stats-registry snapshots to this JSON file")
 	jsonOut := flag.String("json", "", "write machine-readable reports (typed cells) to this JSON file")
 	statsJSONOut := flag.String("stats-json", "", "write one machine-readable document (reports + stats snapshots + bottleneck verdicts) to this JSON file")
-	tel := cliflags.AddTelemetry(flag.CommandLine, "collect time-resolved telemetry; write PREFIX-<id>.csv/.json per experiment and a PREFIX.html dashboard")
+	tel := cliflags.AddTelemetry(flag.CommandLine, "collect time-resolved telemetry; write PREFIX-<id>.json per experiment and PREFIX.trace.json with every cell's Perfetto counter tracks")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: xenic-bench [-quick] [-seed N] [-j N] <experiment-id>... | all\n\n")
 		fmt.Fprintf(os.Stderr, "experiments:\n")
@@ -69,7 +71,7 @@ func main() {
 	allStats := map[string]any{}
 	var reports []*harness.Report
 	// Union of every experiment's telemetry, keyed "<id>/<cell label>", for
-	// the one-file dashboard covering the whole run.
+	// the one trace file covering the whole run.
 	allSets := map[string]*telemetry.Set{}
 	allVerdicts := map[string]*telemetry.Verdict{}
 	for _, id := range ids {
@@ -116,34 +118,30 @@ func main() {
 		writeJSON(*statsJSONOut, statsDoc(*quick, *seed, reports))
 	}
 	if tel.Enabled() && len(allSets) > 0 {
-		path := tel.Out + ".html"
+		// Cells in key order, each taking the next block of pids: its nodes,
+		// then its cluster process.
+		tr, pid := trace.New(), 0
+		for _, k := range slices.Sorted(maps.Keys(allSets)) {
+			pid = telemetry.AppendTrace(tr, pid, k, allSets[k], allVerdicts[k])
+		}
+		path := tel.Out + ".trace.json"
 		f, err := os.Create(path)
 		must(err)
-		must(telemetry.WriteHTML(f, "xenic-bench telemetry", allSets, allVerdicts))
+		must(tr.WriteJSON(f))
 		must(f.Close())
-		fmt.Printf("# telemetry dashboard: %s (%d cells)\n", path, len(allSets))
+		fmt.Printf("# telemetry trace: %s (%d cells, %d processes)\n", path, len(allSets), pid)
 	}
 }
 
-// writeTelemetry exports one experiment's collected series as long-form CSV
-// and as JSON with per-cell bottleneck verdicts.
+// writeTelemetry exports one experiment's collected series as JSON with
+// per-cell bottleneck verdicts.
 func writeTelemetry(prefix, id string, c *harness.TelemetryCollector) {
-	csvPath := fmt.Sprintf("%s-%s.csv", prefix, id)
-	f, err := os.Create(csvPath)
-	must(err)
-	must(telemetry.WriteMultiCSV(f, c.Sets))
-	must(f.Close())
-	jsonPath := fmt.Sprintf("%s-%s.json", prefix, id)
-	f, err = os.Create(jsonPath)
+	path := fmt.Sprintf("%s-%s.json", prefix, id)
+	f, err := os.Create(path)
 	must(err)
 	must(telemetry.WriteJSON(f, c.Sets, c.Verdicts()))
 	must(f.Close())
-	labels := make([]string, 0, len(c.Sets))
-	for k := range c.Sets {
-		labels = append(labels, k)
-	}
-	sort.Strings(labels)
-	fmt.Printf("# telemetry: %d cells -> %s, %s\n", len(labels), csvPath, jsonPath)
+	fmt.Printf("# telemetry: %d cells -> %s\n", len(c.Sets), path)
 }
 
 // runJSON is one experiment's slice of the -stats-json document.

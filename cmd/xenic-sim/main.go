@@ -9,8 +9,9 @@
 // chrome://tracing); with -stats it writes a stats-registry snapshot. With
 // -telemetry PREFIX the run samples time-resolved series (throughput,
 // latency quantiles, occupancies, queue depths) every -telemetry-interval-us
-// of simulated time and writes PREFIX.csv, PREFIX.json, and a PREFIX.html
-// dashboard, printing the bottleneck analyzer's verdict to stdout.
+// of simulated time and writes PREFIX.json plus one Perfetto counter track
+// per series (into the -trace file when there is one, PREFIX.trace.json
+// otherwise), printing the bottleneck analyzer's verdict to stdout.
 //
 // With -openloop RATE the run is driven open-loop instead of closed-loop:
 // transactions arrive at RATE txns/sec cluster-wide following the -arrival
@@ -69,7 +70,7 @@ func main() {
 	oneLink := flag.Bool("one-link", false, "use one 50Gbps link per server (§5.3)")
 	statsOut := cliflags.Stats(flag.CommandLine, "write a stats-registry JSON snapshot of the run")
 	obs := cliflags.AddSimObserve(flag.CommandLine)
-	tel := cliflags.AddTelemetry(flag.CommandLine, "sample time-resolved telemetry; write PREFIX.csv, PREFIX.json, PREFIX.html and print the bottleneck verdict")
+	tel := cliflags.AddTelemetry(flag.CommandLine, "sample time-resolved telemetry; write PREFIX.json and Perfetto counter tracks (into the -trace file, else PREFIX.trace.json) and print the bottleneck verdict")
 	ol := cliflags.AddOpenLoop(flag.CommandLine)
 	roFrac := flag.Float64("ro-frac", 0, "override the read-only transaction fraction (retwis and smallbank; 0 = the paper's mix)")
 	alpha := flag.Float64("alpha", 0, "override the retwis Zipf skew alpha (0 = the paper's 0.5)")
@@ -154,9 +155,9 @@ func main() {
 		res, s0, s1 := measure(cl, warm, win, ol)
 		fmt.Printf("xenic/%s: %s\n", gen.Name(), res)
 		printOpenLoad(ol, win, s0, s1)
+		writeTelemetry(tel.Out, "xenic/"+gen.Name(), telS, obs.Trace, tr)
 		writeTrace(obs.Trace, tr)
 		writeStats(*statsOut, reg)
-		writeTelemetry(tel.Out, "xenic/"+gen.Name(), telS)
 		checkHistory(cl, hist)
 		return
 	}
@@ -197,7 +198,7 @@ func main() {
 	fmt.Printf("%s/%s: %s\n", sys, gen.Name(), res)
 	printOpenLoad(ol, win, s0, s1)
 	writeStats(*statsOut, reg)
-	writeTelemetry(tel.Out, fmt.Sprintf("%s/%s", sys, gen.Name()), telS)
+	writeTelemetry(tel.Out, fmt.Sprintf("%s/%s", sys, gen.Name()), telS, "", nil)
 	checkHistory(cl, hist)
 }
 
@@ -345,36 +346,32 @@ func writeTrace(path string, tr *xenic.Tracer) {
 	must(f.Close())
 }
 
-// writeTelemetry stops the sampler and writes the run's series as
-// PREFIX.csv, PREFIX.json, and a PREFIX.html dashboard, printing the
-// bottleneck analyzer's verdict (no-op when -telemetry is unset). Called
-// right after Measure so a -check drain doesn't pad the series with idle
-// samples.
-func writeTelemetry(prefix, label string, tel *xenic.Telemetry) {
+// writeTelemetry stops the sampler, writes the run's series as PREFIX.json
+// and as Perfetto counter tracks, and prints the bottleneck analyzer's
+// verdict (no-op when -telemetry is unset). The counters go into tr, after
+// its spans, when the run is traced (so call it before writeTrace), and into
+// PREFIX.trace.json otherwise. Called right after Measure so a -check drain
+// doesn't pad the series with idle samples.
+func writeTelemetry(prefix, label string, tel *xenic.Telemetry, tracePath string, tr *xenic.Tracer) {
 	if prefix == "" || tel == nil {
 		return
 	}
 	tel.Stop()
 	set := tel.Set()
 	v := telemetry.Analyze(set)
-	sets := map[string]*telemetry.Set{label: set}
-	verdicts := map[string]*telemetry.Verdict{label: &v}
-
-	f, err := os.Create(prefix + ".csv")
+	f, err := os.Create(prefix + ".json")
 	must(err)
-	must(telemetry.WriteCSV(f, set))
+	must(telemetry.WriteJSON(f, map[string]*telemetry.Set{label: set},
+		map[string]*telemetry.Verdict{label: &v}))
 	must(f.Close())
-	f, err = os.Create(prefix + ".json")
-	must(err)
-	must(telemetry.WriteJSON(f, sets, verdicts))
-	must(f.Close())
-	f, err = os.Create(prefix + ".html")
-	must(err)
-	must(telemetry.WriteHTML(f, "xenic-sim "+label, sets, verdicts))
-	must(f.Close())
+	if tr == nil {
+		tr, tracePath = xenic.NewTracer(), prefix+".trace.json"
+		defer writeTrace(tracePath, tr)
+	}
+	telemetry.AppendTrace(tr, 0, "", set, &v)
 	fmt.Printf("bottleneck: %s\n", v.String())
-	fmt.Printf("telemetry: %d samples, %d series -> %s.{csv,json,html}\n",
-		len(set.TimesUs), len(set.Series), prefix)
+	fmt.Printf("telemetry: %d samples, %d series -> %s.json, %s\n",
+		len(set.TimesUs), len(set.Series), prefix, tracePath)
 }
 
 // writeStats dumps the registry snapshot as JSON to path (no-op when unset).

@@ -10,7 +10,7 @@ import (
 )
 
 // This file registers the series every system exposes, under the same names,
-// so dashboards and the bottleneck analyzer read all five systems alike.
+// so the counter tracks and the bottleneck analyzer read all five systems alike.
 // Everything registered here is a read-only view over counters the chassis
 // maintains anyway: an attached observer never perturbs the simulation.
 

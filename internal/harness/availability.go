@@ -234,7 +234,7 @@ func availabilityReport(opt Options, out availOutcome) *Report {
 	r.AddNote("fault-mode throughput is sim-relative: the series shape is the result, not the absolute rate")
 	finishTelemetry(r, opt)
 	if len(r.Bottlenecks) > 0 {
-		r.AddNote("telemetry: crash -> restore arc recorded (cluster.alive / cluster.epoch series); see the dashboard")
+		r.AddNote("telemetry: crash -> restore arc recorded (cluster.alive / cluster.epoch counter tracks in the telemetry trace)")
 	}
 	return r
 }

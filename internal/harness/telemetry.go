@@ -7,8 +7,9 @@ import (
 
 // TelemetryCollector accumulates one telemetry series set per measured
 // cluster. Attach one via Options.Telemetry to have every figure/table cell
-// record time-resolved series; cmd/xenic-bench -telemetry exports the union
-// as CSV/JSON plus a single-file HTML dashboard. Like StatsCollector, a
+// record time-resolved series; cmd/xenic-bench -telemetry exports each
+// experiment's sets as JSON and the union as Perfetto counter tracks in one
+// trace file. Like StatsCollector, a
 // collector is not safe for concurrent use: parallel cells each record into
 // a private collector that the pool merges in cell order, so results are
 // identical at every worker count.

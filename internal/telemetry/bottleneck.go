@@ -4,7 +4,7 @@
 // window) and lock-conflict pressure (the fraction of transaction outcomes
 // that were lock aborts) — and cites the phase-latency critical-path shares
 // as supporting detail, the same reasoning a person applies when reading the
-// dashboard lanes by hand.
+// counter tracks by hand.
 package telemetry
 
 import (
@@ -46,8 +46,8 @@ const (
 	lockFrac = 0.2
 )
 
-// occupancy series suffixes → resource names, with the lane the dashboard
-// and Detail strings use.
+// occupancy series suffixes → the resource names verdicts and Detail
+// strings use.
 var resourceOf = map[string]string{
 	"nic.occupancy":    "nic-core",
 	"host.occupancy":   "host-core",

@@ -1,111 +1,21 @@
-// Series export: CSV for spreadsheet/gnuplot consumption and JSON for
-// machine analysis. Both are deterministic — series are sorted by name, cell
-// labels are sorted, and floats format with strconv's shortest round-trip
-// representation — so two identically-seeded runs export byte-identical
-// files (the CI determinism gate diffs them).
+// Series export: JSON for machine analysis and Chrome trace-event counter
+// tracks for Perfetto. Both are deterministic — series are sorted by name,
+// cell labels are sorted, and floats format with strconv's shortest
+// round-trip representation — so two identically-seeded runs export
+// byte-identical files (the identity manifest pins them).
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
+
+	"xenic/internal/sim"
+	"xenic/internal/trace"
 )
-
-func appendFloat(b []byte, v float64) []byte {
-	return strconv.AppendFloat(b, v, 'g', -1, 64)
-}
-
-// WriteCSV writes one set as CSV with a t_us time column followed by every
-// series in name order.
-func WriteCSV(w io.Writer, set *Set) error {
-	bw := bufio.NewWriter(w)
-	var line []byte
-	line = append(line, "t_us"...)
-	for i := range set.Series {
-		line = append(line, ',')
-		line = append(line, set.Series[i].Name...)
-	}
-	line = append(line, '\n')
-	if _, err := bw.Write(line); err != nil {
-		return err
-	}
-	for i := range set.TimesUs {
-		line = line[:0]
-		line = appendFloat(line, set.TimesUs[i])
-		for j := range set.Series {
-			line = append(line, ',')
-			if i < len(set.Series[j].Vals) {
-				line = appendFloat(line, set.Series[j].Vals[i])
-			}
-		}
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteMultiCSV writes several labelled sets as one CSV in long form: a
-// leading cell column, the time column, then the union of all series names.
-// Cells missing a series leave its field empty.
-func WriteMultiCSV(w io.Writer, sets map[string]*Set) error {
-	labels := make([]string, 0, len(sets))
-	for l := range sets {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-
-	seen := map[string]bool{}
-	var names []string
-	for _, l := range labels {
-		for i := range sets[l].Series {
-			if n := sets[l].Series[i].Name; !seen[n] {
-				seen[n] = true
-				names = append(names, n)
-			}
-		}
-	}
-	sort.Strings(names)
-
-	bw := bufio.NewWriter(w)
-	var line []byte
-	line = append(line, "cell,t_us"...)
-	for _, n := range names {
-		line = append(line, ',')
-		line = append(line, n...)
-	}
-	line = append(line, '\n')
-	if _, err := bw.Write(line); err != nil {
-		return err
-	}
-	for _, l := range labels {
-		set := sets[l]
-		col := make(map[string]int, len(set.Series))
-		for i := range set.Series {
-			col[set.Series[i].Name] = i
-		}
-		for i := range set.TimesUs {
-			line = line[:0]
-			line = append(line, l...)
-			line = append(line, ',')
-			line = appendFloat(line, set.TimesUs[i])
-			for _, n := range names {
-				line = append(line, ',')
-				if j, ok := col[n]; ok && i < len(set.Series[j].Vals) {
-					line = appendFloat(line, set.Series[j].Vals[i])
-				}
-			}
-			line = append(line, '\n')
-			if _, err := bw.Write(line); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
 
 // cellJSON is one cell's telemetry in the JSON export.
 type cellJSON struct {
@@ -140,4 +50,57 @@ func WriteJSON(w io.Writer, sets map[string]*Set, verdicts map[string]*Verdict) 
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+// AppendTrace appends set to tr as counter tracks (ph "C"), one per series,
+// in time order, and returns the next free pid. Series of node N go under
+// process pid0+N with the "nodeN." prefix dropped from the track name; every
+// other series (cluster.*, load.*) goes under one "cluster" process after
+// the nodes. Processes are named "nodeN" and "cluster", after label and a
+// space when label is set. A non-nil verdict becomes a "bottleneck" instant
+// at the last sample, on the node it names or else on the cluster process.
+func AppendTrace(tr *trace.Tracer, pid0 int, label string, set *Set, v *Verdict) int {
+	if label != "" {
+		label += " "
+	}
+	nodes := make([]int, len(set.Series)) // node index, or -1 for cluster-wide
+	tracks := make([]string, len(set.Series))
+	cluster := pid0
+	for i, s := range set.Series {
+		var node string
+		node, tracks[i] = splitNode(s.Name)
+		nodes[i] = nodeIndex(node)
+		cluster = max(cluster, pid0+nodes[i]+1)
+	}
+	pid := func(node int) int {
+		if node < 0 {
+			return cluster
+		}
+		return pid0 + node
+	}
+	for p := pid0; p < cluster; p++ {
+		tr.MetaProcess(p, label+"node"+strconv.Itoa(p-pid0))
+	}
+	tr.MetaProcess(cluster, label+"cluster")
+	var ts sim.Time
+	for j, us := range set.TimesUs {
+		ts = sim.Time(math.Round(us * float64(sim.Microsecond)))
+		for i, s := range set.Series {
+			tr.Counter(tracks[i], pid(nodes[i]), ts, s.Vals[j])
+		}
+	}
+	if v != nil && len(set.TimesUs) > 0 {
+		tr.Instant("telemetry", "bottleneck", pid(nodeIndex(v.Node)), 0, ts, trace.Args{
+			"resource": v.Resource, "node": v.Node, "util": v.Util, "detail": v.Detail})
+	}
+	return cluster + 1
+}
+
+// nodeIndex returns N for "nodeN" and -1 for anything else.
+func nodeIndex(node string) int {
+	n, err := strconv.Atoi(strings.TrimPrefix(node, "node"))
+	if err != nil {
+		return -1
+	}
+	return n
 }

@@ -3,12 +3,14 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"xenic/internal/metrics"
 	"xenic/internal/sim"
+	"xenic/internal/trace"
 )
 
 func TestSamplerProbes(t *testing.T) {
@@ -179,24 +181,6 @@ func TestAnalyzeDominantPhase(t *testing.T) {
 	}
 }
 
-func TestWriteCSV(t *testing.T) {
-	set := synthSet(map[string][]float64{
-		"b.rate":  {2, 4},
-		"a.depth": {1, 3},
-	})
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, set); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if lines[0] != "t_us,a.depth,b.rate" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 3 || lines[1] != "100,1,2" || lines[2] != "200,3,4" {
-		t.Fatalf("rows = %q", lines[1:])
-	}
-}
-
 func TestWriteJSONShape(t *testing.T) {
 	set := synthSet(map[string][]float64{"node0.txn.commit_rate": {10, 20}})
 	v := Analyze(set)
@@ -228,38 +212,8 @@ func TestWriteJSONShape(t *testing.T) {
 	}
 }
 
-func TestWriteHTMLEmbedsData(t *testing.T) {
-	set := synthSet(map[string][]float64{"node0.txn.commit_rate": {10, 20}})
-	var buf bytes.Buffer
-	err := WriteHTML(&buf, "t<i>tle", map[string]*Set{"c&1": set}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "t&lt;i&gt;tle") {
-		t.Fatal("title not escaped")
-	}
-	if strings.Contains(out, "__DATA__") || strings.Contains(out, "__TITLE__") {
-		t.Fatal("placeholders not substituted")
-	}
-	// The data blob must be JSON-escaped so "</script>" cannot occur inside.
-	start := strings.Index(out, `<script id="data" type="application/json">`)
-	if start < 0 {
-		t.Fatal("data blob missing")
-	}
-	blob := out[start+len(`<script id="data" type="application/json">`):]
-	blob = blob[:strings.Index(blob, "</script>")]
-	if strings.ContainsAny(blob, "<>") {
-		t.Fatal("unescaped angle brackets inside the data blob")
-	}
-	var doc any
-	if err := json.Unmarshal([]byte(blob), &doc); err != nil {
-		t.Fatalf("data blob is not valid JSON: %v", err)
-	}
-}
-
 // TestSamplerDeterministic runs two identical synthetic engines and expects
-// byte-identical CSV exports.
+// byte-identical JSON and trace exports.
 func TestSamplerDeterministic(t *testing.T) {
 	run := func() []byte {
 		eng := sim.NewEngine(7)
@@ -273,8 +227,14 @@ func TestSamplerDeterministic(t *testing.T) {
 		s.Attach(eng)
 		eng.Run(2 * sim.Millisecond)
 		s.Stop()
+		set := s.Set()
 		var buf bytes.Buffer
-		if err := WriteCSV(&buf, s.Set()); err != nil {
+		if err := WriteJSON(&buf, map[string]*Set{"run": set}, nil); err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New()
+		AppendTrace(tr, 0, "", set, nil)
+		if err := tr.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -282,5 +242,103 @@ func TestSamplerDeterministic(t *testing.T) {
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {
 		t.Fatal("two identically-seeded runs exported different telemetry")
+	}
+}
+
+// TestAppendTrace parses the counter-track export back and checks its
+// layout: one track per series carrying the set's samples, node N under
+// pid0+N, the cluster process after the nodes, and the verdict at the last
+// sample.
+func TestAppendTrace(t *testing.T) {
+	set := synthSet(map[string][]float64{
+		"cluster.alive":         {6, 6, 5},
+		"load.offered_rate":     {1e6, 2e6, 3e6},
+		"node0.nic.occupancy":   {0.5, 0.6, 0.7},
+		"node0.txn.commit_rate": {10, 20, 30},
+		"node2.nic.occupancy":   {0.9, 0.95, 0.99},
+	})
+	v := Analyze(set)
+	const pid0 = 7
+	tr := trace.New()
+	tr.MetaProcess(0, "node0") // a span process already in the file
+	if next := AppendTrace(tr, pid0, "fig/cell", set, &v); next != pid0+4 {
+		t.Fatalf("next pid = %d, want %d", next, pid0+4)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   float64        `json:"ts"`
+			Pid  int            `json:"pid"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+
+	procs := map[int]string{}
+	type key struct {
+		pid  int
+		name string
+	}
+	tracks := map[key][]float64{}
+	var times []float64
+	var verdicts []float64
+	verdictPid := -1
+	for _, e := range doc.TraceEvents {
+		switch e.Ph {
+		case "M":
+			if e.Name == "process_name" {
+				procs[e.Pid] = e.Args["name"].(string)
+			}
+		case "C":
+			k := key{e.Pid, e.Name}
+			tracks[k] = append(tracks[k], e.Args["value"].(float64))
+			if k == (key{pid0, "nic.occupancy"}) {
+				times = append(times, e.TS)
+			}
+		case "i":
+			verdicts = append(verdicts, e.TS)
+			verdictPid = e.Pid
+		}
+	}
+	wantProcs := map[int]string{0: "node0", pid0: "fig/cell node0", pid0 + 1: "fig/cell node1",
+		pid0 + 2: "fig/cell node2", pid0 + 3: "fig/cell cluster"}
+	if fmt.Sprint(procs) != fmt.Sprint(wantProcs) {
+		t.Fatalf("processes = %v, want %v", procs, wantProcs)
+	}
+	want := map[key]string{
+		{pid0 + 3, "cluster.alive"}:     "cluster.alive",
+		{pid0 + 3, "load.offered_rate"}: "load.offered_rate",
+		{pid0, "nic.occupancy"}:         "node0.nic.occupancy",
+		{pid0, "txn.commit_rate"}:       "node0.txn.commit_rate",
+		{pid0 + 2, "nic.occupancy"}:     "node2.nic.occupancy",
+	}
+	if len(tracks) != len(set.Series) {
+		t.Fatalf("%d counter tracks for %d series", len(tracks), len(set.Series))
+	}
+	for k, series := range want {
+		var vals []float64
+		for _, s := range set.Series {
+			if s.Name == series {
+				vals = s.Vals
+			}
+		}
+		if got := tracks[k]; fmt.Sprint(got) != fmt.Sprint(vals) || len(got) != len(set.TimesUs) {
+			t.Fatalf("track %v = %v, want %v", k, got, vals)
+		}
+	}
+	if fmt.Sprint(times) != fmt.Sprint(set.TimesUs) {
+		t.Fatalf("sample times = %v, want %v", times, set.TimesUs)
+	}
+	last := set.TimesUs[len(set.TimesUs)-1]
+	if len(verdicts) != 1 || verdicts[0] != last || verdictPid != pid0+2 {
+		t.Fatalf("verdict instants at %v on pid %d, want one at %v on pid %d (%s)",
+			verdicts, verdictPid, last, pid0+2, v)
 	}
 }

@@ -136,6 +136,16 @@ func (t *Tracer) Complete(cat, name string, pid, tid int, ts, dur sim.Time, args
 		Pid: pid, Tid: tid, Args: args})
 }
 
+// Counter records one sample of a counter track (ph "C"); Perfetto draws
+// the samples sharing pid and name as one track.
+func (t *Tracer) Counter(name string, pid int, ts sim.Time, value float64) {
+	if t == nil {
+		return
+	}
+	t.events = append(t.events, Event{Name: name, Ph: "C", TS: ts, Pid: pid,
+		Args: Args{"value": value}})
+}
+
 // micros renders a simulated instant as microseconds with nanosecond
 // resolution, the unit Chrome traces expect. Fixed-point formatting keeps
 // output byte-stable (no float shortest-round-trip surprises).

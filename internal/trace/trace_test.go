@@ -33,7 +33,7 @@ type jsonDoc struct {
 }
 
 // buildSample emits the event shapes core produces: a two-node committed
-// transaction and an aborted one.
+// transaction and an aborted one, then one telemetry counter sample.
 func buildSample() *Tracer {
 	tr := New()
 	tr.MetaProcess(0, "node0")
@@ -63,6 +63,7 @@ func buildSample() *Tracer {
 	tr.EndAsync("phase", "execute", 0x11, 1, us(8), nil)
 	tr.EndAsync("txn", "txn", 0x11, 1, us(8), Args{"status": "abort-locked"})
 	tr.Complete("dma", "dma-flush", 0, 0, us(9), us(1), Args{"n": 3})
+	tr.Counter("nic.occupancy", 0, us(10), 0.25)
 	return tr
 }
 
@@ -129,6 +130,10 @@ func TestWriteJSONGolden(t *testing.T) {
 			if e.Dur == nil {
 				t.Fatalf("event %d (%s): complete event without dur", i, e.Name)
 			}
+		case "C":
+			if _, ok := e.Args["value"].(float64); !ok {
+				t.Fatalf("event %d (%s): counter without a numeric value", i, e.Name)
+			}
 		}
 	}
 }
@@ -158,6 +163,7 @@ func TestNilTracer(t *testing.T) {
 	tr.EndAsync("c", "n", 1, 0, 0, nil)
 	tr.Instant("c", "n", 0, 0, 0, nil)
 	tr.Complete("c", "n", 0, 0, 0, 0, nil)
+	tr.Counter("n", 0, 0, 1)
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded events")
 	}

@@ -57,7 +57,7 @@ func TestTelemetryChargeFree(t *testing.T) {
 }
 
 // TestTelemetryDeterministic runs two identically-seeded clusters with
-// samplers attached and expects byte-identical CSV and JSON exports.
+// samplers attached and expects byte-identical trace and JSON exports.
 func TestTelemetryDeterministic(t *testing.T) {
 	run := func() ([]byte, []byte) {
 		tel := xenic.NewTelemetry(100 * xenic.Microsecond)
@@ -68,28 +68,30 @@ func TestTelemetryDeterministic(t *testing.T) {
 		cl.Measure(1*xenic.Millisecond, 3*xenic.Millisecond)
 		tel.Stop()
 		set := tel.Set()
-		var csv, js bytes.Buffer
-		if err := telemetry.WriteCSV(&csv, set); err != nil {
+		v := telemetry.Analyze(set)
+		var tr, js bytes.Buffer
+		counters := xenic.NewTracer()
+		telemetry.AppendTrace(counters, 0, "", set, &v)
+		if err := counters.WriteJSON(&tr); err != nil {
 			t.Fatal(err)
 		}
-		v := telemetry.Analyze(set)
 		err = telemetry.WriteJSON(&js, map[string]*telemetry.Set{"run": set},
 			map[string]*telemetry.Verdict{"run": &v})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return csv.Bytes(), js.Bytes()
+		return tr.Bytes(), js.Bytes()
 	}
-	csvA, jsA := run()
-	csvB, jsB := run()
-	if !bytes.Equal(csvA, csvB) {
-		t.Fatal("CSV exports differ between identically-seeded runs")
+	trA, jsA := run()
+	trB, jsB := run()
+	if !bytes.Equal(trA, trB) {
+		t.Fatal("trace exports differ between identically-seeded runs")
 	}
 	if !bytes.Equal(jsA, jsB) {
 		t.Fatal("JSON exports differ between identically-seeded runs")
 	}
-	if len(csvA) == 0 {
-		t.Fatal("empty CSV export")
+	if !bytes.Contains(trA, []byte(`"ph":"C"`)) {
+		t.Fatal("trace export holds no counter samples")
 	}
 }
 

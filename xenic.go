@@ -330,8 +330,9 @@ func NewHistory() *History { return check.NewHistory() }
 // Telemetry is a simulated-time sampler collecting per-node, per-resource
 // time series (rates, windowed latency quantiles, occupancies, queue
 // depths) from a running system. Attach one with WithTelemetry, run, then
-// export with Set (see the telemetry package for CSV/JSON/HTML writers and
-// the bottleneck analyzer). A nil *Telemetry is a valid disabled sampler.
+// export with Set (see the telemetry package for the JSON and trace-counter
+// writers and the bottleneck analyzer). A nil *Telemetry is a valid disabled
+// sampler.
 type Telemetry = telemetry.Sampler
 
 // TelemetrySet is an exported snapshot of a sampler's series.
