@@ -125,6 +125,11 @@ func newShardData(spec txnmodel.StoreSpec, place txnmodel.Placement) *shardData 
 	}
 }
 
+// clone returns a replica holding what s holds, sharing its value slices.
+func (s *shardData) clone() *shardData {
+	return &shardData{hash: s.hash.Clone(), btree: s.btree.Clone(), place: s.place}
+}
+
 func (s *shardData) read(key uint64) ([]byte, uint64, bool) {
 	if s.place.IsBTree(key) {
 		it, ok := s.btree.Get(key)

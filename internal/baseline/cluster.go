@@ -79,13 +79,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 			backups: map[int]*shardData{},
 			locks:   map[uint64]uint64{},
 		}
-		for s := 0; s < cfg.Nodes; s++ {
-			for _, b := range cl.BackupsOf(s) {
-				if b == id {
-					n.backups[s] = newShardData(spec, cl.Placement())
-				}
-			}
-		}
 		n.rnic = rdma.New(cl.Engine(), cfg.Params, cl.Network(), id, n.host)
 		if cfg.Faults != nil {
 			n.rnic.SetFaultTimeout(cfg.Faults.VerbTimeoutOrDefault())
@@ -107,18 +100,19 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		cl.nodes = append(cl.nodes, n)
 	}
 
+	// Each shard is populated once, into its primary, and copied to its
+	// backups; the copies share the primary's value slices.
 	for s := 0; s < cfg.Nodes; s++ {
-		primary := cl.nodes[s]
-		backups := cl.BackupsOf(s)
+		primary := cl.nodes[s].primary
 		gen.Populate(s, cfg.Nodes, func(key uint64, value []byte) {
 			if got := cl.Placement().ShardOf(key); got != s {
 				panic(fmt.Sprintf("baseline: populate: key %d in shard %d emitted for %d", key, got, s))
 			}
-			primary.primary.apply(key, value, 1)
-			for _, b := range backups {
-				cl.nodes[b].backups[s].apply(key, value, 1)
-			}
+			primary.apply(key, value, 1)
 		})
+		for _, b := range cl.BackupsOf(s) {
+			cl.nodes[b].backups[s] = primary.clone()
+		}
 	}
 
 	cl.Boot()

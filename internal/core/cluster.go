@@ -125,13 +125,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		for i := range n.stats.PhaseLat {
 			n.stats.PhaseLat[i] = metrics.NewHistogram()
 		}
-		for s := 0; s < cfg.Nodes; s++ {
-			for _, b := range cl.BackupsOf(s) {
-				if b == id {
-					n.backups[s] = newShardData(spec, cl.Placement())
-				}
-			}
-		}
 		n.prims[id] = &primaryShard{
 			data:  own,
 			index: nicindex.New(own.Hash, cl.cacheCap(), 1),
@@ -258,22 +251,22 @@ func (cl *Cluster) Restart(id int) {
 	cl.Manager().Rejoin(id)
 }
 
-// populate loads initial records into every shard's primary and backups,
-// then syncs the NIC index hints (the NIC learns the layout at setup).
+// populate loads initial records into every shard's primary, copies the
+// populated primary to each of its backups (DESIGN.md §16: the copies share
+// its value slices), then syncs the NIC index hints (the NIC learns the
+// layout at setup).
 func (cl *Cluster) populate() {
 	for s := 0; s < cl.cfg.Nodes; s++ {
-		primary := cl.nodes[s]
-		backups := cl.BackupsOf(s)
+		primary := cl.nodes[s].prims[s].data
 		cl.Workload().Populate(s, cl.cfg.Nodes, func(key uint64, value []byte) {
 			if got := cl.Placement().ShardOf(key); got != s {
 				panic(fmt.Sprintf("core: populate: key %d belongs to shard %d, emitted for %d", key, got, s))
 			}
-			kv := wire.KV{Key: key, Version: 1, Value: value}
-			primary.prims[s].data.Apply(kv)
-			for _, b := range backups {
-				cl.nodes[b].backups[s].Apply(kv)
-			}
+			primary.Apply(wire.KV{Key: key, Version: 1, Value: value})
 		})
+		for _, b := range cl.BackupsOf(s) {
+			cl.nodes[b].backups[s] = primary.clone()
+		}
 	}
 	for _, n := range cl.nodes {
 		for _, p := range n.prims {

@@ -112,6 +112,13 @@ func newShardData(spec txnmodel.StoreSpec, place txnmodel.Placement) *ShardData 
 	}
 }
 
+// clone returns a replica holding what s holds, sharing its value slices.
+// It copies no version chains: it is called on a freshly populated primary,
+// and population installs none.
+func (s *ShardData) clone() *ShardData {
+	return &ShardData{Hash: s.Hash.Clone(), BTree: s.BTree.Clone(), place: s.place}
+}
+
 // Read fetches a key's value and version via local memory access.
 func (s *ShardData) Read(key uint64) (value []byte, version uint64, ok bool) {
 	if s.place.IsBTree(key) {

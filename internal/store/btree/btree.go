@@ -35,6 +35,26 @@ func New() *Tree {
 	return &Tree{root: &node{leaf: true}}
 }
 
+// Clone returns a copy of t with the same node structure, as if the same
+// operations had been applied to a fresh tree. The copy owns its nodes and
+// their item and child slices, each with the original's capacity, and shares
+// the value slices: values are never written once stored (DESIGN.md §16).
+func (t *Tree) Clone() *Tree {
+	return &Tree{root: t.root.clone(), count: t.count}
+}
+
+func (n *node) clone() *node {
+	c := &node{leaf: n.leaf, items: make([]Item, len(n.items), cap(n.items))}
+	copy(c.items, n.items)
+	if !n.leaf {
+		c.children = make([]*node, len(n.children), cap(n.children))
+		for i, ch := range n.children {
+			c.children[i] = ch.clone()
+		}
+	}
+	return c
+}
+
 // Len reports the number of stored keys.
 func (t *Tree) Len() int { return t.count }
 

@@ -7,6 +7,7 @@ package chained
 
 import (
 	"fmt"
+	"slices"
 
 	"xenic/internal/store/cell"
 	"xenic/internal/store/robinhood"
@@ -57,6 +58,20 @@ func New(roots, b int) *Table {
 		used:  make([]int32, n),
 		next:  make([]int32, n),
 	}
+}
+
+// Clone returns a copy of t with the same buckets and chains, as if the same
+// operations had been applied to a fresh table. The copy owns its root,
+// link, used, next and cell storage, and shares the value slices: values
+// are never written once stored (DESIGN.md §16).
+func (t *Table) Clone() *Table {
+	c := *t
+	c.roots = slices.Clone(t.roots)
+	c.links = slices.Clone(t.links)
+	c.used = slices.Clone(t.used)
+	c.next = slices.Clone(t.next)
+	c.cells = t.cells.Clone()
+	return &c
 }
 
 // B returns the bucket size.

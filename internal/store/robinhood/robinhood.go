@@ -13,7 +13,9 @@ package robinhood
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 
 	"xenic/internal/store/cell"
 )
@@ -168,6 +170,23 @@ func New(cfg Config) *Table {
 		overflow: make(map[int][]OverflowEntry),
 		large:    make(map[uint64][]byte),
 	}
+}
+
+// Clone returns a copy of t with the same layout and Stats, as if the same
+// operations had been applied to a fresh table. The copy owns its slots,
+// segments, cells, overflow buckets and large-object map, and shares the
+// value slices: values are never written once stored (DESIGN.md §16).
+func (t *Table) Clone() *Table {
+	c := *t
+	c.slots = slices.Clone(t.slots)
+	c.segs = slices.Clone(t.segs)
+	c.cells = t.cells.Clone()
+	c.overflow = make(map[int][]OverflowEntry, len(t.overflow))
+	for seg, b := range t.overflow {
+		c.overflow[seg] = slices.Clone(b)
+	}
+	c.large = maps.Clone(t.large)
+	return &c
 }
 
 // Config returns the table's effective configuration.
