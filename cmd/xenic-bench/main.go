@@ -21,6 +21,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"syscall"
 	"time"
 
 	"xenic/internal/cliflags"
@@ -106,7 +107,9 @@ func main() {
 				allVerdicts[e.ID+"/"+label] = verdicts[label]
 			}
 		}
-		fmt.Printf("# wall time: %s\n\n", time.Since(start).Round(time.Millisecond))
+		var ru syscall.Rusage
+		_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru) // fails only on a bad who; Maxrss is in KiB on Linux
+		fmt.Printf("# wall time: %s, process peak RSS so far: %d MiB\n\n", time.Since(start).Round(time.Millisecond), ru.Maxrss>>10)
 	}
 	if *statsOut != "" {
 		writeJSON(*statsOut, allStats)

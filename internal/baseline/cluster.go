@@ -75,7 +75,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 			id:      id,
 			app:     ch.App(id),
 			host:    ch.App(id).Host(),
-			primary: newShardData(spec, cl.Placement()),
 			backups: map[int]*shardData{},
 			locks:   map[uint64]uint64{},
 		}
@@ -100,20 +99,16 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		cl.nodes = append(cl.nodes, n)
 	}
 
-	// Each shard is populated once, into its primary, and copied to its
-	// backups; the copies share the primary's value slices.
-	for s := 0; s < cfg.Nodes; s++ {
-		primary := cl.nodes[s].primary
-		gen.Populate(s, cfg.Nodes, func(key uint64, value []byte) {
-			if got := cl.Placement().ShardOf(key); got != s {
-				panic(fmt.Sprintf("baseline: populate: key %d in shard %d emitted for %d", key, got, s))
-			}
-			primary.apply(key, value, 1)
-		})
-		for _, b := range cl.BackupsOf(s) {
-			cl.nodes[b].backups[s] = primary.clone()
-		}
-	}
+	// One goroutine per shard fills its primary and clones it for the backups.
+	chassis.Populate(ch, chassis.Population[*shardData]{
+		Primary: func(s int) *shardData {
+			cl.nodes[s].primary = newShardData(spec, cl.Placement())
+			return cl.nodes[s].primary
+		},
+		Load:    func(d *shardData, key uint64, value []byte) { d.apply(key, value, 1) },
+		Clone:   (*shardData).clone,
+		Install: func(s, node int, d *shardData) { cl.nodes[node].backups[s] = d },
+	})
 
 	cl.Boot()
 	if err := cl.Attach(obs); err != nil {

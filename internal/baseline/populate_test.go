@@ -7,6 +7,7 @@ import (
 
 	"xenic/internal/store/btree"
 	"xenic/internal/txnmodel"
+	"xenic/internal/workload/retwis"
 	"xenic/internal/workload/smallbank"
 	"xenic/internal/workload/tpcc"
 )
@@ -31,17 +32,20 @@ func dumpReplica(d *shardData) string {
 	return b.String()
 }
 
-// TestBackupsEqualPrimaryAfterConstruction pins population by copy: after
-// New, every backup of every shard is its primary — key for key, version
-// and value bytes, the same chain layout, the same B+tree — sharing the
-// primary's value slices; and an apply into one backup leaves the primary
-// and the other backups unchanged.
+// TestBackupsEqualPrimaryAfterConstruction pins population by copy, one
+// goroutine per shard: after New, the primary and every backup of every
+// shard equal a table built serially from the same Populate stream — key
+// for key, version and value bytes, the same chain layout, the same B+tree
+// — the backups sharing the primary's value slices; and an apply into one
+// backup leaves the primary and the other backups unchanged.
 func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 	sb := smallbank.New()
 	sb.AccountsPerServer = 2_000
 	tp := tpcc.New()
 	tp.WarehousesPerServer, tp.ItemsPerWarehouse, tp.CustomersPerDistrict = 2, 100, 10
-	for _, g := range []txnmodel.Generator{sb, tp} {
+	rw := retwis.New()
+	rw.KeysPerServer = 2_000
+	for _, g := range []txnmodel.Generator{sb, tp, rw} {
 		t.Run(g.Name(), func(t *testing.T) {
 			cfg := DefaultConfig(DrTMH)
 			cfg.Nodes, cfg.Threads, cfg.Seed = 4, 2, 1
@@ -58,7 +62,15 @@ func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 				if len(backups) != cfg.Replication-1 {
 					t.Fatalf("shard %d has %d backups", s, len(backups))
 				}
-				want := dumpReplica(prim)
+				// Every replica must equal a table built serially, on this
+				// goroutine, from the same Populate stream: shard goroutines
+				// share no table and no generator state.
+				serial := newShardData(g.Spec(), cl.Placement())
+				g.Populate(s, cfg.Nodes, func(key uint64, value []byte) { serial.apply(key, value, 1) })
+				want := dumpReplica(serial)
+				if got := dumpReplica(prim); got != want {
+					t.Fatalf("shard %d: primary differs from a serially built table", s)
+				}
 				if prim.hash.Len() == 0 {
 					t.Fatalf("shard %d: primary is empty", s)
 				}
@@ -67,7 +79,7 @@ func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 						t.Fatalf("shard %d backup %d shares its primary's tables", s, i)
 					}
 					if got := dumpReplica(bk); got != want {
-						t.Fatalf("shard %d backup %d differs from its primary after construction", s, i)
+						t.Fatalf("shard %d backup %d differs from a serially built table", s, i)
 					}
 					prim.hash.ForEach(func(key, _ uint64, value []byte) bool {
 						if r := bk.hash.Lookup(key); len(value) > 0 && &r.Value[0] != &value[0] {
@@ -107,4 +119,29 @@ func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 			}
 		})
 	}
+}
+
+// misplaced emits, from shards 2 and 4, a key of the next shard.
+type misplaced struct{ *counterGen }
+
+func (m misplaced) Populate(shard, nodes int, emit func(uint64, []byte)) {
+	m.counterGen.Populate(shard, nodes, emit)
+	if shard == 2 || shard == 4 {
+		emit(uint64(shard+1), make([]byte, 8))
+	}
+}
+
+// TestPopulatePanicReachesCaller pins the failure path of construction: a
+// generator that misplaces keys from two shards makes New panic on the
+// calling goroutine, with the lowest such shard's message.
+func TestPopulatePanicReachesCaller(t *testing.T) {
+	defer func() {
+		const want = "baseline: populate: key 3 belongs to shard 3, emitted for 2"
+		if r := recover(); r != want {
+			t.Fatalf("New panicked with %v, want %q", r, want)
+		}
+	}()
+	cfg := DefaultConfig(DrTMH)
+	cfg.Nodes, cfg.Threads = 6, 2
+	New(cfg, misplaced{&counterGen{keys: 600}}, Observers{})
 }

@@ -12,6 +12,7 @@ package chassis
 
 import (
 	"fmt"
+	"sync"
 
 	"xenic/internal/check"
 	"xenic/internal/fault"
@@ -151,7 +152,8 @@ type Chassis struct {
 }
 
 // New builds the engine, fabric, fault injector and per-node hosts. The
-// protocol then builds its nodes on them, calls Boot, and finally Attach.
+// protocol then builds its nodes on them, calls Populate, Boot, and finally
+// Attach.
 func New(cfg Config, gen txnmodel.Generator, p Protocol) (*Chassis, error) {
 	if err := cfg.validate(p.Name); err != nil {
 		return nil, err
@@ -193,6 +195,62 @@ func New(cfg Config, gen txnmodel.Generator, p Protocol) (*Chassis, error) {
 		return nil, err
 	}
 	return ch, nil
+}
+
+// Population is a protocol's part in building its initial shards, R being
+// its replica type. Primary makes shard s's empty primary, Load installs an
+// initial record in it at version 1, Clone copies the populated primary for
+// a backup, Finish (if set) completes shard s after its copies, and Install
+// hands node its copy of shard s.
+type Population[R any] struct {
+	Primary func(s int) R
+	Load    func(primary R, key uint64, value []byte)
+	Clone   func(primary R) R
+	Finish  func(s int)
+	Install func(s, node int, backup R)
+}
+
+// Populate builds each shard on its own goroutine: its primary receives the
+// workload's records in the order Populate emits them, is cloned once per
+// backup, and Finish runs. Those steps may touch only shard s's own state —
+// never the engine, a pool or another shard (DESIGN.md §4). Install runs on
+// the caller's goroutine after the join. If shards panic, the lowest one's
+// panic is re-raised here, so a bad generator fails alike on any schedule.
+func Populate[R any](ch *Chassis, p Population[R]) {
+	n := ch.cfg.Nodes
+	backups, panics := make([][]R, n), make([]any, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for s := range n {
+		go func() {
+			defer wg.Done()
+			defer func() { panics[s] = recover() }()
+			primary := p.Primary(s)
+			ch.gen.Populate(s, n, func(key uint64, value []byte) {
+				if got := ch.place.ShardOf(key); got != s {
+					panic(fmt.Sprintf("%s: populate: key %d belongs to shard %d, emitted for %d", ch.proto.Name, key, got, s))
+				}
+				p.Load(primary, key, value)
+			})
+			for range ch.cfg.Replication - 1 {
+				backups[s] = append(backups[s], p.Clone(primary))
+			}
+			if p.Finish != nil {
+				p.Finish(s)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
+	for s := range n {
+		for i, b := range ch.BackupsOf(s) {
+			p.Install(s, b, backups[s][i])
+		}
+	}
 }
 
 // Boot starts the lease service (§4.2.1): every live, reachable node renews

@@ -100,11 +100,9 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 	cl.Chassis = ch
 	cl.fwdInFlight = make([]int64, cfg.Nodes)
 	cl.mv = newMVState(cfg.MVCC, cfg.MVCCKeep)
-	spec := gen.Spec()
-	cl.spec = spec
+	cl.spec = gen.Spec()
 
 	for id := 0; id < cfg.Nodes; id++ {
-		own := newShardData(spec, cl.Placement())
 		n := &Node{
 			cl:            cl,
 			id:            id,
@@ -125,19 +123,6 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		for i := range n.stats.PhaseLat {
 			n.stats.PhaseLat[i] = metrics.NewHistogram()
 		}
-		n.prims[id] = &primaryShard{
-			data:  own,
-			index: nicindex.New(own.Hash, cl.cacheCap(), 1),
-			ready: true,
-		}
-		if cl.mv.enabled {
-			// The NIC index mirrors the host chain head timestamps (modeled
-			// as extra row-header metadata carried by the existing DMA fills)
-			// and caches a bounded version history per entry.
-			n.prims[id].index.SetTSFunc(own.HeadTS)
-			n.prims[id].index.SetChainDepth(cl.mv.keep)
-		}
-
 		n.nic = nicrt.New(cl.Engine(), cfg.Params, cl.Network(), id, cfg.NICCores, cfg.Seed, cfg.Features.runtime())
 		if cl.Injector() != nil {
 			n.nic.SetDMAFault(cl.Injector().DMAErr)
@@ -192,13 +177,21 @@ func (cl *Cluster) scheduleFaults() {
 	}
 }
 
-// cacheCap is the SmartNIC index cache capacity from the workload spec.
-func (cl *Cluster) cacheCap() int {
+// newIndex builds the SmartNIC index over primary replica d, its cache
+// capacity from the workload spec. Under MVCC it mirrors the host chain head
+// timestamps (modeled as extra row-header metadata carried by the existing
+// DMA fills) and caches a bounded version history per entry.
+func (cl *Cluster) newIndex(d *ShardData) *nicindex.Index {
 	cache := cl.spec.NICCacheObjects
 	if cache <= 0 {
 		cache = cl.spec.HashSlots / 4
 	}
-	return cache
+	idx := nicindex.New(d.Hash, cache, 1)
+	if cl.mv.enabled {
+		idx.SetTSFunc(d.HeadTS)
+		idx.SetChainDepth(cl.mv.keep)
+	}
+	return idx
 }
 
 // Kill crashes node id: it stops processing and renewing its lease; the
@@ -251,28 +244,21 @@ func (cl *Cluster) Restart(id int) {
 	cl.Manager().Rejoin(id)
 }
 
-// populate loads initial records into every shard's primary, copies the
-// populated primary to each of its backups (DESIGN.md §16: the copies share
-// its value slices), then syncs the NIC index hints (the NIC learns the
-// layout at setup).
+// populate builds each shard on its own goroutine (chassis.Populate): the
+// primary and its NIC index, backups that are clones sharing its value
+// slices (DESIGN.md §16), and the index hints the NIC learns at setup.
 func (cl *Cluster) populate() {
-	for s := 0; s < cl.cfg.Nodes; s++ {
-		primary := cl.nodes[s].prims[s].data
-		cl.Workload().Populate(s, cl.cfg.Nodes, func(key uint64, value []byte) {
-			if got := cl.Placement().ShardOf(key); got != s {
-				panic(fmt.Sprintf("core: populate: key %d belongs to shard %d, emitted for %d", key, got, s))
-			}
-			primary.Apply(wire.KV{Key: key, Version: 1, Value: value})
-		})
-		for _, b := range cl.BackupsOf(s) {
-			cl.nodes[b].backups[s] = primary.clone()
-		}
-	}
-	for _, n := range cl.nodes {
-		for _, p := range n.prims {
-			p.index.SyncHints()
-		}
-	}
+	chassis.Populate(cl.Chassis, chassis.Population[*ShardData]{
+		Primary: func(s int) *ShardData {
+			own := newShardData(cl.spec, cl.Placement())
+			cl.nodes[s].prims[s] = &primaryShard{data: own, index: cl.newIndex(own), ready: true}
+			return own
+		},
+		Load:    func(d *ShardData, key uint64, value []byte) { d.Apply(wire.KV{Key: key, Version: 1, Value: value}) },
+		Clone:   (*ShardData).clone,
+		Finish:  func(s int) { cl.nodes[s].prims[s].index.SyncHints() },
+		Install: func(s, node int, d *ShardData) { cl.nodes[node].backups[s] = d },
+	})
 }
 
 // Node returns node i.

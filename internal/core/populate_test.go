@@ -8,6 +8,7 @@ import (
 	"xenic/internal/store/btree"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
+	"xenic/internal/workload/retwis"
 	"xenic/internal/workload/smallbank"
 	"xenic/internal/workload/tpcc"
 )
@@ -45,18 +46,21 @@ func dumpReplica(d *ShardData) string {
 	return b.String()
 }
 
-// TestBackupsEqualPrimaryAfterConstruction pins population by copy: after
-// New, every backup of every shard is its primary — key for key, version
-// and value bytes, the same Robin Hood layout, hints and Stats, the same
-// B+tree — sharing the primary's value slices rather than copies of them;
-// and an Apply into one backup leaves the primary and the other backups
-// unchanged.
+// TestBackupsEqualPrimaryAfterConstruction pins population by copy, one
+// goroutine per shard: after New, the primary and every backup of every
+// shard equal a table built serially from the same Populate stream — key
+// for key, version and value bytes, the same Robin Hood layout, hints and
+// Stats, the same B+tree — the backups sharing the primary's value slices
+// rather than copies of them; and an Apply into one backup leaves the
+// primary and the other backups unchanged.
 func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 	sb := smallbank.New()
 	sb.AccountsPerServer = 2_000
 	tp := tpcc.New()
 	tp.WarehousesPerServer, tp.ItemsPerWarehouse, tp.CustomersPerDistrict = 2, 100, 10
-	for _, g := range []txnmodel.Generator{sb, tp} {
+	rw := retwis.New()
+	rw.KeysPerServer = 2_000
+	for _, g := range []txnmodel.Generator{sb, tp, rw} {
 		t.Run(g.Name(), func(t *testing.T) {
 			cfg := testConfig(4, Features{})
 			cfg.Seed = 1
@@ -73,7 +77,15 @@ func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 				if len(backups) != cfg.Replication-1 {
 					t.Fatalf("shard %d has %d backups", s, len(backups))
 				}
-				want := dumpReplica(prim)
+				// Every replica must equal a table built serially, on this
+				// goroutine, from the same Populate stream: shard goroutines
+				// share no table and no generator state.
+				serial := newShardData(g.Spec(), cl.Placement())
+				g.Populate(s, cfg.Nodes, func(key uint64, value []byte) { serial.Apply(wire.KV{Key: key, Version: 1, Value: value}) })
+				want := dumpReplica(serial)
+				if got := dumpReplica(prim); got != want {
+					t.Fatalf("shard %d: primary differs from a serially built table", s)
+				}
 				if prim.Hash.Len() == 0 {
 					t.Fatalf("shard %d: primary is empty", s)
 				}
@@ -82,7 +94,7 @@ func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 						t.Fatalf("shard %d backup %d shares its primary's tables", s, i)
 					}
 					if got := dumpReplica(bk); got != want {
-						t.Fatalf("shard %d backup %d differs from its primary after construction", s, i)
+						t.Fatalf("shard %d backup %d differs from a serially built table", s, i)
 					}
 					prim.Hash.ForEach(func(key, _ uint64, value []byte) bool {
 						if r := bk.Hash.Lookup(key); len(value) > 0 && &r.Value[0] != &value[0] {
@@ -124,4 +136,27 @@ func TestBackupsEqualPrimaryAfterConstruction(t *testing.T) {
 			}
 		})
 	}
+}
+
+// misplaced emits, from shards 2 and 4, a key of the next shard.
+type misplaced struct{ *kvGen }
+
+func (m misplaced) Populate(shard, nodes int, emit func(uint64, []byte)) {
+	m.kvGen.Populate(shard, nodes, emit)
+	if shard == 2 || shard == 4 {
+		emit(uint64(shard+1), make([]byte, 8))
+	}
+}
+
+// TestPopulatePanicReachesCaller pins the failure path of construction: a
+// generator that misplaces keys from two shards makes New panic on the
+// calling goroutine, with the lowest such shard's message.
+func TestPopulatePanicReachesCaller(t *testing.T) {
+	defer func() {
+		const want = "core: populate: key 3 belongs to shard 3, emitted for 2"
+		if r := recover(); r != want {
+			t.Fatalf("New panicked with %v, want %q", r, want)
+		}
+	}()
+	New(testConfig(6, Features{}), misplaced{&kvGen{keys: 600}}, Observers{})
 }

@@ -7,7 +7,6 @@ import (
 	"xenic/internal/chassis"
 	"xenic/internal/membership"
 	"xenic/internal/nicrt"
-	"xenic/internal/store/nicindex"
 	"xenic/internal/wire"
 )
 
@@ -280,13 +279,9 @@ func (n *Node) adoptShards(c *nicrt.Core, v membership.View) {
 			}
 			n.applyRecord(c, &r)
 		}
-		idx := nicindex.New(data.Hash, n.cl.cacheCap(), 1)
+		idx := n.cl.newIndex(data)
 		idx.SyncHints()
 		n.hookIndex(s, idx)
-		if n.cl.mv.enabled {
-			idx.SetTSFunc(data.HeadTS)
-			idx.SetChainDepth(n.cl.mv.keep)
-		}
 		n.prims[s] = &primaryShard{data: data, index: idx, ready: false}
 		if n.cl.mv.enabled {
 			// The drain above bypassed the worker ack path, so discharge the

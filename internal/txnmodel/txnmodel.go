@@ -178,9 +178,10 @@ type Generator interface {
 	// Register adds the workload's execution functions to r.
 	Register(r *Registry)
 	// Populate returns the initial records for shard (loaded on its
-	// primary and backups). Called once per shard. Every replica adopts the
-	// value slice passed to emit instead of copying it, so a value emitted
-	// is never written again; rows that are alike may share one slice.
+	// primary and backups). Called once per shard, maybe concurrently for
+	// distinct shards, so it must only read the generator and call emit.
+	// Every replica adopts the value slice passed to emit, so a value
+	// emitted is never written again; rows that are alike may share a slice.
 	Populate(shard, nodes int, emit func(key uint64, value []byte))
 	// Next produces the next transaction for a coordinator thread.
 	Next(node, thread int, rng *rand.Rand) *TxnDesc

@@ -84,7 +84,8 @@ type StoreSpec = txnmodel.StoreSpec
 // Workload supplies transactions to a cluster. See internal/workload for
 // the TPC-C, Retwis, and Smallbank implementations. A value it hands over —
 // to Populate's emit, in a Txn's BlindWrites or in an ExecResult's Writes —
-// is never written again: every replica's store adopts the slice.
+// is never written again: every replica's store adopts the slice. Populate
+// runs concurrently for distinct shards: it may only read and call emit.
 type Workload = txnmodel.Generator
 
 // Config assembles a Xenic cluster.
