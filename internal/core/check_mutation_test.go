@@ -242,3 +242,19 @@ func TestCheckerCatchesGCIgnoringSnapshots(t *testing.T) {
 	defer func() { mutGCIgnoreSnapshots = false }()
 	requireSIViolation(t, snapMutantRun(t, mutantSeed))
 }
+
+// TestCheckerCatchesTrustObserved mutates checkKey to trust the host's
+// observed version for a key the NIC index no longer tracks (DESIGN §9's
+// TPC-C bug). Two attempts that observed the same row both commit its
+// successor version, on the host-local path (the mix) and on the
+// distributed blind-write path (the new-order variant) alike.
+func TestCheckerCatchesTrustObserved(t *testing.T) {
+	mutTrustObserved = true
+	defer func() { mutTrustObserved = false }()
+	for _, tc := range blindWriteCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, rep := blindWriteRun(t, tc.gen(), tc.seed)
+			requireWitnessCycle(t, rep)
+		})
+	}
+}

@@ -38,8 +38,8 @@ const (
 // last continuation.
 type ctxn struct {
 	// OCC holds the read set, lock sets, write set and fan-in counter
-	// (Pending counts blind B+tree verifies, EXECUTE/VALIDATE/LOG/COMMIT
-	// parts and local lookups alike).
+	// (Pending counts key checks, EXECUTE/VALIDATE/LOG/COMMIT parts and
+	// local lookups alike).
 	txnmodel.OCC
 
 	id       uint64
@@ -48,7 +48,7 @@ type ctxn struct {
 	phaseAt  sim.Time // when the current phase began (latency accounting)
 	openedAt sim.Time // when the transaction opened (history recording)
 	epoch    int      // bumped on every phase change; watchdog progress marker
-	// checkFailed holds the first validation failure of a local commit until
+	// checkFailed holds the first failed key check of a local commit until
 	// its last check is in; a view change in between still reports as one.
 	checkFailed wire.Status
 	dead        bool // view change aborted this transaction; drop stragglers
@@ -77,19 +77,21 @@ type ctxn struct {
 }
 
 // lookupLanded takes the lookups a coordinator issues for itself: a shipped
-// transaction's local reads (shipTxn), a local commit's version checks
-// (localCheck) and the B+tree blind-write verifies (lockBlindBTree). A
-// transaction is in exactly one of those states while any is in flight, and
-// a dead one keeps the state it died in.
+// transaction's local reads (shipTxn) and the re-reads of checkKey. A
+// transaction is in one of those states while any is in flight, and a dead
+// one keeps the state it died in.
 func (t *ctxn) lookupLanded(n *Node, c *nicrt.Core, d lookupDone) {
-	switch {
-	case t.phase == phShipped:
+	if t.phase == phShipped {
 		n.shipLocalRead(c, t, d.slot, d.res)
-	case t.local != nil:
-		n.localLanded(c, t, d)
-	default:
-		n.blindLanded(c, t, d)
+		return
 	}
+	if t.dead {
+		return
+	}
+	if d.res.Version != d.want {
+		t.staleKey()
+	}
+	n.keysChecked(c, t)
 }
 
 // grabCtxn returns coordinator state for transaction id: a recycled record
@@ -179,25 +181,9 @@ func (n *Node) coordStart(c *nicrt.Core, m *wire.TxnRequest) {
 	n.openTxn(t)
 
 	// Coordinator-local B+tree blind writes (TPC-C order/order-line
-	// inserts, district updates) are locked and version-checked in the NIC
-	// index here; their values never need a NIC lookup.
+	// inserts, district updates) are locked and version-checked here; their
+	// values never need a NIC lookup.
 	n.lockBlindBTree(c, t)
-}
-
-// afterBlindLocks starts execution once every coordinator-local B+tree
-// blind write is locked and verified (t.Failed holds the first failure).
-func (n *Node) afterBlindLocks(c *nicrt.Core, t *ctxn) {
-	if t.Failed != wire.StatusOK {
-		n.abortTxn(c, t)
-		return
-	}
-	if n.cl.cfg.Features.MultiHopOCC && t.desc.NICExec && t.desc.FnID != 0 {
-		if dst, ok := n.shipTarget(&t.desc); ok {
-			n.shipTxn(c, t, dst)
-			return
-		}
-	}
-	n.execRound(c, t, t.desc.ReadKeys, n.execLockKeys(&t.desc))
 }
 
 // btreeVerifyBytes is the DMA payload for re-reading a B+tree row header
@@ -206,14 +192,9 @@ func (n *Node) afterBlindLocks(c *nicrt.Core, t *ctxn) {
 const btreeVerifyBytes = 32
 
 // lockBlindBTree locks t's coordinator-local B+tree blind-write keys in the
-// NIC index and validates the versions the host observed at generation
-// time. The index is authoritative only while a lock or a commit pin keeps
-// the entry resident; once the host applies the logged write the entry is
-// dropped, so for untracked keys the NIC must DMA-read the row header from
-// the host B+tree. Trusting the generation-time observation there loses
-// updates: a concurrent writer may have committed and been applied since
-// the host read the row. Continues in afterBlindLocks once every key is
-// locked and verified.
+// NIC index and checks each against the version the host observed at
+// generation time (checkKey). A lock failure overrides a check's; after
+// either, later keys are locked but not checked. Continues in keysChecked.
 func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
 	t.Pending = 1
 	for _, kv := range t.desc.BlindWrites {
@@ -235,38 +216,93 @@ func (n *Node) lockBlindBTree(c *nicrt.Core, t *ctxn) {
 			t.AddLocks(shard, kv.Key)
 		}
 		t.SetRead(wire.KV{Key: kv.Key, Version: kv.Version})
-		if t.Failed != wire.StatusOK {
-			continue
+		if t.Failed == wire.StatusOK {
+			n.checkKey(c, t, kv.Key, kv.Version)
 		}
-		if v, known := p.index.VersionOf(kv.Key); known {
-			if v != kv.Version {
-				t.Failed = wire.StatusAbortVersion
-			}
-			continue
-		}
-		t.Pending++
-		n.issueLookup(c, lookupVerify, p, t, lookupDone{key: kv.Key, want: kv.Version})
 	}
-	n.blindVerified(c, t)
+	n.keysChecked(c, t)
 }
 
-// blindLanded is the row-header read of one lockBlindBTree verify.
-func (n *Node) blindLanded(c *nicrt.Core, t *ctxn, d lookupDone) {
-	if t.dead {
+// checkKey checks a key t versions itself, a coordinator-local blind write
+// or any key of a local commit, against want, the version the host observed.
+// A key another transaction has locked fails. The NIC index answers for a
+// key it tracks (a lock or a commit pin keeps it resident); any other key is
+// re-read from the host store by DMA: a B+tree row header, or the hash
+// chain. A missing row reads as version 0. Trusting the host's observation
+// there loses updates: a writer may have committed and been applied since
+// the host read the row (DESIGN §9). t.Pending counts the re-reads.
+func (n *Node) checkKey(c *nicrt.Core, t *ctxn, key, want uint64) {
+	s := n.place().ShardOf(key)
+	p := n.prim(s)
+	if p.index.IsLocked(key, t.id) {
+		t.staleKey()
 		return
 	}
-	ok, ver := d.res.Found, d.res.Version
-	if stale := ok && ver != d.want || !ok && d.want != 0; stale && t.Failed == wire.StatusOK {
-		t.Failed = wire.StatusAbortVersion
+	if v, known := p.index.VersionOf(key); known {
+		if v != want {
+			t.staleKey()
+		}
+		return
 	}
-	n.blindVerified(c, t)
+	if mutTrustObserved {
+		return
+	}
+	t.Pending++
+	if n.place().IsBTree(key) {
+		n.issueLookup(c, lookupVerify, p, t, lookupDone{key: key, want: want})
+		return
+	}
+	res, hit := n.lookupStart(c, s, key)
+	d := lookupDone{key: key, want: want, res: res}
+	if hit {
+		t.lookupLanded(n, c, d)
+		return
+	}
+	n.lookupFinish(c, s, t, d)
 }
 
-// blindVerified retires one unit of lockBlindBTree's fan-out.
-func (n *Node) blindVerified(c *nicrt.Core, t *ctxn) {
-	if t.Done(wire.StatusOK) && !t.dead {
-		n.afterBlindLocks(c, t)
+// staleKey records a failed key check. A local commit keeps the first in
+// checkFailed until its last check is in, so a view change in between
+// reports as one; any other transaction fails at once.
+func (t *ctxn) staleKey() {
+	failed := &t.Failed
+	if t.local != nil {
+		failed = &t.checkFailed
 	}
+	if *failed == wire.StatusOK {
+		*failed = wire.StatusAbortVersion
+	}
+}
+
+// keysChecked retires one unit of t's key checks. After the last it aborts
+// on a failure; otherwise a local commit versions its write set and logs it,
+// and any other transaction ships (§4.2.3) or starts execution.
+func (n *Node) keysChecked(c *nicrt.Core, t *ctxn) {
+	if !t.Done(wire.StatusOK) || t.dead {
+		return
+	}
+	if t.Failed == wire.StatusOK {
+		t.Failed = t.checkFailed
+	}
+	if t.Failed != wire.StatusOK {
+		n.abortTxn(c, t)
+		return
+	}
+	if t.local != nil {
+		t.Writes = make([]wire.KV, len(t.local.WriteSet))
+		for i, kv := range t.local.WriteSet {
+			t.Writes[i] = wire.KV{Key: kv.Key, Version: kv.Version + 1, Value: kv.Value}
+		}
+		n.logPhase(c, t)
+		return
+	}
+	if n.cl.cfg.Features.MultiHopOCC && t.desc.NICExec && t.desc.FnID != 0 {
+		if dst, ok := n.shipTarget(&t.desc); ok {
+			n.shipTxn(c, t, dst)
+			return
+		}
+	}
+	n.execRound(c, t, t.desc.ReadKeys, n.execLockKeys(&t.desc))
 }
 
 // execLockKeys lists the write keys locked through EXECUTE rounds: all
@@ -437,18 +473,7 @@ func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
 		}
 		reads := t.ReadsInOrder()
 		c.Charge(n.cl.cfg.Params.HostScaled(fn.HostCost))
-		res := fn.Run(t.desc.State, reads, nil)
-		if res.Abort {
-			t.Failed = wire.StatusAbortMissing
-			n.abortTxn(c, t)
-			return
-		}
-		if len(res.MoreReads) > 0 {
-			t.AddReadOrder(res.MoreReads)
-			n.execRound(c, t, res.MoreReads, nil)
-			return
-		}
-		n.prepareCommit(c, t, res.Writes)
+		n.execResult(c, t, fn.Run(t.desc.State, reads, nil))
 		return
 	}
 	n.setPhase(t, phHostExec)
@@ -464,17 +489,23 @@ func (n *Node) coordWriteSet(c *nicrt.Core, m *wire.WriteSet) {
 	if !ok || t.phase != phHostExec {
 		return
 	}
-	if m.Abort {
+	n.execResult(c, t, txnmodel.ExecResult{Writes: m.Writes, MoreReads: m.MoreReads, Abort: m.Abort})
+}
+
+// execResult takes an execution's outcome, computed on the NIC or the host:
+// an abort, one more read round, or the write set to commit.
+func (n *Node) execResult(c *nicrt.Core, t *ctxn, res txnmodel.ExecResult) {
+	if res.Abort {
 		t.Failed = wire.StatusAbortMissing
 		n.abortTxn(c, t)
 		return
 	}
-	if len(m.MoreReads) > 0 {
-		t.AddReadOrder(m.MoreReads)
-		n.execRound(c, t, m.MoreReads, nil)
+	if len(res.MoreReads) > 0 {
+		t.AddReadOrder(res.MoreReads)
+		n.execRound(c, t, res.MoreReads, nil)
 		return
 	}
-	n.prepareCommit(c, t, m.Writes)
+	n.prepareCommit(c, t, res.Writes)
 }
 
 // prepareCommit versions the write set and moves to validation — after one
@@ -746,8 +777,18 @@ func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 		// the write set locked waiting for a decision that never comes.
 		n.announceAbort(c, t.id, t.Writes)
 	}
-	n.recordAbort(t, t.Failed)
-	n.traceAbort(t)
+	n.abortExit(c, t)
+}
+
+// abortExit ends an aborted transaction with status t.Failed: it records
+// the abort in the history and the trace, reports it to the host and drops
+// t.
+func (n *Node) abortExit(c *nicrt.Core, t *ctxn) {
+	n.recordAbort(t)
+	if tr := n.tr(); tr.Enabled() {
+		tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
+			trace.Args{"reason": t.Failed.String(), "txn": t.id})
+	}
 	n.finishTxn(c, t, t.Failed)
 	n.dropCtxn(t, t.Failed)
 }
@@ -940,10 +981,7 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 	if m.Status != wire.StatusOK {
 		n.unlockLocalSet(c, t, nil)
 		t.Failed = m.Status
-		n.recordAbort(t, m.Status)
-		n.traceAbort(t)
-		n.finishTxn(c, t, m.Status)
-		n.dropCtxn(t, m.Status)
+		n.abortExit(c, t)
 		return
 	}
 	t.gotResult = true
@@ -1030,7 +1068,7 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 // --- local-transaction fast path (§4.2.4) ---
 
 // coordLocalCommit finishes a host-executed local transaction: lock the
-// write set in the NIC index, validate the host-observed versions, then
+// write set in the NIC index, check the host-observed versions, then
 // replicate and commit without any further host round trips.
 func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	t := n.grabCtxn(m.TxnID)
@@ -1062,93 +1100,15 @@ func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 		t.AddLocks(s, kv.Key)
 	}
 
-	// Validate: the NIC index is authoritative for versions it knows
-	// (committed-but-unapplied writes are pinned there); keys it no longer
-	// tracks are re-read from the authoritative host store. The versions
-	// the host observed are from submit time and may predate a commit that
-	// has been applied since — trusting them unchecked loses updates.
-	// t.checkFailed keeps the first failure; t.Pending counts the re-reads.
+	// Check every key the host observed (checkKey); t.checkFailed keeps
+	// the first failure.
 	t.Pending = 1
 	n.chargeIndexOps(c, len(m.LocalReadVers)+len(m.WriteSet))
 	for _, rv := range m.LocalReadVers {
-		n.localCheck(c, t, rv.Key, rv.Version)
+		n.checkKey(c, t, rv.Key, rv.Version)
 	}
 	for _, kv := range m.WriteSet {
-		n.localCheck(c, t, kv.Key, kv.Version)
+		n.checkKey(c, t, kv.Key, kv.Version)
 	}
-	n.localChecked(c, t)
-}
-
-// localFail records the first validation failure of a local commit.
-func localFail(t *ctxn, st wire.Status) {
-	if t.checkFailed == wire.StatusOK {
-		t.checkFailed = st
-	}
-}
-
-// localCheck validates one host-observed (key, version) of a local commit.
-func (n *Node) localCheck(c *nicrt.Core, t *ctxn, key, ver uint64) {
-	s := n.place().ShardOf(key)
-	idx := n.prim(s).index
-	if idx.IsLocked(key, t.id) {
-		localFail(t, wire.StatusAbortVersion)
-		return
-	}
-	if v, known := idx.VersionOf(key); known {
-		if v != ver {
-			localFail(t, wire.StatusAbortVersion)
-		}
-		return
-	}
-	t.Pending++
-	if n.place().IsBTree(key) {
-		// The row header is read at completion (localLanded).
-		n.issueLookup(c, lookupVerify, nil, t, lookupDone{key: key, want: ver})
-		return
-	}
-	res, hit := n.lookupStart(c, s, key)
-	if hit {
-		if res.Version != ver {
-			localFail(t, wire.StatusAbortVersion)
-		}
-		n.localChecked(c, t)
-		return
-	}
-	n.lookupFinish(c, s, t, lookupDone{key: key, want: ver, res: res})
-}
-
-// localLanded completes one of localCheck's DMA checks. A B+tree key's row
-// header is read from whichever replica serves its shard now.
-func (n *Node) localLanded(c *nicrt.Core, t *ctxn, d lookupDone) {
-	if t.dead {
-		return
-	}
-	stale := d.res.Version != d.want
-	if n.place().IsBTree(d.key) {
-		_, v, ok := n.prim(n.place().ShardOf(d.key)).data.Read(d.key)
-		stale = ok && v != d.want || !ok && d.want != 0
-	}
-	if stale {
-		localFail(t, wire.StatusAbortVersion)
-	}
-	n.localChecked(c, t)
-}
-
-// localChecked retires one unit of a local commit's validation; after the
-// last it aborts, or versions the write set and replicates it.
-func (n *Node) localChecked(c *nicrt.Core, t *ctxn) {
-	if !t.Done(wire.StatusOK) || t.dead {
-		return
-	}
-	if t.checkFailed != wire.StatusOK {
-		t.Failed = t.checkFailed
-		n.abortTxn(c, t)
-		return
-	}
-	writes := make([]wire.KV, len(t.local.WriteSet))
-	for i, kv := range t.local.WriteSet {
-		writes[i] = wire.KV{Key: kv.Key, Version: kv.Version + 1, Value: kv.Value}
-	}
-	t.Writes = writes
-	n.logPhase(c, t)
+	n.keysChecked(c, t)
 }

@@ -65,8 +65,9 @@ func (n *Node) recordSnapLocal(tx *chassis.Txn, S uint64, reads []wire.KV, now s
 	})
 }
 
-// recordAbort appends t's aborted outcome (reads kept for diagnostics).
-func (n *Node) recordAbort(t *ctxn, st wire.Status) {
+// recordAbort appends t's aborted outcome, status t.Failed (reads kept for
+// diagnostics).
+func (n *Node) recordAbort(t *ctxn) {
 	h := n.cl.History()
 	if h == nil {
 		return
@@ -74,7 +75,7 @@ func (n *Node) recordAbort(t *ctxn, st wire.Status) {
 	h.Add(check.TxnRecord{
 		ID:     t.id,
 		Node:   n.id,
-		Status: st,
+		Status: t.Failed,
 		Start:  t.openedAt,
 		End:    n.cl.Engine().Now(),
 		Reads:  t.ReadVers(),

@@ -45,6 +45,11 @@ var (
 	// replica adopted sits on the free list, and the next execution that
 	// takes it rewrites three stores' value in place.
 	mutRecycleLoggedRows bool
+	// mutTrustObserved makes checkKey accept the version the host observed
+	// for a key the NIC index no longer tracks, instead of re-reading the
+	// host row (the TPC-C bug of DESIGN §9): two attempts that observed the
+	// same row before either committed both install its successor version.
+	mutTrustObserved bool
 )
 
 // mutReleaseLocks force-releases every lock t holds (the unlock-before-log

@@ -131,14 +131,6 @@ func (n *Node) setPhase(t *ctxn, ph phase) {
 	t.epoch++ // phase changes are the watchdog's progress signal
 }
 
-// traceAbort emits the abort instant with its reason.
-func (n *Node) traceAbort(t *ctxn) {
-	if tr := n.tr(); tr.Enabled() {
-		tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
-			trace.Args{"reason": t.Failed.String(), "txn": t.id})
-	}
-}
-
 // registerMetrics adds Xenic's own counters to reg: phase latency histograms,
 // NIC index counters, the NIC runtime's batching and PCIe counters, and
 // fault-run watchdog and fence counters.

@@ -234,10 +234,7 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 			// transaction never reached its commit point).
 			n.announceAbort(c, t.id, dropWrites)
 		}
-		n.recordAbort(t, t.Failed)
-		n.traceAbort(t)
-		n.finishTxn(c, t, t.Failed)
-		n.dropCtxn(t, t.Failed)
+		n.abortExit(c, t)
 	}
 	// Shipped transactions from dead coordinators may hold lock-all state
 	// here; their owners are swept below via the orphan-lock path, so also

@@ -53,7 +53,7 @@ func (n *Node) lookupFinish(c *nicrt.Core, shard int, sink lookupSink, d lookupD
 
 // lookupDone is a finished lookup as its sink receives it, by value: the
 // sink's own slot for the key, the key, the version the sink expects of it
-// (VALIDATE and local checks), and the result.
+// (VALIDATE and checkKey), and the result.
 type lookupDone struct {
 	slot      int
 	key, want uint64
@@ -85,8 +85,7 @@ type lookupOp struct {
 	c    *nicrt.Core
 	sink lookupSink
 	mode lookupMode
-	// p is the shard state a row read uses, captured at issue; a verify
-	// with none leaves the read to its sink.
+	// p is the shard state a row read uses, captured at issue.
 	p    *primaryShard
 	next int // reads issued (lookupChain)
 	d    lookupDone
@@ -126,10 +125,8 @@ func (op *lookupOp) step() {
 			op.d.res = nicindex.Result{Found: ok, Version: ver, Value: v}
 		}
 	case lookupVerify:
-		if op.p != nil {
-			_, ver, ok := op.p.data.Read(op.d.key)
-			op.d.res = nicindex.Result{Found: ok, Version: ver}
-		}
+		_, ver, ok := op.p.data.Read(op.d.key)
+		op.d.res = nicindex.Result{Found: ok, Version: ver}
 	}
 	n, c, sink, d := op.n, op.c, op.sink, op.d
 	*op = lookupOp{fire: op.fire}
