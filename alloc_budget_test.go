@@ -49,9 +49,10 @@ func TestSmallbankAllocBudget(t *testing.T) {
 		// and 89.69 before that): the 10 000-account population contends
 		// more, and DrTM+H pays for every aborted attempt in allocations.
 		{"drtmh", smallbankBudgetBaseline, 9_000, 51},
-		// 31.21 measured here (1 652 commits), 31.41 in a one-second
-		// tpcc_xenic run; 55.39 and 56.24 while every attempt built fresh
-		// stock and balance rows, 88.37 and 89.57 while every aborted
+		// 30.70 measured here (1 652 commits), 30.96 in a one-second
+		// tpcc_xenic run; 31.21 and 31.41 while B+tree leaves split 50/50
+		// and regrew by append, 55.39 and 56.24 while every attempt built
+		// fresh stock and balance rows, 88.37 and 89.57 while every aborted
 		// attempt rebuilt its host-local request, outcome message and
 		// lock-key lists, 161.73 and 164.93 while every row value was built
 		// per call and copied into each replica, 247.94 here before the NIC

@@ -7,9 +7,20 @@ package btree
 
 import "fmt"
 
-// degree is the maximum children per interior node; leaves hold up to
-// degree-1 items.
+// degree is half the maximum children per interior node; a node holds up
+// to maxItems items.
 const degree = 32
+
+// maxItems is a node's item capacity. A leaf made by a split gets an array
+// of exactly this capacity, so it never regrows.
+const maxItems = 2*degree - 1
+
+// shiftMargin is the free room a full leaf's left sibling must have before
+// insert shifts items into it instead of splitting the leaf. A shift moves
+// half that room, so each moves at least 4 items: with a margin of 2 a
+// sibling would take one item, and every insert into the leaf would then
+// memmove the whole leaf to shift the next one.
+const shiftMargin = 8
 
 // Item is one stored object.
 type Item struct {
@@ -98,7 +109,7 @@ func (t *Tree) Insert(key uint64, value []byte, version uint64) {
 	if added := t.insert(t.root, it); added {
 		t.count++
 	}
-	if len(t.root.items) >= 2*degree-1 {
+	if len(t.root.items) >= maxItems {
 		old := t.root
 		t.root = &node{children: []*node{old}}
 		t.split(t.root, 0)
@@ -121,7 +132,15 @@ func (t *Tree) insert(n *node, it Item) bool {
 		i++
 	}
 	child := n.children[i]
-	if len(child.items) >= 2*degree-1 {
+	if len(child.items) >= maxItems && child.leaf && i > 0 &&
+		maxItems-len(n.children[i-1].items) >= shiftMargin {
+		shiftLeft(n, i)
+		// The separator is the child's new first key: a smaller key now
+		// lives in the sibling.
+		if it.Key < n.items[i-1].Key {
+			i--
+		}
+	} else if len(child.items) >= maxItems {
 		t.split(n, i)
 		// A key equal to the new separator lives on its right, as search
 		// and Get assume: a leaf split copies the right half's first key
@@ -134,6 +153,21 @@ func (t *Tree) insert(n *node, it Item) bool {
 	return t.insert(n.children[i], it)
 }
 
+// shiftLeft moves the lowest items of the full leaf at index i of parent n
+// onto the end of its left sibling, half the sibling's free room of them,
+// and makes the leaf's new first key their separator. Appended keys land
+// in a leaf's last slots, so shifting instead of splitting keeps leaves
+// nearly full (DESIGN.md §16, "B+tree leaves").
+func shiftLeft(n *node, i int) {
+	left, child := n.children[i-1], n.children[i]
+	k := (maxItems - len(left.items)) / 2
+	left.items = append(left.items, child.items[:k]...)
+	rest := copy(child.items, child.items[k:])
+	clear(child.items[rest:])
+	child.items = child.items[:rest]
+	n.items[i-1] = Item{Key: child.items[0].Key}
+}
+
 // split divides the full child at index i of parent n.
 func (t *Tree) split(n *node, i int) {
 	child := n.children[i]
@@ -143,7 +177,9 @@ func (t *Tree) split(n *node, i int) {
 	if child.leaf {
 		// B+tree: separator is a copy of the first right key; items stay
 		// in leaves.
-		right.items = append(right.items, child.items[mid:]...)
+		right.items = make([]Item, len(child.items)-mid, maxItems)
+		copy(right.items, child.items[mid:])
+		clear(child.items[mid:])
 		child.items = child.items[:mid]
 		sep = Item{Key: right.items[0].Key}
 	} else {
@@ -237,6 +273,9 @@ func check(n *node, lo, hi uint64) (int, error) {
 		}
 	}
 	if n.leaf {
+		if len(n.items) > maxItems {
+			return 0, fmt.Errorf("btree: leaf holds %d items, capacity %d", len(n.items), maxItems)
+		}
 		return len(n.items), nil
 	}
 	if len(n.children) != len(n.items)+1 {

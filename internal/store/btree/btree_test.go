@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -222,76 +223,134 @@ func checkAgainstModel(t *testing.T, tr *Tree, model map[uint64]modelRow) {
 	}
 }
 
+// modelDriver applies one seeded operation mix to a tree and to its map
+// oracle, comparing every answer.
+type modelDriver struct {
+	t       *testing.T
+	tr      *Tree
+	rng     *rand.Rand
+	model   map[uint64]modelRow
+	present []uint64 // keys ever inserted, for rewrites and deletes
+}
+
+func newModelDriver(t *testing.T, seed int64) *modelDriver {
+	return &modelDriver{t: t, tr: New(), rng: rand.New(rand.NewSource(seed)), model: map[uint64]modelRow{}}
+}
+
+// step applies operation op to key k: 60 % Insert, 15 % Delete, 20 % Get
+// and 5 % a bounded AscendRange from k.
+func (d *modelDriver) step(op int, k uint64) {
+	t, tr, rng := d.t, d.tr, d.rng
+	want, in := d.model[k]
+	switch x := rng.Intn(100); {
+	case x < 60:
+		v := make([]byte, 1+rng.Intn(24))
+		rng.Read(v)
+		tr.Insert(k, v, uint64(op))
+		d.model[k] = modelRow{v, uint64(op)}
+		if !in {
+			d.present = append(d.present, k)
+		}
+	case x < 75:
+		d.delete(op, k)
+	case x < 95:
+		it, ok := tr.Get(k)
+		if ok != in || ok && (it.Key != k || it.Version != want.ver || !bytes.Equal(it.Value, want.v)) {
+			t.Fatalf("op %d: get %d = %+v %v, oracle %v %+v", op, k, it, ok, in, want)
+		}
+	default:
+		lo := k
+		hi := lo + uint64(rng.Intn(400))
+		limit := 1 + rng.Intn(40)
+		var got []uint64
+		tr.AscendRange(lo, hi, func(it Item) bool {
+			got = append(got, it.Key)
+			return len(got) < limit
+		})
+		var exp []uint64
+		for key := range d.model {
+			if key >= lo && key < hi {
+				exp = append(exp, key)
+			}
+		}
+		slices.Sort(exp)
+		exp = exp[:min(len(exp), limit)]
+		if !slices.Equal(got, exp) {
+			t.Fatalf("op %d: AscendRange[%d,%d) limit %d = %v, oracle %v", op, lo, hi, limit, got, exp)
+		}
+	}
+}
+
+func (d *modelDriver) delete(op int, k uint64) {
+	_, in := d.model[k]
+	if got := d.tr.Delete(k); got != in {
+		d.t.Fatalf("op %d: delete %d = %v, oracle has it: %v", op, k, got, in)
+	}
+	delete(d.model, k)
+}
+
 // TestTreeAgainstModel drives seeded random Insert / Delete / Get /
 // AscendRange sequences against a map plus its sorted keys, comparing
 // values, versions and scan order. The key range is wide enough for three
 // levels, so interior nodes split on the insert path too, and half the keys
 // drawn were inserted before, so many inserts rewrite a present key (as
 // TPC-C's district and order rows do).
+//
+// The appends case has TPC-C's insert shape: 120 append points (a district's
+// order ids), each taking increasing keys in an order shuffled within a
+// window of 16, since most attempts abort and ids commit out of order, and
+// half the operations at a point go to one of its 64 newest ids. So full
+// leaves shift their lowest items into a left sibling, move the separator
+// and send smaller keys left. A delivery now and then deletes a point's 64
+// oldest keys, emptying leaves that a shift later refills.
 func TestTreeAgainstModel(t *testing.T) {
-	const ops = 30_000
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			tr := New()
-			rng := rand.New(rand.NewSource(seed))
-			model := map[uint64]modelRow{}
-			var present []uint64 // keys ever inserted, for rewrites and deletes
-			keyOf := func() uint64 {
-				if len(present) > 0 && rng.Intn(2) == 0 {
-					return present[rng.Intn(len(present))]
+			d := newModelDriver(t, seed)
+			for op := 1; op <= 30_000; op++ {
+				var k uint64
+				if len(d.present) > 0 && d.rng.Intn(2) == 0 {
+					k = d.present[d.rng.Intn(len(d.present))]
+				} else {
+					k = uint64(d.rng.Intn(20_000))
 				}
-				return uint64(rng.Intn(20_000))
-			}
-			for op := 1; op <= ops; op++ {
-				k := keyOf()
-				want, in := model[k]
-				switch x := rng.Intn(100); {
-				case x < 60:
-					v := make([]byte, 1+rng.Intn(24))
-					rng.Read(v)
-					tr.Insert(k, v, uint64(op))
-					model[k] = modelRow{v, uint64(op)}
-					if !in {
-						present = append(present, k)
-					}
-				case x < 75:
-					if got := tr.Delete(k); got != in {
-						t.Fatalf("op %d: delete %d = %v, oracle has it: %v", op, k, got, in)
-					}
-					delete(model, k)
-				case x < 95:
-					it, ok := tr.Get(k)
-					if ok != in || ok && (it.Key != k || it.Version != want.ver || !bytes.Equal(it.Value, want.v)) {
-						t.Fatalf("op %d: get %d = %+v %v, oracle %v %+v", op, k, it, ok, in, want)
-					}
-				default:
-					lo := k
-					hi := lo + uint64(rng.Intn(400))
-					limit := 1 + rng.Intn(40)
-					var got []uint64
-					tr.AscendRange(lo, hi, func(it Item) bool {
-						got = append(got, it.Key)
-						return len(got) < limit
-					})
-					var exp []uint64
-					for key := range model {
-						if key >= lo && key < hi {
-							exp = append(exp, key)
-						}
-					}
-					slices.Sort(exp)
-					exp = exp[:min(len(exp), limit)]
-					if !slices.Equal(got, exp) {
-						t.Fatalf("op %d: AscendRange[%d,%d) limit %d = %v, oracle %v", op, lo, hi, limit, got, exp)
-					}
-				}
+				d.step(op, k)
 				if op%3_000 == 0 {
-					checkAgainstModel(t, tr, model)
+					checkAgainstModel(t, d.tr, d.model)
 				}
 			}
-			checkAgainstModel(t, tr, model)
+			checkAgainstModel(t, d.tr, d.model)
 		})
 	}
+	t.Run("appends", func(t *testing.T) {
+		const points, window = 120, 16
+		d := newModelDriver(t, 4)
+		var next [points]uint64
+		for op := 1; op <= 60_000; op++ {
+			p := uint64(d.rng.Intn(points))
+			base := p << 32
+			switch x := d.rng.Intn(151); {
+			case x == 0:
+				var oldest []uint64
+				d.tr.AscendRange(base, base+1<<32, func(it Item) bool {
+					oldest = append(oldest, it.Key)
+					return len(oldest) < 64
+				})
+				for _, k := range oldest {
+					d.delete(op, k)
+				}
+			case x%2 == 0:
+				d.step(op, base+next[p]-min(next[p], uint64(d.rng.Intn(4*window))))
+			default:
+				d.step(op, base+next[p]+uint64(d.rng.Intn(window)))
+				next[p]++
+			}
+			if op%6_000 == 0 {
+				checkAgainstModel(t, d.tr, d.model)
+			}
+		}
+		checkAgainstModel(t, d.tr, d.model)
+	})
 }
 
 // TestRewriteAtSplittingSeparator rewrites a present key that is the middle
@@ -363,6 +422,59 @@ func TestStoreAdoptsValue(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTPCCTreeFootprint holds a tree shaped like TPC-C's order tables to its
+// live bytes per item: 300 000 inserts of one shared 54-byte row at 120
+// append points, each taking increasing keys drawn from a sliding window of
+// the next 1, 8 or 64 ids (most attempts abort, so order ids commit out of
+// order). An Item is 40 bytes; leaves that shift into their left sibling
+// before splitting hold 48-60 B per item here, where 50/50 splits with
+// regrown arrays held 73-103.
+func TestTPCCTreeFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's shadow memory is part of the heap")
+	}
+	const points, items, bound = 120, 300_000, 64
+	row := make([]byte, 54)
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	for _, jitter := range []int{1, 8, 64} {
+		t.Run(fmt.Sprintf("jitter=%d", jitter), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			// window[p] holds point p's next jitter ids, drawn from at random
+			// and refilled with the id after the largest one handed out.
+			window := make([][]uint64, points)
+			next := make([]uint64, points)
+			for p := range window {
+				for next[p] = 0; next[p] < uint64(jitter); next[p]++ {
+					window[p] = append(window[p], uint64(p)<<32|next[p])
+				}
+			}
+			before := liveHeap()
+			tr := New()
+			for i := 0; i < items; i++ {
+				p := rng.Intn(points)
+				w := rng.Intn(jitter)
+				tr.Insert(window[p][w], row, 1)
+				window[p][w] = uint64(p)<<32 | next[p]
+				next[p]++
+			}
+			perItem := float64(liveHeap()-before) / items
+			runtime.KeepAlive(tr)
+			if tr.Len() != items {
+				t.Fatalf("tree holds %d items, want %d", tr.Len(), items)
+			}
+			t.Logf("%.1f live bytes per item", perItem)
+			if perItem > bound {
+				t.Fatalf("%.1f live bytes per item, want at most %d", perItem, bound)
+			}
+		})
 	}
 }
 
