@@ -8,6 +8,7 @@ import (
 
 // Verdicts (see summarize).
 const (
+	changed    = "changed"
 	improved   = "improved"
 	unresolved = "unresolved"
 	worse      = "worse"
@@ -44,12 +45,15 @@ type summary struct {
 
 // summarize compares paired runs: parent[i] and change[i] ran back to back.
 // lower says which way is better, and bound is the share of the parent's
-// median by which the metric may worsen (BENCHMARK.json's bound). The
-// change improved the metric if it won at least ⌈0.9·pairs⌉ pairs and its
-// median is better than the parent's by more than the parent's IQR. It is
-// worse if its median is worse than the parent's by more than bound.
-// Otherwise the runs cannot tell the two apart, or the move is inside what
-// the benchmark allows.
+// median by which the metric may worsen (BENCHMARK.json's bound). A metric
+// whose parent runs (two or more) all gave one value is exact per seed, as
+// every sim-clock metric is: the change moved it if any of its runs gave
+// another, and that reads changed whatever the bound. Otherwise the change
+// improved the metric if it won at least ⌈0.9·pairs⌉ pairs and its median
+// is better than the parent's by more than the parent's IQR. It is worse if
+// its median is worse than the parent's by more than bound. Otherwise the
+// runs cannot tell the two apart, or the move is inside what the benchmark
+// allows.
 func summarize(lower bool, bound float64, parent, change []float64) summary {
 	if len(parent) != len(change) || len(parent) == 0 {
 		panic(fmt.Sprintf("ab: %d parent and %d change runs", len(parent), len(change)))
@@ -59,10 +63,14 @@ func summarize(lower bool, bound float64, parent, change []float64) summary {
 	s.change[0], s.change[1], s.change[2] = quartiles(change)
 	better := func(c, p float64) bool { return lower && c < p || !lower && c > p }
 	s.pairs = len(parent)
+	exact := s.pairs > 1
 	s.identical = true
 	for i := range parent {
 		if better(change[i], parent[i]) {
 			s.wins++
+		}
+		if parent[i] != parent[0] {
+			exact = false
 		}
 		if parent[i] != parent[0] || change[i] != parent[0] {
 			s.identical = false
@@ -80,6 +88,8 @@ func summarize(lower bool, bound float64, parent, change []float64) summary {
 		}
 	}
 	switch {
+	case exact && !s.identical:
+		s.verdict = changed
 	case s.worseBy > bound:
 		s.verdict = worse
 	case gap > s.parent[2]-s.parent[0] && s.wins >= int(math.Ceil(winShare*float64(s.pairs))):

@@ -66,12 +66,27 @@ func TestSummarize(t *testing.T) {
 	if s := summarize(false, 0.02, same, same); s.verdict != unresolved || !s.identical || s.wins != 0 || s.worseBy != 0 {
 		t.Errorf("identical runs: verdict %s, identical %v, wins %d, worse by %v", s.verdict, s.identical, s.wins, s.worseBy)
 	}
-	// Equal medians but a different run: not identical.
-	if s := summarize(true, 0.02, same, []float64{117.9, 117.8, 117.9}); s.identical || s.wins != 1 {
-		t.Errorf("one differing run: identical %v, wins %d", s.identical, s.wins)
+	// Equal medians but a different run: not identical, and the parent's
+	// one value moved, so changed however small the move.
+	if s := summarize(true, 0.02, same, []float64{117.9, 117.8, 117.9}); s.identical || s.wins != 1 || s.verdict != changed {
+		t.Errorf("one differing run: identical %v, wins %d, verdict %s", s.identical, s.wins, s.verdict)
+	}
+	// An exact metric that moved past its bound, or as a gain, still reads
+	// changed.
+	for _, moved := range [][]float64{{100, 100, 100}, {130, 130, 130}} {
+		if s := summarize(false, 0.02, same, moved); s.verdict != changed {
+			t.Errorf("exact metric moved to %v: verdict %s, want %s", moved, s.verdict, changed)
+		}
+	}
+	// One pair proves nothing exact: a single parent run is not a value
+	// every run agrees on.
+	if s := summarize(true, 0.25, []float64{10}, []float64{11}); s.verdict != unresolved {
+		t.Errorf("one pair: verdict %s, want %s", s.verdict, unresolved)
 	}
 	// Ten pairs need nine wins: a gap beyond a zero IQR on 9/10 is a gain.
-	tenParent := []float64{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}
+	// One parent run differs, so the metric is not exact and the IQR is
+	// still 0.
+	tenParent := []float64{10, 10, 10, 10, 10, 10, 10, 10, 10, 10.1}
 	tenChange := []float64{8, 8, 8, 8, 8, 8, 8, 8, 8, 11}
 	if s := summarize(true, 0.15, tenParent, tenChange); s.wins != 9 || s.verdict != improved {
 		t.Errorf("9 of 10 wins: wins %d, verdict %s", s.wins, s.verdict)

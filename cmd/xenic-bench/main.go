@@ -11,6 +11,13 @@
 // every cell's series as Perfetto counter tracks; -stats-json writes a single
 // machine-readable document combining every report's table, notes, stats
 // snapshots, and bottleneck verdicts.
+//
+// Each experiment ends with a "# wall time" line that also prints the
+// process's peak RSS so far. That figure spreads by about ±20 % between
+// runs of one binary (quick fig8a at 72 warehouses, -j 2: 612–892 MiB over
+// six runs), so a single before/after pair of it cannot show a footprint
+// change; compare footprints with paired runs of the benchmark's
+// peak_rss_mb (go run ./cmd/ab REV).
 package main
 
 import (

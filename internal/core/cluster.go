@@ -200,9 +200,19 @@ func (cl *Cluster) newIndex(d *ShardData) *nicindex.Index {
 // From the first crash on every log retains its finished records: recovery
 // votes may be answered from a record applied long before (hostLog.has).
 func (cl *Cluster) Kill(id int) {
-	cl.nodes[id].alive = false
+	cl.nodes[id].halt()
 	for _, n := range cl.nodes {
 		n.log.retain = true
+	}
+}
+
+// halt stops n: it drops everything from now on. A halted coordinator's
+// snapshots end with it: nothing drives its table any more (Restart wipes
+// it), and an open one would pin the GC low-water mark for good.
+func (n *Node) halt() {
+	n.alive = false
+	for _, t := range n.ctxns {
+		n.snapClose(t)
 	}
 }
 

@@ -19,18 +19,41 @@ import (
 // current membership view, so a promoted primary is addressed transparently
 // after recovery.
 
+// phase is a coordinated transaction's state, named for what it awaits.
+// setPhase is the only transition; every phase's abort edge is abortTxn,
+// and a transaction leaves the coordinator through endTxn, or through
+// dropCtxn once its last COMMIT is acknowledged.
 type phase uint8
 
 const (
-	phExecute phase = iota
-	phHostExec
-	phValidate
-	phLog
-	phCommit
-	phShipped
+	phExecute  phase = iota // ExecuteResp, or a local EXECUTE unit
+	phHostExec              // the host's WriteSet
+	phValidate              // ValidateResp, or a local VALIDATE unit
+	phLog                   // LogResp, or a local backup append
+	phCommit                // CommitResp, or a local apply
+	phShipped               // the ShipResult and its backups' LogResp
 
 	numPhases = int(phShipped) + 1
 )
+
+// phases is the coordinator's phase table. The watchdog aborts only a
+// transaction parked in a timeout phase: host execution always progresses
+// locally, and past the commit point the outcome must stand. An abort in a
+// logged phase tells the replicas to drop the records they may hold
+// (announceAbort).
+var phases = [numPhases]struct {
+	name            string
+	timeout, logged bool
+}{
+	phExecute:  {name: "execute", timeout: true},
+	phHostExec: {name: "host-exec"},
+	phValidate: {name: "validate", timeout: true},
+	phLog:      {name: "log", logged: true},
+	phCommit:   {name: "commit"},
+	phShipped:  {name: "shipped", logged: true},
+}
+
+func (p phase) String() string { return phases[p].name }
 
 // ctxn is one in-flight transaction's coordinator state, resident in
 // SmartNIC memory. Records are recycled through the node's freelist (see
@@ -121,12 +144,8 @@ func (n *Node) dropCtxn(t *ctxn, st wire.Status) {
 	if n.ctxns[t.id] != t {
 		panic(fmt.Sprintf("core: node %d: txn %#x dropped twice", n.id, t.id))
 	}
-	now := n.cl.Engine().Now()
-	if h := n.stats.PhaseLat[t.phase]; h != nil {
-		h.Record(now - t.phaseAt)
-	}
+	now := n.closePhase(t)
 	if tr := n.tr(); tr.Enabled() {
-		tr.EndAsync("phase", t.phase.String(), t.id, n.id, now, nil)
 		tr.EndAsync("txn", "txn", t.id, n.id, now, trace.Args{"status": st.String()})
 	}
 	delete(n.ctxns, t.id)
@@ -166,19 +185,16 @@ func (n *Node) coordStart(c *nicrt.Core, m *wire.TxnRequest) {
 		return
 	}
 	t := n.newCtxn(m)
+	n.openTxn(t)
 	if t.desc.FnID == 0 && t.desc.ReadOnly() && n.cl.snapReady() {
 		// MVCC read-only fast path: resolve every key at one snapshot
 		// timestamp, lock-free and validation-free (DESIGN.md §12). During
 		// fence episodes (recovery, promotion, rejoin) snapReady is false
 		// and read-only transactions fall through to the OCC path.
-		n.ctxns[t.id] = t
-		n.openTxn(t)
 		n.snapStart(c, t)
 		return
 	}
 	t.nicExec = t.desc.NICExec && n.cl.cfg.Features.NICExecution && t.desc.FnID != 0
-	n.ctxns[t.id] = t
-	n.openTxn(t)
 
 	// Coordinator-local B+tree blind writes (TPC-C order/order-line
 	// inserts, district updates) are locked and version-checked here; their
@@ -408,25 +424,33 @@ func (n *Node) execOp(c *nicrt.Core, t *ctxn, shard int, reads, locks []uint64) 
 	})
 }
 
+// findTxn returns the transaction id if it awaits phase ph's messages, else
+// nil: the message is a straggler or a duplicate.
+func (n *Node) findTxn(id uint64, ph phase) *ctxn {
+	if t, ok := n.ctxns[id]; ok && t.phase == ph {
+		return t
+	}
+	return nil
+}
+
 // coordExecuteResp routes a remote EXECUTE response into the state machine.
 // The response echoes the keys it locked (nothing stays locked on abort).
 func (n *Node) coordExecuteResp(c *nicrt.Core, m *wire.ExecuteResp) {
-	t, ok := n.ctxns[m.TxnID]
-	if !ok || t.phase != phExecute {
-		if !ok && m.Status == wire.StatusOK && len(m.Locked) > 0 {
-			// Straggler from a view-change abort: release its locks.
-			c.Send(int(m.Src), &wire.Abort{
-				Header:     wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
-				LockedKeys: m.Locked,
-			})
+	if t := n.findTxn(m.TxnID, phExecute); t != nil {
+		shard := -1
+		if len(m.Locked) > 0 {
+			shard = n.place().ShardOf(m.Locked[0])
 		}
+		n.coordExecPart(c, t, shard, m.Locked, m.Status, m.Items)
 		return
 	}
-	shard := -1
-	if len(m.Locked) > 0 {
-		shard = n.place().ShardOf(m.Locked[0])
+	if _, ok := n.ctxns[m.TxnID]; !ok && m.Status == wire.StatusOK && len(m.Locked) > 0 {
+		// Straggler from a view-change abort: release its locks.
+		c.Send(int(m.Src), &wire.Abort{
+			Header:     wire.Header{TxnID: m.TxnID, Src: uint8(n.id)},
+			LockedKeys: m.Locked,
+		})
 	}
-	n.coordExecPart(c, t, shard, m.Locked, m.Status, m.Items)
 }
 
 // coordExecPart accumulates one EXECUTE unit's outcome.
@@ -481,15 +505,6 @@ func (n *Node) afterExec(c *nicrt.Core, t *ctxn) {
 		Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
 		Items:  t.ReadsInOrder(),
 	})
-}
-
-// coordWriteSet resumes with host-computed writes (§4.2 step 3).
-func (n *Node) coordWriteSet(c *nicrt.Core, m *wire.WriteSet) {
-	t, ok := n.ctxns[m.TxnID]
-	if !ok || t.phase != phHostExec {
-		return
-	}
-	n.execResult(c, t, txnmodel.ExecResult{Writes: m.Writes, MoreReads: m.MoreReads, Abort: m.Abort})
 }
 
 // execResult takes an execution's outcome, computed on the NIC or the host:
@@ -554,7 +569,9 @@ func (n *Node) validateOp(c *nicrt.Core, t *ctxn, shard int, items []wire.KeyVer
 	dst := n.primaryNode(shard)
 	if dst == n.id {
 		n.serverValidate(c, shard, t.id, items, func(st wire.Status) {
-			n.coordValidatePart(c, t, st)
+			if n.lastPart(c, t, st) {
+				n.afterValidate(c, t)
+			}
 		})
 		return
 	}
@@ -564,34 +581,24 @@ func (n *Node) validateOp(c *nicrt.Core, t *ctxn, shard int, items []wire.KeyVer
 	})
 }
 
-func (n *Node) coordValidateResp(c *nicrt.Core, m *wire.ValidateResp) {
-	t, ok := n.ctxns[m.TxnID]
-	if !ok || t.phase != phValidate {
-		return
-	}
-	n.coordValidatePart(c, t, m.Status)
-}
-
-func (n *Node) coordValidatePart(c *nicrt.Core, t *ctxn, st wire.Status) {
-	if t.dead {
-		return
-	}
-	if !t.Done(st) {
-		return
+// lastPart retires one unit of t's current fan-out with status st and
+// reports whether it was the last and t may go on. A dead transaction drops
+// every straggler; a failed one aborts at its last unit.
+func (n *Node) lastPart(c *nicrt.Core, t *ctxn, st wire.Status) bool {
+	if t.dead || !t.Done(st) {
+		return false
 	}
 	if t.Failed != wire.StatusOK {
 		n.abortTxn(c, t)
-		return
+		return false
 	}
-	n.afterValidate(c, t)
+	return true
 }
 
 func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
 	if len(t.Writes) == 0 {
 		// Read-only transaction completes after validation (§4.2 step 5).
-		n.recordCommit(t, nil)
-		n.finishTxn(c, t, wire.StatusOK)
-		n.dropCtxn(t, wire.StatusOK)
+		n.endTxn(c, t, wire.StatusOK)
 		return
 	}
 	n.logPhase(c, t)
@@ -602,9 +609,11 @@ func (n *Node) afterValidate(c *nicrt.Core, t *ctxn) {
 func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 	n.setPhase(t, phLog)
 	if mutUnlockBeforeLog {
-		n.mutReleaseLocks(c, t)
+		// Cleared so that the commit fan-out does not unlock again.
+		n.releaseLocks(c, t)
+		t.Locked = nil
 	}
-	// Grouped once for both fan-outs: committed() sends the same per-shard
+	// Grouped once for both fan-outs: commitPoint sends the same per-shard
 	// slices to the primaries that go to the backups here.
 	t.ByShard = txnmodel.GroupByShard(n.place(), t.Writes)
 	byShard := t.ByShard
@@ -614,14 +623,16 @@ func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 	}
 	if t.Pending == 0 {
 		// Replication factor 1 (or all backups lost): commit directly.
-		n.committed(c, t)
+		n.commitPoint(c, t, t.Writes, byShard)
 		return
 	}
 	for _, sw := range byShard {
 		for _, b := range n.cl.viewBackups(sw.Shard) {
 			if b == n.id {
 				n.appendLogTS(c, recBackup, t.id, sw.Shard, sw.Writes, 0, nil, func(uint64) {
-					n.coordLogPart(c, t)
+					if n.lastPart(c, t, wire.StatusOK) {
+						n.commitPoint(c, t, t.Writes, t.ByShard)
+					}
 				})
 				continue
 			}
@@ -631,28 +642,6 @@ func (n *Node) logPhase(c *nicrt.Core, t *ctxn) {
 				Writes:    sw.Writes,
 			})
 		}
-	}
-}
-
-func (n *Node) coordLogResp(c *nicrt.Core, m *wire.LogResp) {
-	t, ok := n.ctxns[m.TxnID]
-	if !ok {
-		return
-	}
-	if t.phase == phShipped {
-		t.logAcks++
-		n.maybeFinishShipped(c, t)
-		return
-	}
-	if t.phase != phLog {
-		return
-	}
-	n.coordLogPart(c, t)
-}
-
-func (n *Node) coordLogPart(c *nicrt.Core, t *ctxn) {
-	if !t.dead && t.Done(wire.StatusOK) {
-		n.committed(c, t)
 	}
 }
 
@@ -709,21 +698,27 @@ func (n *Node) assignCTS(txn uint64, writes []wire.KV) uint64 {
 	return n.cl.mv.assign(txn, mask)
 }
 
-// committed reports the outcome to the host, then applies the write set at
-// each primary (§4.2 step 6). The commit phase is off the latency path.
-func (n *Node) committed(c *nicrt.Core, t *ctxn) {
-	t.cts = n.assignCTS(t.id, t.Writes)
-	n.recordCommit(t, t.Writes)
+// commitPoint is a coordinated transaction's commit point (§4.2 step 6): it
+// assigns writes their MVCC commit timestamp, records the commit, reports it
+// to the host and to the backups that logged it, and applies each shard's
+// writes at its primary. t drops when the last primary is done; the commit
+// phase is off the latency path.
+func (n *Node) commitPoint(c *nicrt.Core, t *ctxn, writes []wire.KV, byShard []txnmodel.ShardWrites) {
+	t.cts = n.assignCTS(t.id, writes)
+	n.recordCommit(t, writes)
 	n.finishTxn(c, t, wire.StatusOK)
-	n.notifyLogCommits(c, t.id, t.Writes, t.cts)
+	n.notifyLogCommits(c, t.id, writes, t.cts)
 	n.setPhase(t, phCommit)
-	byShard := t.ByShard // grouped in logPhase
+	// Counted before the first commit is issued, so a local one that
+	// completes inline (blocking DMA) cannot close t while the loop runs.
 	t.Pending = len(byShard)
 	for _, sw := range byShard {
 		dst := n.primaryNode(sw.Shard)
 		if dst == n.id {
 			n.commitShard(c, sw.Shard, t.id, sw.Writes, t.LockedOn(sw.Shard), t.cts, func() {
-				n.coordCommitPart(c, t)
+				if n.lastPart(c, t, wire.StatusOK) {
+					n.dropCtxn(t, wire.StatusOK)
+				}
 			})
 			continue
 		}
@@ -734,63 +729,65 @@ func (n *Node) committed(c *nicrt.Core, t *ctxn) {
 	}
 }
 
-func (n *Node) coordCommitResp(c *nicrt.Core, m *wire.CommitResp) {
-	t, ok := n.ctxns[m.TxnID]
-	if !ok || t.phase != phCommit {
-		return
-	}
-	n.coordCommitPart(c, t)
-}
-
-func (n *Node) coordCommitPart(c *nicrt.Core, t *ctxn) {
-	if !t.dead && t.Done(wire.StatusOK) {
-		n.dropCtxn(t, wire.StatusOK)
-	}
-}
-
-// abortTxn releases all locks and reports the abort to the host. A remote
-// shard's lock-key list goes out with its ABORT, so its slot lets go of it.
-func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
-	n.snapClose(t) // snapshot reads hold no locks, only the GC refcount
+// releaseLocks unlocks every key t holds: local ones in the index, remote
+// ones by one ABORT per shard. The ABORT carries its shard's lock-key list,
+// so t's slot lets go of it.
+func (n *Node) releaseLocks(c *nicrt.Core, t *ctxn) {
 	for i := range t.Locked {
 		ls := &t.Locked[i]
-		dst := n.primaryNode(ls.Shard)
-		if dst == n.id {
-			n.chargeIndexOps(c, len(ls.Keys))
-			idx := n.prim(ls.Shard).index
-			for _, k := range ls.Keys {
-				idx.Unlock(k, t.id)
-			}
+		if dst := n.primaryNode(ls.Shard); dst != n.id {
+			c.Send(dst, &wire.Abort{
+				Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
+				LockedKeys: ls.Keys,
+			})
+			ls.Keys = nil
 			continue
 		}
-		c.Send(dst, &wire.Abort{
-			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			LockedKeys: ls.Keys,
-		})
-		ls.Keys = nil
+		n.unlockAt(c, t, ls.Shard, ls.Keys)
 	}
-	if t.phase == phLog {
-		// The abort interrupted log replication (only a view change can do
-		// that), so backups may hold undecided records. Announce the abort
-		// like notifyLogCommits announces commits: without it a backup
-		// promoted to primary parks the record in pendingDecide and keeps
-		// the write set locked waiting for a decision that never comes.
-		n.announceAbort(c, t.id, t.Writes)
-	}
-	n.abortExit(c, t)
 }
 
-// abortExit ends an aborted transaction with status t.Failed: it records
-// the abort in the history and the trace, reports it to the host and drops
-// t.
-func (n *Node) abortExit(c *nicrt.Core, t *ctxn) {
-	n.recordAbort(t)
-	if tr := n.tr(); tr.Enabled() {
-		tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
-			trace.Args{"reason": t.Failed.String(), "txn": t.id})
+// unlockAt releases t's locks on keys of shard, which this node serves.
+func (n *Node) unlockAt(c *nicrt.Core, t *ctxn, shard int, keys []uint64) {
+	n.chargeIndexOps(c, len(keys))
+	idx := n.prim(shard).index
+	for _, k := range keys {
+		idx.Unlock(k, t.id)
 	}
-	n.finishTxn(c, t, t.Failed)
-	n.dropCtxn(t, t.Failed)
+}
+
+// abortTxn is every phase's abort edge: it releases t's locks, tells the
+// replicas to drop t's records if its phase is logged, and ends t with
+// status t.Failed. Without the announcement a backup promoted to primary
+// parks an undecided record in pendingDecide and keeps the write set
+// locked, waiting for a decision that never comes.
+func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
+	n.releaseLocks(c, t)
+	if phases[t.phase].logged {
+		n.announceAbort(c, t.id, t.Writes)
+	}
+	n.endTxn(c, t, t.Failed)
+}
+
+// endTxn is the exit of every transaction that does not reach commitPoint:
+// it records outcome st in the history (and an abort in the trace), releases
+// a snapshot's GC refcount, reports st to the host and drops t.
+func (n *Node) endTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
+	if st == wire.StatusOK {
+		n.recordCommit(t, nil)
+		if t.snapshot {
+			n.stats.SnapCommitted++
+		}
+	} else {
+		n.recordAbort(t)
+		if tr := n.tr(); tr.Enabled() {
+			tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
+				trace.Args{"reason": st.String(), "txn": t.id})
+		}
+	}
+	n.snapClose(t)
+	n.finishTxn(c, t, st)
+	n.dropCtxn(t, st)
 }
 
 // --- coordinator watchdog (fault runs) ---
@@ -798,12 +795,11 @@ func (n *Node) abortExit(c *nicrt.Core, t *ctxn) {
 // Drops, partitions, and stalls can leave a coordinated transaction parked
 // in a fan-out phase holding remote locks. The reliable transport eventually
 // delivers every frame between live nodes, so the watchdog is a lock-hold
-// bound, not a correctness mechanism: when a transaction sits in EXECUTE or
-// VALIDATE past the plan's TxnTimeout without a phase change, it is aborted
-// (StatusAbortTimeout) and retried by the application with backoff. Later
-// phases are excluded — host execution always progresses locally, and past
-// the commit point the outcome must stand (delivery to live nodes is
-// guaranteed; dead nodes are handled by view-change recovery).
+// bound, not a correctness mechanism: when a transaction sits in a timeout
+// phase of the table past the plan's TxnTimeout without a phase change, it
+// is aborted (StatusAbortTimeout) and retried by the application with
+// backoff. Delivery to live nodes is guaranteed past the commit point; dead
+// nodes are handled by view-change recovery.
 
 // armWatchdog schedules the first expiry check for t (fault runs only).
 func (n *Node) armWatchdog(t *ctxn) {
@@ -826,7 +822,7 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 	if !ok || t.dead {
 		return
 	}
-	if t.epoch != epoch || (t.phase != phExecute && t.phase != phValidate) {
+	if !t.parked(epoch) {
 		epoch := t.epoch
 		n.cl.Engine().After(d, func() { n.checkWatchdog(id, epoch, d) })
 		return
@@ -836,7 +832,7 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 		if !ok || t.dead {
 			return
 		}
-		if t.epoch != epoch || (t.phase != phExecute && t.phase != phValidate) {
+		if !t.parked(epoch) {
 			// The transaction progressed between the expiry check and this
 			// core injection (e.g. a shipped result or validate ack landed
 			// first). Progress must re-arm, not kill, the watchdog chain: a
@@ -857,6 +853,10 @@ func (n *Node) checkWatchdog(id uint64, epoch int, d sim.Time) {
 		n.abortTxn(c, t)
 	})
 }
+
+// parked reports whether t is still in the phase it was in at epoch, and
+// that phase is one the watchdog may abort.
+func (t *ctxn) parked(epoch int) bool { return t.epoch == epoch && phases[t.phase].timeout }
 
 // finishTxn reports a transaction outcome to the host application in a
 // pooled TxnDone (hostHandler releases it). The read set a NIC-executed
@@ -966,9 +966,9 @@ func (n *Node) sendShip(c *nicrt.Core, t *ctxn) {
 }
 
 func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
-	t, ok := n.ctxns[m.TxnID]
-	if !ok || t.phase != phShipped {
-		if ok || m.Status != wire.StatusOK {
+	t := n.findTxn(m.TxnID, phShipped)
+	if t == nil {
+		if _, ok := n.ctxns[m.TxnID]; ok || m.Status != wire.StatusOK {
 			return
 		}
 		// Straggler: the transaction was aborted by a view change while
@@ -981,7 +981,7 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 	if m.Status != wire.StatusOK {
 		n.unlockLocalSet(c, t, nil)
 		t.Failed = m.Status
-		n.abortExit(c, t)
+		n.endTxn(c, t, t.Failed)
 		return
 	}
 	t.gotResult = true
@@ -994,13 +994,8 @@ func (n *Node) coordShipResult(c *nicrt.Core, m *wire.ShipResult) {
 // skip (whose locks a pending commitShard releases after durability).
 func (n *Node) unlockLocalSet(c *nicrt.Core, t *ctxn, skip []int) {
 	for _, ls := range t.Locked {
-		if slices.Contains(skip, ls.Shard) || n.primaryNode(ls.Shard) != n.id {
-			continue
-		}
-		idx := n.prim(ls.Shard).index
-		n.chargeIndexOps(c, len(ls.Keys))
-		for _, k := range ls.Keys {
-			idx.Unlock(k, t.id)
+		if !slices.Contains(skip, ls.Shard) && n.primaryNode(ls.Shard) == n.id {
+			n.unlockAt(c, t, ls.Shard, ls.Keys)
 		}
 	}
 }
@@ -1016,35 +1011,18 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 		t.SetRead(kv)
 	}
 	t.nicExec = true // results return with TxnDone
-	t.cts = n.assignCTS(t.id, t.shipped.Writes)
-	n.recordCommit(t, t.shipped.Writes)
-	n.finishTxn(c, t, wire.StatusOK)
-	n.notifyLogCommits(c, t.id, t.shipped.Writes, t.cts)
-
 	byShard := txnmodel.GroupByShard(n.place(), t.shipped.Writes)
-	n.setPhase(t, phCommit)
-	// Counted before the first commit is issued, so a local one that
-	// completes inline (blocking DMA) cannot close t while the loop runs.
-	t.Pending = len(byShard)
+	n.commitPoint(c, t, t.shipped.Writes, byShard)
 	var buf [8]int
 	localWriteShards := buf[:0]
 	remoteCovered := false
 	for _, sw := range byShard {
-		dst := n.primaryNode(sw.Shard)
-		if dst == n.id {
+		switch n.primaryNode(sw.Shard) {
+		case n.id:
 			localWriteShards = append(localWriteShards, sw.Shard)
-			n.commitShard(c, sw.Shard, t.id, sw.Writes, t.LockedOn(sw.Shard), t.cts, func() {
-				n.coordCommitPart(c, t)
-			})
-			continue
-		}
-		if dst == t.shipTo {
+		case t.shipTo:
 			remoteCovered = true
 		}
-		c.Send(dst, &wire.Commit{
-			Header: wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			Writes: sw.Writes, CTS: t.cts,
-		})
 	}
 	// Release local read locks on shards with no local writes. The shipped
 	// path locks read keys too, and after a promotion this coordinator may
@@ -1073,7 +1051,6 @@ func (n *Node) maybeFinishShipped(c *nicrt.Core, t *ctxn) {
 func (n *Node) coordLocalCommit(c *nicrt.Core, m *wire.TxnRequest) {
 	t := n.grabCtxn(m.TxnID)
 	t.local = m
-	n.ctxns[t.id] = t
 	n.openTxn(t)
 	if n.cl.History() != nil {
 		// The request carries the versions the host fast path observed; stash

@@ -1,10 +1,5 @@
 package core
 
-import (
-	"xenic/internal/nicrt"
-	"xenic/internal/wire"
-)
-
 // Deliberately broken protocol variants for mutation-testing the
 // serializability checker (internal/check) and the ownership tests: each
 // flips one protocol rule whose violation a checker must catch. These are
@@ -15,10 +10,12 @@ var (
 	// (§4.2 step 4 removed): concurrent writers between read and commit go
 	// unnoticed.
 	mutSkipValidation bool
-	// mutUnlockBeforeLog releases every lock when entering the log phase,
-	// before the write set is durable or applied: a concurrent transaction
-	// can read the pre-commit version, validate successfully, and install
-	// the same successor version (a classic lost update).
+	// mutUnlockBeforeLog releases every lock (releaseLocks) when entering
+	// the log phase, before the write set is durable or applied: a
+	// concurrent transaction can read the pre-commit version, validate
+	// successfully, and install the same successor version (a classic lost
+	// update). The remote ABORTs and the later COMMIT unlock with the
+	// tolerant UnlockIf.
 	mutUnlockBeforeLog bool
 	// mutStaleIndexRead skips the NIC-index update on commit, leaving
 	// cached entries serving pre-commit versions and values to later reads
@@ -51,25 +48,3 @@ var (
 	// same row before either committed both install its successor version.
 	mutTrustObserved bool
 )
-
-// mutReleaseLocks force-releases every lock t holds (the unlock-before-log
-// mutant): local locks through the index, remote ones via ABORT messages
-// (whose handler uses the tolerant UnlockIf, as does the later COMMIT).
-// t.Locked is cleared so the commit fan-out does not unlock again.
-func (n *Node) mutReleaseLocks(c *nicrt.Core, t *ctxn) {
-	for _, ls := range t.Locked {
-		dst := n.primaryNode(ls.Shard)
-		if dst == n.id {
-			idx := n.prim(ls.Shard).index
-			for _, k := range ls.Keys {
-				idx.Unlock(k, t.id)
-			}
-			continue
-		}
-		c.Send(dst, &wire.Abort{
-			Header:     wire.Header{TxnID: t.id, Src: uint8(n.id)},
-			LockedKeys: ls.Keys,
-		})
-	}
-	t.Locked = nil
-}

@@ -209,19 +209,32 @@ func (n *Node) nicHandler(c *nicrt.Core, src int, m wire.Msg) {
 		}
 	}
 	switch m := m.(type) {
-	// Coordinator side.
+	// Coordinator side: each response is awaited in one phase (findTxn).
 	case *wire.TxnRequest:
 		n.coordStart(c, m)
 	case *wire.WriteSet:
-		n.coordWriteSet(c, m)
+		if t := n.findTxn(m.TxnID, phHostExec); t != nil {
+			n.execResult(c, t, txnmodel.ExecResult{Writes: m.Writes, MoreReads: m.MoreReads, Abort: m.Abort})
+		}
 	case *wire.ExecuteResp:
 		n.coordExecuteResp(c, m)
 	case *wire.ValidateResp:
-		n.coordValidateResp(c, m)
+		if t := n.findTxn(m.TxnID, phValidate); t != nil && n.lastPart(c, t, m.Status) {
+			n.afterValidate(c, t)
+		}
 	case *wire.LogResp:
-		n.coordLogResp(c, m)
+		if t := n.findTxn(m.TxnID, phLog); t != nil {
+			if n.lastPart(c, t, wire.StatusOK) {
+				n.commitPoint(c, t, t.Writes, t.ByShard)
+			}
+		} else if t := n.findTxn(m.TxnID, phShipped); t != nil {
+			t.logAcks++
+			n.maybeFinishShipped(c, t)
+		}
 	case *wire.CommitResp:
-		n.coordCommitResp(c, m)
+		if t := n.findTxn(m.TxnID, phCommit); t != nil && n.lastPart(c, t, wire.StatusOK) {
+			n.dropCtxn(t, wire.StatusOK)
+		}
 	case *wire.ShipResult:
 		n.coordShipResult(c, m)
 	case *wire.LogApplyAck:

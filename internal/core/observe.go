@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xenic/internal/metrics"
+	"xenic/internal/sim"
 	"xenic/internal/store/nicindex"
 	"xenic/internal/trace"
 )
@@ -13,24 +14,6 @@ import (
 // and the stats registry (per-node transaction outcomes, phase latencies,
 // NIC index and runtime counters). Everything here is nil-safe: with no
 // tracer and no registry attached, the instrumented paths cost one branch.
-
-func (p phase) String() string {
-	switch p {
-	case phExecute:
-		return "execute"
-	case phHostExec:
-		return "host-exec"
-	case phValidate:
-		return "validate"
-	case phLog:
-		return "log"
-	case phCommit:
-		return "commit"
-	case phShipped:
-		return "shipped"
-	}
-	return fmt.Sprintf("phase(%d)", uint8(p))
-}
 
 // observe registers what only Xenic has with the attached observers: trace
 // hooks and thread names, phase/NIC/index stats, and the NIC-side telemetry
@@ -103,9 +86,11 @@ func (n *Node) hookIndex(shard int, idx *nicindex.Index) {
 	})
 }
 
-// openTxn starts phase accounting and the transaction's trace span. The
-// span opens at the coordinator NIC (coordStart), where the ctxn is born.
+// openTxn enters t in the coordinator table and starts its phase accounting
+// and trace span. The span opens at the coordinator NIC, where the ctxn is
+// born.
 func (n *Node) openTxn(t *ctxn) {
+	n.ctxns[t.id] = t
 	now := n.cl.Engine().Now()
 	t.phaseAt = now
 	t.openedAt = now
@@ -116,19 +101,28 @@ func (n *Node) openTxn(t *ctxn) {
 	n.armWatchdog(t)
 }
 
-// setPhase moves t to ph, recording the closing phase's simulated duration.
+// setPhase moves t to ph.
 func (n *Node) setPhase(t *ctxn, ph phase) {
+	now := n.closePhase(t)
+	if tr := n.tr(); tr.Enabled() {
+		tr.BeginAsync("phase", ph.String(), t.id, n.id, now, nil)
+	}
+	t.phase = ph
+	t.phaseAt = now
+	t.epoch++ // phase changes are the watchdog's progress signal
+}
+
+// closePhase ends t's current phase now, which it returns: it records the
+// phase's simulated duration and closes its trace span.
+func (n *Node) closePhase(t *ctxn) sim.Time {
 	now := n.cl.Engine().Now()
 	if h := n.stats.PhaseLat[t.phase]; h != nil {
 		h.Record(now - t.phaseAt)
 	}
 	if tr := n.tr(); tr.Enabled() {
 		tr.EndAsync("phase", t.phase.String(), t.id, n.id, now, nil)
-		tr.BeginAsync("phase", ph.String(), t.id, n.id, now, nil)
 	}
-	t.phase = ph
-	t.phaseAt = now
-	t.epoch++ // phase changes are the watchdog's progress signal
+	return now
 }
 
 // registerMetrics adds Xenic's own counters to reg: phase latency histograms,

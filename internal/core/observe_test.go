@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"xenic/internal/fault"
 	"xenic/internal/metrics"
 	"xenic/internal/sim"
 	"xenic/internal/trace"
@@ -170,5 +171,65 @@ func TestClusterStatsSnapshot(t *testing.T) {
 	// The snapshot must render as one valid JSON document.
 	if _, err := json.Marshal(snap); err != nil {
 		t.Fatalf("snapshot not JSON-marshalable: %v", err)
+	}
+}
+
+// TestPhaseAccountingBalances checks DESIGN §7's phase accounting invariant
+// through faults, a crash-restart and an eviction, with MVCC on: once the
+// cluster drains, every async span a node that never went down began has
+// ended, every live coordinator table is empty, and no snapshot still holds
+// a GC refcount.
+func TestPhaseAccountingBalances(t *testing.T) {
+	for _, spec := range []string{"", "drop=0.01", "crash=2@3ms,restart=2@5ms", "part=3@2ms+2500us"} {
+		g := &kvGen{keys: 300, keysPer: 3, readFrac: 0.5, localFrac: 0.3}
+		cfg := mvccConfig(4)
+		crashed := map[int]bool{}
+		if spec != "" {
+			plan, err := fault.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults = plan
+			for _, c := range plan.Crashes {
+				crashed[c.Node] = true
+			}
+		}
+		tr := trace.New()
+		cl, err := New(cfg, g, Observers{Tracer: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.Start()
+		cl.Run(6 * sim.Millisecond)
+		if !cl.Drain(800 * sim.Millisecond) {
+			t.Fatalf("%q: cluster did not quiesce", spec)
+		}
+		type span struct {
+			pid       int
+			cat, name string
+			id        uint64
+		}
+		open := map[span]int{}
+		for _, e := range tr.Events() {
+			switch e.Ph {
+			case "b":
+				open[span{e.Pid, e.Cat, e.Name, e.ID}]++
+			case "e":
+				open[span{e.Pid, e.Cat, e.Name, e.ID}]--
+			}
+		}
+		for s, n := range open {
+			if n != 0 && !crashed[s.pid] && cl.nodes[s.pid].alive {
+				t.Errorf("%q: node %d: %s span %q of txn %#x: %d unended", spec, s.pid, s.cat, s.name, s.id, n)
+			}
+		}
+		for _, n := range cl.nodes {
+			if n.alive && len(n.ctxns) != 0 {
+				t.Errorf("%q: node %d: %d transactions left in the coordinator table", spec, n.id, len(n.ctxns))
+			}
+		}
+		if len(cl.mv.open) != 0 {
+			t.Errorf("%q: snapshots still open after drain: %v", spec, cl.mv.open)
+		}
 	}
 }

@@ -65,7 +65,7 @@ func (n *Node) handleViewChange(c *nicrt.Core, v membership.View) {
 		// even though it is locally up: self-fence. The survivors have
 		// already promoted its shard and swept its locks; continuing to
 		// serve would split the brain.
-		n.alive = false
+		n.halt()
 		return
 	}
 	if n.faulty() {
@@ -227,14 +227,14 @@ func (n *Node) abortInFlight(c *nicrt.Core, v membership.View) {
 				dropWrites = append(dropWrites, wire.KV{Key: t.desc.WriteKey(i)})
 			}
 		}
-		if t.phase == phLog || (t.phase == phShipped && len(dropWrites) > 0) {
-			// Replicas already hold this transaction's undecided records;
-			// tell every surviving replica — including a freshly promoted
-			// primary that held them as a backup — to drop (the
+		if phases[t.phase].logged {
+			// Replicas may already hold this transaction's undecided
+			// records; tell every surviving replica — including a freshly
+			// promoted primary that held them as a backup — to drop (the
 			// transaction never reached its commit point).
 			n.announceAbort(c, t.id, dropWrites)
 		}
-		n.abortExit(c, t)
+		n.endTxn(c, t, t.Failed)
 	}
 	// Shipped transactions from dead coordinators may hold lock-all state
 	// here; their owners are swept below via the orphan-lock path, so also

@@ -256,7 +256,6 @@ func TestAbortKeysSurviveRecycle(t *testing.T) {
 	}
 	begin := func(id uint64, keys []uint64) *ctxn {
 		tx := n.grabCtxn(id)
-		n.ctxns[id] = tx
 		n.openTxn(tx)
 		for _, k := range keys {
 			if !idx.TryLock(k, id) {

@@ -39,7 +39,7 @@ func (n *Node) snapStart(c *nicrt.Core, t *ctxn) {
 	slices.Sort(shards)
 	t.Pending = len(shards)
 	if t.Pending == 0 {
-		n.snapFinish(c, t)
+		n.endTxn(c, t, wire.StatusOK)
 		return
 	}
 	for _, s := range shards {
@@ -78,21 +78,13 @@ func (n *Node) snapPart(c *nicrt.Core, t *ctxn, st wire.Status, items []wire.KV)
 		n.abortTxn(c, t)
 		return
 	}
-	n.snapFinish(c, t)
+	// No validation, no locks to release, no log traffic: the commit point
+	// is the completion of the last read.
+	n.endTxn(c, t, wire.StatusOK)
 }
 
-// snapFinish commits a snapshot read: no validation, no locks to release,
-// no log traffic — the commit point is the completion of the last read.
-func (n *Node) snapFinish(c *nicrt.Core, t *ctxn) {
-	n.snapClose(t)
-	n.stats.SnapCommitted++
-	n.recordCommit(t, nil)
-	n.finishTxn(c, t, wire.StatusOK)
-	n.dropCtxn(t, wire.StatusOK)
-}
-
-// snapClose releases the transaction's GC protection refcount exactly once
-// (abort paths route here too).
+// snapClose releases the transaction's GC protection refcount exactly once:
+// at endTxn, or when its coordinator goes down (halt).
 func (n *Node) snapClose(t *ctxn) {
 	if t.snapshot && !t.snapClosed {
 		t.snapClosed = true
