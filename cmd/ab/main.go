@@ -3,8 +3,8 @@
 // each end-to-end metric whether the working tree moved it. From the
 // repository root:
 //
-//	go run ./cmd/ab HEAD                          # 5 pairs on each of the four workloads
-//	go run ./cmd/ab -n 10 -workload tpcc_xenic HEAD~1
+//	go run ./cmd/ab HEAD                          # 10 pairs on each of the four workloads
+//	go run ./cmd/ab -n 20 -workload tpcc_xenic HEAD~1
 //
 // REV is unpacked with git archive into a temporary directory, and the bench
 // programs of both trees are built there. Every run is one
@@ -57,7 +57,7 @@ type result struct {
 }
 
 func main() {
-	n := flag.Int("n", 5, "pairs of runs per workload")
+	n := flag.Int("n", 10, "pairs of runs per workload")
 	only := flag.String("workload", "", "run only this workload (default: every workload in BENCHMARK.json)")
 	if flag.Parse(); flag.NArg() != 1 || *n < 1 {
 		fmt.Fprintln(os.Stderr, "usage: go run ./cmd/ab [-n pairs] [-workload W] REV")

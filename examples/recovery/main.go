@@ -96,13 +96,11 @@ func main() {
 	}
 	var sum uint64
 	for k := 0; k < keys; k++ {
-		shard := k % cl.Nodes()
-		pn := cl.Node(v.PrimaryOf[shard])
-		data, ok := pn.PrimaryOf(shard)
-		if !ok {
+		copies := cl.Replicas(k % cl.Nodes())
+		if len(copies) == 0 || copies[0].Hash == nil {
 			panic("shard unserved")
 		}
-		val, _, found := data.Read(uint64(k))
+		val, _, found := copies[0].Read(uint64(k))
 		if !found {
 			panic("key lost")
 		}

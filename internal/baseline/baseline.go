@@ -23,6 +23,7 @@ package baseline
 import (
 	"fmt"
 
+	"xenic/internal/chassis"
 	"xenic/internal/fault"
 	"xenic/internal/model"
 	"xenic/internal/store/btree"
@@ -128,6 +129,11 @@ func newShardData(spec txnmodel.StoreSpec, place txnmodel.Placement) *shardData 
 // clone returns a replica holding what s holds, sharing its value slices.
 func (s *shardData) clone() *shardData {
 	return &shardData{hash: s.hash.Clone(), btree: s.btree.Clone(), place: s.place}
+}
+
+// replica describes s, held by node, for the drained-state checks.
+func (s *shardData) replica(node int) chassis.Replica {
+	return chassis.Replica{Node: node, Hash: s.hash, Tree: s.btree, Read: s.read}
 }
 
 func (s *shardData) read(key uint64) ([]byte, uint64, bool) {

@@ -107,7 +107,7 @@ func runSystem(t *testing.T, sys System, dur sim.Time) *Cluster {
 	}
 	var sum, expected uint64
 	for k := 0; k < g.keys; k++ {
-		v, _, ok := cl.ReadKey(uint64(k))
+		v, _, ok := cl.nodes[cl.Placement().ShardOf(uint64(k))].primary.read(uint64(k))
 		if !ok {
 			t.Fatalf("key %d missing", k)
 		}

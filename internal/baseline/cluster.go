@@ -2,13 +2,14 @@ package baseline
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
 	"xenic/internal/metrics"
 	"xenic/internal/rdma"
 	"xenic/internal/sim"
-	"xenic/internal/store/btree"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
@@ -62,6 +63,7 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		Launch:      func(t *hostrt.Thread, node int, tx *chassis.Txn) { cl.nodes[node].launch(t, tx.Attempt.(*btxn)) },
 		Drained:     cl.drained,
 		Observe:     cl.observe,
+		Replicas:    cl.replicas,
 	})
 	if err != nil {
 		return nil, err
@@ -211,47 +213,19 @@ func (cl *Cluster) registerMetrics(reg *metrics.Registry) {
 	})
 }
 
-// ReadKey reads a key from its primary (for tests).
-func (cl *Cluster) ReadKey(key uint64) ([]byte, uint64, bool) {
-	return cl.nodes[cl.Placement().ShardOf(key)].primary.read(key)
-}
-
-// ReplicasConsistent verifies backup replicas converged to the primary.
-func (cl *Cluster) ReplicasConsistent() error {
-	for s := 0; s < cl.cfg.Nodes; s++ {
-		p := cl.nodes[s].primary
-		for _, b := range cl.BackupsOf(s) {
-			bk := cl.nodes[b].backups[s]
-			if p.hash.Len() != bk.hash.Len() {
-				return fmt.Errorf("shard %d at node %d: hash size %d vs %d", s, b, p.hash.Len(), bk.hash.Len())
-			}
-			if p.btree.Len() != bk.btree.Len() {
-				return fmt.Errorf("shard %d at node %d: btree size %d vs %d", s, b, p.btree.Len(), bk.btree.Len())
-			}
-			var err error
-			p.hash.ForEach(func(key uint64, version uint64, value []byte) bool {
-				r := bk.hash.Lookup(key)
-				if !r.Found || r.Version != version || string(r.Value) != string(value) {
-					err = fmt.Errorf("shard %d at node %d: key %d diverges", s, b, key)
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
-			p.btree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
-				got, ok := bk.btree.Get(it.Key)
-				if !ok || got.Version != it.Version || string(got.Value) != string(it.Value) {
-					err = fmt.Errorf("shard %d at node %d: btree key %d diverges", s, b, it.Key)
-					return false
-				}
-				return true
-			})
-			if err != nil {
-				return err
-			}
+// replicas lists shard s's copies for the drained-state checks: node s's
+// primary, with the lock words in its host memory, then the backups. A
+// baseline never changes its replica chains.
+func (cl *Cluster) replicas(s int) []chassis.Replica {
+	n := cl.nodes[s]
+	out := []chassis.Replica{n.primary.replica(s)}
+	out[0].Locks = func(yield func(key, owner uint64)) {
+		for _, key := range slices.Sorted(maps.Keys(n.locks)) {
+			yield(key, n.locks[key])
 		}
 	}
-	return nil
+	for _, b := range cl.BackupsOf(s) {
+		out = append(out, cl.nodes[b].backups[s].replica(b))
+	}
+	return out
 }

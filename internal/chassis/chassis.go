@@ -2,8 +2,8 @@
 // not depend on its commit protocol: the engine, fabric, fault injector and
 // lease service; the per-node hosts with their application threads; load
 // generation (closed loop, attached sources, injected arrivals), retry with
-// back-off and outcome accounting; Run/Drain/Measure; and the observer
-// registrations every system repeats. The Xenic cluster (internal/core) and
+// back-off and outcome accounting; Run/Drain/Measure; the observer
+// registrations every system repeats; and the drained-state checks. The Xenic cluster (internal/core) and
 // the RDMA baselines (internal/baseline) both embed a Chassis, so the code
 // that generates load, retries aborts and measures results is the same code
 // on both sides of every comparison. A protocol supplies only what a
@@ -118,6 +118,15 @@ type Protocol struct {
 	// Observe, if set, registers the series only this protocol has with the
 	// attached observers, after the chassis has registered the shared ones.
 	Observe func(Observers)
+
+	// Replicas lists shard s's serving primary followed by its live backups,
+	// nil once the shard lost every replica: what the drained-state checks
+	// walk (audit.go).
+	Replicas func(s int) []Replica
+	// Check, if set, adds the protocol's own drained-state checks:
+	// CheckInvariants calls it with a nil history, AuditHistory with the
+	// attached one.
+	Check func(h *check.History) error
 }
 
 // Observers is the single construction-time attach point: everything that

@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"xenic/internal/sim"
-	"xenic/internal/store/btree"
 	"xenic/internal/wire"
 )
 
@@ -280,27 +279,6 @@ func (h *History) LastVersions() map[uint64]uint64 {
 		}
 	}
 	return out
-}
-
-// AuditReplica checks one drained replica against last (LastVersions): every
-// stored version either matches the last committed writer of its key or
-// predates any committed write (populate installs version 1). hash iterates
-// the replica's hash-table rows; tree is its B+tree.
-func AuditReplica(where string, last map[uint64]uint64,
-	hash func(func(key, version uint64, value []byte) bool), tree *btree.Tree) error {
-	var err error
-	ok := func(key, version uint64) bool {
-		if want, written := last[key]; written && version != want || !written && version > 1 {
-			err = fmt.Errorf("audit: %s: key %d at version %d, last committed writer installed %d",
-				where, key, version, want)
-		}
-		return err == nil
-	}
-	hash(func(key, version uint64, _ []byte) bool { return ok(key, version) })
-	if err == nil {
-		tree.AscendRange(0, ^uint64(0), func(it btree.Item) bool { return ok(it.Key, it.Version) })
-	}
-	return err
 }
 
 // ShipConsistent audits shipped transactions: for every ship shadow whose

@@ -1,15 +1,12 @@
 package core
 
 import (
-	"fmt"
-
 	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
 	"xenic/internal/membership"
 	"xenic/internal/metrics"
 	"xenic/internal/nicrt"
 	"xenic/internal/sim"
-	"xenic/internal/store/btree"
 	"xenic/internal/store/nicindex"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -93,6 +90,8 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		Window:            cl.window,
 		OnView:            cl.onViewChange,
 		Observe:           cl.observe,
+		Replicas:          cl.replicas,
+		Check:             cl.drainedChecks,
 	})
 	if err != nil {
 		return nil, err
@@ -320,87 +319,23 @@ func (cl *Cluster) drained() bool {
 	return true
 }
 
-// CheckInvariants validates every node's store and index structures, and
-// that every reclaiming host log has shrunk back to at most one segment with
-// nothing undecided, for quiesced clusters (call after StopLoad and a drain
-// period).
-func (cl *Cluster) CheckInvariants() error {
-	for _, n := range cl.nodes {
-		if !n.alive {
-			continue
-		}
-		for s, p := range n.prims {
-			if err := p.data.Hash.CheckInvariants(); err != nil {
-				return fmt.Errorf("node %d primary of %d: %w", n.id, s, err)
-			}
-			if err := p.data.BTree.CheckInvariants(); err != nil {
-				return fmt.Errorf("node %d primary btree of %d: %w", n.id, s, err)
-			}
-			if err := p.index.CheckInvariants(); err != nil {
-				return fmt.Errorf("node %d index of %d: %w", n.id, s, err)
-			}
-		}
-		for s, b := range n.backups {
-			if err := b.Hash.CheckInvariants(); err != nil {
-				return fmt.Errorf("node %d backup of %d: %w", n.id, s, err)
-			}
-		}
-		if err := n.log.checkDrained(); err != nil {
-			return fmt.Errorf("node %d log: %w", n.id, err)
-		}
+// replicas lists shard s's copies for the drained-state checks: the view's
+// serving primary, with its NIC index's locks (no table at all if it has
+// not yet adopted the shard), then the view's backups. A promoted primary
+// keeps its old backup entry, but that is its primary data, so a live
+// node's backups hold no copy the view does not name.
+func (cl *Cluster) replicas(s int) []chassis.Replica {
+	pn := cl.nodes[cl.primaryNode(s)]
+	if !pn.alive {
+		return nil // shard lost every replica
 	}
-	return nil
-}
-
-// ReplicasConsistent verifies (for a fully drained cluster) that every
-// backup replica holds exactly the primary's data at the same versions.
-// Core correctness tests rely on it.
-func (cl *Cluster) ReplicasConsistent() error {
-	for s := 0; s < cl.cfg.Nodes; s++ {
-		pn := cl.nodes[cl.primaryNode(s)]
-		if !pn.alive {
-			continue // shard lost every replica
-		}
-		prim := pn.prim(s)
-		if prim == nil {
-			return fmt.Errorf("shard %d: view primary %d does not serve it", s, pn.id)
-		}
-		for _, b := range cl.viewBackups(s) {
-			bk := cl.nodes[b].backups[s]
-			if err := storesEqual(prim.data, bk); err != nil {
-				return fmt.Errorf("shard %d backup at node %d: %w", s, b, err)
-			}
-		}
+	out := []chassis.Replica{{Node: pn.id}}
+	if p := pn.prim(s); p != nil {
+		out[0] = p.data.replica(pn.id)
+		out[0].Locks = p.index.ForEachLocked
 	}
-	return nil
-}
-
-func storesEqual(a, b *ShardData) error {
-	if a.Hash.Len() != b.Hash.Len() {
-		return fmt.Errorf("hash sizes differ: %d vs %d", a.Hash.Len(), b.Hash.Len())
+	for _, b := range cl.viewBackups(s) {
+		out = append(out, cl.nodes[b].backups[s].replica(b))
 	}
-	if a.BTree.Len() != b.BTree.Len() {
-		return fmt.Errorf("btree sizes differ: %d vs %d", a.BTree.Len(), b.BTree.Len())
-	}
-	var err error
-	a.Hash.ForEach(func(key uint64, version uint64, value []byte) bool {
-		r := b.Hash.Lookup(key)
-		if !r.Found || r.Version != version || string(r.Value) != string(value) {
-			err = fmt.Errorf("hash key %d diverges (found=%v v=%d vs %d)", key, r.Found, r.Version, version)
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	a.BTree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
-		got, ok := b.BTree.Get(it.Key)
-		if !ok || got.Version != it.Version || string(got.Value) != string(it.Value) {
-			err = fmt.Errorf("btree key %d diverges", it.Key)
-			return false
-		}
-		return true
-	})
-	return err
+	return out
 }

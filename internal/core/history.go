@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"xenic/internal/chassis"
 	"xenic/internal/check"
@@ -132,60 +131,31 @@ func (n *Node) recordShip(txn uint64, coord int, writes []wire.KV) {
 	})
 }
 
-// AuditHistory cross-checks the drained cluster's final state against the
-// recorded history: no orphan locks, every store version matches the last
-// committed writer, log records consistent with the committed set, and
-// shipped results consistent between origin and ship target. Call only
-// after a successful Drain; returns nil when no history is attached.
-func (cl *Cluster) AuditHistory() error {
-	h := cl.History()
-	if h == nil {
-		return nil
-	}
+// drainedChecks is Xenic's part of the drained-state checks (chassis
+// Protocol.Check, DESIGN.md §9). Without a history it validates every live
+// node's NIC indexes and that every reclaiming host log has shrunk back to
+// at most one segment with nothing undecided. With one, it checks that
+// shipped results agree between origin and ship target, and every live
+// node's log records against the committed set.
+func (cl *Cluster) drainedChecks(h *check.History) error {
 	if err := h.ShipConsistent(); err != nil {
 		return err
 	}
 	committed := h.CommittedIDs()
-	last := h.LastVersions()
 	for _, n := range cl.nodes {
 		if !n.alive {
 			continue
 		}
-		var shards []int
-		for s := range n.prims {
-			shards = append(shards, s)
-		}
-		slices.Sort(shards)
-		for _, s := range shards {
-			p := n.prims[s]
-			var lockErr error
-			p.index.ForEachLocked(func(key, owner uint64) {
-				if lockErr == nil {
-					lockErr = fmt.Errorf("audit: node %d shard %d: orphan lock on key %d held by txn %#x after drain",
-						n.id, s, key, owner)
+		if h == nil {
+			for s, p := range n.prims {
+				if err := p.index.CheckInvariants(); err != nil {
+					return fmt.Errorf("node %d index of shard %d: %w", n.id, s, err)
 				}
-			})
-			if lockErr != nil {
-				return lockErr
 			}
-			if err := check.AuditReplica(fmt.Sprintf("node %d primary of shard %d", n.id, s), last, p.data.Hash.ForEach, p.data.BTree); err != nil {
-				return err
+			if err := n.log.checkDrained(); err != nil {
+				return fmt.Errorf("node %d log: %w", n.id, err)
 			}
-		}
-		var bshards []int
-		for s := range n.backups {
-			bshards = append(bshards, s)
-		}
-		slices.Sort(bshards)
-		for _, s := range bshards {
-			// Only audit backups of shards whose serving primary survived:
-			// a shard that lost every replica may legitimately lag.
-			if !cl.nodes[cl.primaryNode(s)].alive {
-				continue
-			}
-			if err := check.AuditReplica(fmt.Sprintf("node %d backup of shard %d", n.id, s), last, n.backups[s].Hash.ForEach, n.backups[s].BTree); err != nil {
-				return err
-			}
+			continue
 		}
 		for r := range n.log.records() {
 			if r.txn == 0 {
@@ -206,29 +176,6 @@ func (cl *Cluster) AuditHistory() error {
 				return fmt.Errorf("audit: node %d log seq %d: dropped record for committed txn %#x",
 					n.id, r.seq, r.txn)
 			}
-		}
-	}
-	// Reverse direction: every committed write must be present at its
-	// shard's serving primary, at exactly the installed version.
-	keys := make([]uint64, 0, len(last))
-	for k := range last {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, key := range keys {
-		s := cl.Placement().ShardOf(key)
-		pn := cl.nodes[cl.primaryNode(s)]
-		if !pn.alive {
-			continue // shard lost every replica
-		}
-		p := pn.prim(s)
-		if p == nil {
-			return fmt.Errorf("audit: shard %d: view primary %d does not serve it", s, pn.id)
-		}
-		_, ver, okRead := p.data.Read(key)
-		if !okRead || ver != last[key] {
-			return fmt.Errorf("audit: shard %d at node %d: committed key %d should be at version %d, store has %d (present=%v)",
-				s, pn.id, key, last[key], ver, okRead)
 		}
 	}
 	return nil

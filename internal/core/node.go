@@ -158,16 +158,6 @@ func (n *Node) Index() *nicindex.Index { return n.prims[n.id].index }
 // Primary returns the node's replica of its own shard.
 func (n *Node) Primary() *ShardData { return n.prims[n.id].data }
 
-// PrimaryOf returns the node's replica of shard s if it currently serves
-// it as primary (its own shard, or an adopted one).
-func (n *Node) PrimaryOf(s int) (*ShardData, bool) {
-	p, ok := n.prims[s]
-	if !ok {
-		return nil, false
-	}
-	return p.data, true
-}
-
 // prim returns the serving state for shard s, or nil.
 func (n *Node) prim(s int) *primaryShard { return n.prims[s] }
 

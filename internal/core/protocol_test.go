@@ -271,7 +271,7 @@ func TestFinalRoundWritesOnly(t *testing.T) {
 				committed += cl.Node(i).Stats().Committed
 			}
 			check(t, committed, func(k uint64) []byte {
-				v, _, _ := cl.ReadKey(k)
+				v, _, _ := cl.Replicas(cl.Placement().ShardOf(k))[0].Read(k)
 				return v
 			})
 			if err := cl.ReplicasConsistent(); err != nil {

@@ -38,11 +38,11 @@ func aliveSum(t *testing.T, cl *Cluster, g *kvGen) uint64 {
 		if !pn.alive {
 			t.Fatalf("shard %d has no live primary", shard)
 		}
-		data, ok := pn.PrimaryOf(shard)
-		if !ok {
+		p := pn.prim(shard)
+		if p == nil {
 			t.Fatalf("node %d does not serve shard %d", pn.id, shard)
 		}
-		v, _, found := data.Read(uint64(k))
+		v, _, found := p.data.Read(uint64(k))
 		if !found {
 			t.Fatalf("key %d missing after recovery", k)
 		}
@@ -59,8 +59,7 @@ func TestPrimaryFailover(t *testing.T) {
 	if got := cl.primaryNode(victim); got != 3 {
 		t.Fatalf("shard %d primary is %d, want 3", victim, got)
 	}
-	p, ok := cl.nodes[3].PrimaryOf(victim)
-	if !ok || p == nil {
+	if cl.nodes[3].prim(victim) == nil {
 		t.Fatal("promoted node does not serve the shard")
 	}
 	if !cl.nodes[3].prim(victim).ready {
@@ -138,7 +137,7 @@ func TestRecoveredShardServesWrites(t *testing.T) {
 	// on the recovered shard has version > 1 (written at least once) and
 	// that the promoted index serves lookups.
 	promoted := cl.nodes[cl.primaryNode(2)]
-	data, _ := promoted.PrimaryOf(2)
+	data := promoted.prim(2).data
 	written := false
 	for k := 2; k < g.keys; k += 4 {
 		if _, ver, ok := data.Read(uint64(k)); ok && ver > 1 {

@@ -3,10 +3,10 @@ package core
 import (
 	"slices"
 
+	"xenic/internal/chassis"
 	"xenic/internal/membership"
 	"xenic/internal/nicrt"
 	"xenic/internal/sim"
-	"xenic/internal/store/btree"
 	"xenic/internal/wire"
 )
 
@@ -183,13 +183,9 @@ func (n *Node) maybeAdmit() {
 // snapshotKeys collects a shard replica's full key set in sorted order.
 func snapshotKeys(d *ShardData) []uint64 {
 	var keys []uint64
-	d.Hash.ForEach(func(k, _ uint64, _ []byte) bool {
+	chassis.Replica{Hash: d.Hash, Tree: d.BTree}.Each(func(k, _ uint64, _ []byte) error {
 		keys = append(keys, k)
-		return true
-	})
-	d.BTree.AscendRange(0, ^uint64(0), func(it btree.Item) bool {
-		keys = append(keys, it.Key)
-		return true
+		return nil
 	})
 	slices.Sort(keys)
 	return keys

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"xenic/internal/chassis"
 	"xenic/internal/store/btree"
 	"xenic/internal/store/robinhood"
 	"xenic/internal/txnmodel"
@@ -117,6 +118,11 @@ func newShardData(spec txnmodel.StoreSpec, place txnmodel.Placement) *ShardData 
 // and population installs none.
 func (s *ShardData) clone() *ShardData {
 	return &ShardData{Hash: s.Hash.Clone(), BTree: s.BTree.Clone(), place: s.place}
+}
+
+// replica describes d, held by node, for the drained-state checks.
+func (d *ShardData) replica(node int) chassis.Replica {
+	return chassis.Replica{Node: node, Hash: d.Hash, Tree: d.BTree, Read: d.Read}
 }
 
 // Read fetches a key's value and version via local memory access.

@@ -18,7 +18,7 @@ type cloneOp struct {
 // cloneOps returns n seeded Insert / Delete steps over a key range small
 // enough to overflow a Dm=2 table, delete keys and re-insert them; values
 // are inline (≤ 16 bytes) or large (> 64 bytes), so records move between
-// cells and the large-object map.
+// inline and large-object cells.
 func cloneOps(seed int64, n, keys int) []cloneOp {
 	rng := rand.New(rand.NewSource(seed))
 	lengths := []int{0, 3, 16, 65, 200}

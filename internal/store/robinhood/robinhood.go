@@ -13,7 +13,6 @@ package robinhood
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 
@@ -103,10 +102,13 @@ type slot struct {
 	key     uint64
 	version uint64
 	disp    int32
-	val     uint32 // 0: empty; largeVal: value behind Table.large; else a cell of Table.cells
+	val     uint32 // 0: empty; a cell of Table.cells; or largeVal | a cell of Table.large
 }
 
-const largeVal = ^uint32(0)
+// largeVal marks a slot as indirect: the rest of val numbers a cell of
+// Table.large. Cells number no more than the slots, which New caps below
+// 2^31, so the bit is free.
+const largeVal = 1 << 31
 
 // segMeta is one segment's bookkeeping.
 type segMeta struct {
@@ -120,18 +122,19 @@ type Table struct {
 	mask  uint64
 	slots []slot
 	segs  []segMeta
-	// cells holds the inline values, one cell per occupied inline slot; a
-	// slot's cell travels with it through swaps and shifts. A cell is only
-	// ever pointed at an immutable slice, never written through: slices
-	// handed out by Lookup outlive the call (in-flight DMA results and
-	// snapshot responses), so their bytes must stay immutable.
+	// cells holds the inline values, one cell per occupied inline slot, and
+	// large the out-of-table ones, one per indirect slot; a slot's cell
+	// travels with it through swaps and shifts. A cell is only ever pointed
+	// at an immutable slice, never written through: slices handed out by
+	// Lookup outlive the call (in-flight DMA results and snapshot
+	// responses), so their bytes must stay immutable.
 	cells cell.Table
+	large cell.Table
 	// overflow holds the buckets of segments that have entries, and is
 	// consulted only where segs[seg].over > 0. It is never iterated: map
 	// order must not reach an observable.
 	overflow map[int][]OverflowEntry
 	count    int
-	large    map[uint64][]byte // out-of-table large values
 	stats    Stats
 }
 
@@ -168,24 +171,23 @@ func New(cfg Config) *Table {
 		slots:    make([]slot, n),
 		segs:     make([]segMeta, n/cfg.SegmentSlots),
 		overflow: make(map[int][]OverflowEntry),
-		large:    make(map[uint64][]byte),
 	}
 }
 
 // Clone returns a copy of t with the same layout and Stats, as if the same
 // operations had been applied to a fresh table. The copy owns its slots,
-// segments, cells, overflow buckets and large-object map, and shares the
-// value slices: values are never written once stored (DESIGN.md §16).
+// segments, both cell tables and overflow buckets, and shares the value
+// slices: values are never written once stored (DESIGN.md §16).
 func (t *Table) Clone() *Table {
 	c := *t
 	c.slots = slices.Clone(t.slots)
 	c.segs = slices.Clone(t.segs)
 	c.cells = t.cells.Clone()
+	c.large = t.large.Clone()
 	c.overflow = make(map[int][]OverflowEntry, len(t.overflow))
 	for seg, b := range t.overflow {
 		c.overflow[seg] = slices.Clone(b)
 	}
-	c.large = maps.Clone(t.large)
 	return &c
 }
 
@@ -263,27 +265,29 @@ func (t *Table) recomputeSegMax(seg int) {
 	t.segs[seg].maxDisp = maxD
 }
 
-// releaseValue gives up s's value — its cell or its large object — when the
-// record leaves the main table or changes representation. The slice itself
-// is dropped, never written.
+// cellOf resolves an occupied slot's val to its cell: its table and number.
+func (t *Table) cellOf(val uint32) (*cell.Table, uint32) {
+	if val&largeVal != 0 {
+		return &t.large, val &^ largeVal
+	}
+	return &t.cells, val
+}
+
+// releaseValue gives up s's value cell when the record leaves the main
+// table or changes representation. The slice itself is dropped, never
+// written.
 func (t *Table) releaseValue(s *slot) {
-	switch s.val {
-	case 0:
-	case largeVal:
-		delete(t.large, s.key)
-	default:
-		t.cells.Release(s.val)
+	if s.val != 0 {
+		c, n := t.cellOf(s.val)
+		c.Release(n)
 	}
 	s.val = 0
 }
 
-// valueOf resolves an occupied slot's value, following large-object
-// indirection.
+// valueOf returns an occupied slot's value, inline or large.
 func (t *Table) valueOf(s *slot) []byte {
-	if s.val == largeVal {
-		return t.large[s.key]
-	}
-	return t.cells.Get(s.val)
+	c, n := t.cellOf(s.val)
+	return c.Get(n)
 }
 
 // adopt returns value as the table keeps it: the caller's slice itself, its
@@ -292,26 +296,24 @@ func (t *Table) valueOf(s *slot) []byte {
 // need not copy it.
 func adopt(value []byte) []byte { return value[:len(value):len(value)] }
 
-// storeValue installs value as s's value, adopting the slice, applying
-// large-object indirection.
+// storeValue installs value as s's value, adopting the slice, out of table
+// when it is above the large threshold.
 func (t *Table) storeValue(s *slot, value []byte) {
-	if len(value) > t.cfg.LargeThreshold {
-		if s.val != largeVal {
-			t.releaseValue(s)
-			s.val = largeVal
-		}
-		t.large[s.key] = adopt(value)
-		return
-	}
-	if len(value) > t.cfg.InlineValueSize {
+	large := len(value) > t.cfg.LargeThreshold
+	if !large && len(value) > t.cfg.InlineValueSize {
 		panic(fmt.Sprintf("robinhood: value of %dB exceeds inline capacity %dB (and is below the large threshold %dB)",
 			len(value), t.cfg.InlineValueSize, t.cfg.LargeThreshold))
 	}
-	if s.val == 0 || s.val == largeVal {
+	if s.val == 0 || (s.val&largeVal != 0) != large {
 		t.releaseValue(s)
-		s.val = t.cells.New()
+		if large {
+			s.val = largeVal | t.large.New()
+		} else {
+			s.val = t.cells.New()
+		}
 	}
-	t.cells.Set(s.val, adopt(value))
+	c, n := t.cellOf(s.val)
+	c.Set(n, adopt(value))
 }
 
 // Insert adds key with value and version. Inserting an existing key updates
@@ -400,9 +402,8 @@ func (t *Table) bucket(seg int) []OverflowEntry {
 }
 
 // appendOverflow moves the carried record s, homed at home, to its segment's
-// overflow bucket: the entry takes the value slice — its cell's or its large
-// object's, read before releaseValue drops it — and the cell or map entry is
-// released.
+// overflow bucket: the entry takes the value slice, read before
+// releaseValue drops it, and the cell is released.
 func (t *Table) appendOverflow(s slot, home int) {
 	seg := t.SegmentOf(home)
 	e := OverflowEntry{Key: s.key, Version: s.version, Value: t.valueOf(&s), Home: home}
@@ -597,10 +598,10 @@ func (t *Table) segmentsCovering(i int) []int {
 // SlotAt returns slot i (wrapping past the table end) as a DMA read sees it.
 func (t *Table) SlotAt(i int) Slot {
 	s := &t.slots[i&int(t.mask)]
-	switch s.val {
-	case 0:
+	switch {
+	case s.val == 0:
 		return Slot{}
-	case largeVal:
+	case s.val&largeVal != 0:
 		return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Indirect: true}
 	}
 	return Slot{Occupied: true, Key: s.key, Disp: int(s.disp), Version: s.version, Value: t.cells.Get(s.val)}
@@ -623,10 +624,13 @@ func (t *Table) ReadOverflow(seg int) []OverflowEntry {
 }
 
 // LargeValue fetches an out-of-table value by key (the single-object DMA
-// read that follows a pointer slot).
+// read that follows a pointer slot): (nil, false) unless key's main-table
+// slot is indirect.
 func (t *Table) LargeValue(key uint64) ([]byte, bool) {
-	v, ok := t.large[key]
-	return v, ok
+	if s := t.findSlot(key); s != nil && s.val&largeVal != 0 {
+		return t.valueOf(s), true
+	}
+	return nil, false
 }
 
 // ForEach visits every stored key (main table, then overflow buckets in
@@ -659,7 +663,7 @@ func (t *Table) CheckInvariants() error {
 	// NIC's second adjacent read covers it) but an inflated one silently
 	// widens every DMA probe read.
 	exact := make([]int32, len(t.segs))
-	cellUsed := make([]bool, t.cells.Len())
+	cellUsed, largeUsed := make([]bool, t.cells.Len()), make([]bool, t.large.Len())
 	for i := range t.slots {
 		s := &t.slots[i]
 		if s.val == 0 {
@@ -677,24 +681,22 @@ func (t *Table) CheckInvariants() error {
 		if seg := t.SegmentOf(home); s.disp > exact[seg] {
 			exact[seg] = s.disp
 		}
-		if s.val == largeVal {
-			if _, ok := t.large[s.key]; !ok {
-				return fmt.Errorf("slot %d: dangling large pointer for key %d", i, s.key)
-			}
+		used := cellUsed
+		if s.val&largeVal != 0 {
+			used = largeUsed
 			indirect++
-			continue
 		}
-		c := int(s.val) - 1
-		if c >= len(cellUsed) || cellUsed[c] {
+		c := int(s.val&^largeVal) - 1
+		if c >= len(used) || used[c] {
 			return fmt.Errorf("slot %d: value cell %d out of range or shared", i, c)
 		}
-		cellUsed[c] = true
+		used[c] = true
 	}
 	if live := t.cells.Live(); live != n-indirect {
 		return fmt.Errorf("%d live value cells != %d occupied inline slots", live, n-indirect)
 	}
-	if len(t.large) != indirect {
-		return fmt.Errorf("%d large objects != %d indirect slots", len(t.large), indirect)
+	if live := t.large.Live(); live != indirect {
+		return fmt.Errorf("%d large objects != %d indirect slots", live, indirect)
 	}
 	buckets := 0
 	for seg := range t.segs {
