@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xenic/internal/chassis"
+	"xenic/internal/check"
 	"xenic/internal/hostrt"
 	"xenic/internal/rdma"
 	"xenic/internal/wire"
@@ -248,16 +249,26 @@ func (n *Node) applyBackupRecords(t *hostrt.Thread) bool {
 
 // commitTxn records and finalizes tx's committed outcome.
 func (n *Node) commitTxn(t *hostrt.Thread, tx *btxn) {
-	n.recordCommit(t, tx)
+	n.record(t, tx, wire.StatusOK)
 	n.app.Complete(t, &tx.Txn, wire.StatusOK)
 }
 
 // retryTxn records the aborted attempt and re-queues tx with backoff (or
 // fails it once retries are exhausted).
 func (n *Node) retryTxn(t *hostrt.Thread, tx *btxn, st wire.Status) {
-	n.recordAbort(t, tx, st)
+	n.record(t, tx, st)
 	tx.reset()
 	n.app.Retry(t, &tx.Txn, st)
+}
+
+// record files tx's attempt with outcome st in the history (DESIGN.md §9):
+// its reads, and when it committed, the versions it installed.
+func (n *Node) record(t *hostrt.Thread, tx *btxn, st wire.Status) {
+	var writes []wire.KV
+	if st == wire.StatusOK {
+		writes = tx.Writes
+	}
+	n.cl.History().Record(check.TxnRecord{ID: tx.ID, Node: n.id, Status: st, Start: tx.Start, End: t.Now()}, tx.Reads, writes)
 }
 
 // shardOf is shorthand for the cluster placement.

@@ -3,11 +3,12 @@
 //
 // The recorder is pure Go-side bookkeeping: it schedules no events, charges
 // no simulated time, and sends no messages, so a run with a History attached
-// is byte-identical to one without. Both the Xenic cluster and the baseline
-// clusters append one TxnRecord per transaction outcome at their protocol
-// decision points (commit point, abort decision), and the Xenic ship target
-// additionally appends a ShipRecord shadow of every shipped execution so the
-// origin and target views can be cross-checked.
+// is byte-identical to one without. Every system records one TxnRecord per
+// finished attempt through History.Record at its protocol decision points
+// (commit point, abort decision, recovery decision, host-local completion),
+// and the Xenic ship target additionally records a ShipRecord shadow of
+// every shipped execution (RecordShip) so the origin and target views can be
+// cross-checked.
 //
 // The checker reconstructs the per-key version order from installed
 // versions, builds the direct serialization graph (read-from, write-write,
@@ -18,7 +19,9 @@
 package check
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"xenic/internal/sim"
@@ -87,7 +90,7 @@ type History struct {
 // NewHistory returns an empty history.
 func NewHistory() *History { return &History{} }
 
-// Add appends one transaction record.
+// Add appends one transaction record as it is; recording sites use Record.
 func (h *History) Add(r TxnRecord) {
 	if h == nil {
 		return
@@ -95,12 +98,25 @@ func (h *History) Add(r TxnRecord) {
 	h.recs = append(h.recs, r)
 }
 
-// AddShip appends one ship-target shadow record.
-func (h *History) AddShip(s ShipRecord) {
+// Record appends r as one attempt's outcome, with its read and write sets
+// canonicalized (KeyVers) from the protocol's own slices, which it does not
+// keep. On a nil History it builds nothing, so recording sites call it
+// unconditionally.
+func (h *History) Record(r TxnRecord, reads, writes []wire.KV) {
 	if h == nil {
 		return
 	}
-	h.ships = append(h.ships, s)
+	r.Reads, r.Writes = KeyVers(reads), KeyVers(writes)
+	h.recs = append(h.recs, r)
+}
+
+// RecordShip appends the ship target's shadow of a shipped execution: the
+// write set target computed for origin's transaction txn.
+func (h *History) RecordShip(txn uint64, origin, target int, writes []wire.KV) {
+	if h == nil {
+		return
+	}
+	h.ships = append(h.ships, ShipRecord{Txn: txn, Origin: origin, Target: target, Writes: KeyVers(writes)})
 }
 
 // Len reports the number of transaction records.
@@ -127,41 +143,27 @@ func (h *History) Ships() []ShipRecord {
 	return h.ships
 }
 
-// Writes canonicalizes an installed write set into a KeyVer slice sorted by
-// key, deduplicating repeated keys (the last install wins, matching apply
-// order).
-func Writes(kvs []wire.KV) []wire.KeyVer {
+// KeyVers canonicalizes a read or write set into (key, version) pairs sorted
+// by key; when a key repeats, its last version wins (the latest read, or the
+// last install in apply order). Nil when kvs is empty.
+func KeyVers(kvs []wire.KV) []wire.KeyVer {
 	if len(kvs) == 0 {
 		return nil
 	}
-	last := make(map[uint64]uint64, len(kvs))
-	for _, kv := range kvs {
-		last[kv.Key] = kv.Version
+	out := make([]wire.KeyVer, len(kvs))
+	for i, kv := range kvs {
+		out[i] = wire.KeyVer{Key: kv.Key, Version: kv.Version}
 	}
-	out := make([]wire.KeyVer, 0, len(last))
-	for k, v := range last {
-		out = append(out, wire.KeyVer{Key: k, Version: v})
+	slices.SortStableFunc(out, func(a, b wire.KeyVer) int { return cmp.Compare(a.Key, b.Key) })
+	n := 0
+	for i := range out {
+		if i+1 < len(out) && out[i+1].Key == out[i].Key {
+			continue // a later entry of the same key wins
+		}
+		out[n] = out[i]
+		n++
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// KeyVers canonicalizes an already-materialized KeyVer slice (sort by key,
-// last version wins on duplicates).
-func KeyVers(kvs []wire.KeyVer) []wire.KeyVer {
-	if len(kvs) == 0 {
-		return nil
-	}
-	last := make(map[uint64]uint64, len(kvs))
-	for _, kv := range kvs {
-		last[kv.Key] = kv.Version
-	}
-	out := make([]wire.KeyVer, 0, len(last))
-	for k, v := range last {
-		out = append(out, wire.KeyVer{Key: k, Version: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+	return out[:n]
 }
 
 // committedTxn is the checker's merged view of one committed transaction:

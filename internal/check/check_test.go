@@ -136,22 +136,20 @@ func TestShipConsistent(t *testing.T) {
 	h := NewHistory()
 	h.Add(TxnRecord{ID: 1, Status: wire.StatusOK, Shipped: true, ShipTo: 2,
 		Writes: []wire.KeyVer{kv(1, 2), kv(2, 2)}})
-	h.AddShip(ShipRecord{Txn: 1, Origin: 0, Target: 2,
-		Writes: []wire.KeyVer{kv(1, 2), kv(2, 2)}})
+	h.RecordShip(1, 0, 2, []wire.KV{{Key: 1, Version: 2}, {Key: 2, Version: 2}})
 	if err := h.ShipConsistent(); err != nil {
 		t.Fatalf("consistent shadow rejected: %v", err)
 	}
 	h2 := NewHistory()
 	h2.Add(TxnRecord{ID: 1, Status: wire.StatusOK, Shipped: true, ShipTo: 2,
 		Writes: []wire.KeyVer{kv(1, 2), kv(2, 3)}})
-	h2.AddShip(ShipRecord{Txn: 1, Origin: 0, Target: 2,
-		Writes: []wire.KeyVer{kv(1, 2), kv(2, 2)}})
+	h2.RecordShip(1, 0, 2, []wire.KV{{Key: 1, Version: 2}, {Key: 2, Version: 2}})
 	if err := h2.ShipConsistent(); err == nil {
 		t.Fatal("version mismatch between origin and target not detected")
 	}
 	// Shadows of never-committed txns are unconstrained.
 	h3 := NewHistory()
-	h3.AddShip(ShipRecord{Txn: 9, Origin: 0, Target: 1, Writes: []wire.KeyVer{kv(1, 2)}})
+	h3.RecordShip(9, 0, 1, []wire.KV{{Key: 1, Version: 2}})
 	if err := h3.ShipConsistent(); err != nil {
 		t.Fatalf("aborted ship constrained: %v", err)
 	}
@@ -161,7 +159,8 @@ func TestShipConsistent(t *testing.T) {
 func TestNilHistory(t *testing.T) {
 	var h *History
 	h.Add(TxnRecord{ID: 1})
-	h.AddShip(ShipRecord{Txn: 1})
+	h.Record(TxnRecord{ID: 1}, []wire.KV{{Key: 1}}, nil)
+	h.RecordShip(1, 0, 1, []wire.KV{{Key: 1}})
 	if h.Len() != 0 || h.Records() != nil || h.Ships() != nil {
 		t.Error("nil history should be empty")
 	}
@@ -173,15 +172,23 @@ func TestNilHistory(t *testing.T) {
 	}
 }
 
-// TestCanonicalize: Writes/KeyVers sort by key and dedupe.
+// TestCanonicalize: KeyVers sorts by key and keeps a repeated key's last
+// version, and Record files both sets that way.
 func TestCanonicalize(t *testing.T) {
-	w := Writes([]wire.KV{{Key: 3, Version: 1}, {Key: 3, Version: 2}, {Key: 1, Version: 4}})
-	if len(w) != 2 || w[0] != kv(1, 4) || w[1] != kv(3, 2) {
-		t.Errorf("Writes not canonical: %v", w)
-	}
-	k := KeyVers([]wire.KeyVer{kv(9, 1), kv(2, 3), kv(9, 5)})
-	if len(k) != 2 || k[0] != kv(2, 3) || k[1] != kv(9, 5) {
+	k := KeyVers([]wire.KV{{Key: 9, Version: 1}, {Key: 2, Version: 3}, {Key: 9, Version: 5}, {Key: 1, Version: 4}})
+	if len(k) != 3 || k[0] != kv(1, 4) || k[1] != kv(2, 3) || k[2] != kv(9, 5) {
 		t.Errorf("KeyVers not canonical: %v", k)
+	}
+	if KeyVers(nil) != nil {
+		t.Error("KeyVers of nothing is not nil")
+	}
+	h := NewHistory()
+	h.Record(TxnRecord{ID: 1, Status: wire.StatusOK},
+		[]wire.KV{{Key: 3, Version: 1}, {Key: 1, Version: 1}},
+		[]wire.KV{{Key: 3, Version: 1}, {Key: 3, Version: 2}})
+	r := h.Records()[0]
+	if len(r.Reads) != 2 || r.Reads[0] != kv(1, 1) || r.Reads[1] != kv(3, 1) || len(r.Writes) != 1 || r.Writes[0] != kv(3, 2) {
+		t.Errorf("Record filed reads %v, writes %v", r.Reads, r.Writes)
 	}
 }
 

@@ -705,7 +705,7 @@ func (n *Node) assignCTS(txn uint64, writes []wire.KV) uint64 {
 // phase is off the latency path.
 func (n *Node) commitPoint(c *nicrt.Core, t *ctxn, writes []wire.KV, byShard []txnmodel.ShardWrites) {
 	t.cts = n.assignCTS(t.id, writes)
-	n.recordCommit(t, writes)
+	n.record(t, wire.StatusOK, writes)
 	n.finishTxn(c, t, wire.StatusOK)
 	n.notifyLogCommits(c, t.id, writes, t.cts)
 	n.setPhase(t, phCommit)
@@ -773,17 +773,14 @@ func (n *Node) abortTxn(c *nicrt.Core, t *ctxn) {
 // it records outcome st in the history (and an abort in the trace), releases
 // a snapshot's GC refcount, reports st to the host and drops t.
 func (n *Node) endTxn(c *nicrt.Core, t *ctxn, st wire.Status) {
-	if st == wire.StatusOK {
-		n.recordCommit(t, nil)
-		if t.snapshot {
-			n.stats.SnapCommitted++
-		}
-	} else {
-		n.recordAbort(t)
+	n.record(t, st, nil)
+	if st != wire.StatusOK {
 		if tr := n.tr(); tr.Enabled() {
 			tr.Instant("txn", "abort", n.id, 0, n.cl.Engine().Now(),
 				trace.Args{"reason": st.String(), "txn": t.id})
 		}
+	} else if t.snapshot {
+		n.stats.SnapCommitted++
 	}
 	n.snapClose(t)
 	n.finishTxn(c, t, st)

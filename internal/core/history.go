@@ -5,130 +5,39 @@ import (
 
 	"xenic/internal/chassis"
 	"xenic/internal/check"
-	"xenic/internal/sim"
+	"xenic/internal/hostrt"
 	"xenic/internal/wire"
 )
 
 // This file wires the transaction-history recorder (internal/check,
-// DESIGN.md §9) into the Xenic cluster. Recording is pure Go-side
-// bookkeeping at the protocol decision points — the commit point, the abort
-// decision, the recovery decision, and the ship target's write-set
-// computation. It schedules no events, charges no simulated time, and sends
-// no messages, so a run with a History attached is byte-identical to one
-// without.
+// DESIGN.md §9) into the Xenic cluster. Every finished attempt is recorded
+// once, at its decision point: the commit point and the abort decision
+// (record), host-local completion (recordLocal), the recovery decision and
+// the ship target's write-set computation (History.Record and RecordShip at
+// their sites). Recording schedules no events, charges no simulated time,
+// and sends no messages, so a run with a History attached is byte-identical
+// to one without.
 
-// recordCommit appends t's committed outcome: the observed read set and the
-// write set with the versions the commit installs. Called exactly once per
-// committed coordinated transaction, at its commit point.
-func (n *Node) recordCommit(t *ctxn, writes []wire.KV) {
-	h := n.cl.History()
-	if h == nil {
-		return
+// record files coordinated transaction t's outcome st: its read set, and
+// for a commit the write set with the versions it installs, whether it was
+// shipped, read at a snapshot, or took a commit timestamp. Called once per
+// ctxn, at its commit point or its exit.
+func (n *Node) record(t *ctxn, st wire.Status, writes []wire.KV) {
+	r := check.TxnRecord{ID: t.id, Node: n.id, Status: st, Start: t.openedAt, End: n.cl.Engine().Now()}
+	if st == wire.StatusOK {
+		r.Shipped, r.ShipTo = t.phase == phShipped, t.shipTo
+		r.Snapshot, r.SnapshotTS, r.CommitTS = t.snapshot, t.snapTS, t.cts
 	}
-	h.Add(check.TxnRecord{
-		ID:         t.id,
-		Node:       n.id,
-		Status:     wire.StatusOK,
-		Start:      t.openedAt,
-		End:        n.cl.Engine().Now(),
-		Reads:      t.ReadVers(),
-		Writes:     check.Writes(writes),
-		Shipped:    t.phase == phShipped,
-		ShipTo:     t.shipTo,
-		Snapshot:   t.snapshot,
-		SnapshotTS: t.snapTS,
-		CommitTS:   t.cts,
-	})
+	n.cl.History().Record(r, t.Reads, writes)
 }
 
-// recordSnapLocal appends a snapshot read-only transaction decided entirely
-// at the host (snapLocal). Absent-at-S keys record version 0.
-func (n *Node) recordSnapLocal(tx *chassis.Txn, S uint64, reads []wire.KV, now sim.Time) {
-	h := n.cl.History()
-	if h == nil {
-		return
-	}
-	kvs := make([]wire.KeyVer, 0, len(reads))
-	for _, kv := range reads {
-		kvs = append(kvs, wire.KeyVer{Key: kv.Key, Version: kv.Version})
-	}
-	h.Add(check.TxnRecord{
-		ID:         tx.ID,
-		Node:       n.id,
-		Status:     wire.StatusOK,
-		Start:      tx.Start,
-		End:        now,
-		Reads:      check.KeyVers(kvs),
-		Snapshot:   true,
-		SnapshotTS: S,
-	})
-}
-
-// recordAbort appends t's aborted outcome, status t.Failed (reads kept for
-// diagnostics).
-func (n *Node) recordAbort(t *ctxn) {
-	h := n.cl.History()
-	if h == nil {
-		return
-	}
-	h.Add(check.TxnRecord{
-		ID:     t.id,
-		Node:   n.id,
-		Status: t.Failed,
-		Start:  t.openedAt,
-		End:    n.cl.Engine().Now(),
-		Reads:  t.ReadVers(),
-	})
-}
-
-// recordHostLocal appends an outcome decided entirely at the host (the
-// read-only fast path of §4.2.4, which never creates a ctxn).
-func (n *Node) recordHostLocal(tx *chassis.Txn, st wire.Status, reads []wire.KeyVer, now sim.Time) {
-	h := n.cl.History()
-	if h == nil {
-		return
-	}
-	h.Add(check.TxnRecord{
-		ID:     tx.ID,
-		Node:   n.id,
-		Status: st,
-		Start:  tx.Start,
-		End:    now,
-		Reads:  check.KeyVers(reads),
-	})
-}
-
-// recordRecovered appends the synthetic record emitted when recovery commits
-// a dead coordinator's transaction from its replicated log records; the
-// checker merges it with any other record of the same id.
-func (n *Node) recordRecovered(txn uint64, writes []wire.KV, cts uint64) {
-	h := n.cl.History()
-	if h == nil {
-		return
-	}
-	h.Add(check.TxnRecord{
-		ID:        txn,
-		Node:      n.id,
-		Status:    wire.StatusOK,
-		End:       n.cl.Engine().Now(),
-		Recovered: true,
-		Writes:    check.Writes(writes),
-		CommitTS:  cts,
-	})
-}
-
-// recordShip appends the ship target's shadow of a shipped execution.
-func (n *Node) recordShip(txn uint64, coord int, writes []wire.KV) {
-	h := n.cl.History()
-	if h == nil {
-		return
-	}
-	h.AddShip(check.ShipRecord{
-		Txn:    txn,
-		Origin: coord,
-		Target: n.id,
-		Writes: check.Writes(writes),
-	})
+// recordLocal files an attempt decided entirely at the host, which never
+// creates a ctxn (the read-only fast path of §4.2.4 and its snapshot
+// variant): r carries the outcome and any snapshot flags, and recordLocal
+// adds who, when and the read set.
+func (n *Node) recordLocal(t *hostrt.Thread, tx *chassis.Txn, r check.TxnRecord, reads []wire.KV) {
+	r.ID, r.Node, r.Start, r.End = tx.ID, n.id, tx.Start, t.Now()
+	n.cl.History().Record(r, reads, nil)
 }
 
 // drainedChecks is Xenic's part of the drained-state checks (chassis

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"xenic/internal/chassis"
+	"xenic/internal/check"
 	"xenic/internal/hostrt"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -215,7 +216,7 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			res := fn.Run(d.State, reads, &n.rows)
 			if res.Abort {
 				n.releaseRows(res.Writes)
-				n.recordHostLocal(tx, wire.StatusAbortMissing, nil, t.Now())
+				n.recordLocal(t, tx, check.TxnRecord{Status: wire.StatusAbortMissing}, nil)
 				release()
 				n.complete(t, tx, wire.StatusAbortMissing)
 				return
@@ -244,7 +245,10 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	}
 
 	if d.ReadOnly() && len(writes) == 0 {
-		// Validate at the host table and finish with no PCIe traffic.
+		// Validate at the host table and finish with no PCIe traffic. A
+		// read-only transaction reads no update or blind-write key, so
+		// reads holds exactly readVers' keys and versions.
+		st := wire.StatusOK
 		for _, rv := range readVers {
 			t.Charge(n.cl.cfg.Params.HostStoreOp)
 			p := n.prim(n.place().ShardOf(rv.Key))
@@ -257,22 +261,21 @@ func (n *Node) submitLocal(t *hostrt.Thread, tx *chassis.Txn) {
 			// stretches it past 50us, where the high-skew sweep caught
 			// read-only transactions committing non-serializable reads.
 			if p.index.IsLocked(rv.Key, tx.ID) {
-				n.recordHostLocal(tx, wire.StatusAbortLocked, readVers, t.Now())
-				release()
-				n.app.Retry(t, tx, wire.StatusAbortLocked)
-				return
+				st = wire.StatusAbortLocked
+				break
 			}
-			_, ver, _ := p.data.Read(rv.Key)
-			if ver != rv.Version {
-				n.recordHostLocal(tx, wire.StatusAbortVersion, readVers, t.Now())
-				release()
-				n.app.Retry(t, tx, wire.StatusAbortVersion)
-				return
+			if _, ver, _ := p.data.Read(rv.Key); ver != rv.Version {
+				st = wire.StatusAbortVersion
+				break
 			}
 		}
-		n.recordHostLocal(tx, wire.StatusOK, readVers, t.Now())
+		n.recordLocal(t, tx, check.TxnRecord{Status: st}, reads)
 		release()
-		n.complete(t, tx, wire.StatusOK)
+		if st == wire.StatusOK {
+			n.complete(t, tx, st)
+		} else {
+			n.app.Retry(t, tx, st)
+		}
 		return
 	}
 
@@ -325,6 +328,7 @@ func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	S := n.cl.snapTS()
 	d := tx.Desc
 	reads := make([]wire.KV, 0, len(d.ReadKeys))
+	r := check.TxnRecord{Status: wire.StatusOK, Snapshot: true, SnapshotTS: S}
 	for _, k := range d.ReadKeys {
 		p := n.prim(n.place().ShardOf(k))
 		if n.place().IsBTree(k) {
@@ -334,14 +338,14 @@ func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		}
 		if p.mvFloor > S {
 			// Shard promoted after S was picked; retry at a fresher S.
-			n.app.Retry(t, tx, wire.StatusAbortSnapshot)
-			return
+			r = check.TxnRecord{Status: wire.StatusAbortSnapshot}
+			break
 		}
 		v, ver, exists, ok := p.data.ReadAt(k, S)
 		if !ok {
 			// Chain GC'd past S (long-lagging watermark); never contention.
-			n.app.Retry(t, tx, wire.StatusAbortSnapshot)
-			return
+			r = check.TxnRecord{Status: wire.StatusAbortSnapshot}
+			break
 		}
 		kv := wire.KV{Key: k}
 		if exists {
@@ -349,8 +353,12 @@ func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		}
 		reads = append(reads, kv)
 	}
+	n.recordLocal(t, tx, r, reads)
+	if r.Status != wire.StatusOK {
+		n.app.Retry(t, tx, r.Status)
+		return
+	}
 	n.stats.SnapCommitted++
-	n.recordSnapLocal(tx, S, reads, t.Now())
 	n.complete(t, tx, wire.StatusOK)
 }
 

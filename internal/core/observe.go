@@ -26,13 +26,15 @@ func (cl *Cluster) observe(o Observers) {
 	cl.registerTelemetry(o.Telemetry)
 }
 
-// trace hooks tr into the NICs and lock tables and names the trace's
-// processes and threads: host threads appear as tids hostTidBase+i, NIC
-// cores as tids 0..NICCores-1.
+// trace hooks tr into the NICs and every primary index's lock table and
+// names the trace's processes and threads: host threads appear as tids
+// hostTidBase+i, NIC cores as tids 0..NICCores-1.
 func (cl *Cluster) trace(tr *trace.Tracer) {
 	for _, n := range cl.nodes {
 		n.nic.SetTracer(tr)
-		n.installLockTrace()
+		for s, p := range n.prims {
+			n.hookIndex(s, p.index)
+		}
 	}
 	if !tr.Enabled() {
 		return
@@ -58,17 +60,9 @@ const hostTidBase = 64
 // tr returns the cluster tracer for node-side instrumentation.
 func (n *Node) tr() *trace.Tracer { return n.cl.Tracer() }
 
-// installLockTrace hooks every primary index this node serves so lock
-// transitions land in the trace. Installed only when tracing: the hook
-// closure allocates argument maps.
-func (n *Node) installLockTrace() {
-	for s, p := range n.prims {
-		n.hookIndex(s, p.index)
-	}
-}
-
 // hookIndex installs the lock-transition hook on one shard's index (also
-// called when recovery builds an index for an adopted shard).
+// called when recovery builds an index for an adopted shard). Installed only
+// when tracing: the hook closure allocates argument maps.
 func (n *Node) hookIndex(shard int, idx *nicindex.Index) {
 	tr := n.tr()
 	if !tr.Enabled() {
@@ -94,19 +88,16 @@ func (n *Node) openTxn(t *ctxn) {
 	now := n.cl.Engine().Now()
 	t.phaseAt = now
 	t.openedAt = now
-	if tr := n.tr(); tr.Enabled() {
-		tr.BeginAsync("txn", "txn", t.id, n.id, now, nil)
-		tr.BeginAsync("phase", t.phase.String(), t.id, n.id, now, nil)
-	}
+	tr := n.tr()
+	tr.BeginAsync("txn", "txn", t.id, n.id, now, nil)
+	tr.BeginAsync("phase", t.phase.String(), t.id, n.id, now, nil)
 	n.armWatchdog(t)
 }
 
 // setPhase moves t to ph.
 func (n *Node) setPhase(t *ctxn, ph phase) {
 	now := n.closePhase(t)
-	if tr := n.tr(); tr.Enabled() {
-		tr.BeginAsync("phase", ph.String(), t.id, n.id, now, nil)
-	}
+	n.tr().BeginAsync("phase", ph.String(), t.id, n.id, now, nil)
 	t.phase = ph
 	t.phaseAt = now
 	t.epoch++ // phase changes are the watchdog's progress signal
@@ -119,9 +110,7 @@ func (n *Node) closePhase(t *ctxn) sim.Time {
 	if h := n.stats.PhaseLat[t.phase]; h != nil {
 		h.Record(now - t.phaseAt)
 	}
-	if tr := n.tr(); tr.Enabled() {
-		tr.EndAsync("phase", t.phase.String(), t.id, n.id, now, nil)
-	}
+	n.tr().EndAsync("phase", t.phase.String(), t.id, n.id, now, nil)
 	return now
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"xenic/internal/chassis"
+	"xenic/internal/check"
 	"xenic/internal/membership"
 	"xenic/internal/nicrt"
 	"xenic/internal/wire"
@@ -485,7 +486,8 @@ func (n *Node) decideRecovery(c *nicrt.Core, r *recovering) {
 			cts = n.cl.mv.ctsFor(r.txn, 0)
 			n.cl.mv.hold(cts, r.shard)
 		}
-		n.recordRecovered(r.txn, r.writes, cts)
+		n.cl.History().Record(check.TxnRecord{ID: r.txn, Node: n.id, Status: wire.StatusOK,
+			End: n.cl.Engine().Now(), Recovered: true, CommitTS: cts}, nil, r.writes)
 		n.log.markCommitted(r.txn, r.shard, cts)
 		n.commitShard(c, r.shard, r.txn, r.writes, unlock, cts, func() {})
 		n.wakeWorkers()

@@ -669,7 +669,7 @@ func (n *Node) shipRun(c *nicrt.Core, m *wire.ShipExec, locked []uint64, reads [
 	}
 	writes := append(res.Writes, m.WriteSet...)
 	txnmodel.VersionWrites(writes, reads)
-	n.recordShip(m.TxnID, coord, writes)
+	n.cl.History().RecordShip(m.TxnID, coord, n.id, writes)
 	n.remoteLocks[m.TxnID] = locked
 
 	// Fan out LOG requests for every write shard's backups; acks flow

@@ -34,12 +34,11 @@ type Args map[string]any
 type Event struct {
 	Name string // event name ("execute", "frame-tx", ...)
 	Cat  string // category ("txn", "net", "dma", "lock", ...)
-	Ph   string // phase code: "b"/"e" async, "i" instant, "X" complete, "M" metadata, "C" counter
+	Ph   string // phase code: "b"/"e" async, "i" instant, "M" metadata, "C" counter
 	TS   sim.Time
-	Dur  sim.Time // "X" events only
-	Pid  int      // node id
-	Tid  int      // thread lane within the node (NIC core, host thread, ...)
-	ID   uint64   // async event correlation id (transaction id)
+	Pid  int    // node id
+	Tid  int    // thread lane within the node (NIC core, host thread, ...)
+	ID   uint64 // async event correlation id (transaction id)
 	Args Args
 }
 
@@ -127,15 +126,6 @@ func (t *Tracer) Instant(cat, name string, pid, tid int, ts sim.Time, args Args)
 		Pid: pid, Tid: tid, Args: args})
 }
 
-// Complete records a duration event (ph "X") that starts at ts.
-func (t *Tracer) Complete(cat, name string, pid, tid int, ts, dur sim.Time, args Args) {
-	if t == nil {
-		return
-	}
-	t.events = append(t.events, Event{Name: name, Cat: cat, Ph: "X", TS: ts, Dur: dur,
-		Pid: pid, Tid: tid, Args: args})
-}
-
 // Counter records one sample of a counter track (ph "C"); Perfetto draws
 // the samples sharing pid and name as one track.
 func (t *Tracer) Counter(name string, pid int, ts sim.Time, value float64) {
@@ -196,10 +186,6 @@ func appendEvent(b []byte, e Event) []byte {
 	if e.Ph != "M" {
 		b = append(b, `,"ts":`...)
 		b = append(b, micros(e.TS)...)
-	}
-	if e.Ph == "X" {
-		b = append(b, `,"dur":`...)
-		b = append(b, micros(e.Dur)...)
 	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(e.Pid), 10)

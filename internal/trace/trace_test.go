@@ -19,7 +19,6 @@ type jsonEvent struct {
 	Cat  string         `json:"cat"`
 	Ph   string         `json:"ph"`
 	TS   *float64       `json:"ts"`
-	Dur  *float64       `json:"dur"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
 	ID   string         `json:"id"`
@@ -62,7 +61,6 @@ func buildSample() *Tracer {
 	tr.Instant("txn", "abort", 1, 0, us(8), Args{"reason": "abort-locked", "txn": uint64(0x11)})
 	tr.EndAsync("phase", "execute", 0x11, 1, us(8), nil)
 	tr.EndAsync("txn", "txn", 0x11, 1, us(8), Args{"status": "abort-locked"})
-	tr.Complete("dma", "dma-flush", 0, 0, us(9), us(1), Args{"n": 3})
 	tr.Counter("nic.occupancy", 0, us(10), 0.25)
 	return tr
 }
@@ -126,10 +124,6 @@ func TestWriteJSONGolden(t *testing.T) {
 			if e.S != "t" {
 				t.Fatalf("event %d (%s): instant scope = %q", i, e.Name, e.S)
 			}
-		case "X":
-			if e.Dur == nil {
-				t.Fatalf("event %d (%s): complete event without dur", i, e.Name)
-			}
 		case "C":
 			if _, ok := e.Args["value"].(float64); !ok {
 				t.Fatalf("event %d (%s): counter without a numeric value", i, e.Name)
@@ -162,7 +156,6 @@ func TestNilTracer(t *testing.T) {
 	tr.BeginAsync("c", "n", 1, 0, 0, nil)
 	tr.EndAsync("c", "n", 1, 0, 0, nil)
 	tr.Instant("c", "n", 0, 0, 0, nil)
-	tr.Complete("c", "n", 0, 0, 0, 0, nil)
 	tr.Counter("n", 0, 0, 1)
 	if tr.Len() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded events")

@@ -1,7 +1,6 @@
 package txnmodel
 
 import (
-	"cmp"
 	"slices"
 
 	"xenic/internal/wire"
@@ -109,20 +108,6 @@ func (o *OCC) AppendReadsInOrder(buf []wire.KV) []wire.KV {
 		buf = append(buf, kv)
 	}
 	return buf
-}
-
-// ReadVers returns the read set as (key, version) pairs sorted by key, the
-// form a history record takes; nil when nothing was read.
-func (o *OCC) ReadVers() []wire.KeyVer {
-	if len(o.Reads) == 0 {
-		return nil
-	}
-	out := make([]wire.KeyVer, len(o.Reads))
-	for i, kv := range o.Reads {
-		out[i] = wire.KeyVer{Key: kv.Key, Version: kv.Version}
-	}
-	slices.SortFunc(out, func(a, b wire.KeyVer) int { return cmp.Compare(a.Key, b.Key) })
-	return out
 }
 
 // AddLocks records keys as locked on shard. A new shard's list reuses the
