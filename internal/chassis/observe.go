@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xenic/internal/metrics"
-	"xenic/internal/sim"
 	"xenic/internal/telemetry"
 	"xenic/internal/wire"
 )
@@ -120,10 +119,11 @@ func (ch *Chassis) registerTelemetry(s *telemetry.Sampler) {
 		sub.Gauge("txn.inflight", func() float64 { return float64(n.Outstanding()) })
 		sub.Quantiles("latency", st.Latency)
 		host := n.host
-		sub.Occupancy("host.occupancy", func() sim.Time { return host.Utilization().TotalBusy() }, host.Threads())
+		sub.Occupancy("host.occupancy", host.Busy, host.Threads())
 		sub.Gauge("host.queue_depth", func() float64 { return float64(host.QueueDepth()) })
-		sub.Occupancy("net.tx_occupancy", func() sim.Time { return ch.nw.TxBusy(n.id) }, ch.nw.Lanes())
-		sub.Gauge("net.egress_backlog_us", func() float64 { return ch.nw.EgressBacklog(n.id).Micros() })
+		egress := ch.nw.Egress(n.id)
+		sub.Occupancy("net.tx_occupancy", egress.Served, egress.Lanes())
+		sub.Gauge("net.egress_backlog_us", func() float64 { return egress.Backlog(ch.eng.Now()).Micros() })
 	}
 
 	// Load-source series, only when a source is attached: the scope is

@@ -327,7 +327,7 @@ func (n *Node) putLocalReq(req *wire.TxnRequest) {
 func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 	S := n.cl.snapTS()
 	d := tx.Desc
-	reads := make([]wire.KV, 0, len(d.ReadKeys))
+	reads := n.localReads[:0]
 	r := check.TxnRecord{Status: wire.StatusOK, Snapshot: true, SnapshotTS: S}
 	for _, k := range d.ReadKeys {
 		p := n.prim(n.place().ShardOf(k))
@@ -354,6 +354,8 @@ func (n *Node) snapLocal(t *hostrt.Thread, tx *chassis.Txn) {
 		reads = append(reads, kv)
 	}
 	n.recordLocal(t, tx, r, reads)
+	clear(reads)
+	n.localReads = reads[:0] // before Retry or complete can re-enter
 	if r.Status != wire.StatusOK {
 		n.app.Retry(t, tx, r.Status)
 		return

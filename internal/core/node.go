@@ -75,10 +75,10 @@ type Node struct {
 	// Host-side freelists: the host->NIC packet (its type names the release
 	// point), the host-local request (released by dropCtxn, or by
 	// submitLocal when it never sends one) and the outcome message (released
-	// by hostHandler); localReads is submitLocal's read scratch. rows lends
-	// submitLocal's executions their write rows; a row comes back only from
-	// an attempt no log record, replica or message saw (dropCtxn, and
-	// submitLocal's exits that never send).
+	// by hostHandler); localReads is submitLocal's and snapLocal's read
+	// scratch. rows lends submitLocal's executions their write rows; a row
+	// comes back only from an attempt no log record, replica or message saw
+	// (dropCtxn, and submitLocal's exits that never send).
 	hostPkts   freelist[hostPacket]
 	localReqs  freelist[wire.TxnRequest]
 	doneMsgs   freelist[wire.TxnDone]

@@ -374,3 +374,40 @@ func TestLocalAbortCycleAllocFree(t *testing.T) {
 			len(n.localReqs.free), len(n.doneMsgs.free), free)
 	}
 }
+
+// TestSnapLocalReadsReuseScratch holds the MVCC host-local snapshot read to
+// one allocation per warmed cycle: its read set lives in the node's
+// localReads scratch, like submitLocal's, not in a slice built per attempt.
+func TestSnapLocalReadsReuseScratch(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	cl, err := New(mvccConfig(4), &kvGen{keys: 400, keysPer: 3}, Observers{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := cl.nodes[0]
+	eng := cl.Engine()
+	var keys []uint64
+	for k := uint64(0); len(keys) < 3; k++ {
+		if n.primaryNode(n.place().ShardOf(k)) == n.id {
+			keys = append(keys, k)
+		}
+	}
+	d := &txnmodel.TxnDesc{ReadKeys: keys}
+	cycle := func() {
+		want := n.stats.SnapCommitted + 1
+		cl.InjectTxn(0, 0, d, nil)
+		for n.stats.SnapCommitted < want {
+			if !eng.Step() {
+				t.Fatal("engine ran dry before the snapshot read committed")
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(50, cycle); got > 1 {
+		t.Fatalf("a warmed host-local snapshot read allocates %v objects, want at most 1", got)
+	}
+}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"xenic/internal/sim"
 	"xenic/internal/telemetry"
 )
 
@@ -25,10 +24,10 @@ func (cl *Cluster) registerTelemetry(s *telemetry.Sampler) {
 		}
 
 		nic := n.nic
-		sub.Occupancy("nic.occupancy", func() sim.Time { return nic.Utilization().TotalBusy() }, nic.Cores())
+		sub.Occupancy("nic.occupancy", nic.Busy, nic.Cores())
 		sub.Gauge("nic.queue_depth", func() float64 { return float64(nic.QueueDepth()) })
-		dma := nic.DMA()
-		sub.Occupancy("dma.occupancy", dma.Busy, 1)
+		dma := nic.DMA().Transfer()
+		sub.Occupancy("dma.occupancy", dma.Served, dma.Lanes())
 		sub.Gauge("dma.backlog_us", func() float64 { return dma.Backlog(cl.Engine().Now()).Micros() })
 
 		sub.Gauge("lock.held", func() float64 {

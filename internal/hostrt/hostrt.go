@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"xenic/internal/metrics"
 	"xenic/internal/model"
 	"xenic/internal/nicrt"
 	"xenic/internal/sim"
@@ -33,8 +32,6 @@ type Host struct {
 	transmit func(t *Thread, ms []wire.Msg)
 	router   func(m wire.Msg) int
 
-	util *metrics.Utilization
-
 	// outFree holds outbox arrays handed back through Recycle, so a thread's
 	// next batch need not grow a new one.
 	outFree [][]wire.Msg
@@ -49,15 +46,12 @@ func New(eng *sim.Engine, p model.Params, node, n int, seed int64) *Host {
 	}
 	h := &Host{
 		eng: eng, p: p, node: node,
-		rng:  rand.New(rand.NewSource(seed*1000003 + int64(node)*104729 + 7)),
-		util: metrics.NewUtilization(n),
+		rng: rand.New(rand.NewSource(seed*1000003 + int64(node)*104729 + 7)),
 	}
 	for i := 0; i < n; i++ {
 		t := &Thread{host: h, id: i}
 		t.poller = nicrt.NewPoller(eng, p.NICLoopIdle)
 		t.poller.SetWork(t.iteration)
-		i := i
-		t.poller.SetOnBusy(func(d sim.Time) { h.util.Add(i, d) })
 		h.threads = append(h.threads, t)
 	}
 	return h
@@ -75,8 +69,15 @@ func (h *Host) Thread(i int) *Thread { return h.threads[i] }
 // Rand returns the host's PRNG.
 func (h *Host) Rand() *rand.Rand { return h.rng }
 
-// Utilization returns per-thread busy accounting.
-func (h *Host) Utilization() *metrics.Utilization { return h.util }
+// Busy reports the threads' summed busy time; telemetry samplers diff
+// successive values to derive windowed occupancy.
+func (h *Host) Busy() sim.Time {
+	var b sim.Time
+	for _, t := range h.threads {
+		b += t.poller.Core().Served()
+	}
+	return b
+}
 
 // QueueDepth reports the messages queued at the host's thread inboxes right
 // now. A telemetry gauge; O(threads) and read-only.

@@ -92,7 +92,7 @@ func TestIdleHookAndCharging(t *testing.T) {
 	if iters != 4 {
 		t.Fatalf("iterations = %d, want 3 busy + 1 final", iters)
 	}
-	if busy := h.Utilization().Busy(0); busy != 3*sim.Microsecond {
+	if busy := h.Busy(); busy != 3*sim.Microsecond {
 		t.Fatalf("busy = %v", busy)
 	}
 }

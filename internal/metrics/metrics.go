@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives the benchmark harness
-// uses: latency histograms with quantiles, per-core busy accounting, and
-// the Coremark-normalized thread accounting of §5.6.
+// uses: latency histograms with quantiles and the Coremark-normalized thread
+// accounting of §5.6. Busy time lives on the devices' sim.Pacers.
 package metrics
 
 import (
@@ -305,41 +305,6 @@ func (h *IntHist) Snapshot() map[string]any {
 		"min":     h.min,
 		"max":     h.max,
 		"buckets": buckets,
-	}
-}
-
-// Utilization accumulates busy time for a set of cores and reports
-// occupancy and normalized thread counts.
-type Utilization struct {
-	busy []sim.Time
-}
-
-// NewUtilization tracks n cores.
-func NewUtilization(n int) *Utilization { return &Utilization{busy: make([]sim.Time, n)} }
-
-// Add charges d of busy time to core i.
-func (u *Utilization) Add(i int, d sim.Time) { u.busy[i] += d }
-
-// Busy reports total busy time of core i.
-func (u *Utilization) Busy(i int) sim.Time { return u.busy[i] }
-
-// TotalBusy reports the summed busy time across all cores; samplers diff
-// successive values to derive windowed occupancy.
-func (u *Utilization) TotalBusy() sim.Time {
-	var total sim.Time
-	for _, b := range u.busy {
-		total += b
-	}
-	return total
-}
-
-// Lanes reports the number of cores tracked.
-func (u *Utilization) Lanes() int { return len(u.busy) }
-
-// Reset zeroes all busy accounting.
-func (u *Utilization) Reset() {
-	for i := range u.busy {
-		u.busy[i] = 0
 	}
 }
 

@@ -143,34 +143,6 @@ func TestHistogramNegativeClamped(t *testing.T) {
 	}
 }
 
-func TestUtilization(t *testing.T) {
-	u := NewUtilization(4)
-	u.Add(0, 500*sim.Millisecond)
-	u.Add(1, 250*sim.Millisecond)
-	if u.Busy(0) != 500*sim.Millisecond {
-		t.Fatalf("Busy(0) = %v", u.Busy(0))
-	}
-	u.Reset()
-	if u.TotalBusy() != 0 {
-		t.Fatal("reset did not clear")
-	}
-}
-
-func TestUtilizationTotalBusyLanes(t *testing.T) {
-	u := NewUtilization(3)
-	if u.Lanes() != 3 {
-		t.Fatalf("Lanes = %d", u.Lanes())
-	}
-	if u.TotalBusy() != 0 {
-		t.Fatalf("fresh TotalBusy = %v", u.TotalBusy())
-	}
-	u.Add(0, 100*sim.Microsecond)
-	u.Add(2, 50*sim.Microsecond)
-	if u.TotalBusy() != 150*sim.Microsecond {
-		t.Fatalf("TotalBusy = %v", u.TotalBusy())
-	}
-}
-
 func TestNormalizedThreads(t *testing.T) {
 	// §5.6: Xenic Retwis = 5 host + 16 NIC threads at 0.31 ratio -> 9.96.
 	got := NormalizedThreads(5, 16, 0.31)

@@ -75,7 +75,6 @@ type NIC struct {
 	sendFn    func(any)
 	deliverFn func(any)
 
-	util  *metrics.Utilization
 	stats Stats
 	tr    *trace.Tracer
 
@@ -98,14 +97,11 @@ func New(eng *sim.Engine, p model.Params, nw *simnet.Network, node, ncores int, 
 		dma:  pcie.New(eng, p),
 		feat: feat,
 		rng:  rand.New(rand.NewSource(seed*1000003 + int64(node)*7919 + 1)),
-		util: metrics.NewUtilization(ncores),
 	}
 	for i := 0; i < ncores; i++ {
 		c := &Core{nic: n, id: i, outNet: map[int]*[]wire.Msg{}}
 		c.poller = NewPoller(eng, p.NICLoopIdle)
 		c.poller.SetWork(c.iteration)
-		i := i
-		c.poller.SetOnBusy(func(d sim.Time) { n.util.Add(i, d) })
 		n.cores = append(n.cores, c)
 	}
 	n.sendFn = n.sendFrame
@@ -129,8 +125,15 @@ func (n *NIC) DMA() *pcie.Engine { return n.dma }
 // Stats returns a copy of the counters.
 func (n *NIC) Stats() Stats { return n.stats }
 
-// Utilization returns the per-core busy accounting.
-func (n *NIC) Utilization() *metrics.Utilization { return n.util }
+// Busy reports the cores' summed busy time; telemetry samplers diff
+// successive values to derive windowed occupancy.
+func (n *NIC) Busy() sim.Time {
+	var b sim.Time
+	for _, c := range n.cores {
+		b += c.poller.Core().Served()
+	}
+	return b
+}
 
 // QueueDepth reports the total work queued at the NIC's cores right now:
 // undelivered frames, host packets, DMA completion batches, and injected

@@ -23,8 +23,6 @@ func TestPollerChargesAndSequencing(t *testing.T) {
 		}
 		return false
 	})
-	var busy sim.Time
-	p.SetOnBusy(func(d sim.Time) { busy += d })
 	p.Wake()
 	eng.RunAll()
 	// Iterations: pickup at 100ns, then back to back every 500ns while busy,
@@ -35,7 +33,7 @@ func TestPollerChargesAndSequencing(t *testing.T) {
 	if iterAt[0] != 100*sim.Nanosecond || iterAt[1] != 600*sim.Nanosecond || iterAt[2] != 1100*sim.Nanosecond {
 		t.Fatalf("iteration times %v", iterAt)
 	}
-	if busy != 1500*sim.Nanosecond {
+	if busy := p.Core().Served(); busy != 1500*sim.Nanosecond {
 		t.Fatalf("busy = %v", busy)
 	}
 }

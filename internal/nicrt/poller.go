@@ -26,9 +26,8 @@ type Poller struct {
 	// work runs one iteration; it must drain input queues via the Poller's
 	// owner and report whether it did anything.
 	work func() bool
-	// onBusy, if set, receives the busy time of every iteration
-	// (utilization accounting).
-	onBusy func(d sim.Time)
+	// core books the busy time of every iteration (occupancy accounting).
+	core *sim.Pacer
 
 	elapsed sim.Time // cost accumulated within the current iteration
 	running bool     // an iteration (or its end event) is in flight
@@ -47,7 +46,7 @@ type Poller struct {
 // NewPoller creates a parked poller. Callers must set the work function via
 // SetWork before the first Wake.
 func NewPoller(eng *sim.Engine, pickup sim.Time) *Poller {
-	p := &Poller{eng: eng, pickup: pickup}
+	p := &Poller{eng: eng, pickup: pickup, core: sim.NewPacer(1)}
 	p.iterateFn = p.iterate
 	p.endFn = p.iterationEnd
 	p.wakeFn = p.Wake
@@ -57,8 +56,9 @@ func NewPoller(eng *sim.Engine, pickup sim.Time) *Poller {
 // SetWork installs the per-iteration work function.
 func (p *Poller) SetWork(fn func() bool) { p.work = fn }
 
-// SetOnBusy installs a busy-time observer.
-func (p *Poller) SetOnBusy(fn func(d sim.Time)) { p.onBusy = fn }
+// Core exposes the core's pacer: its Served time is the core's cumulative
+// busy time.
+func (p *Poller) Core() *sim.Pacer { return p.core }
 
 // Stop parks the poller permanently (simulating a crashed or disabled
 // core).
@@ -109,8 +109,8 @@ func (p *Poller) iterate() {
 	p.wake = false
 	p.did = p.work()
 	busy := p.elapsed
-	if p.onBusy != nil && busy > 0 {
-		p.onBusy(busy)
+	if busy > 0 {
+		p.core.Reserve(p.eng.Now(), busy)
 	}
 	// A loop pass always takes some time even when its work is free;
 	// spacing zero-cost iterations by the poll period also keeps the

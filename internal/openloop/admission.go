@@ -160,7 +160,7 @@ func ParseAdmission(spec string) (Admission, error) {
 		if err != nil || depth <= 0 {
 			return nil, fmt.Errorf("openloop: bad queue depth %q", parts[1])
 		}
-		qlen := 4 * depth
+		qlen := 4 * min(depth, math.MaxInt/4) // a huge depth must not wrap negative
 		if len(parts) == 3 {
 			if qlen, err = strconv.Atoi(parts[2]); err != nil || qlen < 0 {
 				return nil, fmt.Errorf("openloop: bad queue length %q", parts[2])

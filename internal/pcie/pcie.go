@@ -33,9 +33,8 @@ type Engine struct {
 	eng *sim.Engine
 	p   model.Params
 
-	submitBusy  sim.Time // engine-wide vector admission (DMAEngineRate)
-	elementBusy sim.Time // engine-wide element/bandwidth occupancy
-	busy        sim.Time // cumulative element transfer time (occupancy gauge)
+	admit    *sim.Pacer // engine-wide vector admission (DMAEngineRate)
+	transfer *sim.Pacer // engine-wide element/bandwidth occupancy
 
 	submissions int64
 	elements    int64
@@ -59,19 +58,16 @@ func (d *Engine) SetFaultHook(fn func() bool) { d.faultHook = fn }
 
 // Stall freezes the engine for dur: admission and element cursors are
 // pushed past now+dur, so in-flight and subsequent work completes late.
+// The stall is dead time, not transfer occupancy.
 func (d *Engine) Stall(dur sim.Time) {
 	edge := d.eng.Now() + dur
-	if d.submitBusy < edge {
-		d.submitBusy = edge
-	}
-	if d.elementBusy < edge {
-		d.elementBusy = edge
-	}
+	d.admit.Hold(edge)
+	d.transfer.Hold(edge)
 }
 
 // New returns a DMA engine using parameters p.
 func New(eng *sim.Engine, p model.Params) *Engine {
-	d := &Engine{eng: eng, p: p}
+	d := &Engine{eng: eng, p: p, admit: sim.NewPacer(1), transfer: sim.NewPacer(1)}
 	d.fireFn = d.fire
 	return d
 }
@@ -119,14 +115,7 @@ func (d *Engine) Submit(queue int, v *Vector) {
 	// unboundedly.
 	const queueWindow = 10 * sim.Microsecond
 	gap := sim.Time(1e12 / d.p.DMAEngineRate)
-	start := now
-	if d.submitBusy > start {
-		start = d.submitBusy
-	}
-	if b := d.elementBusy - queueWindow; b > start {
-		start = b
-	}
-	d.submitBusy = start + gap
+	start := d.admit.Reserve(max(now, d.transfer.Horizon()-queueWindow), gap)
 
 	// Element transfer occupancy. Elements of one vector proceed through
 	// the engine back to back; a full vector does not lengthen the
@@ -137,12 +126,7 @@ func (d *Engine) Submit(queue int, v *Vector) {
 			panic("pcie: non-positive element size")
 		}
 		c := d.elementCost(sz)
-		if d.elementBusy > finish {
-			finish = d.elementBusy
-		}
-		finish += c
-		d.elementBusy = finish
-		d.busy += c
+		finish = d.transfer.Reserve(finish, c) + c
 		d.elements++
 		d.bytes += int64(sz)
 		if v.Write {
@@ -162,22 +146,10 @@ func (d *Engine) Submit(queue int, v *Vector) {
 	}
 }
 
-// Busy reports cumulative element transfer occupancy; telemetry samplers
-// diff successive values to derive windowed DMA-engine utilization. Injected
-// stalls push the busy horizons without accumulating here, so utilization
-// reflects transferred work, not injected dead time.
-func (d *Engine) Busy() sim.Time { return d.busy }
-
-// Backlog reports how far beyond now the engine's element cursor is
-// committed: the time a newly-submitted element would wait behind work
-// already admitted. 0 when the engine is caught up.
-func (d *Engine) Backlog(now sim.Time) sim.Time {
-	b := d.elementBusy - now
-	if b < 0 {
-		return 0
-	}
-	return b
-}
+// Transfer exposes the element transfer stage: its Served time is the
+// engine's occupancy (injected stalls excluded) and its Backlog the time a
+// newly-submitted element would wait behind work already admitted.
+func (d *Engine) Transfer() *sim.Pacer { return d.transfer }
 
 // Submissions reports total vectors submitted.
 func (d *Engine) Submissions() int64 { return d.submissions }

@@ -79,7 +79,7 @@ func TestVectoredSubmissionRaisesThroughput(t *testing.T) {
 				return
 			}
 			// Keep the engine saturated a little ahead of real time.
-			for d.submitBusy < eng.Now()+10*sim.Microsecond {
+			for d.admit.Horizon() < eng.Now()+10*sim.Microsecond {
 				d.Submit(0, &Vector{Write: true, Sizes: sizes})
 			}
 			eng.After(sim.Microsecond, pump)
@@ -116,7 +116,7 @@ func TestLargeElementsBandwidthBound(t *testing.T) {
 		if eng.Now() >= dur {
 			return
 		}
-		for d.submitBusy < eng.Now()+10*sim.Microsecond {
+		for d.admit.Horizon() < eng.Now()+10*sim.Microsecond {
 			d.Submit(0, &Vector{Write: true, Sizes: sizes})
 		}
 		eng.After(sim.Microsecond, pump)

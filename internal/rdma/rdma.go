@@ -131,8 +131,8 @@ type NIC struct {
 	nw   *simnet.Network
 	host *hostrt.Host
 
-	issueBusy sim.Time // initiator-side verb pacing (doorbell-batched cap)
-	procBusy  sim.Time // target-side verb pacing
+	issue *sim.Pacer // initiator-side verb pacing (doorbell-batched cap)
+	proc  *sim.Pacer // target-side verb pacing
 
 	// Fault-mode state (nil/zero unless SetFaultTimeout was called): the
 	// verbs' RC transport times out one-sided requests and retransmits them
@@ -154,7 +154,7 @@ type NIC struct {
 // New attaches an RDMA NIC for node to the fabric. host receives two-sided
 // SENDs and verb completions.
 func New(eng *sim.Engine, p model.Params, nw *simnet.Network, node int, host *hostrt.Host) *NIC {
-	n := &NIC{eng: eng, p: p, node: node, nw: nw, host: host}
+	n := &NIC{eng: eng, p: p, node: node, nw: nw, host: host, issue: sim.NewPacer(1), proc: sim.NewPacer(1)}
 	nw.Attach(node, n.onFrame)
 	return n
 }
@@ -179,16 +179,6 @@ func (n *NIC) Stats() Stats { return n.stats }
 
 // gap is the minimum inter-verb spacing from the small-verb rate cap.
 func (n *NIC) gap() sim.Time { return sim.Time(1e12 / n.p.RDMAMsgRate) }
-
-// pace reserves an issue slot at or after t, returning the start instant.
-func pace(busy *sim.Time, t, gap sim.Time) sim.Time {
-	start := t
-	if *busy > start {
-		start = *busy
-	}
-	*busy = start + gap
-	return start
-}
 
 // newRequest takes a verb record of kind k from the free list, or builds one.
 func (n *NIC) newRequest(k kind) *request {
@@ -279,7 +269,7 @@ func (n *NIC) verb(t *hostrt.Thread, dst int, r *request) {
 	n.nextID++
 	r.id = n.nextID
 	r.dst = dst
-	start := pace(&n.issueBusy, t.Now(), n.gap())
+	start := n.issue.Reserve(t.Now(), n.gap())
 	wireBytes := verbHeader
 	if r.kind == kWrite || r.kind == kSend {
 		wireBytes += r.payload
@@ -358,7 +348,7 @@ func (n *NIC) handleRequest(r *request) {
 		return
 	}
 	p := n.p
-	at := pace(&n.procBusy, n.eng.Now(), n.gap()) + p.RDMANICProc
+	at := n.proc.Reserve(n.eng.Now(), n.gap()) + p.RDMANICProc
 	switch r.kind {
 	case kSend, kWrite:
 		at += p.RDMAHostWrite

@@ -41,13 +41,12 @@ type Handler func(f *Frame)
 
 // port is one node's attachment: N egress and N ingress lanes.
 type port struct {
-	egressBusy  []sim.Time
-	ingressBusy []sim.Time
-	handler     Handler
-	txBytes     int64
-	rxBytes     int64
-	txFrames    int64
-	txBusy      sim.Time // cumulative egress serialization time (occupancy gauge)
+	egress   *sim.Pacer
+	ingress  *sim.Pacer
+	handler  Handler
+	txBytes  int64
+	rxBytes  int64
+	txFrames int64
 }
 
 // Network is the fabric. It is not safe for concurrent use; all access must
@@ -116,8 +115,8 @@ func (n *Network) FaultCounters() (retx, lost int64) { return n.retx, n.lost }
 func New(eng *sim.Engine, p model.Params, n int) *Network {
 	nw := &Network{eng: eng, p: p, ports: make([]port, n)}
 	for i := range nw.ports {
-		nw.ports[i].egressBusy = make([]sim.Time, p.LinksPerNode)
-		nw.ports[i].ingressBusy = make([]sim.Time, p.LinksPerNode)
+		nw.ports[i].egress = sim.NewPacer(p.LinksPerNode)
+		nw.ports[i].ingress = sim.NewPacer(p.LinksPerNode)
 	}
 	nw.deliverFn = nw.deliver
 	return nw
@@ -168,17 +167,6 @@ func (n *Network) Nodes() int { return len(n.ports) }
 // any frame is sent to that node.
 func (n *Network) Attach(id int, h Handler) { n.ports[id].handler = h }
 
-// pickLane returns the index of the earliest-free lane.
-func pickLane(busy []sim.Time) int {
-	best := 0
-	for i := 1; i < len(busy); i++ {
-		if busy[i] < busy[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // Send transmits f from f.Src to f.Dst. The frame is serialized on the
 // sender's least-busy egress lane, propagates, is serialized on the
 // receiver's least-busy ingress lane, and is delivered to the destination
@@ -218,16 +206,9 @@ func (n *Network) transmit(f *Frame, attempt int) {
 	}
 	ser := n.p.SerializationDelay(n.p.WireBytes(f.PayloadBytes))
 
-	lane := pickLane(src.egressBusy)
-	start := now
-	if src.egressBusy[lane] > start {
-		start = src.egressBusy[lane]
-	}
-	egressDone := start + ser
-	src.egressBusy[lane] = egressDone
+	egressDone := src.egress.Reserve(now, ser) + ser
 	src.txBytes += int64(n.p.WireBytes(f.PayloadBytes))
 	src.txFrames++
-	src.txBusy += ser
 
 	var dupFrame bool
 	var extraDelay sim.Time
@@ -241,12 +222,7 @@ func (n *Network) transmit(f *Frame, attempt int) {
 		}
 	}
 
-	inLane := pickLane(dst.ingressBusy)
-	arrive := egressDone + n.p.PropDelay + extraDelay
-	if b := dst.ingressBusy[inLane] + ser; b > arrive {
-		arrive = b
-	}
-	dst.ingressBusy[inLane] = arrive
+	arrive := dst.ingress.CutThrough(egressDone+n.p.PropDelay+extraDelay, ser)
 	dst.rxBytes += int64(n.p.WireBytes(f.PayloadBytes))
 
 	if dst.handler == nil {
@@ -268,22 +244,7 @@ func (n *Network) RxBytes(id int) int64 { return n.ports[id].rxBytes }
 // TxFrames reports total frames transmitted by node id.
 func (n *Network) TxFrames(id int) int64 { return n.ports[id].txFrames }
 
-// TxBusy reports node id's cumulative egress serialization time across its
-// lanes (retransmitted frames occupy the wire again and count again);
-// telemetry samplers diff successive values to derive windowed link
-// utilization.
-func (n *Network) TxBusy(id int) sim.Time { return n.ports[id].txBusy }
-
-// Lanes reports the number of egress lanes per port.
-func (n *Network) Lanes() int { return n.p.LinksPerNode }
-
-// EgressBacklog reports how far beyond now the node's least-busy egress lane
-// is committed; runtimes use it for backpressure.
-func (n *Network) EgressBacklog(id int) sim.Time {
-	lane := pickLane(n.ports[id].egressBusy)
-	b := n.ports[id].egressBusy[lane] - n.eng.Now()
-	if b < 0 {
-		return 0
-	}
-	return b
-}
+// Egress exposes node id's egress links: one lane per link, Served the
+// cumulative serialization time (retransmitted frames occupy the wire again
+// and count again), Backlog how far the least-busy link is committed.
+func (n *Network) Egress(id int) *sim.Pacer { return n.ports[id].egress }

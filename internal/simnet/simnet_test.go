@@ -114,12 +114,12 @@ func TestEgressBacklog(t *testing.T) {
 	p.LinksPerNode = 1
 	nw := New(eng, p, 2)
 	nw.Attach(1, func(f *Frame) {})
-	if nw.EgressBacklog(0) != 0 {
+	if nw.Egress(0).Backlog(eng.Now()) != 0 {
 		t.Fatal("idle port has backlog")
 	}
 	nw.Send(&Frame{Src: 0, Dst: 1, PayloadBytes: 1400})
-	if nw.EgressBacklog(0) != p.SerializationDelay(p.WireBytes(1400)) {
-		t.Fatalf("backlog %v", nw.EgressBacklog(0))
+	if nw.Egress(0).Backlog(eng.Now()) != p.SerializationDelay(p.WireBytes(1400)) {
+		t.Fatalf("backlog %v", nw.Egress(0).Backlog(eng.Now()))
 	}
 }
 
@@ -173,7 +173,7 @@ func TestBandwidthSaturation(t *testing.T) {
 			return
 		}
 		// Keep ~ 2 frames of backlog.
-		for nw.EgressBacklog(0) < 2*p.SerializationDelay(p.WireBytes(payload)) {
+		for nw.Egress(0).Backlog(eng.Now()) < 2*p.SerializationDelay(p.WireBytes(payload)) {
 			nw.Send(&Frame{Src: 0, Dst: 1, PayloadBytes: payload})
 		}
 		eng.After(100*sim.Nanosecond, pump)
