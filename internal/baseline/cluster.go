@@ -8,8 +8,8 @@ import (
 	"xenic/internal/chassis"
 	"xenic/internal/hostrt"
 	"xenic/internal/metrics"
+	"xenic/internal/model"
 	"xenic/internal/rdma"
-	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
@@ -32,12 +32,6 @@ type Observers = chassis.Observers
 // Stats aggregates one node's outcomes.
 type Stats = chassis.Stats
 
-// Retry back-off bounds for baseline coordinator threads.
-const (
-	backoffBase = 1 * sim.Microsecond
-	backoffMax  = 16 * sim.Microsecond
-)
-
 // New builds and populates a baseline cluster running workload gen, with obs
 // attached before any traffic flows.
 func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
@@ -57,8 +51,8 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		Faults:      cfg.Faults,
 	}, gen, chassis.Protocol{
 		Name:        "baseline",
-		BackoffBase: backoffBase,
-		BackoffMax:  backoffMax,
+		BackoffBase: model.BaselineBackoffBase,
+		BackoffMax:  model.BaselineBackoffMax,
 		NewTxn:      newTxn,
 		Launch:      func(t *hostrt.Thread, node int, tx *chassis.Txn) { cl.nodes[node].launch(t, tx.Attempt.(*btxn)) },
 		Drained:     cl.drained,

@@ -265,14 +265,14 @@ func Populate[R any](ch *Chassis, p Population[R]) {
 // Boot starts the lease service (§4.2.1): every live, reachable node renews
 // its lease, and the manager reconfigures on expiry, off the critical path.
 func (ch *Chassis) Boot() {
-	ch.mgr = membership.New(ch.eng, ch.cfg.Nodes, ch.cfg.Replication, ch.Membership())
+	ch.mgr = membership.New(ch.eng, ch.cfg.Nodes, ch.cfg.Replication)
 	ch.view = ch.mgr.View()
 	ch.mgr.OnChange(func(v membership.View) { ch.view = v })
 	if ch.proto.OnView != nil {
 		ch.mgr.OnChange(ch.proto.OnView)
 	}
 	for id := range ch.nodes {
-		ch.eng.Ticker(ch.Membership().RenewPeriod, func() bool {
+		ch.eng.Ticker(model.LeaseRenewPeriod, func() bool {
 			// A partitioned node cannot reach the manager: its lease lapses
 			// and it is evicted.
 			if ch.proto.Alive(id) && (ch.inj == nil || !ch.inj.Isolated(id)) {
@@ -318,10 +318,6 @@ func (ch *Chassis) Injector() *fault.Injector { return ch.inj }
 
 // Manager exposes the lease service.
 func (ch *Chassis) Manager() *membership.Manager { return ch.mgr }
-
-// Membership returns the lease settings in force: every system runs the
-// same cluster manager (leases, epochs, views) with the default settings.
-func (ch *Chassis) Membership() membership.Config { return membership.DefaultConfig() }
 
 // View returns the membership view the nodes last learned of.
 func (ch *Chassis) View() membership.View { return ch.view }

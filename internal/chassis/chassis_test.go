@@ -76,8 +76,8 @@ func abort(f *fake, t *hostrt.Thread, node int, tx *Txn) {
 
 // The two policies the real systems run with.
 var (
-	xenicPolicy    = Protocol{BackoffBase: 2 * sim.Microsecond, BackoffMax: 64 * sim.Microsecond, DeferRetryLaunch: true}
-	baselinePolicy = Protocol{BackoffBase: 1 * sim.Microsecond, BackoffMax: 16 * sim.Microsecond}
+	xenicPolicy    = Protocol{BackoffBase: model.RetryBackoffBase, BackoffMax: model.RetryBackoffMax, DeferRetryLaunch: true}
+	baselinePolicy = Protocol{BackoffBase: model.BaselineBackoffBase, BackoffMax: model.BaselineBackoffMax}
 )
 
 // TestRetryDrainOrder pins both retry-queue drain orders. The queue holds

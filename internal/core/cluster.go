@@ -5,8 +5,8 @@ import (
 	"xenic/internal/hostrt"
 	"xenic/internal/membership"
 	"xenic/internal/metrics"
+	"xenic/internal/model"
 	"xenic/internal/nicrt"
-	"xenic/internal/sim"
 	"xenic/internal/store/nicindex"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -54,12 +54,6 @@ func (cl *Cluster) replicasOf(s int) []int {
 	return append(out, cl.view.BackupsOf[s]...)
 }
 
-// Retry back-off bounds for Xenic application threads.
-const (
-	retryBackoffBase = 2 * sim.Microsecond
-	retryBackoffMax  = 64 * sim.Microsecond
-)
-
 // New builds and populates a cluster running workload gen, with obs attached
 // before any traffic flows.
 func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
@@ -79,8 +73,8 @@ func New(cfg Config, gen txnmodel.Generator, obs Observers) (*Cluster, error) {
 		Faults:      cfg.Faults,
 	}, gen, chassis.Protocol{
 		Name:              "core",
-		BackoffBase:       retryBackoffBase,
-		BackoffMax:        retryBackoffMax,
+		BackoffBase:       model.RetryBackoffBase,
+		BackoffMax:        model.RetryBackoffMax,
 		DeferRetryLaunch:  true,
 		ReadOnlyBreakdown: cfg.MVCC,
 		NewTxn:            cl.txFree.get,
@@ -227,7 +221,7 @@ func (cl *Cluster) Restart(id int) {
 		return
 	}
 	if cl.Manager().View().Alive[id] {
-		cl.Engine().After(cl.Membership().CheckPeriod, func() { cl.Restart(id) })
+		cl.Engine().After(model.LeaseCheckPeriod, func() { cl.Restart(id) })
 		return
 	}
 	// Wipe: host memory (replicas, log, coordinator and recovery state) and

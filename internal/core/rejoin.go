@@ -5,8 +5,8 @@ import (
 
 	"xenic/internal/chassis"
 	"xenic/internal/membership"
+	"xenic/internal/model"
 	"xenic/internal/nicrt"
-	"xenic/internal/sim"
 	"xenic/internal/wire"
 )
 
@@ -25,23 +25,6 @@ import (
 
 // chunkKeys bounds the keys served per snapshot chunk.
 const chunkKeys = 64
-
-// pullRetry is the resend interval for an unanswered StatePull. A pull can
-// race the serving node's own view notification and die on a fence at either
-// end (the receiver's previous view still lists the rejoiner as evicted, or
-// the reply carries the pre-join epoch), so the rejoiner re-pulls until a
-// chunk advances the transfer. Duplicate pulls are harmless: index 0 just
-// re-snapshots, later indexes re-serve a chunk the version-guarded apply
-// deduplicates.
-const pullRetry = 250 * sim.Microsecond
-
-// fwdLinger is how long a primary keeps forwarding commits after the
-// rejoiner is first listed as a live backup: commits from coordinators still
-// on the pre-admission view (and local host-path commits, which carry no
-// frame epoch) overlap direct replication until every pre-admission
-// transaction has resolved; past the coordinator watchdog plus retries they
-// all have, and the session retires.
-const fwdLinger = 2 * sim.Millisecond
 
 // rejoinState tracks a restarted node's catch-up.
 type rejoinState struct {
@@ -141,15 +124,15 @@ func (n *Node) rejoinOnView(c *nicrt.Core, v membership.View) {
 }
 
 // sendPull requests the next chunk of a shard transfer and arms the retry:
-// if the transfer has not advanced past this index by pullRetry, the pull
-// (or its chunk) was lost to a fence race and is re-sent.
+// if the transfer has not advanced past this index by model.PullRetry, the
+// pull (or its chunk) was lost to a fence race and is re-sent.
 func (n *Node) sendPull(c *nicrt.Core, shard int, ps *pullState) {
 	idx := ps.index
 	c.Send(ps.primary, &wire.StatePull{
 		Header: wire.Header{TxnID: 0, Src: uint8(n.id)},
 		Shard:  uint8(shard), Index: idx,
 	})
-	n.cl.Engine().After(pullRetry, func() {
+	n.cl.Engine().After(model.PullRetry, func() {
 		if !n.alive || n.rejoin == nil || n.rejoin.shards[shard] != ps ||
 			ps.done || ps.index != idx {
 			return
@@ -203,7 +186,7 @@ func (n *Node) handleStatePull(c *nicrt.Core, src int, m *wire.StatePull) {
 	}
 	if !p.ready {
 		// Promotion scan still deciding: serve the pull once the shard opens.
-		n.cl.Engine().After(50*sim.Microsecond, func() {
+		n.cl.Engine().After(model.PullServeDelay, func() {
 			n.nic.Inject(n.nic.LiveCore(), func(c *nicrt.Core) {
 				if n.alive && n.cl.view.Alive[src] {
 					n.handleStatePull(c, src, m)
@@ -310,8 +293,8 @@ func (n *Node) handleStateForward(c *nicrt.Core, m *wire.StateForward) {
 // change: drop sessions whose rejoiner died, and once the rejoiner is
 // listed as a live backup set the forwarding fence to that epoch —
 // coordinators on the new view already replicate to it directly, so only
-// pre-admission commits still need forwarding, and after fwdLinger none
-// remain and the session retires.
+// pre-admission commits still need forwarding, and after model.FwdLinger
+// none remain and the session retires.
 func (n *Node) updateForwards(v membership.View) {
 	if len(n.fwd) == 0 {
 		return
@@ -341,7 +324,7 @@ func (n *Node) updateForwards(v membership.View) {
 		}
 		sess.fence = v.Epoch
 		s, sess := s, sess
-		n.cl.Engine().After(fwdLinger, func() {
+		n.cl.Engine().After(model.FwdLinger, func() {
 			if n.fwd[s] == sess {
 				delete(n.fwd, s)
 			}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"xenic/internal/model"
 	"xenic/internal/sim"
 )
 
@@ -59,7 +60,7 @@ func TestParseDefaultsAndErrors(t *testing.T) {
 		t.Fatalf("default maxdelay: %v", p.MaxDelay)
 	}
 	// Timeout defaults resolve when unset.
-	if p.TxnTimeoutOrDefault() != DefaultTxnTimeout || p.VerbTimeoutOrDefault() != DefaultVerbTimeout {
+	if p.TxnTimeoutOrDefault() != model.DefaultTxnTimeout || p.VerbTimeoutOrDefault() != model.DefaultVerbTimeout {
 		t.Fatal("timeout defaults")
 	}
 	for _, bad := range []string{

@@ -79,7 +79,7 @@ func lioRTT(op lioOp, fromNIC bool, iters int, seed int64) sim.Time {
 		}
 		switch lioOp(cm.TxnID >> 32) {
 		case opNICRPC:
-			c.Charge(60 * sim.Nanosecond) // NOP handler
+			c.Charge(model.NICNopHandler)
 			reply()
 		case opDMARead:
 			c.DMARead(256, reply)

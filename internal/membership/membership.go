@@ -11,31 +11,9 @@ package membership
 import (
 	"fmt"
 
+	"xenic/internal/model"
 	"xenic/internal/sim"
 )
-
-// Config tunes lease behavior.
-type Config struct {
-	// LeaseDuration is how long a node's lease lasts without renewal.
-	LeaseDuration sim.Time
-	// RenewPeriod is how often healthy nodes renew.
-	RenewPeriod sim.Time
-	// CheckPeriod is how often the manager scans for expired leases.
-	CheckPeriod sim.Time
-	// NotifyDelay is the propagation delay from the manager deciding a new
-	// view to a node learning about it.
-	NotifyDelay sim.Time
-}
-
-// DefaultConfig returns lease settings suited to the simulated testbed.
-func DefaultConfig() Config {
-	return Config{
-		LeaseDuration: 2 * sim.Millisecond,
-		RenewPeriod:   500 * sim.Microsecond,
-		CheckPeriod:   250 * sim.Microsecond,
-		NotifyDelay:   100 * sim.Microsecond,
-	}
-}
 
 // View is one configuration epoch.
 type View struct {
@@ -72,7 +50,6 @@ func (v View) clone() View {
 // Manager is the lease service.
 type Manager struct {
 	eng      *sim.Engine
-	cfg      Config
 	nodes    int
 	repl     int
 	deadline []sim.Time
@@ -82,12 +59,14 @@ type Manager struct {
 }
 
 // New creates a manager for nodes servers with the given replication
-// factor (shard s is initially primary at node s with backups s+1..).
-func New(eng *sim.Engine, nodes, replication int, cfg Config) *Manager {
+// factor (shard s is initially primary at node s with backups s+1..). Its
+// timers are model's Lease* constants; the caller renews each live node's
+// lease every model.LeaseRenewPeriod.
+func New(eng *sim.Engine, nodes, replication int) *Manager {
 	if nodes < 2 || replication < 1 || replication > nodes {
 		panic(fmt.Sprintf("membership: bad cluster %d/%d", nodes, replication))
 	}
-	m := &Manager{eng: eng, cfg: cfg, nodes: nodes, repl: replication,
+	m := &Manager{eng: eng, nodes: nodes, repl: replication,
 		deadline: make([]sim.Time, nodes)}
 	v := View{Epoch: 0, Alive: make([]bool, nodes), Joining: make([]bool, nodes),
 		JoinedEpoch: make([]int, nodes), PrimaryOf: make([]int, nodes)}
@@ -102,7 +81,7 @@ func New(eng *sim.Engine, nodes, replication int, cfg Config) *Manager {
 	}
 	m.view = v
 	for i := range m.deadline {
-		m.deadline[i] = eng.Now() + cfg.LeaseDuration
+		m.deadline[i] = eng.Now() + model.LeaseDuration
 	}
 	return m
 }
@@ -110,7 +89,7 @@ func New(eng *sim.Engine, nodes, replication int, cfg Config) *Manager {
 // View returns a copy of the current view.
 func (m *Manager) View() View { return m.view.clone() }
 
-// OnChange registers a view-change callback; it fires NotifyDelay after
+// OnChange registers a view-change callback; it fires LeaseNotifyDelay after
 // each reconfiguration (modeling manager-to-node propagation).
 func (m *Manager) OnChange(fn func(View)) { m.onChange = append(m.onChange, fn) }
 
@@ -120,7 +99,7 @@ func (m *Manager) Renew(node int) {
 	if !m.view.Alive[node] {
 		return
 	}
-	m.deadline[node] = m.eng.Now() + m.cfg.LeaseDuration
+	m.deadline[node] = m.eng.Now() + model.LeaseDuration
 }
 
 // Rejoin re-registers a restarted node: it gets a fresh lease and is
@@ -130,7 +109,7 @@ func (m *Manager) Rejoin(node int) {
 	if m.view.Alive[node] {
 		return
 	}
-	m.deadline[node] = m.eng.Now() + m.cfg.LeaseDuration
+	m.deadline[node] = m.eng.Now() + model.LeaseDuration
 	m.view.Alive[node] = true
 	m.view.Joining[node] = true
 	m.reconfigure()
@@ -157,7 +136,7 @@ func (m *Manager) Start() {
 		return
 	}
 	m.started = true
-	m.eng.Ticker(m.cfg.CheckPeriod, func() bool {
+	m.eng.Ticker(model.LeaseCheckPeriod, func() bool {
 		m.check()
 		return true
 	})
@@ -226,6 +205,6 @@ func (m *Manager) notify() {
 	v := m.View()
 	for _, fn := range m.onChange {
 		fn := fn
-		m.eng.After(m.cfg.NotifyDelay, func() { fn(v) })
+		m.eng.After(model.LeaseNotifyDelay, func() { fn(v) })
 	}
 }

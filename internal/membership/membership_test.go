@@ -3,22 +3,22 @@ package membership
 import (
 	"testing"
 
+	"xenic/internal/model"
 	"xenic/internal/sim"
 )
 
 func setup(t *testing.T) (*sim.Engine, *Manager) {
 	t.Helper()
 	eng := sim.NewEngine(1)
-	m := New(eng, 6, 3, DefaultConfig())
+	m := New(eng, 6, 3)
 	return eng, m
 }
 
 // renewAllExcept keeps every node but the listed ones renewing.
 func renewAllExcept(eng *sim.Engine, m *Manager, dead map[int]bool) {
-	cfg := DefaultConfig()
 	for i := 0; i < 6; i++ {
 		i := i
-		eng.Ticker(cfg.RenewPeriod, func() bool {
+		eng.Ticker(model.LeaseRenewPeriod, func() bool {
 			if !dead[i] {
 				m.Renew(i)
 			}
@@ -255,5 +255,5 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	New(sim.NewEngine(1), 1, 1, DefaultConfig())
+	New(sim.NewEngine(1), 1, 1)
 }

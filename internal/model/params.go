@@ -60,9 +60,6 @@ type Params struct {
 	// NICLoopIdle is the cost of one empty polling-loop iteration; it sets
 	// the latency floor for request pickup by a NIC core (§4.3.2).
 	NICLoopIdle sim.Time
-	// NICDRAMBandwidth is the SmartNIC DDR4 bandwidth in bytes/second,
-	// shared by cached-object reads/writes.
-	NICDRAMBandwidth float64
 
 	// ---- Host <-> SmartNIC PCIe packet interface ----
 
@@ -92,8 +89,6 @@ type Params struct {
 	// HostBTreeOp is host-CPU time for one B+tree operation on TPC-C's
 	// coordinator-local tables; these dominate TPC-C host usage (§5.6).
 	HostBTreeOp sim.Time
-	// HostCores is the number of host hyperthreads (32 on Xeon Gold 5218).
-	HostCores int
 
 	// ---- LiquidIO PCIe DMA engine (§3.5) ----
 
@@ -147,15 +142,14 @@ func Default() Params {
 		FrameOverhead: 66,
 		MTU:           1500,
 
-		NICCores:         24,
-		NICCoreSpeed:     0.31,
-		NICFrameRx:       70 * sim.Nanosecond,
-		NICFrameTx:       90 * sim.Nanosecond,
-		NICMsgHandle:     63 * sim.Nanosecond,
-		NICIndexOp:       60 * sim.Nanosecond,
-		NICCacheObjCopy:  40 * sim.Nanosecond,
-		NICLoopIdle:      80 * sim.Nanosecond,
-		NICDRAMBandwidth: 19.2e9,
+		NICCores:        24,
+		NICCoreSpeed:    0.31,
+		NICFrameRx:      70 * sim.Nanosecond,
+		NICFrameTx:      90 * sim.Nanosecond,
+		NICMsgHandle:    63 * sim.Nanosecond,
+		NICIndexOp:      60 * sim.Nanosecond,
+		NICCacheObjCopy: 40 * sim.Nanosecond,
+		NICLoopIdle:     80 * sim.Nanosecond,
 
 		HostToNIC:     1200 * sim.Nanosecond,
 		NICToHost:     900 * sim.Nanosecond,
@@ -164,7 +158,6 @@ func Default() Params {
 		HostMsgProc:   250 * sim.Nanosecond,
 		HostStoreOp:   120 * sim.Nanosecond,
 		HostBTreeOp:   950 * sim.Nanosecond,
-		HostCores:     32,
 
 		DMAQueues:       8,
 		DMAVectorMax:    15,

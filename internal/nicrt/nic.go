@@ -644,7 +644,7 @@ func (v *dmaVec) failed() {
 		tr.Instant("fault", "dma-retry", c.nic.node, c.id, c.nic.eng.Now(),
 			trace.Args{"attempt": v.attempt, "write": v.vec.Write})
 	}
-	c.nic.eng.After(dmaRetryBackoff(v.attempt), v.submit)
+	c.nic.eng.After(sim.Doubled(model.DMARetryBase, model.DMARetryMax, v.attempt-1), v.submit)
 }
 
 // submitVector submits the pending read or write vector, amortizing the
@@ -665,24 +665,6 @@ func (c *Core) submitVector(write bool) {
 	// Submit at the core's current instant so engine admission sees the
 	// true submission time, not the iteration's start.
 	c.poller.At(0, v.submit)
-}
-
-// DMA resubmission backoff: deterministic capped doubling, mirroring the
-// transport-level retransmission policy in simnet.
-const (
-	dmaRetryBase = 2 * sim.Microsecond
-	dmaRetryMax  = 50 * sim.Microsecond
-)
-
-func dmaRetryBackoff(attempt int) sim.Time {
-	d := dmaRetryBase
-	for i := 1; i < attempt && d < dmaRetryMax; i++ {
-		d *= 2
-	}
-	if d > dmaRetryMax {
-		d = dmaRetryMax
-	}
-	return d
 }
 
 // flushDMA submits any partial vectors at iteration end ("when a NIC core

@@ -110,12 +110,9 @@ func (d *Engine) Submit(queue int, v *Vector) {
 
 	// Vector admission, capped at DMAEngineRate submissions/second. The
 	// hardware queues have finite depth: admission also stalls when the
-	// engine has more than queueWindow of element work outstanding, so a
-	// saturated engine backpressures submitters instead of buffering
-	// unboundedly.
-	const queueWindow = 10 * sim.Microsecond
+	// engine has more than model.DMAQueueWindow of element work outstanding.
 	gap := sim.Time(1e12 / d.p.DMAEngineRate)
-	start := d.admit.Reserve(max(now, d.transfer.Horizon()-queueWindow), gap)
+	start := d.admit.Reserve(max(now, d.transfer.Horizon()-model.DMAQueueWindow), gap)
 
 	// Element transfer occupancy. Elements of one vector proceed through
 	// the engine back to back; a full vector does not lengthen the

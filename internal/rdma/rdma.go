@@ -285,28 +285,24 @@ func (r *request) issue() {
 	n.sendFrames(r.dst, r.wireBytes, r)
 	if n.verbTimeout > 0 && r.kind != kSend {
 		n.outstanding[r.id] = r
-		n.armVerbTimer(r, n.verbTimeout)
+		n.armVerbTimer(r, 0)
 	}
 }
 
-// armVerbTimer retransmits r if no response arrived within d, re-arming
-// with the delay doubled up to 8x the base timeout. The fabric's reliable
+// armVerbTimer retransmits r if no response arrived within the timeout
+// doubled attempt times, capped at 8x the base timeout. The fabric's reliable
 // transport guarantees eventual delivery between live endpoints, so the
 // timer only fires on long tails (fault delays, transport backoff); the
 // target suppresses duplicate executions by request id.
-func (n *NIC) armVerbTimer(r *request, d sim.Time) {
-	n.eng.After(d, func() {
+func (n *NIC) armVerbTimer(r *request, attempt int) {
+	n.eng.After(sim.Doubled(n.verbTimeout, 8*n.verbTimeout, attempt), func() {
 		if _, ok := n.outstanding[r.id]; !ok {
 			return
 		}
 		n.stats.VerbTimeouts++
 		n.stats.BytesOut += int64(r.wireBytes)
 		n.sendFrames(r.dst, r.wireBytes, r)
-		next := 2 * d
-		if ceil := 8 * n.verbTimeout; next > ceil {
-			next = ceil
-		}
-		n.armVerbTimer(r, next)
+		n.armVerbTimer(r, attempt+1)
 	})
 }
 

@@ -74,27 +74,6 @@ type Network struct {
 	lost int64      // frames abandoned because an endpoint died
 }
 
-// Retransmission backoff for frames the fault hook drops. The model is a
-// reliable transport (RoCE RC-style ARQ): the simulator knows the frame was
-// lost and re-runs the transmission after a deterministic capped-exponential
-// delay, re-consulting the fault hook each attempt — so a partition blocks
-// frames until it heals (or an endpoint dies) rather than losing them.
-const (
-	retxBase = 8 * sim.Microsecond
-	retxMax  = 100 * sim.Microsecond
-)
-
-func retxBackoff(attempt int) sim.Time {
-	d := retxBase
-	for i := 0; i < attempt && d < retxMax; i++ {
-		d *= 2
-	}
-	if d > retxMax {
-		d = retxMax
-	}
-	return d
-}
-
 // SetFault installs the frame-fault hook (and a liveness oracle used to
 // abandon retransmissions to or from dead nodes). Must be called before any
 // traffic; enables per-frame Seq stamping.
@@ -216,8 +195,12 @@ func (n *Network) transmit(f *Frame, attempt int) {
 		var drop bool
 		drop, dupFrame, extraDelay = n.fate(f.Src, f.Dst)
 		if drop {
+			// A reliable transport (RoCE RC-style ARQ): the frame re-runs
+			// after a capped doubling delay and re-consults the fault hook,
+			// so a partition blocks frames until it heals (or an endpoint
+			// dies) rather than losing them.
 			n.retx++
-			n.eng.At(egressDone+retxBackoff(attempt), func() { n.transmit(f, attempt+1) })
+			n.eng.At(egressDone+sim.Doubled(model.RetxBase, model.RetxMax, attempt), func() { n.transmit(f, attempt+1) })
 			return
 		}
 	}

@@ -14,7 +14,7 @@ import (
 	"math"
 	"math/rand"
 
-	"xenic/internal/sim"
+	"xenic/internal/model"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
@@ -85,7 +85,7 @@ func (g *Gen) Placement(nodes, replication int) txnmodel.Placement {
 func (g *Gen) Register(r *txnmodel.Registry) {
 	vs := g.ValueSize
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnTouch, HostCost: 200 * sim.Nanosecond,
+		ID: fnTouch, HostCost: model.RetwisTouchHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// state: count of trailing update keys in reads.
 			nUpd := int(binary.LittleEndian.Uint16(state))
@@ -132,7 +132,7 @@ func (g *Gen) zipfKey(rng *rand.Rand) uint64 {
 
 // Next implements txnmodel.Generator.
 func (g *Gen) Next(node, thread int, rng *rand.Rand) *txnmodel.TxnDesc {
-	d := &txnmodel.TxnDesc{NICExec: g.NICExec, GenCost: 100 * sim.Nanosecond}
+	d := &txnmodel.TxnDesc{NICExec: g.NICExec, GenCost: model.RetwisGenCost}
 	pickN := func(n int) []uint64 {
 		seen := map[uint64]bool{}
 		out := make([]uint64, 0, n)

@@ -9,7 +9,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 
-	"xenic/internal/sim"
+	"xenic/internal/model"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
 )
@@ -106,7 +106,7 @@ var openingRow = val(nil, 10_000)
 // (ReadKeys ++ UpdateKeys) order.
 func (g *Gen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnDepositChecking, HostCost: 150 * sim.Nanosecond,
+		ID: fnDepositChecking, HostCost: model.SmallbankDepositCheckingHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			amount := int64(binary.LittleEndian.Uint64(state))
 			return txnmodel.ExecResult{Writes: []wire.KV{
@@ -115,7 +115,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnTransactSavings, HostCost: 150 * sim.Nanosecond,
+		ID: fnTransactSavings, HostCost: model.SmallbankTransactSavingsHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			amount := int64(binary.LittleEndian.Uint64(state))
 			nb := balance(reads[0].Value) + amount
@@ -128,7 +128,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnAmalgamate, HostCost: 200 * sim.Nanosecond,
+		ID: fnAmalgamate, HostCost: model.SmallbankAmalgamateHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: [A.savings, A.checking, B.checking] — all updates.
 			total := balance(reads[0].Value) + balance(reads[1].Value)
@@ -140,7 +140,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnWriteCheck, HostCost: 180 * sim.Nanosecond,
+		ID: fnWriteCheck, HostCost: model.SmallbankWriteCheckHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: [savings (read-only), checking (update)].
 			amount := int64(binary.LittleEndian.Uint64(state))
@@ -187,7 +187,7 @@ func amountState(rng *rand.Rand) []byte {
 
 // Next implements txnmodel.Generator.
 func (g *Gen) Next(node, thread int, rng *rand.Rand) *txnmodel.TxnDesc {
-	d := &txnmodel.TxnDesc{NICExec: g.NICExec, GenCost: 120 * sim.Nanosecond}
+	d := &txnmodel.TxnDesc{NICExec: g.NICExec, GenCost: model.SmallbankGenCost}
 	a := g.account(rng)
 	ro := g.ReadOnlyFrac
 	if ro == 0 {

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"xenic/internal/model"
 	"xenic/internal/sim"
 	"xenic/internal/txnmodel"
 	"xenic/internal/wire"
@@ -213,7 +214,7 @@ var (
 // Register implements txnmodel.Generator.
 func (g *Gen) Register(r *txnmodel.Registry) {
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnNewOrder, HostCost: 1200 * sim.Nanosecond,
+		ID: fnNewOrder, HostCost: model.TPCCNewOrderHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// state: nItems, then per-item quantity. reads: [customer,
 			// warehouse, stock..., blind entries...].
@@ -239,7 +240,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnPayment, HostCost: 600 * sim.Nanosecond,
+		ID: fnPayment, HostCost: model.TPCCPaymentHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: [customer, warehouse, ...blind]. state: amount.
 			amount := binary.LittleEndian.Uint64(state)
@@ -259,7 +260,7 @@ func (g *Gen) Register(r *txnmodel.Registry) {
 		},
 	})
 	r.Register(&txnmodel.ExecFunc{
-		ID: fnDelivery, HostCost: 2500 * sim.Nanosecond,
+		ID: fnDelivery, HostCost: model.TPCCDeliveryHostCost,
 		Run: func(state []byte, reads []wire.KV, rows *txnmodel.Rows) txnmodel.ExecResult {
 			// reads: customers to credit (updates). state: amount.
 			amount := binary.LittleEndian.Uint64(state)
@@ -363,9 +364,7 @@ func (g *Gen) newOrder(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 	desc := &txnmodel.TxnDesc{
 		FnID:    fnNewOrder,
 		NICExec: g.NICExec,
-		// District read, item-catalog lookups, and record building happen
-		// at generation (the chopped local logic of §5.3).
-		GenCost: sim.Time(1200+180*nItems) * sim.Nanosecond,
+		GenCost: model.TPCCNewOrderGenCost + sim.Time(nItems)*model.TPCCNewOrderGenCostPerItem,
 	}
 	desc.ReadKeys = []uint64{custKey(w, d, c), key(tWarehouse, w, 0)}
 
@@ -421,7 +420,7 @@ func (g *Gen) payment(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 	return &txnmodel.TxnDesc{
 		FnID:    fnPayment,
 		NICExec: g.NICExec,
-		GenCost: 900 * sim.Nanosecond,
+		GenCost: model.TPCCPaymentGenCost,
 		State:   st,
 		UpdateKeys: []uint64{
 			custKey(cw, d, c),
@@ -440,7 +439,7 @@ func (g *Gen) orderStatus(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 	w := g.localWarehouse(node, rng)
 	d := uint64(rng.Intn(g.Districts))
 	c := uint64(nuRand(rng, 1023, 0, g.CustomersPerDistrict-1))
-	desc := &txnmodel.TxnDesc{GenCost: 1500 * sim.Nanosecond}
+	desc := &txnmodel.TxnDesc{GenCost: model.TPCCOrderStatusGenCost}
 	desc.ReadKeys = append(desc.ReadKeys, custKey(w, d, c))
 	if oid := g.lastOID(w, d); oid > 0 {
 		desc.ReadKeys = append(desc.ReadKeys, orderKey(w, d, oid))
@@ -459,7 +458,7 @@ func (g *Gen) delivery(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 	binary.LittleEndian.PutUint64(st, uint64(1+rng.Intn(500)))
 	desc := &txnmodel.TxnDesc{
 		FnID:    fnDelivery,
-		GenCost: 4000 * sim.Nanosecond, // B+tree scans for oldest new-orders
+		GenCost: model.TPCCDeliveryGenCost,
 		State:   st,
 	}
 	for d := 0; d < g.Districts; d++ {
@@ -479,7 +478,7 @@ func (g *Gen) delivery(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 func (g *Gen) stockLevel(node int, rng *rand.Rand) *txnmodel.TxnDesc {
 	w := g.localWarehouse(node, rng)
 	d := uint64(rng.Intn(g.Districts))
-	desc := &txnmodel.TxnDesc{GenCost: 3000 * sim.Nanosecond}
+	desc := &txnmodel.TxnDesc{GenCost: model.TPCCStockLevelGenCost}
 	desc.ReadKeys = append(desc.ReadKeys, distKey(w, d))
 	for i := 0; i < 20; i++ {
 		item := uint64(rng.Intn(g.ItemsPerWarehouse))
